@@ -21,10 +21,10 @@ from .poly import (SparsePoly, choose_weights, face_poly, newton_polygon,
 from .quotsing import (SMOOTH, BlowupCharts, QuotType, blowup_charts,
                        exceptional_data, is_normalized, normalize_type,
                        parse_type, types_isomorphic)
-from .resolve import (EngineConfig, ResolutionTree, branch_orbits,
-                      resolve_germ, resolve_labels, semi_invariance_check,
-                      tree_to_dict, tree_to_dot)
-from .invariants import (DeltaBreakdown, InvariantReport,
+from .resolve import (EngineConfig, ResolutionTree, resolve_germ,
+                      resolve_labels, semi_invariance_check, tree_to_dict,
+                      tree_to_dot)
+from .invariants import (DeltaBreakdown, DeltaTerm, InvariantReport,
                          delta_additivity_check, delta_breakdown,
                          delta_classical, delta_w, full_report,
                          monomial_colength, noether_intersection,

@@ -19,12 +19,11 @@ from .checks import SUITE_NAMES, run_suite
 from .errors import (BadType, ExtensionOverflow, InternalInconsistency,
                      QresError, ResolutionDepthExceeded)
 from .exactnum import ExtField, Rat
-from .invariants import delta_breakdown, delta_w, full_report
+from .invariants import full_report, report_to_dict
 from .poly import parse_poly
 from .quotsing import parse_type
 from .resolve import EngineConfig, resolve_germ, tree_to_dict, tree_to_dot
-from .wproj import (GenusReport, ProjPoint, SingularPoint, genus, localize,
-                    normalize_weights, parse_weights, virtual_genus, wdegree)
+from .wproj import ProjPoint, genus, parse_weights
 
 GERM_VARS = ("x", "y")
 CURVE_VARS = ("x0", "x1", "x2")
@@ -52,77 +51,36 @@ def _parse_overrides(text: str) -> tuple:
 # germ
 
 
-def _germ_trace(tree):
-    """Per-node blow-up data and plain-mode end corrections, in the order
-    the delta breakdown sums them."""
-    bd = delta_breakdown(tree)
-    nodes = {n.id: n for n in tree.iter_nodes()}
-    blowups = []
-    for nid, contrib in bd.node_terms:
-        n = nodes[nid]
-        b = n.blowup
-        blowups.append({"node": nid, "ambient": str(n.ambient),
-                        "weights": [b.p, b.q], "e": b.e, "nu": b.nu,
-                        "cluster": n.conjugacy_multiplicity,
-                        "contribution": str(contrib)})
-    # same walk as the breakdown's correction sum: one entry per leaf record
-    # on a still-singular ambient (plain mode only reaches this state)
-    corrections = []
-    for n in tree.iter_nodes():
-        for rec in n.leaf_records:
-            if rec.ambient.d == 1:
-                continue
-            corrections.append({"node": n.id, "ambient": str(rec.ambient),
-                                "kind": rec.kind, "label": rec.label,
-                                "branches": rec.branches,
-                                "cluster": n.conjugacy_multiplicity,
-                                "contribution": str(
-                                    n.conjugacy_multiplicity * rec.branches
-                                    * Rat(rec.ambient.d - 1,
-                                          2 * rec.ambient.d))})
-    return blowups, corrections
-
-
 def run_germ(args) -> int:
     f = parse_poly(args.poly, GERM_VARS)
     t = parse_type(args.type)
     cfg = EngineConfig(mode=args.mode,
                        weight_overrides=_parse_overrides(args.weights))
     rep = full_report(f, t, mode=args.mode, config=cfg)
-    blowups, corrections = _germ_trace(rep.tree)
-    fields = (("delta_w", rep.delta_w), ("mu_w", rep.mu_w), ("r_w", rep.r_w),
-              ("delta", rep.delta_classical), ("mu", rep.mu_classical),
-              ("r", rep.r_classical), ("euler_orb", rep.euler_orb))
+    doc = report_to_dict(rep)
     if args.json:
-        doc = {"schema_version": 1, "command": "germ", "germ": rep.germ,
-               "ambient": str(rep.ambient), "mode": rep.mode,
-               "transposed": rep.transposed,
-               "invariants": {k: (v if isinstance(v, int) else str(v))
-                              for k, v in fields},
-               "trace": {"blowups": blowups, "corrections": corrections},
-               "warnings": list(rep.warnings)}
         print(json.dumps(doc, indent=2, sort_keys=True))
         return 0
-    print("germ: %s" % rep.germ)
-    print("ambient: %s" % rep.ambient)
-    print("mode: %s%s" % (rep.mode,
-                          " (variables transposed)" if rep.transposed else ""))
-    for k, v in fields:
+    print("germ: %s" % doc["germ"])
+    print("ambient: %s" % doc["ambient"])
+    print("mode: %s%s" % (doc["mode"], " (variables transposed)"
+                          if doc["transposed"] else ""))
+    for k, v in doc["invariants"].items():
         print("  %-9s = %s" % (k, v))
     print("blow-ups:")
-    for b in blowups:
+    for b in doc["trace"]["blowups"]:
         cluster = "  x%d conjugate points" % b["cluster"] if b["cluster"] > 1 else ""
         print("  node %-3d %-12s weights (%d,%d)  e=%-3d nu=%-4d -> %s%s"
               % (b["node"], b["ambient"], b["weights"][0], b["weights"][1],
                  b["e"], b["nu"], b["contribution"], cluster))
-    if corrections:
+    if doc["trace"]["corrections"]:
         print("Q-smooth ends (plain mode stops here):")
-        for c in corrections:
+        for c in doc["trace"]["corrections"]:
             cluster = "  x%d conjugate points" % c["cluster"] if c["cluster"] > 1 else ""
             print("  node %-3d %-12s %d branch(es) of %s -> %s%s"
                   % (c["node"], c["ambient"], c["branches"], c["label"],
                      c["contribution"], cluster))
-    for msg in rep.warnings:
+    for msg in doc["warnings"]:
         print("warning: %s" % msg)
     return 0
 
@@ -131,7 +89,7 @@ def run_germ(args) -> int:
 # curve
 
 
-def _parse_points(text: str, field: ExtField):
+def _parse_points(text: str):
     pts = []
     for chunk in text.split(";"):
         chunk = chunk.strip().strip("[]()")
@@ -146,45 +104,17 @@ def _parse_points(text: str, field: ExtField):
         if not any(coords):
             raise BadType("(0, 0, 0) is not a projective point")
         chart = min(i for i, c in enumerate(coords) if c != 0)
-        pts.append(ProjPoint(field, coords, chart))
+        pts.append(ProjPoint(ExtField(()), coords, chart))
     if not pts:
         raise BadType("--points got no usable point")
     return pts
 
 
-def _curve_at_points(F, w, text) -> GenusReport:
-    """Genus using only the user-supplied points (an escape hatch when the
-    interesting points are known; each chart coordinate must be scaled
-    to 1)."""
-    w, F = normalize_weights(w, F)
-    d = wdegree(F, w)
-    virt = virtual_genus(d, w)
-    total = Rat(0)
-    enriched = []
-    for P in _parse_points(text, ExtField(())):
-        germ, ambient = localize(F, w, P)
-        contrib = delta_w(resolve_germ(germ, ambient, mode="plain"))
-        total += contrib
-        enriched.append((SingularPoint(point=P, germ=germ, ambient=ambient,
-                                       multiplicity=1, kind="manual"),
-                         contrib))
-    g = virt - total
-    warnings = ()
-    if g.denominator != 1 or g < 0:
-        warnings = ("the genus came out as %s, not a non-negative integer; "
-                    "the curve is reducible (or points are missing) and the "
-                    "value is virtual" % (g,),)
-    return GenusReport(genus=g, virtual=virt, degree=d, weights=w,
-                       points=tuple(enriched), warnings=warnings)
-
-
 def run_curve(args) -> int:
     F = parse_poly(args.poly, CURVE_VARS)
     w = parse_weights(args.w)
-    if args.points:
-        rep = _curve_at_points(F, w, args.points)
-    else:
-        rep = genus(F, w)
+    points = _parse_points(args.points) if args.points else None
+    rep = genus(F, w, points=points)
     if args.json:
         doc = {"schema_version": 1, "command": "curve", "input": args.poly,
                "degree": rep.degree,
@@ -342,9 +272,5 @@ def main(argv=None) -> int:
         return 2
 
 
-def entry():
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

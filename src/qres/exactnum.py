@@ -11,8 +11,8 @@ retry in each factor.
 Element representation is positional and closed under hashing: a level-0
 element is a Fraction, a level-k element is a tuple of level-(k-1) elements
 whose length equals the degree of the k-th minimal polynomial.  No element
-object carries a field pointer; ExtElem is a thin wrapper for callers that
-want operator syntax.
+object carries a field pointer: the functions below take the tower's levels
+and depth explicitly.
 """
 
 from __future__ import annotations
@@ -211,17 +211,6 @@ def _smul(levels, k, c, a):
     if k == 0:
         return c * a
     return tuple(_smul(levels, k - 1, c, x) for x in a)
-
-
-def _pow(levels, k, a, n):
-    r = _const(levels, k, Fraction(1))
-    base = a
-    while n:
-        if n & 1:
-            r = _mul(levels, k, r, base)
-        base = _mul(levels, k, base, base)
-        n >>= 1
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -489,127 +478,6 @@ def adjoin_root(field: ExtField, tail, name: str, counts_points: bool = True,
     z = _zero(levels, k)
     root = (z, one) + (z,) * (n - 2)
     return new_field, root
-
-
-def ext_adjoin(field: ExtField, coeffs, name: str = "t",
-               counts_points: bool = True, bound: int | None = None) -> ExtField:
-    """Adjoin a root of a monic univariate polynomial given by its coefficient
-    list (low to high, leading 1 included).  Returns the extended field; a
-    degree-1 polynomial returns the same field."""
-    coeffs = [c.rep if isinstance(c, ExtElem) else field.from_rat(c) if isinstance(c, (int, Fraction)) else c
-              for c in coeffs]
-    if len(coeffs) < 2:
-        raise ValueError("minimal polynomial must have degree >= 1")
-    lead = coeffs[-1]
-    if not _is_zero(field.levels, field.depth, _sub(field.levels, field.depth, lead, field.one())):
-        raise ValueError("minimal polynomial must be monic")
-    new_field, _ = adjoin_root(field, coeffs[:-1], name, counts_points, bound)
-    return new_field
-
-
-# ---------------------------------------------------------------------------
-# operator wrapper
-
-
-class ExtElem:
-    """Field element with operator syntax.  Arithmetic never mixes fields."""
-
-    __slots__ = ("field", "rep")
-
-    def __init__(self, field: ExtField, rep):
-        self.field = field
-        self.rep = rep
-
-    @classmethod
-    def of(cls, field: ExtField, value):
-        if isinstance(value, ExtElem):
-            if value.field != field:
-                raise ValueError("element belongs to a different tower")
-            return value
-        if isinstance(value, (int, Fraction)):
-            return cls(field, field.from_rat(value))
-        return cls(field, value)
-
-    def _coerce(self, other):
-        if isinstance(other, ExtElem):
-            if other.field != self.field:
-                raise ValueError("cannot mix elements of different towers")
-            return other.rep
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_rat(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        rep = self._coerce(other)
-        if rep is NotImplemented:
-            return NotImplemented
-        return ExtElem(self.field, _add(self.field.levels, self.field.depth, self.rep, rep))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ExtElem(self.field, _neg(self.field.levels, self.field.depth, self.rep))
-
-    def __sub__(self, other):
-        rep = self._coerce(other)
-        if rep is NotImplemented:
-            return NotImplemented
-        return ExtElem(self.field, _sub(self.field.levels, self.field.depth, self.rep, rep))
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        rep = self._coerce(other)
-        if rep is NotImplemented:
-            return NotImplemented
-        return ExtElem(self.field, _mul(self.field.levels, self.field.depth, self.rep, rep))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        return ExtElem(self.field, _pow(self.field.levels, self.field.depth, self.rep, n))
-
-    def __truediv__(self, other):
-        rep = self._coerce(other)
-        if rep is NotImplemented:
-            return NotImplemented
-        inv = _inv(self.field.levels, self.field.depth, rep)
-        return ExtElem(self.field, _mul(self.field.levels, self.field.depth, self.rep, inv))
-
-    def __eq__(self, other):
-        rep = self._coerce(other) if not isinstance(other, ExtElem) else (
-            other.rep if other.field == self.field else NotImplemented)
-        if rep is NotImplemented:
-            return NotImplemented
-        return _is_zero(self.field.levels, self.field.depth,
-                        _sub(self.field.levels, self.field.depth, self.rep, rep))
-
-    def __hash__(self):
-        return hash((self.field, self.rep))
-
-    def is_zero(self) -> bool:
-        return _is_zero(self.field.levels, self.field.depth, self.rep)
-
-    def __repr__(self):
-        return "ExtElem(%s)" % format_rep(self.field, self.rep)
-
-
-def ext_invert(x: ExtElem) -> ExtElem:
-    """Invert x, raising DivisionByZero for 0 and SplitEvent on zero divisors."""
-    if x.is_zero():
-        raise DivisionByZero("cannot invert zero")
-    return ExtElem(x.field, _inv(x.field.levels, x.field.depth, x.rep))
-
-
-def try_invert(x: ExtElem):
-    """Like ext_invert, but hands a SplitEvent back as a value."""
-    try:
-        return ext_invert(x)
-    except SplitEvent as ev:
-        return ev
 
 
 # ---------------------------------------------------------------------------

@@ -19,22 +19,36 @@ from .errors import (CommonComponent, InternalInconsistency, NotMultiple,
 from .exactnum import Rat
 from .poly import SparsePoly, resultant, weighted_order
 from .quotsing import QuotType, SMOOTH
-from .resolve import (EngineConfig, ResolutionTree, axis_split, branch_orbits,
-                      resolve_germ, resolve_labels)
+from .resolve import (EngineConfig, LeafRecord, ResolutionNode,
+                      ResolutionTree, axis_split, resolve_germ, resolve_labels)
 
 __all__ = [
-    "DeltaBreakdown", "InvariantReport", "delta_breakdown", "delta_w",
-    "delta_classical", "full_report", "noether_intersection",
+    "DeltaTerm", "DeltaBreakdown", "InvariantReport", "delta_breakdown",
+    "delta_w", "delta_classical", "full_report", "noether_intersection",
     "delta_additivity_check", "monomial_colength", "one_step_dim",
     "report_to_dict",
 ]
 
 
 @dataclass(frozen=True)
+class DeltaTerm:
+    """One summand of delta_w: the blow-up at `node` (leaf is None) or, in
+    plain mode, the Q-smooth end `leaf` recorded at `node`.  Unpacks as the
+    pair (node id, contribution)."""
+
+    node: ResolutionNode
+    contribution: Rat
+    leaf: LeafRecord | None = None
+
+    def __iter__(self):
+        return iter((self.node.id, self.contribution))
+
+
+@dataclass(frozen=True)
 class DeltaBreakdown:
     total: Rat
-    node_terms: tuple        # (node id, Rat) per blow-up, preorder
-    corrections: tuple       # (node id, Rat) per plain-mode leaf on d > 1
+    node_terms: tuple        # DeltaTerm per blow-up, preorder
+    corrections: tuple       # DeltaTerm per plain-mode leaf on d > 1
 
     @property
     def node_sum(self) -> Rat:
@@ -55,7 +69,7 @@ def delta_breakdown(tree: ResolutionTree) -> DeltaBreakdown:
     for n in tree.iter_nodes():
         if n.blowup is not None:
             b = n.blowup
-            node_terms.append((n.id, n.conjugacy_multiplicity * Rat(
+            node_terms.append(DeltaTerm(n, n.conjugacy_multiplicity * Rat(
                 b.nu * (b.nu - b.p - b.q + b.e),
                 2 * n.ambient.d * b.p * b.q)))
         for rec in n.leaf_records:
@@ -66,20 +80,25 @@ def delta_breakdown(tree: ResolutionTree) -> DeltaBreakdown:
                 raise InternalInconsistency(
                     "a strong-mode resolution stopped on the singular "
                     "ambient %s" % (rec.ambient,))
-            corrections.append((n.id, n.conjugacy_multiplicity * rec.branches
-                                * Rat(d - 1, 2 * d)))
+            corrections.append(DeltaTerm(
+                n, n.conjugacy_multiplicity * rec.branches * Rat(d - 1, 2 * d),
+                rec))
     total = (sum((c for _, c in node_terms), Rat(0))
              + sum((c for _, c in corrections), Rat(0)))
     return DeltaBreakdown(total=total, node_terms=tuple(node_terms),
                           corrections=tuple(corrections))
 
 
-def delta_w(tree: ResolutionTree, mode=None) -> Rat:
+def delta_w(tree: ResolutionTree) -> Rat:
     """delta of the resolved germ, orbifold-weighted at the tree's ambient."""
-    if mode is not None and mode != tree.mode:
-        raise InternalInconsistency(
-            "tree was built in %r mode, not %r" % (tree.mode, mode))
     return delta_breakdown(tree).total
+
+
+def _leaf_count(tree: ResolutionTree) -> int:
+    """Branches of the resolved germs at the tree's ambient, conjugate
+    clusters counted point by point (on a quotient: branch orbits)."""
+    return sum(n.conjugacy_multiplicity * rec.branches
+               for n, rec in tree.leaves())
 
 
 def delta_classical(f: SparsePoly, config=None) -> Rat:
@@ -106,15 +125,20 @@ class InvariantReport:
     mu_classical: int
     r_classical: int
     euler_orb: Rat
-    per_node_contributions: tuple    # (node id, Rat), blow-ups then corrections
+    breakdown: DeltaBreakdown        # the terms summing to delta_w
     warnings: tuple
     tree: ResolutionTree
+
+    @property
+    def per_node_contributions(self):
+        """(node id, Rat) pairs, blow-ups then corrections."""
+        return self.breakdown.per_node
 
 
 def full_report(f: SparsePoly, ambient: QuotType, mode="plain",
                 config=None) -> InvariantReport:
-    """Resolve twice (on the quotient and upstairs at d = 1), assemble every
-    invariant, and re-check the identities binding them."""
+    """Resolve on the quotient and, when d > 1, once more upstairs at d = 1;
+    assemble every invariant and re-check the identities binding them."""
     from .resolve import semi_invariance_check
 
     if len(f.vars) != 2:
@@ -135,16 +159,17 @@ def full_report(f: SparsePoly, ambient: QuotType, mode="plain",
     tree = resolve_germ(f, ambient, mode=mode, config=config)
     bd = delta_breakdown(tree)
     dw = bd.total
-    r_w, r = branch_orbits(tree)
+    r_w = _leaf_count(tree)
     d = ambient.d
     if d == 1:
-        delta = dw
+        delta, r = dw, r_w
     else:
         cfg = EngineConfig(mode="plain",
                            ext_bound=tree.config.ext_bound,
                            depth_bound=tree.config.depth_bound,
                            check_reduced=False)
-        delta = delta_breakdown(resolve_germ(f, SMOOTH, config=cfg)).total
+        up = resolve_germ(f, SMOOTH, config=cfg)
+        delta, r = delta_breakdown(up).total, _leaf_count(up)
     if delta.denominator != 1 or delta < 0:
         raise InternalInconsistency(
             "upstairs delta came out as %s, not a non-negative integer"
@@ -167,8 +192,7 @@ def full_report(f: SparsePoly, ambient: QuotType, mode="plain",
         germ=str(f), ambient=ambient, mode=tree.mode, transposed=transposed,
         delta_w=dw, mu_w=mu_w, r_w=r_w, delta_classical=delta,
         mu_classical=int(mu), r_classical=r,
-        euler_orb=r_w - 2 * dw,
-        per_node_contributions=bd.per_node,
+        euler_orb=r_w - 2 * dw, breakdown=bd,
         warnings=tuple(warnings), tree=tree)
 
 
@@ -245,26 +269,32 @@ def one_step_dim(f: SparsePoly, p: int, q: int) -> Rat:
     return val
 
 
-def _rat_str(x) -> str:
-    x = Rat(x)
-    return str(x.numerator) if x.denominator == 1 else "%d/%d" % (
-        x.numerator, x.denominator)
-
-
 def report_to_dict(rep: InvariantReport):
-    return {
-        "germ": rep.germ,
-        "ambient": str(rep.ambient),
-        "mode": rep.mode,
-        "transposed": rep.transposed,
-        "delta_w": _rat_str(rep.delta_w),
-        "mu_w": _rat_str(rep.mu_w),
-        "r_w": rep.r_w,
-        "delta": _rat_str(rep.delta_classical),
-        "mu": rep.mu_classical,
-        "r": rep.r_classical,
-        "euler_orb": _rat_str(rep.euler_orb),
-        "contributions": [{"node": nid, "value": _rat_str(c)}
-                          for nid, c in rep.per_node_contributions],
-        "warnings": list(rep.warnings),
+    """The `qres germ --json` document (docs/FORMATS.md): invariants, then
+    the trace of every term of delta_w in the order the breakdown sums
+    them."""
+    invariants = {
+        "delta_w": str(rep.delta_w), "mu_w": str(rep.mu_w), "r_w": rep.r_w,
+        "delta": str(rep.delta_classical), "mu": rep.mu_classical,
+        "r": rep.r_classical, "euler_orb": str(rep.euler_orb),
     }
+    blowups = []
+    for term in rep.breakdown.node_terms:
+        n, b = term.node, term.node.blowup
+        blowups.append({"node": n.id, "ambient": str(n.ambient),
+                        "weights": [b.p, b.q], "e": b.e, "nu": b.nu,
+                        "cluster": n.conjugacy_multiplicity,
+                        "contribution": str(term.contribution)})
+    corrections = []
+    for term in rep.breakdown.corrections:
+        n, rec = term.node, term.leaf
+        corrections.append({"node": n.id, "ambient": str(rec.ambient),
+                            "kind": rec.kind, "label": rec.label,
+                            "branches": rec.branches,
+                            "cluster": n.conjugacy_multiplicity,
+                            "contribution": str(term.contribution)})
+    return {"schema_version": 1, "command": "germ", "germ": rep.germ,
+            "ambient": str(rep.ambient), "mode": rep.mode,
+            "transposed": rep.transposed, "invariants": invariants,
+            "trace": {"blowups": blowups, "corrections": corrections},
+            "warnings": list(rep.warnings)}

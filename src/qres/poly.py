@@ -274,28 +274,6 @@ class SparsePoly:
             out[tuple(e2)] = exactnum._smul(levels, k, Fraction(e[i]), c)
         return SparsePoly(self.field, self.vars, out)
 
-    def eval_at(self, reps):
-        """Full evaluation at a point given by one rep per variable."""
-        levels, k = self.field.levels, self.field.depth
-        maxes = [0] * len(self.vars)
-        for e in self.terms:
-            for i, x in enumerate(e):
-                maxes[i] = max(maxes[i], x)
-        pows = []
-        for i, r in enumerate(reps):
-            col = [self.field.one()]
-            for _ in range(maxes[i]):
-                col.append(exactnum._mul(levels, k, col[-1], r))
-            pows.append(col)
-        acc = self.field.zero()
-        for e, c in self.terms.items():
-            term = c
-            for i, x in enumerate(e):
-                if x:
-                    term = exactnum._mul(levels, k, term, pows[i][x])
-            acc = exactnum._add(levels, k, acc, term)
-        return acc
-
     def with_vars(self, names):
         names = tuple(names)
         if len(names) != len(self.vars):
@@ -579,29 +557,22 @@ def blowup_transform(f: SparsePoly, p: int, q: int, chart: int):
 # univariate algebra over the coefficient tower
 
 
-def _ucoeffs(f: SparsePoly, var=None):
-    return f.coeff_list(var)
-
-
-def _ufrom(field, var, coeffs):
-    return SparsePoly.from_univariate(field, var, coeffs)
-
-
 def poly_gcd(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     """Monic gcd of univariate polynomials (may raise SplitEvent)."""
     if f.field != g.field:
         raise ValueError("gcd of polynomials over different fields")
     var = f.vars[0] if not f.is_zero() else g.vars[0]
     levels, k = f.field.levels, f.field.depth
-    out = exactnum._pgcd_monic(levels, k, _ucoeffs(f), _ucoeffs(g))
-    return _ufrom(f.field, var, out)
+    out = exactnum._pgcd_monic(levels, k, f.coeff_list(), g.coeff_list())
+    return SparsePoly.from_univariate(f.field, var, out)
 
 
 def poly_divmod(f: SparsePoly, g: SparsePoly):
     levels, k = f.field.levels, f.field.depth
-    q, r = exactnum._pdivmod(levels, k, _ucoeffs(f), _ucoeffs(g))
+    q, r = exactnum._pdivmod(levels, k, f.coeff_list(), g.coeff_list())
     var = f.vars[0]
-    return _ufrom(f.field, var, q), _ufrom(f.field, var, r)
+    return (SparsePoly.from_univariate(f.field, var, q),
+            SparsePoly.from_univariate(f.field, var, r))
 
 
 def poly_exact_div(f: SparsePoly, g: SparsePoly) -> SparsePoly:
@@ -625,7 +596,7 @@ def squarefree_part(f: SparsePoly):
     var = f.vars[0]
     field = f.field
     levels, k = field.levels, field.depth
-    coeffs = _ucoeffs(f)
+    coeffs = f.coeff_list()
     d = exactnum._pdeg(levels, k, coeffs)
     if d <= 0:
         return SparsePoly.const(field, (var,), 1), []
@@ -645,7 +616,7 @@ def squarefree_part(f: SparsePoly):
         z = exactnum._psub(levels, k, y, dw)
         ai = exactnum._pgcd_monic(levels, k, w, z)
         if exactnum._pdeg(levels, k, ai) > 0:
-            factors.append((_ufrom(field, var, ai), m))
+            factors.append((SparsePoly.from_univariate(field, var, ai), m))
         w, rem = exactnum._pdivmod(levels, k, w, ai)
         if exactnum._pdeg(levels, k, rem) >= 0:
             raise InternalInconsistency("gcd does not divide in Yun's algorithm")

@@ -29,19 +29,17 @@ from .errors import (BadType, DegeneratePolygon, InternalInconsistency,
                      ResolutionDepthExceeded, UnitGerm, ZeroPolynomial)
 from .exactnum import (ExtField, Rat, SplitEvent, adjoin_root,
                        is_zero_validated, _is_zero, _neg)
-from .poly import (SparsePoly, blowup_transform, choose_face, choose_weights,
-                   face_poly, is_squarefree_two_vars, newton_polygon,
-                   poly_gcd, project_poly, squarefree_part, support_polygon,
-                   weighted_order)
+from .poly import (SparsePoly, blowup_transform, choose_face,
+                   is_squarefree_two_vars, poly_gcd, project_poly,
+                   squarefree_part, support_polygon, weighted_order)
 from .quotsing import (SMOOTH, BlowupCharts, QuotType, blowup_charts,
                        exceptional_data, require_normalized)
 
 __all__ = [
     "EngineConfig", "FactorState", "LeafRecord", "BlowupStep",
-    "ResolutionNode", "ResolutionTree", "BranchLeaf", "default_ext_bound",
+    "ResolutionNode", "ResolutionTree", "default_ext_bound",
     "semi_invariance_check", "axis_split", "resolve_germ", "resolve_labels",
-    "branch_orbits", "tree_to_dict", "tree_to_dot",
-    "choose_weights", "newton_polygon", "face_poly",
+    "tree_to_dict", "tree_to_dot",
 ]
 
 _UNSET = object()
@@ -161,18 +159,6 @@ class ResolutionNode:
             self.id, self.ambient, self.origin, self.depth)
 
 
-@dataclass(frozen=True)
-class BranchLeaf:
-    """A transverse section of the exceptional locus: one branch orbit."""
-
-    ambient: QuotType
-    upstairs_branches: int
-    orbit_count: int
-    conjugacy_multiplicity: int
-    label: str
-    kind: str
-
-
 @dataclass
 class ResolutionTree:
     root: ResolutionNode
@@ -201,14 +187,6 @@ class ResolutionTree:
             for rec in n.leaf_records:
                 out.append((n, rec))
         return out
-
-    def branch_leaves(self):
-        return [BranchLeaf(ambient=rec.ambient,
-                           upstairs_branches=rec.branches,
-                           orbit_count=rec.branches,
-                           conjugacy_multiplicity=n.conjugacy_multiplicity,
-                           label=rec.label, kind=rec.kind)
-                for n, rec in self.leaves()]
 
 
 # ---------------------------------------------------------------------------
@@ -628,26 +606,6 @@ def resolve_germ(f: SparsePoly, ambient: QuotType, mode=None,
             raise BadType("mode must be 'plain' or 'strong', got %r" % (mode,))
         config = replace(config, mode=mode)
     return resolve_labels({"C": f}, ambient, config)
-
-
-def branch_orbits(tree: ResolutionTree):
-    """(orbit count downstairs, branch count upstairs) of the resolved germ.
-
-    The first number reads off the tree's leaves.  The second resolves the
-    same equation at a smooth point, where branches and orbits agree."""
-    r_w = sum(n.conjugacy_multiplicity * rec.branches
-              for n, rec in tree.leaves())
-    if tree.ambient.d == 1:
-        return r_w, r_w
-    cfg = EngineConfig(mode="plain", ext_bound=tree.config.ext_bound,
-                       depth_bound=tree.config.depth_bound,
-                       check_reduced=False)
-    r = 0
-    for lab in tree.labels:
-        up = resolve_labels({lab: tree.germs[lab]}, SMOOTH, cfg)
-        r += sum(n.conjugacy_multiplicity * rec.branches
-                 for n, rec in up.leaves())
-    return r_w, r
 
 
 # ---------------------------------------------------------------------------

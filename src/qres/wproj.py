@@ -97,7 +97,7 @@ class SingularPoint:
     germ: SparsePoly       # local equation, vars (x, y), over point.field
     ambient: QuotType
     multiplicity: int      # conjugate points in this cluster
-    kind: str              # "vertex" | "affine" | "axis"
+    kind: str              # "vertex" | "affine" | "axis" | "manual"
 
 
 @dataclass(frozen=True)
@@ -563,34 +563,59 @@ def singular_locus(F: SparsePoly, w: Weights, bound=None):
     return points
 
 
-def genus(F: SparsePoly, w: Weights, bound=None, config=None) -> GenusReport:
+def genus(F: SparsePoly, w: Weights, bound=None, config=None,
+          points=None) -> GenusReport:
     """Genus of the reduced curve F = 0: virtual genus of its degree minus
-    the local delta at every singular point (vertices included)."""
+    the local delta at every singular point (vertices included).
+
+    With `points` (ProjPoints, each with its chart coordinate equal to 1)
+    the search is skipped and the curve is localized at exactly those
+    points, reported with kind "manual"; the value is only the genus if
+    they include every singular point and vertex on the curve.  A point
+    listed twice with the same coordinates raises BadType; two coordinate
+    triples naming one point after a weighted rescaling (such as [1:1:1]
+    and [1:-1:-1] on P(2,3,5)) are not detected."""
     if bound is None:
         bound = default_ext_bound()
     w, F = normalize_weights(w, F)
     d = wdegree(F, w)
-    _check_reduced(F, w)
     virt = virtual_genus(d, w)
     warnings = []
-    if any(F.min_exp(v) > 0 for v in F.vars):
-        warnings.append(
-            "the curve contains a coordinate axis, so it is reducible and "
-            "the genus value is virtual")
+    if points is None:
+        located = singular_locus(F, w, bound=bound)
+        if any(F.min_exp(v) > 0 for v in F.vars):
+            warnings.append(
+                "the curve contains a coordinate axis, so it is reducible "
+                "and the genus value is virtual")
+    else:
+        _check_reduced(F, w)
+        if len({P.coords for P in points}) != len(points):
+            raise BadType("a point is listed twice")
+        located = []
+        for P in points:
+            germ, ambient = localize(F, w, P)
+            located.append(SingularPoint(point=P, germ=germ, ambient=ambient,
+                                         multiplicity=1, kind="manual"))
     if config is None:
         config = EngineConfig(mode="plain", ext_bound=bound,
                               check_reduced=False)
     total = Rat(0)
     enriched = []
-    for sp in singular_locus(F, w, bound=bound):
+    for sp in located:
         tree = resolve_germ(sp.germ, sp.ambient, config=config)
         dsum = delta_breakdown(tree).total
         total += dsum
         enriched.append((sp, dsum))
     g = virt - total
     if g.denominator != 1 or g < 0:
-        warnings.append(
-            "the genus is not a non-negative integer, so the curve is "
-            "reducible and the value is virtual")
+        if points is None:
+            warnings.append(
+                "the genus is not a non-negative integer, so the curve is "
+                "reducible and the value is virtual")
+        else:
+            warnings.append(
+                "the genus came out as %s, not a non-negative integer; the "
+                "curve is reducible (or points are missing) and the value "
+                "is virtual" % (g,))
     return GenusReport(genus=g, virtual=virt, degree=d, weights=w,
                        points=tuple(enriched), warnings=tuple(warnings))

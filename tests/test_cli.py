@@ -109,6 +109,10 @@ def test_bad_inputs_exit_2(capsys):
         ("germ", "x + y", "--type", "X(3;1,2)"),      # not semi-invariant
         ("curve", "x0 + x1^2", "--w", "1,1,1"),       # not quasi-homogeneous
         ("curve", "x0*x1 + x2", "--w", "2,4,6"),
+        ("curve", "x0^2*(x1^2 - x0*x2)", "--w", "1,1,1",
+         "--points", "1,1,1"),                    # non-reduced curve
+        ("curve", "x0*x1 + x2", "--w", "2,3,5",
+         "--points", "1,0,0;1,0,0"),              # a point listed twice
         ("resolve", "x", "--json", "-"),              # degenerate monomial
         ("resolve", "y^2 - x^3"),                     # no output selected
     ]

@@ -5,9 +5,9 @@ from hypothesis import given, strategies as st
 
 from qres.errors import (DivisionByZero, ExtensionOverflow, NotInvertible,
                          NotSquarefree)
-from qres.exactnum import (ExtElem, ExtField, Rat, SplitEvent, adjoin_root,
-                           ext_invert, format_rep, is_zero_validated, lift,
-                           mod_inverse, try_invert)
+from qres.exactnum import (ExtField, Rat, SplitEvent, _add, _inv, _is_zero,
+                           _mul, _neg, _smul, _sub, adjoin_root, format_rep,
+                           is_zero_validated, lift, mod_inverse)
 
 QQ = ExtField(())
 
@@ -36,25 +36,27 @@ def sqrt2_field():
 
 
 def test_adjoin_sqrt2():
-    F, root = sqrt2_field()
+    F, s = sqrt2_field()
+    L, k = F.levels, F.depth
     assert F.depth == 1 and F.degree == 2
-    s = ExtElem(F, root)
-    assert s * s == 2
-    assert (1 + s) * (s - 1) == 1          # (sqrt2+1)(sqrt2-1) = 1
-    assert ext_invert(1 + s) == s - 1
+    assert _mul(L, k, s, s) == F.from_rat(2)
+    one = F.one()
+    s_plus_1, s_minus_1 = _add(L, k, one, s), _sub(L, k, s, one)
+    assert _mul(L, k, s_plus_1, s_minus_1) == one   # (sqrt2+1)(sqrt2-1) = 1
+    assert _inv(L, k, s_plus_1) == s_minus_1
 
 
 def test_nested_tower():
     F, r2 = sqrt2_field()
-    F2, r3 = adjoin_root(F, (F.from_rat(-5), F.zero(), F.zero()), "c")
+    F2, c = adjoin_root(F, (F.from_rat(-5), F.zero(), F.zero()), "c")
+    L, k = F2.levels, F2.depth
     assert F2.degree == 6
-    c = ExtElem(F2, r3)
-    assert c ** 3 == 5
-    s = ExtElem(F2, lift(F2.levels, 1, 2, r2))
-    assert s * s == 2
+    assert _mul(L, k, _mul(L, k, c, c), c) == F2.from_rat(5)
+    s = lift(L, 1, 2, r2)
+    assert _mul(L, k, s, s) == F2.from_rat(2)
     # generators resolve to the same elements
-    assert ExtElem(F2, F2.generator(0)) == s
-    assert ExtElem(F2, F2.generator(1)) == c
+    assert F2.generator(0) == s
+    assert F2.generator(1) == c
 
 
 rats = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -62,31 +64,34 @@ rats = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
 @given(rats, rats, rats, rats, rats, rats)
 def test_field_axioms_on_quadratic_tower(a0, a1, b0, b1, c0, c1):
-    F, root = sqrt2_field()
-    s = ExtElem(F, root)
-    x = a0 + a1 * s
-    y = b0 + b1 * s
-    z = c0 + c1 * s
-    assert (x + y) * z == x * z + y * z
-    assert x * (y * z) == (x * y) * z
-    assert x + y == y + x
-    assert x - x == 0
-    if not y.is_zero():
-        assert (x / y) * y == x
+    F, s = sqrt2_field()
+    L, k = F.levels, F.depth
+
+    def elem(u, v):
+        return _add(L, k, F.from_rat(u), _smul(L, k, Rat(v), s))
+
+    x, y, z = elem(a0, a1), elem(b0, b1), elem(c0, c1)
+    assert _mul(L, k, _add(L, k, x, y), z) == \
+        _add(L, k, _mul(L, k, x, z), _mul(L, k, y, z))
+    assert _mul(L, k, x, _mul(L, k, y, z)) == _mul(L, k, _mul(L, k, x, y), z)
+    assert _add(L, k, x, y) == _add(L, k, y, x)
+    assert _is_zero(L, k, _sub(L, k, x, x))
+    if not _is_zero(L, k, y):
+        assert _mul(L, k, _mul(L, k, x, _inv(L, k, y)), y) == x
 
 
 def test_division_by_zero():
-    F, root = sqrt2_field()
+    F, _ = sqrt2_field()
     with pytest.raises(DivisionByZero):
-        ext_invert(ExtElem(F, F.zero()))
+        _inv(F.levels, F.depth, F.zero())
 
 
 def test_zero_divisor_splits_the_tower():
     # t^2 - 1 is squarefree but reducible; inverting t - 1 must not succeed
     F, root = adjoin_root(QQ, (Rat(-1), Rat(0)), "t")
-    t = ExtElem(F, root)
-    out = try_invert(t - 1)
-    assert isinstance(out, SplitEvent)
+    with pytest.raises(SplitEvent) as info:
+        _inv(F.levels, F.depth, _sub(F.levels, F.depth, root, F.one()))
+    out = info.value
     assert out.k == 0 and out.counts_points
     fields = out.factor_fields()
     assert len(fields) == 2
@@ -101,14 +106,17 @@ def test_split_event_projects_upper_levels():
     # adjoin t with t^2 = 1, then u with u^2 = t + 3; splitting t rewrites
     # the minimal polynomial of u in each factor
     F, t_rep = adjoin_root(QQ, (Rat(-1), Rat(0)), "t")
-    tail = ((-(ExtElem(F, t_rep) + 3)).rep, F.zero())
+    tail = (_neg(F.levels, F.depth, _add(F.levels, F.depth, t_rep,
+                                          F.from_rat(3))), F.zero())
     F2, u_rep = adjoin_root(F, tail, "u")
-    ev = try_invert(ExtElem(F2, lift(F2.levels, 1, 2, t_rep)) - 1)
-    assert isinstance(ev, SplitEvent)
-    for f2, project in ev.factor_fields():
+    L, k = F2.levels, F2.depth
+    with pytest.raises(SplitEvent) as info:
+        _inv(L, k, _sub(L, k, lift(L, 1, 2, t_rep), F2.one()))
+    for f2, project in info.value.factor_fields():
         assert f2.depth == 1            # u-level survives over each root
-        u2 = ExtElem(f2, project(u_rep, 2))
-        assert (u2 * u2 - 4).is_zero() or (u2 * u2 - 2).is_zero()
+        u2 = project(u_rep, 2)
+        sq = _mul(f2.levels, f2.depth, u2, u2)
+        assert sq == f2.from_rat(4) or sq == f2.from_rat(2)
 
 
 def test_cluster_size_skips_uncounted_levels():
@@ -140,13 +148,14 @@ def test_is_zero_validated():
     assert not is_zero_validated(F, root)
     Fr, rr = adjoin_root(QQ, (Rat(-1), Rat(0)), "t")
     with pytest.raises(SplitEvent):
-        is_zero_validated(Fr, (ExtElem(Fr, rr) - 1).rep)
+        is_zero_validated(Fr, _sub(Fr.levels, Fr.depth, rr, Fr.one()))
 
 
 def test_format_rep():
     F, root = sqrt2_field()
     assert format_rep(F, root) == "s"
-    assert format_rep(F, (ExtElem(F, root) * Rat(3, 2) + Rat(1, 2)).rep) \
-        == "1/2 + 3/2*s"
+    assert format_rep(F, _add(F.levels, F.depth,
+                              _smul(F.levels, F.depth, Rat(3, 2), root),
+                              F.from_rat(Rat(1, 2)))) == "1/2 + 3/2*s"
     assert format_rep(F, F.zero()) == "0"
     assert F.describe() == "Q(s:deg 2)"

@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from conftest import germ
+from qres import resolve
 from qres.errors import CommonComponent, NotMultiple
 from qres.exactnum import Rat
 from qres.invariants import (delta_additivity_check, delta_classical,
@@ -123,9 +126,34 @@ def test_report_transposes_when_only_the_swap_is_semi_invariant():
 def test_report_to_dict_round_trip():
     rep = full_report(germ("x^2 - y^4"), X211)
     doc = report_to_dict(rep)
-    assert doc["delta_w"] == "1" and doc["mu_w"] == "2"
+    assert json.loads(json.dumps(doc)) == doc
+    assert doc["schema_version"] == 1 and doc["command"] == "germ"
+    inv = doc["invariants"]
+    assert inv["delta_w"] == "1" and inv["mu_w"] == "2"
     assert doc["ambient"] == "X(2;1,1)"
-    assert doc["r_w"] == 1 and doc["r"] == 2
-    assert isinstance(doc["contributions"], list)
-    assert all(set(c) == {"node", "value"} for c in doc["contributions"])
+    assert inv["r_w"] == 1 and inv["r"] == 2
+    trace = doc["trace"]
+    assert isinstance(trace["blowups"], list)
+    assert isinstance(trace["corrections"], list)
+    assert all(set(b) == {"node", "ambient", "weights", "e", "nu", "cluster",
+                          "contribution"} for b in trace["blowups"])
+    assert all(set(c) == {"node", "ambient", "kind", "label", "branches",
+                          "cluster", "contribution"}
+               for c in trace["corrections"])
+    terms = trace["blowups"] + trace["corrections"]
+    assert sum(Rat(t["contribution"]) for t in terms) == Rat(inv["delta_w"])
     assert doc["warnings"] == []
+
+
+def test_one_upstairs_resolution_per_report(monkeypatch):
+    calls = []
+    orig = resolve.resolve_labels
+
+    def counting(germs, ambient, config=None):
+        calls.append(ambient.d)
+        return orig(germs, ambient, config)
+
+    monkeypatch.setattr(resolve, "resolve_labels", counting)
+    rep = full_report(germ("x^2 - y^4"), X211)
+    assert (rep.delta_classical, rep.r_classical) == (2, 2)
+    assert calls.count(1) == 1

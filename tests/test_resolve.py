@@ -7,11 +7,10 @@ from conftest import germ
 from qres.errors import (BadType, ExtensionOverflow, NotReduced,
                          NotSemiInvariant, ResolutionDepthExceeded, UnitGerm)
 from qres.exactnum import Rat
-from qres.invariants import delta_breakdown, delta_w
+from qres.invariants import delta_breakdown, delta_w, full_report
 from qres.quotsing import SMOOTH, QuotType
-from qres.resolve import (EngineConfig, branch_orbits, resolve_germ,
-                          resolve_labels, semi_invariance_check, tree_to_dict,
-                          tree_to_dot)
+from qres.resolve import (EngineConfig, resolve_germ, resolve_labels,
+                          semi_invariance_check, tree_to_dict, tree_to_dot)
 
 X211 = QuotType(2, 1, 1)
 X723 = QuotType(7, 2, 3)
@@ -24,16 +23,19 @@ def test_cusp_resolves_in_one_blowup():
     b = nodes[0].blowup
     assert (b.p, b.q) == (3, 2) and b.e == 1 and b.nu == 6
     assert delta_w(tree) == 1
-    assert branch_orbits(tree) == (1, 1)
+    rep = full_report(germ("x^2 - y^3"), SMOOTH)
+    assert (rep.r_w, rep.r_classical) == (1, 1)
 
 
 def test_tacnode_values():
     tree = resolve_germ(germ("x^2 - y^4"), X211)
     assert delta_w(tree) == 1
-    assert branch_orbits(tree) == (1, 2)
+    rep = full_report(germ("x^2 - y^4"), X211)
+    assert (rep.r_w, rep.r_classical) == (1, 2)
     up = resolve_germ(germ("x^2 - y^4"), SMOOTH)
     assert delta_w(up) == 2
-    assert branch_orbits(up) == (2, 2)
+    rep = full_report(germ("x^2 - y^4"), SMOOTH)
+    assert (rep.r_w, rep.r_classical) == (2, 2)
 
 
 def test_override_weights_reproduce_hand_computation():
@@ -62,7 +64,8 @@ def test_conjugate_cluster_and_rational_split():
     f = germ("(y^2 - 2*x^2)^2 - x^7")
     tree = resolve_germ(f, SMOOTH)
     assert delta_w(tree) == 8                   # 2 + 2 + 2*2 by additivity
-    assert branch_orbits(tree) == (2, 2)
+    rep = full_report(f, SMOOTH)
+    assert (rep.r_w, rep.r_classical) == (2, 2)
     assert sorted(n.conjugacy_multiplicity for n in tree.iter_nodes()) == [1, 2]
     deep = [n for n in tree.iter_nodes() if n.conjugacy_multiplicity == 2][0]
     assert deep.field.describe().startswith("Q(")
@@ -77,14 +80,16 @@ def test_axis_factors_ride_along():
     f = germ("x*(y^2 - x^3)")
     tree = resolve_germ(f, SMOOTH)
     assert delta_w(tree) == 3                   # 1 + 0 + I(x, cusp) = 2
-    assert branch_orbits(tree) == (2, 2)
+    rep = full_report(f, SMOOTH)
+    assert (rep.r_w, rep.r_classical) == (2, 2)
 
 
 def test_q_smooth_axis_plain_vs_strong():
     for mode in ("plain", "strong"):
         tree = resolve_germ(germ("x"), QuotType(5, 1, 2), mode=mode)
         assert delta_w(tree) == Rat(2, 5)
-        assert branch_orbits(tree) == (1, 1)
+        rep = full_report(germ("x"), QuotType(5, 1, 2), mode=mode)
+        assert (rep.r_w, rep.r_classical) == (1, 1)
 
 
 def test_strong_mode_equals_plain_total():

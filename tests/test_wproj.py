@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import curve
+from qres import wproj
 from qres.errors import (BadType, NonDivisibleExponent, NotQuasiHomogeneous,
                          NotReduced, PointNotOnCurve)
 from qres.exactnum import ExtField, Rat
@@ -167,6 +168,36 @@ def test_non_reduced_input_is_rejected():
         genus(curve("x0^2*(x1 - x2)"), w("1,1,1"))
     with pytest.raises(NotReduced):
         genus(curve("(x0 + x1)^2*x2"), w("1,1,1"))
+
+
+def test_genus_checks_reducedness_once(monkeypatch):
+    calls = []
+    orig = wproj._check_reduced
+
+    def counting(F, weights):
+        calls.append(F)
+        return orig(F, weights)
+
+    monkeypatch.setattr(wproj, "_check_reduced", counting)
+    assert genus(curve("x1^2*x2 - x0^3"), w("1,1,1")).genus == 0
+    assert len(calls) == 1
+    pts = [ProjPoint(QQ, (Rat(0), Rat(0), Rat(1)), 2)]
+    assert genus(curve("x1^2*x2 - x0^3"), w("1,1,1"), points=pts).genus == 0
+    assert len(calls) == 2
+
+
+def test_manual_points():
+    F = curve("x0*x1 + x2")
+    vertices = [ProjPoint(QQ, (Rat(1), Rat(0), Rat(0)), 0),
+                ProjPoint(QQ, (Rat(0), Rat(1), Rat(0)), 1)]
+    rep = genus(F, w("2,3,5"), points=vertices)
+    assert rep.genus == 0
+    assert kinds(rep) == [("manual", 1, "1/3"), ("manual", 1, "1/4")]
+    with pytest.raises(BadType):
+        genus(F, w("2,3,5"), points=vertices + vertices[:1])
+    with pytest.raises(NotReduced):
+        genus(curve("x0^2*(x1^2 - x0*x2)"), w("1,1,1"),
+              points=[ProjPoint(QQ, (Rat(1), Rat(1), Rat(1)), 0)])
 
 
 def test_singular_locus_lists_vertices_on_the_curve():
