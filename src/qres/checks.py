@@ -16,9 +16,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import BadType, QresError
 from .exactnum import ExtField, Rat
-from .invariants import (delta_additivity_check, delta_breakdown, delta_w,
-                         full_report, monomial_colength, noether_intersection,
-                         one_step_dim)
+from .invariants import (delta_additivity_check, delta_w, full_report,
+                         monomial_colength, noether_intersection, one_step_dim)
 from .poly import SparsePoly, is_squarefree_two_vars, resultant
 from .quotsing import SMOOTH, QuotType, is_normalized
 from .resolve import EngineConfig, resolve_germ
@@ -119,7 +118,7 @@ def check_deltaw(count=110, dmax=6, seed=SEED) -> CheckResult:
             lhs = rep.delta_w
             rhs = (Rat(rep.delta_classical, t.d)
                    + Rat(rep.r_w - Rat(rep.r_classical, t.d), 2))
-            bd = delta_breakdown(rep.tree)
+            bd = rep.breakdown
             strong = delta_w(resolve_germ(f, t, mode="strong",
                                           config=_NO_RECHECK))
             ok = (lhs == rhs

@@ -56,7 +56,7 @@ def run_germ(args) -> int:
     t = parse_type(args.type)
     cfg = EngineConfig(mode=args.mode,
                        weight_overrides=_parse_overrides(args.weights))
-    rep = full_report(f, t, mode=args.mode, config=cfg)
+    rep = full_report(f, t, config=cfg)
     doc = report_to_dict(rep)
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))

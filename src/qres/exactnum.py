@@ -229,17 +229,6 @@ def _ptrim(levels, k, v):
     return list(v[: d + 1])
 
 
-def _padd(levels, k, u, v):
-    n = max(len(u), len(v))
-    z = _zero(levels, k)
-    out = []
-    for i in range(n):
-        a = u[i] if i < len(u) else z
-        b = v[i] if i < len(v) else z
-        out.append(_add(levels, k, a, b))
-    return out
-
-
 def _psub(levels, k, u, v):
     n = max(len(u), len(v))
     z = _zero(levels, k)

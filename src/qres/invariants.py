@@ -135,10 +135,11 @@ class InvariantReport:
         return self.breakdown.per_node
 
 
-def full_report(f: SparsePoly, ambient: QuotType, mode="plain",
+def full_report(f: SparsePoly, ambient: QuotType, mode=None,
                 config=None) -> InvariantReport:
     """Resolve on the quotient and, when d > 1, once more upstairs at d = 1;
-    assemble every invariant and re-check the identities binding them."""
+    assemble every invariant and re-check the identities binding them.
+    mode=None keeps the mode of config (plain when config is None)."""
     from .resolve import semi_invariance_check
 
     if len(f.vars) != 2:

@@ -1,7 +1,8 @@
 """Sparse multivariate polynomials over tower fields, plus the polynomial
 geometry the resolution engine runs on: weighted orders, Newton polygons,
 face polynomials, weighted blow-up transforms, squarefree (Yun)
-factorization, and resultants.
+factorization, resultants, and the one squarefreeness certificate for
+two-variable polynomials over Q (squarefree_discriminant).
 
 Coefficients are exactnum representations (nested tuples over Fraction); a
 polynomial never stores a structural zero coefficient.  Whether a nonzero
@@ -753,79 +754,92 @@ def resultant(f: SparsePoly, g: SparsePoly, var) -> SparsePoly:
 # reducedness over Q
 
 
+def _columns(f: SparsePoly, vi: int) -> dict:
+    """f as a polynomial in variable vi over the other variable: exponent of
+    vi -> dense coefficient list in the other variable."""
+    cols = {}
+    for e, c in f.terms.items():
+        col = cols.setdefault(e[vi], [])
+        col.extend([f.field.zero()] * (e[1 - vi] + 1 - len(col)))
+        col[e[1 - vi]] = c
+    return cols
+
+
 def content_in(f: SparsePoly, var) -> SparsePoly:
     """Monic gcd of the coefficients of f seen as a polynomial in var; the
     result is univariate in the other variable."""
     vi = f._vi(var)
-    rest = [i for i in range(len(f.vars)) if i != vi]
-    if len(rest) != 1:
+    if len(f.vars) != 2:
         raise ValueError("content_in expects a two-variable polynomial")
-    oi = rest[0]
     field = f.field
     levels, kd = field.levels, field.depth
-    groups = {}
-    for e, c in f.terms.items():
-        groups.setdefault(e[vi], {})[e[oi]] = c
+    cols = _columns(f, vi)
     acc = []
-    for jv in sorted(groups):
-        coeffs = [field.zero()] * (1 + max(groups[jv]))
-        for o, c in groups[jv].items():
-            coeffs[o] = c
-        acc = exactnum._pgcd_monic(levels, kd, acc, coeffs)
+    for jv in sorted(cols):
+        acc = exactnum._pgcd_monic(levels, kd, acc, cols[jv])
         if exactnum._pdeg(levels, kd, acc) == 0:
             break
-    return SparsePoly.from_univariate(field, f.vars[oi], acc or [field.one()])
+    return SparsePoly.from_univariate(field, f.vars[1 - vi], acc or [field.one()])
 
 
-def is_squarefree_two_vars(f: SparsePoly) -> bool:
-    """Squarefreeness of a nonzero two-variable polynomial over Q, via the
-    content chain in one variable and a resultant with the derivative."""
+def _primitive_part(f: SparsePoly, var):
+    """Split f = content * primitive part, seen as a polynomial in var; the
+    content comes back in f's ring (it involves only the other variable)."""
+    vi = f._vi(var)
+    cont = content_in(f, var)
+    d = cont.coeff_list()
+    levels, kd = f.field.levels, f.field.depth
+    lifted = SparsePoly(f.field, f.vars, {
+        (0, i) if vi == 0 else (i, 0): c for i, c in enumerate(d)})
+    if len(d) == 1:
+        return lifted, f
+    out = {}
+    for jv, col in _columns(f, vi).items():
+        quo, rem = exactnum._pdivmod(levels, kd, col, d)
+        if exactnum._pdeg(levels, kd, rem) >= 0:
+            raise InternalInconsistency("content division was not exact")
+        for o, c in enumerate(quo):
+            out[(jv, o) if vi == 0 else (o, jv)] = c
+    return lifted, SparsePoly(f.field, f.vars, out)
+
+
+def _univariate_squarefree(u: SparsePoly, var) -> bool:
+    """gcd(u, u') is constant, for a u that involves only var."""
+    levels, kd = u.field.levels, u.field.depth
+    coeffs = u.coeff_list(var)
+    deriv = [exactnum._smul(levels, kd, Fraction(i), coeffs[i])
+             for i in range(1, len(coeffs))]
+    return exactnum._pdeg(levels, kd, exactnum._pgcd_monic(
+        levels, kd, coeffs, deriv)) <= 0
+
+
+def squarefree_discriminant(f: SparsePoly):
+    """The one squarefreeness test for two-variable polynomials over Q.
+
+    Splits f = q(y) * c(x) * p(x, y), where q and c are the contents of f in
+    x and in y.  f is squarefree iff q and c are and Res_y(p, p_y) != 0.
+    Returns None when f is not squarefree, else (q, body, disc) in f's
+    ring: the horizontal components q, the rest body = c * p, and
+    disc = c * Res_y(p, p_y) (just c when p is a constant), which has the
+    radical of Res_y(body, body_y)."""
     if f.is_zero():
         raise ZeroPolynomial("squarefreeness of the zero polynomial is undefined")
     x, y = f.vars
-    if f.degree_in(y) == 0:
-        g = SparsePoly.from_univariate(f.field, x, f.coeff_list(x)) if f.degree_in(x) > 0 else None
-        if g is None:
-            return True
-        return poly_gcd(g, g.derivative(x)).degree_in(x) == 0
-    cont = content_in(f, y)
-    if cont.degree_in(x) > 0:
-        if poly_gcd(cont, cont.derivative(x)).degree_in(x) > 0:
-            return False
-        # primitive part must also be squarefree and coprime to the content;
-        # the latter is automatic since the primitive part has unit content
-        c2 = cont.with_vars((x,))
-        inflated = SparsePoly(f.field, f.vars,
-                              {(e[0], 0): c for e, c in c2.terms.items()})
-        prim = _exact_div_bivar(f, inflated)
-    else:
-        prim = f
-    res = resultant(prim, prim.derivative(y), y)
-    return not res.is_zero()
+    q, body = _primitive_part(f, x)
+    c, p = _primitive_part(body, y)
+    if not (_univariate_squarefree(q, y) and _univariate_squarefree(c, x)):
+        return None
+    if p.degree_in(y) == 0:
+        return q, body, c
+    res = resultant(p, p.derivative(y), y)
+    if res.is_zero():
+        return None
+    return q, body, c * res
 
 
-def _exact_div_bivar(f: SparsePoly, g: SparsePoly) -> SparsePoly:
-    """Exact division where g involves only the first variable."""
-    x, y = f.vars
-    levels, kd = f.field.levels, f.field.depth
-    gc = exactnum._ptrim(levels, kd, [c for _, c in sorted(
-        {e[0]: c for e, c in g.terms.items()}.items())])
-    # rebuild dense column for g
-    gd = [f.field.zero()] * (g.degree_in(x) + 1)
-    for e, c in g.terms.items():
-        gd[e[0]] = c
-    out = {}
-    for jv in sorted({e[1] for e in f.terms}):
-        col = [f.field.zero()] * (max((e[0] for e in f.terms if e[1] == jv), default=0) + 1)
-        for e, c in f.terms.items():
-            if e[1] == jv:
-                col[e[0]] = c
-        q, r = exactnum._pdivmod(levels, kd, col, gd)
-        if exactnum._pdeg(levels, kd, r) >= 0:
-            raise InternalInconsistency("content division was not exact")
-        for i, c in enumerate(q):
-            out[(i, jv)] = c
-    return SparsePoly(f.field, f.vars, out)
+def is_squarefree_two_vars(f: SparsePoly) -> bool:
+    """Squarefreeness of a nonzero two-variable polynomial over Q."""
+    return squarefree_discriminant(f) is not None
 
 
 # ---------------------------------------------------------------------------

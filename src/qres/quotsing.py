@@ -31,10 +31,6 @@ class QuotType:
     def __str__(self):
         return "X(%d;%d,%d)" % (self.d, self.a, self.b)
 
-    @property
-    def is_smooth(self) -> bool:
-        return self.d == 1
-
 
 SMOOTH = QuotType(1, 0, 0)
 

@@ -1,13 +1,16 @@
 """Curves in weighted projective planes: weight normalization, degrees,
 virtual genus, singular locus, and the genus computation.
 
-Points are handled as Galois clusters.  The singular-locus search works per
-affine chart: one resultant eliminates a variable, the cyclic symmetry of
-the chart collapses the candidate roots to one polynomial per orbit, and
-candidate clusters only become tower extensions after a cross-resultant
-filter (so smooth high-degree curves never build a tower at all).  Each
-surviving cluster carries its conjugacy multiplicity, and the local delta
-of the whole cluster comes out of one resolution over the cluster's field.
+Points are handled as Galois clusters.  The reducedness check and the
+singular-locus search share one elimination: the squarefreeness
+certificate of the chart slice (poly.squarefree_discriminant) already holds
+the discriminant resultant, so the search adds only the resultant with the
+x-derivative.  The cyclic symmetry of the chart collapses the candidate
+roots to one polynomial per orbit, and candidate clusters only become tower
+extensions after that cross-resultant filter (so smooth high-degree curves
+never build a tower at all).  Each surviving cluster carries its conjugacy
+multiplicity, and the local delta of the whole cluster comes out of one
+resolution over the cluster's field.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ from .errors import (BadType, InternalInconsistency, NonDivisibleExponent,
                      PointNotOnCurve, ZeroPolynomial)
 from .exactnum import (ExtField, Rat, SplitEvent, _add, _inv, _is_zero, _mul,
                        _neg, _sub, adjoin_root, format_rep, lift)
-from .poly import (SparsePoly, _exact_div_bivar, content_in,
-                   is_squarefree_two_vars, poly_gcd, resultant,
+from .poly import (SparsePoly, poly_gcd, resultant, squarefree_discriminant,
                    squarefree_part)
 from .quotsing import QuotType, SMOOTH, normalize_with_multipliers
 from .resolve import EngineConfig, default_ext_bound, resolve_germ
@@ -384,46 +386,41 @@ def _stage_gcd_roots(polys, var_sub: str, name: str, bound):
     return run
 
 
-def _affine_stratum(F0: SparsePoly, w0: int, bound, tag: str):
+def _x_candidates(r: SparsePoly, w0: int):
+    """Collapsed radical of a resultant in x, or None when it certifies
+    that no candidate lies off the axis."""
+    if r.is_zero():
+        raise InternalInconsistency(
+            "the resultant of a reduced slice with its derivative "
+            "vanished identically")
+    s = _nonzero_radical_collapsed(_as_univar(r, "x"), "x", w0)
+    return s if s.degree_in("x") > 0 else None
+
+
+def _affine_stratum(F0: SparsePoly, elimination, w0: int, bound, tag: str):
     """Singular clusters of the chart slice F0 with x != 0 (any y).
 
-    Returns a list of (field, x-rep, y-rep).  Components along which y is
-    constant are split off first: they are smooth and pairwise disjoint
-    away from the axes, but they make the resultant with the x-derivative
-    vanish, so only their crossings with the rest of the curve enter.  For
-    the rest, candidate x-coordinates come from the resultant with the
-    y-derivative refined by the one with the x-derivative; a trivial
-    candidate set certifies the stratum empty."""
+    `elimination` is the squarefreeness certificate (q, body, disc) of F0
+    that _check_reduced returns: F0 = q(y) * body, where the horizontal
+    components q(y) = 0 are smooth and pairwise disjoint away from the
+    axes, so only their crossings with the body enter; disc has the
+    radical of Res_y(body, body_y).  Candidate x-coordinates of the body
+    are the common roots of disc and Res_y(body, body_x), the only
+    resultant computed here besides the crossing; a trivial candidate set
+    certifies the stratum empty.  Returns a list of (field, x-rep, y-rep)."""
     if F0.degree_in("x") == 0 or F0.degree_in("y") == 0:
         return []
-    q = content_in(F0, "x")
-    body = F0
-    if q.degree_in("y") > 0:
-        q2 = SparsePoly(F0.field, ("y", "x"),
-                        {(e[0], 0): c for e, c in q.terms.items()})
-        body = _exact_div_bivar(F0.permute_vars((1, 0)), q2).permute_vars((1, 0))
+    q, body, disc = elimination
     pieces = []
     if body.degree_in("y") > 0:
-        for other in (body.derivative("x"), body.derivative("y")):
-            r = resultant(body, other, "y")
-            if r.is_zero():
-                raise InternalInconsistency(
-                    "the resultant of a reduced slice with its derivative "
-                    "vanished identically")
-            if r.is_constant():
-                pieces = []
-                break
-            s = _nonzero_radical_collapsed(_as_univar(r, "x"), "x", w0)
-            if s.degree_in("x") == 0:
-                pieces = []
-                break
-            pieces.append(s)
-        if len(pieces) == 2:
-            pieces = [poly_gcd(pieces[0], pieces[1])]
+        s = _x_candidates(disc, w0)
+        if s is not None:
+            t = _x_candidates(
+                resultant(body, body.derivative("x"), "y"), w0)
+            if t is not None:
+                pieces.append(poly_gcd(t, s))
     if q.degree_in("y") > 0 and not body.is_constant():
-        q2 = SparsePoly(F0.field, ("x", "y"),
-                        {(0, e[0]): c for e, c in q.terms.items()})
-        r = resultant(body, q2, "y")
+        r = resultant(body, q, "y")
         if r.is_zero():
             raise InternalInconsistency(
                 "a horizontal component survived the content split")
@@ -487,24 +484,18 @@ def _axis_stratum(F0: SparsePoly, axis_divides: bool, w_chart: int, bound,
 
 
 def _check_reduced(F: SparsePoly, w: Weights):
-    axis_exps = [F.min_exp(v) for v in F.vars]
-    if max(axis_exps) > 1:
+    """Raise NotReduced unless the curve is reduced; else return the chart
+    slice F0 = F(1, x, y) and its certificate from squarefree_discriminant.
+
+    The only curve inside the line x0 = 0 is that line, so F is reduced
+    iff no coordinate axis divides it twice and F0 is squarefree."""
+    if max(F.min_exp(v) for v in F.vars) > 1:
         raise NotReduced("a coordinate axis divides the equation twice")
-    body = F
-    for v, e in zip(F.vars, axis_exps):
-        if e:
-            body = body.shift_down(v, 1)
-    b0 = _dehomogenize(body, 0)
-    if b0.is_constant():
-        return
-    if b0.degree_in("x") == 0 or b0.degree_in("y") == 0:
-        var = "y" if b0.degree_in("x") == 0 else "x"
-        _, facs = squarefree_part(_as_univar(b0, var))
-        if any(m > 1 for _, m in facs):
-            raise NotReduced("the equation has a repeated factor")
-        return
-    if not is_squarefree_two_vars(b0):
+    F0 = _dehomogenize(F, 0)
+    elimination = squarefree_discriminant(F0)
+    if elimination is None:
         raise NotReduced("the equation has a repeated factor")
+    return F0, elimination
 
 
 def singular_locus(F: SparsePoly, w: Weights, bound=None):
@@ -518,7 +509,7 @@ def singular_locus(F: SparsePoly, w: Weights, bound=None):
         bound = default_ext_bound()
     w, F = normalize_weights(w, F)
     wdegree(F, w)
-    _check_reduced(F, w)
+    F0, elimination = _check_reduced(F, w)
     points = []
 
     for i in range(3):
@@ -533,8 +524,7 @@ def singular_locus(F: SparsePoly, w: Weights, bound=None):
                                     multiplicity=1, kind="vertex"))
 
     # chart 0 with x1 != 0 (the line x1 = 0 is handled separately below)
-    F0 = _dehomogenize(F, 0)
-    for field, u0, v0 in _affine_stratum(F0, w.w0, bound, "a"):
+    for field, u0, v0 in _affine_stratum(F0, elimination, w.w0, bound, "a"):
         p = ProjPoint(field, (field.one(), u0, v0), 0)
         germ = F0.lift_to(field).translate("x", u0).translate("y", v0)
         points.append(SingularPoint(point=p, germ=germ, ambient=SMOOTH,
@@ -563,6 +553,16 @@ def singular_locus(F: SparsePoly, w: Weights, bound=None):
     return points
 
 
+def _orbit_key(P: ProjPoint, w: Weights):
+    """The coordinates of P, up to mu_{w_i} on the chart i of a rational P.
+    On pairwise coprime weights the only element keeping a rational point
+    rational is -1 (w_i even), which sends x_j to (-1)^{w_j} x_j."""
+    if P.field.depth or w[P.chart] % 2:
+        return P.coords
+    return min(P.coords, tuple(-c if w[t] % 2 else c
+                               for t, c in enumerate(P.coords)))
+
+
 def genus(F: SparsePoly, w: Weights, bound=None, config=None,
           points=None) -> GenusReport:
     """Genus of the reduced curve F = 0: virtual genus of its degree minus
@@ -572,9 +572,9 @@ def genus(F: SparsePoly, w: Weights, bound=None, config=None,
     the search is skipped and the curve is localized at exactly those
     points, reported with kind "manual"; the value is only the genus if
     they include every singular point and vertex on the curve.  A point
-    listed twice with the same coordinates raises BadType; two coordinate
-    triples naming one point after a weighted rescaling (such as [1:1:1]
-    and [1:-1:-1] on P(2,3,5)) are not detected."""
+    listed twice raises BadType: the same coordinates, or two rational
+    points of one chart that its cyclic group mu_{w_i} maps onto each
+    other (such as [1:1:1] and [1:-1:-1] on P(2,3,5))."""
     if bound is None:
         bound = default_ext_bound()
     w, F = normalize_weights(w, F)
@@ -589,7 +589,7 @@ def genus(F: SparsePoly, w: Weights, bound=None, config=None,
                 "and the genus value is virtual")
     else:
         _check_reduced(F, w)
-        if len({P.coords for P in points}) != len(points):
+        if len({_orbit_key(P, w) for P in points}) != len(points):
             raise BadType("a point is listed twice")
         located = []
         for P in points:

@@ -76,6 +76,11 @@ def test_curve_manual_points(capsys):
     assert rc == 0
     assert "points (user supplied):" in out
     assert "genus: 0" in out
+    # [1:1:-1] is not [1:1:1] rescaled by an element of mu_2
+    rc, out, _ = run(capsys, "curve", "(x0^3 - x1^2)*(x0^5 - x2^2)",
+                     "--w", "2,3,5", "--points", "1,1,1;1,1,-1")
+    assert rc == 0
+    assert "[1 : 1 : -1]" in out
 
 
 def test_resolve_writes_files(tmp_path, capsys):
@@ -113,6 +118,8 @@ def test_bad_inputs_exit_2(capsys):
          "--points", "1,1,1"),                    # non-reduced curve
         ("curve", "x0*x1 + x2", "--w", "2,3,5",
          "--points", "1,0,0;1,0,0"),              # a point listed twice
+        ("curve", "(x0^3 - x1^2)*(x0^5 - x2^2)", "--w", "2,3,5",
+         "--points", "1,1,1;1,-1,-1"),            # [1:1:1] rescaled by -1
         ("resolve", "x", "--json", "-"),              # degenerate monomial
         ("resolve", "y^2 - x^3"),                     # no output selected
     ]

@@ -12,6 +12,7 @@ from qres.invariants import (delta_additivity_check, delta_classical,
                              report_to_dict)
 from qres.poly import resultant
 from qres.quotsing import SMOOTH, QuotType
+from qres.resolve import EngineConfig
 
 X211 = QuotType(2, 1, 1)
 X312 = QuotType(3, 1, 2)
@@ -157,3 +158,18 @@ def test_one_upstairs_resolution_per_report(monkeypatch):
     rep = full_report(germ("x^2 - y^4"), X211)
     assert (rep.delta_classical, rep.r_classical) == (2, 2)
     assert calls.count(1) == 1
+
+
+def test_full_report_takes_the_mode_from_config():
+    f = germ("x*y + (x^2 - y^3)^2")
+    cfg = EngineConfig(mode="strong", weight_overrides=((1, 5),))
+    rep = full_report(f, X723, config=cfg)
+    direct = full_report(f, X723, mode="strong",
+                         config=EngineConfig(weight_overrides=((1, 5),)))
+    assert rep.mode == direct.mode == "strong"
+    assert rep.delta_w == direct.delta_w
+    assert ([(nid, c) for nid, c in rep.breakdown.per_node]
+            == [(nid, c) for nid, c in direct.breakdown.per_node])
+    assert rep.breakdown.correction_sum == 0
+    plain = full_report(f, X723, config=EngineConfig(weight_overrides=((1, 5),)))
+    assert plain.mode == "plain" and plain.breakdown.correction_sum != 0

@@ -11,7 +11,8 @@ from qres.poly import (SparsePoly, blowup_transform, choose_face,
                        choose_weights, content_in, face_poly,
                        is_squarefree_two_vars, newton_polygon, parse_poly,
                        poly_divmod, poly_exact_div, poly_gcd, resultant,
-                       squarefree_part, weighted_order)
+                       squarefree_discriminant, squarefree_part,
+                       weighted_order)
 
 
 def test_parse_basic():
@@ -189,6 +190,45 @@ def test_content_in():
 ])
 def test_is_squarefree_two_vars(text, expect):
     assert is_squarefree_two_vars(germ(text)) is expect
+
+
+# pairwise distinct irreducibles over Q
+IRREDUCIBLES = ("x", "y", "x - 1", "y + 2", "y^2 - x^3", "y^2 - 2*x^2",
+                "x*y - 1", "x^2 + y^2 + 1")
+
+
+@given(st.lists(st.tuples(st.sampled_from(IRREDUCIBLES), st.integers(1, 2)),
+                min_size=1, max_size=4, unique_by=lambda t: t[0]),
+       st.sampled_from([1, -3, Rat(2, 5)]))
+def test_is_squarefree_two_vars_on_products(factors, unit):
+    f = germ("1").scale(Rat(unit))
+    for text, m in factors:
+        f = f * germ(text) ** m
+    assert is_squarefree_two_vars(f) is all(m == 1 for _, m in factors)
+
+
+def radical_in_x(r):
+    assert r.degree_in("y") <= 0
+    return squarefree_part(
+        SparsePoly(QQ, ("x",), {(e[0],): c for e, c in r.terms.items()}))[0]
+
+
+@pytest.mark.parametrize("text", [
+    "x^2*y + y^3 + x - 1",
+    "(x - 1)*(y^2 - x^3)",
+    "(y + 2)*(x^2 - 3)*(y^2 - 2*x^2 + x)",
+    "(x - 1)*(x + 2)",
+    "y*(y - 1)",
+])
+def test_squarefree_discriminant_splits_the_contents(text):
+    f = germ(text)
+    q, body, disc = squarefree_discriminant(f)
+    assert q.degree_in("x") <= 0 and q * body == f
+    assert content_in(body, "x").is_constant()
+    if body.degree_in("y") > 0:
+        # same candidates as the discriminant resultant of the whole body
+        full = resultant(body, body.derivative("y"), "y")
+        assert radical_in_x(disc) == radical_in_x(full)
 
 
 def test_divide_var_exponents():

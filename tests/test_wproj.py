@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import curve
-from qres import wproj
+from qres import poly, wproj
 from qres.errors import (BadType, NonDivisibleExponent, NotQuasiHomogeneous,
                          NotReduced, PointNotOnCurve)
 from qres.exactnum import ExtField, Rat
@@ -205,3 +205,23 @@ def test_singular_locus_lists_vertices_on_the_curve():
     assert sorted(p.kind for p in pts) == ["vertex", "vertex"]
     pts = singular_locus(curve("x0^30 + x1^10 + x2^6"), w("1,3,5"))
     assert pts == []
+
+
+def test_genus_eliminates_once(monkeypatch):
+    """The reducedness certificate hands its discriminant resultant on to
+    the singular-locus search: a generic plane quartic costs that one plus
+    the resultant with the x-derivative."""
+    calls = []
+    orig = poly.resultant
+
+    def counting(f, g, var):
+        calls.append(var)
+        return orig(f, g, var)
+
+    monkeypatch.setattr(poly, "resultant", counting)
+    monkeypatch.setattr(wproj, "resultant", counting)
+    F = curve("x0^4 + 2*x1^4 - 3*x2^4 + x0*x1^2*x2 - 5*x0^2*x1*x2"
+              " + 7*x1^3*x2 + x0*x2^3")
+    rep = genus(F, w("1,1,1"))
+    assert rep.genus == 3 and not rep.points
+    assert len(calls) == 2
