@@ -287,15 +287,65 @@ def _pmonic(levels, k, v):
 
 
 def _pgcd_monic(levels, k, f, g):
-    """Monic gcd by Euclid; returns [] for gcd of two zero polynomials."""
+    """Monic gcd by Euclid; returns [] for gcd of two zero polynomials.
+
+    Over Q (k = 0) a prime first tries to certify that f and g are coprime:
+    both are scaled to integer polynomials and reduced mod P = 2^61 - 1, and
+    when P divides neither leading coefficient and their gcd mod P is
+    constant, the answer is [1] with no Euclid over Q.  That is sound: by
+    Gauss's lemma a common factor h of positive degree over Q can be taken
+    primitive and divides both integer polynomials, so P does not divide its
+    leading coefficient either, and h mod P is a common factor of the same
+    degree.  Any other outcome falls through to Euclid over Q."""
     a = _ptrim(levels, k, f)
     b = _ptrim(levels, k, g)
+    if k == 0 and a and b and _coprime_mod_p(a, b):
+        return [Fraction(1)]
     while _pdeg(levels, k, b) >= 0:
         _, r = _pdivmod(levels, k, a, b)
         a, b = b, r
     if _pdeg(levels, k, a) < 0:
         return []
     return _pmonic(levels, k, a)
+
+
+_P = 2 ** 61 - 1
+
+
+def _coprime_mod_p(f, g) -> bool:
+    """True when the images of the nonzero rational polynomials f and g mod
+    _P, after clearing denominators, keep their degrees and are coprime."""
+    a, b = _clear_mod_p(f), _clear_mod_p(g)
+    if a is None or b is None:
+        return False
+    while b:
+        a, b = b, _prem_mod_p(a, b)
+    return len(a) == 1
+
+
+def _clear_mod_p(v):
+    """L * v mod _P for the lcm L of v's denominators, or None when _P
+    divides the leading coefficient of L * v."""
+    den = math.lcm(*(c.denominator for c in v))
+    out = [c.numerator * (den // c.denominator) % _P for c in v]
+    return out if out[-1] else None
+
+
+def _prem_mod_p(a, b):
+    """Remainder of a by b over GF(_P), trimmed; b has a nonzero lead."""
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, _P)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i] * inv % _P
+        if c:
+            off = i - db
+            for t in range(db):
+                a[off + t] = (a[off + t] - c * b[t]) % _P
+    del a[db:]
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
 # ---------------------------------------------------------------------------

@@ -636,14 +636,23 @@ def squarefree_part(f: SparsePoly):
 
 
 def resultant(f: SparsePoly, g: SparsePoly, var) -> SparsePoly:
-    """Resultant with respect to var, eliminating it.
+    """Resultant over Q with respect to var, eliminating it.
 
     Entries may involve one further variable; the answer is returned in the
-    same ring.  Uses monomial shortcuts and a fraction-free (Bareiss)
-    determinant on the Sylvester matrix.
+    same ring.  An input c * var^k has a closed form.  Otherwise each input
+    is scaled to a primitive polynomial over Z, f = cf * F and g = cg * G
+    with cf, cg rational, and Res(f, g) = cf^b * cg^a * Res(F, G), where a
+    and b are the degrees of f and g in var.  Res(F, G) is a fraction-free
+    (Bareiss) determinant of the Sylvester matrix whose entries are integer
+    coefficient lists in the other variable; every step divides exactly by
+    the previous pivot, and the scale is applied once at the end.
+    Coefficients in a tower field raise ValueError.
     """
     if f.field != g.field or f.vars != g.vars:
         raise ValueError("resultant of polynomials in different rings")
+    if f.field.depth:
+        raise ValueError("resultant expects coefficients in Q, not in %s"
+                         % f.field.describe())
     vi = f._vi(var)
     a, b = f.degree_in(vi), g.degree_in(vi)
     if f.is_zero() or g.is_zero():
@@ -680,27 +689,27 @@ def resultant(f: SparsePoly, g: SparsePoly, var) -> SparsePoly:
             res = -res
         return res
 
-    # general case: Bareiss on the Sylvester matrix; entries are univariate
-    # coefficient lists in the remaining variable over the tower
+    # general case: Bareiss over Z on the Sylvester matrix; entries are
+    # integer coefficient lists (low to high) in the remaining variable
     rest = [i for i in range(len(f.vars)) if i != vi]
     if any(e[i] for i in rest[1:] for e in list(f.terms) + list(g.terms)):
         raise ValueError("resultant entries may involve at most one other variable")
     oi = rest[0] if rest else None
-    field = f.field
-    levels, kd = field.levels, field.depth
 
     def rows(h, d):
+        """Primitive integer rows of h by degree in var, and the scale."""
+        den = math.lcm(*(c.denominator for c in h.terms.values()))
+        num = {e: c.numerator * (den // c.denominator) for e, c in h.terms.items()}
+        cont = math.gcd(*num.values())
         out = [[] for _ in range(d + 1)]
-        for e, c in h.terms.items():
-            j = e[vi]
+        for e, c in num.items():
+            col = out[e[vi]]
             o = e[oi] if oi is not None else 0
-            col = out[j]
-            while len(col) <= o:
-                col.append(field.zero())
-            col[o] = c
-        return [exactnum._ptrim(levels, kd, col) for col in out]
+            col.extend([0] * (o + 1 - len(col)))
+            col[o] = c // cont
+        return out, Fraction(cont, den)
 
-    fc, gc = rows(f, a), rows(g, b)
+    (fc, cf), (gc, cg) = rows(f, a), rows(g, b)
     n = a + b
     matrix = []
     for i in range(b):
@@ -715,39 +724,76 @@ def resultant(f: SparsePoly, g: SparsePoly, var) -> SparsePoly:
         matrix.append(row)
 
     sign = 1
-    prev = [field.one()]
+    prev = [1]
     for kpiv in range(n - 1):
-        if exactnum._pdeg(levels, kd, matrix[kpiv][kpiv]) < 0:
-            swap = next((r for r in range(kpiv + 1, n)
-                         if exactnum._pdeg(levels, kd, matrix[r][kpiv]) >= 0), None)
+        if not matrix[kpiv][kpiv]:
+            swap = next((r for r in range(kpiv + 1, n) if matrix[r][kpiv]), None)
             if swap is None:
                 return SparsePoly.zero(f.field, f.vars)
             matrix[kpiv], matrix[swap] = matrix[swap], matrix[kpiv]
             sign = -sign
+        pivot_row = matrix[kpiv]
+        piv = pivot_row[kpiv]
         for i in range(kpiv + 1, n):
+            row = matrix[i]
+            lead = row[kpiv]
             for j in range(kpiv + 1, n):
-                num = exactnum._psub(
-                    levels, kd,
-                    exactnum._pmul(levels, kd, matrix[kpiv][kpiv], matrix[i][j]),
-                    exactnum._pmul(levels, kd, matrix[i][kpiv], matrix[kpiv][j]))
-                if exactnum._pdeg(levels, kd, num) < 0:
-                    matrix[i][j] = []
-                    continue
-                quo, rem = exactnum._pdivmod(levels, kd, num, prev)
-                if exactnum._pdeg(levels, kd, rem) >= 0:
-                    raise InternalInconsistency("non-exact division in Bareiss elimination")
-                matrix[i][j] = quo
-            matrix[i][kpiv] = []
-        prev = matrix[kpiv][kpiv]
-    det = matrix[n - 1][n - 1]
+                num = _zsub(_zmul(piv, row[j]), _zmul(lead, pivot_row[j]))
+                row[j] = _zdiv_exact(num, prev)
+            row[kpiv] = []
+        prev = piv
+    scale = cf ** b * cg ** a * sign
     out = {}
-    for o, c in enumerate(det):
+    for o, c in enumerate(matrix[n - 1][n - 1]):
         e = [0] * len(f.vars)
         if oi is not None:
             e[oi] = o
-        out[tuple(e)] = c
-    res = SparsePoly(f.field, f.vars, out)
-    return -res if sign < 0 else res
+        out[tuple(e)] = scale * c
+    return SparsePoly(f.field, f.vars, out)
+
+
+def _zmul(u, v):
+    """Product of trimmed integer coefficient lists."""
+    if not u or not v:
+        return []
+    out = [0] * (len(u) + len(v) - 1)
+    for i, c in enumerate(u):
+        if c:
+            for j, d in enumerate(v):
+                out[i + j] += c * d
+    return out
+
+
+def _zsub(u, v):
+    """Difference of integer coefficient lists, trimmed."""
+    if len(u) < len(v):
+        u = u + [0] * (len(v) - len(u))
+    out = [c - v[i] if i < len(v) else c for i, c in enumerate(u)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zdiv_exact(num, den):
+    """Quotient of integer coefficient lists; InternalInconsistency unless
+    den divides num in Z[t]."""
+    if not num:
+        return []
+    dd = len(den) - 1
+    lead = den[-1]
+    rem = list(num)
+    quo = [0] * max(len(rem) - dd, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[i + dd], lead)
+        if r:
+            raise InternalInconsistency("non-exact division in Bareiss elimination")
+        if c:
+            quo[i] = c
+            for t in range(dd):
+                rem[i + t] -= c * den[t]
+    if not quo or any(rem[:dd]):
+        raise InternalInconsistency("non-exact division in Bareiss elimination")
+    return quo
 
 
 # ---------------------------------------------------------------------------

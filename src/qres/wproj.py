@@ -121,14 +121,24 @@ def normalize_weights(w: Weights, F: SparsePoly):
 
     Exponents of X_i are divided by d_i = gcd of the other two weights; the
     division must be exact (strip axis factors first otherwise)."""
+    w, F, _ = _normalize(w, F)
+    return w, F
+
+
+def _normalize(w: Weights, F: SparsePoly):
+    """normalize_weights, plus the accumulated exponent divisors (D_0, D_1,
+    D_2): the point [x_0 : x_1 : x_2] of P(w) is [x_0^D_0 : x_1^D_1 : x_2^D_2]
+    in the coordinates of the normalized weights."""
     if len(F.vars) != 3:
         raise BadType("weighted plane curves live in three variables")
+    divisors = [1, 1, 1]
     while True:
         ws = (w.w0, w.w1, w.w2)
         ds = [math.gcd(ws[(i + 1) % 3], ws[(i + 2) % 3]) for i in range(3)]
         if ds == [1, 1, 1]:
-            return w, F
+            return w, F, tuple(divisors)
         for i in range(3):
+            divisors[i] *= ds[i]
             if ds[i] > 1:
                 try:
                     F = F.divide_var_exponents(F.vars[i], ds[i])
@@ -563,6 +573,18 @@ def _orbit_key(P: ProjPoint, w: Weights):
                                for t, c in enumerate(P.coords)))
 
 
+def _power_point(P: ProjPoint, divisors) -> ProjPoint:
+    """[x_0^D_0 : x_1^D_1 : x_2^D_2]; the chart coordinate stays 1."""
+    fld = P.field
+    coords = []
+    for c, e in zip(P.coords, divisors):
+        acc = fld.one()
+        for _ in range(e):
+            acc = _mul(fld.levels, fld.depth, acc, c)
+        coords.append(acc)
+    return ProjPoint(fld, tuple(coords), P.chart)
+
+
 def genus(F: SparsePoly, w: Weights, bound=None, config=None,
           points=None) -> GenusReport:
     """Genus of the reduced curve F = 0: virtual genus of its degree minus
@@ -571,13 +593,18 @@ def genus(F: SparsePoly, w: Weights, bound=None, config=None,
     With `points` (ProjPoints, each with its chart coordinate equal to 1)
     the search is skipped and the curve is localized at exactly those
     points, reported with kind "manual"; the value is only the genus if
-    they include every singular point and vertex on the curve.  A point
+    they include every singular point and vertex on the curve.  The points
+    are read in the coordinates of the weights w as given; when w is not
+    normalized, each [x_0 : x_1 : x_2] becomes [x_0^D_0 : x_1^D_1 : x_2^D_2]
+    (D_i the exponent divisor of x_i in the normalization), and the report,
+    like the rest of it, holds them in the normalized coordinates.  A point
     listed twice raises BadType: the same coordinates, or two rational
     points of one chart that its cyclic group mu_{w_i} maps onto each
-    other (such as [1:1:1] and [1:-1:-1] on P(2,3,5))."""
+    other (such as [1:1:1] and [1:-1:-1] on P(2,3,5)), compared after that
+    change of coordinates."""
     if bound is None:
         bound = default_ext_bound()
-    w, F = normalize_weights(w, F)
+    w, F, divisors = _normalize(w, F)
     d = wdegree(F, w)
     virt = virtual_genus(d, w)
     warnings = []
@@ -589,12 +616,16 @@ def genus(F: SparsePoly, w: Weights, bound=None, config=None,
                 "and the genus value is virtual")
     else:
         _check_reduced(F, w)
-        if len({_orbit_key(P, w) for P in points}) != len(points):
+        moved = [_power_point(P, divisors) for P in points]
+        if len({_orbit_key(P, w) for P in moved}) != len(moved):
             raise BadType("a point is listed twice")
         located = []
-        for P in points:
-            germ, ambient = localize(F, w, P)
-            located.append(SingularPoint(point=P, germ=germ, ambient=ambient,
+        for P, Q in zip(points, moved):
+            try:
+                germ, ambient = localize(F, w, Q)
+            except PointNotOnCurve:
+                raise PointNotOnCurve("%s does not lie on the curve" % (P,))
+            located.append(SingularPoint(point=Q, germ=germ, ambient=ambient,
                                          multiplicity=1, kind="manual"))
     if config is None:
         config = EngineConfig(mode="plain", ext_bound=bound,

@@ -81,6 +81,12 @@ def test_curve_manual_points(capsys):
                      "--w", "2,3,5", "--points", "1,1,1;1,1,-1")
     assert rc == 0
     assert "[1 : 1 : -1]" in out
+    # points are read on P(2,2,1) as given and printed on P(1,1,1)
+    rc, out, _ = run(capsys, "curve", "x2^4 - x0*x1", "--w", "2,2,1",
+                     "--points", "1,16,2")
+    assert rc == 0
+    assert "[1 : 16 : 4]  manual" in out
+    assert "genus: 0" in out
 
 
 def test_resolve_writes_files(tmp_path, capsys):
@@ -120,6 +126,11 @@ def test_bad_inputs_exit_2(capsys):
          "--points", "1,0,0;1,0,0"),              # a point listed twice
         ("curve", "(x0^3 - x1^2)*(x0^5 - x2^2)", "--w", "2,3,5",
          "--points", "1,1,1;1,-1,-1"),            # [1:1:1] rescaled by -1
+        # on P(2,2,1) the point [1:4:2] is [1:4:4] on P(1,1,1), off the curve
+        ("curve", "x2^4 - x0*x1", "--w", "2,2,1", "--points", "1,4,2"),
+        # [1:16:2] and [1:16:-2] are both [1:16:4] on P(1,1,1)
+        ("curve", "x2^4 - x0*x1", "--w", "2,2,1",
+         "--points", "1,16,2;1,16,-2"),
         ("resolve", "x", "--json", "-"),              # degenerate monomial
         ("resolve", "y^2 - x^3"),                     # no output selected
     ]

@@ -31,6 +31,15 @@ def test_full_report_tacnode_on_half_plane():
     assert not rep.transposed and not rep.warnings
 
 
+def test_ladder_germ_at_n_16():
+    """(x+y)^16 - y^17 is one Puiseux branch y = t^16 - t^17 + ..., x =
+    t^17 - t^16 ...: delta = (16 - 1)(17 - 1)/2 = 120, mu = 2 delta."""
+    rep = full_report(germ("(x+y)^16 - y^17"), SMOOTH)
+    assert rep.delta_classical == rep.delta_w == 120
+    assert rep.mu_classical == 240
+    assert rep.r_classical == 1
+
+
 def test_milnor_identities_hold():
     cases = [("y^2 - x^3", SMOOTH), ("x^2 - y^4", X211),
              ("x", QuotType(5, 1, 2)), ("x*y + (y^2 - x^3)^2", X723),

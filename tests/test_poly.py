@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 from conftest import QQ, germ
 from qres.errors import (DegeneratePolygon, InternalInconsistency, NonExactDivision,
                          PolySyntaxError, UnknownVariable)
-from qres.exactnum import Rat
+from qres import exactnum
+from qres.exactnum import Rat, adjoin_root
 from qres.poly import (SparsePoly, blowup_transform, choose_face,
                        choose_weights, content_in, face_poly,
                        is_squarefree_two_vars, newton_polygon, parse_poly,
@@ -248,3 +249,167 @@ def test_permute_and_with_vars():
     assert same.with_vars(("x", "y")) == germ("y^2 - x^3")
     g = f.with_vars(("u", "v"))
     assert g.vars == ("u", "v") and g.terms == f.terms
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernels over Q against oracles of their own
+
+P61 = 2 ** 61 - 1
+
+rationals = st.builds(Rat, st.integers(-6, 6), st.integers(1, 4))
+scales = st.sampled_from([Rat(1), Rat(P61), Rat(1, P61), Rat(-3, 7)])
+
+
+def bivariate(dx, dy):
+    return st.builds(
+        lambda terms: SparsePoly(QQ, ("x", "y"), terms),
+        st.dictionaries(st.tuples(st.integers(0, dx), st.integers(0, dy)),
+                        rationals.filter(bool), max_size=6))
+
+
+def fraction_det(rows):
+    """Determinant by Gaussian elimination over Q."""
+    m = [list(r) for r in rows]
+    det = Rat(1)
+    for k in range(len(m)):
+        piv = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if piv is None:
+            return Rat(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            c = m[i][k] / m[k][k]
+            for j in range(k, len(m)):
+                m[i][j] -= c * m[k][j]
+    return det
+
+
+def y_coeffs_at(f, x0):
+    """f(x0, y) as a coefficient list in y, highest first."""
+    out = [Rat(0)] * (f.degree_in("y") + 1)
+    for (i, j), c in f.terms.items():
+        out[-1 - j] += c * Rat(x0) ** i
+    return out
+
+
+def sylvester_det(fc, gc):
+    a, b = len(fc) - 1, len(gc) - 1
+    rows = [[Rat(0)] * i + fc + [Rat(0)] * (b - 1 - i) for i in range(b)]
+    rows += [[Rat(0)] * i + gc + [Rat(0)] * (a - 1 - i) for i in range(a)]
+    return fraction_det(rows)
+
+
+def value_at(r, x0):
+    return sum((c * Rat(x0) ** e[0] for e, c in r.terms.items()), Rat(0))
+
+
+def assert_specializes(f, g):
+    """Res_y(f, g) at x = x0 is the Sylvester determinant of f(x0, y) and
+    g(x0, y), for x0 where neither leading coefficient in y vanishes."""
+    if f.is_zero() or g.is_zero():
+        assert resultant(f, g, "y").is_zero()
+        return
+    # the two leading coefficients have at most 6 roots between them
+    x0 = next(x0 for x0 in range(2, 9) if y_coeffs_at(f, x0)[0]
+              and y_coeffs_at(g, x0)[0])
+    res = resultant(f, g, "y")
+    assert res.degree_in("y") <= 0
+    assert value_at(res, x0) == sylvester_det(y_coeffs_at(f, x0),
+                                              y_coeffs_at(g, x0))
+
+
+@given(bivariate(3, 3), bivariate(3, 3), scales, scales)
+def test_resultant_specializes_to_the_sylvester_determinant(f, g, sf, sg):
+    assert_specializes(f.scale(sf), g.scale(sg))
+
+
+@pytest.mark.parametrize("f,g", [
+    ("y^2 + 1", "y^3 + x*y"),
+    ("1/2*y^3 + x", "y^2 + y"),
+    ("y^3 + x", "3*y^2 - x*y"),
+    ("y^3 + y + x", "y^3 + x"),
+])
+def test_resultant_through_a_row_swap(f, g):
+    """Sparse rows whose elimination meets a zero pivot."""
+    assert_specializes(germ(f), germ(g))
+
+
+def test_resultant_rejects_tower_coefficients():
+    field, _ = adjoin_root(QQ, (Rat(-2), Rat(0)), "s")
+    f, g = germ("y^2 - x").lift_to(field), germ("y - x^2").lift_to(field)
+    with pytest.raises(ValueError):
+        resultant(f, g, "y")
+
+
+def trimmed(w):
+    w = list(w)
+    while w and not w[-1]:
+        w.pop()
+    return w
+
+
+def euclid_gcd(u, v):
+    """Monic gcd over Q by plain Euclid, on coefficient lists low to high."""
+    u, v = trimmed(u), trimmed(v)
+    while v:
+        r = u
+        while len(r) >= len(v):
+            c = r[-1] / v[-1]
+            off = len(r) - len(v)
+            r = trimmed([x - c * v[i - off] if i >= off else x
+                         for i, x in enumerate(r)])
+        u, v = v, r
+    return [x / u[-1] for x in u] if u else []
+
+
+univariate = st.lists(rationals, min_size=1, max_size=7)
+
+
+@st.composite
+def scaled_univariate(draw):
+    """A univariate list whose coefficients may all be multiples of P61, or
+    only its leading one."""
+    u = [c * draw(scales) for c in draw(univariate)]
+    if draw(st.booleans()):
+        u[-1] = Rat(P61) * draw(st.integers(1, 3))
+    return u
+
+
+@given(scaled_univariate(), scaled_univariate())
+def test_coprimality_certificate_is_sound(u, v):
+    u, v = trimmed(u), trimmed(v)
+    if not u or not v:
+        return
+    if exactnum._coprime_mod_p(u, v):
+        assert euclid_gcd(u, v) == [Rat(1)]
+    assert exactnum._pgcd_monic((), 0, u, v) == euclid_gcd(u, v)
+
+
+@given(scaled_univariate(), scaled_univariate(), scaled_univariate())
+def test_gcd_recovers_a_common_factor(u, v, h):
+    f, g, h = (SparsePoly.from_univariate(QQ, "y", c) for c in (u, v, h))
+    if h.is_zero() or (f.is_zero() and g.is_zero()):
+        return
+    common = SparsePoly.from_univariate(QQ, "y", euclid_gcd(u, v))
+    expect = euclid_gcd((h * common).coeff_list(), [])
+    assert poly_gcd(f * h, g * h).coeff_list() == expect
+
+
+def test_certificate_falls_back_on_multiples_of_the_prime():
+    # (y - 1)(y - 2) and P61*(y - 1)*y: P61 divides the second leading
+    # coefficient, so the prime certifies nothing and Euclid finds y - 1
+    u = [Rat(2), Rat(-3), Rat(1)]
+    v = [Rat(0), Rat(-P61), Rat(P61)]
+    assert not exactnum._coprime_mod_p(u, v)
+    assert exactnum._pgcd_monic((), 0, u, v) == [Rat(-1), Rat(1)]
+    # a common factor P61*y + 1 that is a unit mod P61
+    u = [Rat(-2), Rat(1 - 2 * P61), Rat(P61)]
+    v = [Rat(-3), Rat(1 - 3 * P61), Rat(P61)]
+    assert not exactnum._coprime_mod_p(u, v)
+    assert exactnum._pgcd_monic((), 0, u, v) == [Rat(1, P61), Rat(1)]
+    # y + P61 and y are coprime over Q but equal mod P61: Euclid decides
+    u, v = [Rat(P61), Rat(1)], [Rat(0), Rat(1)]
+    assert not exactnum._coprime_mod_p(u, v)
+    assert exactnum._pgcd_monic((), 0, u, v) == [Rat(1)]

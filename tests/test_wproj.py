@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import curve
@@ -5,6 +7,7 @@ from qres import poly, wproj
 from qres.errors import (BadType, NonDivisibleExponent, NotQuasiHomogeneous,
                          NotReduced, PointNotOnCurve)
 from qres.exactnum import ExtField, Rat
+from qres.poly import SparsePoly
 from qres.quotsing import SMOOTH, QuotType
 from qres.wproj import (GenusReport, ProjPoint, Weights, bezout, genus,
                         localize, normalize_weights, parse_weights,
@@ -225,3 +228,30 @@ def test_genus_eliminates_once(monkeypatch):
     rep = genus(F, w("1,1,1"))
     assert rep.genus == 3 and not rep.points
     assert len(calls) == 2
+
+
+def test_generic_degree_40_curve_on_2_3_5():
+    """Genus = exponents strictly inside the Newton polygon (Baker) for a
+    curve that is generic for its polygon.  In the exponents (a, b) of x0
+    and x1 the polygon of degree 40 on P(2,3,5) is the hull of (0,0),
+    (20,0), (2,12) and (0,10); the curve also passes through the vertex
+    [0:1:0] (3 does not divide 40), where delta_w = 1."""
+    rng = random.Random(40)
+    terms = {}
+    for a in range(21):
+        for b in range(14):
+            c, r = divmod(40 - 2 * a - 3 * b, 5)
+            if c >= 0 and r == 0:
+                terms[(a, b, c)] = Rat(rng.choice([-3, -2, -1, 1, 2, 3]))
+    F = SparsePoly(QQ, ("x0", "x1", "x2"), terms)
+    hull = [(0, 0), (20, 0), (2, 12), (0, 10)]
+    edges = list(zip(hull, hull[1:] + hull[:1]))
+    interior = sum(
+        1 for a, b, _ in terms
+        if all((q[0] - p[0]) * (b - p[1]) - (q[1] - p[1]) * (a - p[0]) > 0
+               for p, q in edges))
+    assert interior == 20
+    rep = genus(F, w("2,3,5"))
+    assert rep.virtual == 21
+    assert kinds(rep) == [("vertex", 1, "1")]
+    assert rep.genus == interior
