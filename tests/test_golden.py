@@ -36,6 +36,8 @@ GALLERY = [
     ("x0*x1", "1,1,1"),
 ]
 
+SPLIT_GERM = "(y^4 - 4*x^4)^2 + x^7*(y^2 - 2*x^2) + x^10"
+
 # germ and curve commands, each run in human and in --json form
 REPORTS = [
     ("germ-tacnode", ["germ", "x^2 - y^4", "--type", "X(2;1,1)"]),
@@ -56,6 +58,11 @@ REPORTS = [
                         "--w", "2,3,7"]),
     ("curve-not-quasihom", ["curve", "x0 + x1^2", "--w", "1,1,1"]),
     ("curve-bad-weights", ["curve", "x0*x1 + x2", "--w", "2,4,6"]),
+    # a reducible tower: the engine forks a node, the search a cluster
+    ("germ-split", ["germ", SPLIT_GERM]),
+    ("curve-lines-split",
+     ["curve", "(x0 + 2*x1 - 2*x2)*(5*x0 + 2*x1 + 5*x2)*(x0 - 2*x1 + 5*x2)",
+      "--w", "1,1,1"]),
 ]
 
 CASES = (
@@ -66,7 +73,8 @@ CASES = (
        ("resolve-conjugate-json",
         ["resolve", "(y^2 - 2*x^2)^2 - x^7", "--json", "-"]),
        ("resolve-conjugate-dot",
-        ["resolve", "(y^2 - 2*x^2)^2 - x^7", "--dot", "-"])]
+        ["resolve", "(y^2 - 2*x^2)^2 - x^7", "--dot", "-"]),
+       ("resolve-split-json", ["resolve", SPLIT_GERM, "--json", "-"])]
     + [("gallery-%02d" % i, ["curve", text, "--w", w, "--json"])
        for i, (text, w) in enumerate(GALLERY)]
 )
