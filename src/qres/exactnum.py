@@ -4,9 +4,10 @@ Everything downstream computes over a field that starts as Q and grows by
 adjoining roots of monic squarefree polynomials.  The minimal polynomials are
 *not* assumed irreducible: arithmetic proceeds as if they were, and the moment
 an inversion meets a zero divisor the tower splits (classic dynamic
-evaluation).  The split is surfaced as a SplitEvent carrying both factor
-towers together with projection maps; callers fork their computation and
-retry in each factor.
+evaluation).  The split is surfaced as a SplitEvent; its targets() are the
+factor towers, with projection maps, that a computation retries in.  That
+policy and the adjunction of chart radicals (adjoin_radical) live here, so
+the resolution engine and the singular-locus search share them.
 
 Element representation is positional and closed under hashing: a level-0
 element is a Fraction, a level-k element is a tuple of level-(k-1) elements
@@ -100,20 +101,6 @@ class ExtField:
 
     def from_rat(self, c):
         return _const(self.levels, self.depth, Fraction(c))
-
-    def generator(self, i: int):
-        """The i-th level generator (0-based), lifted to the top level."""
-        if not 0 <= i < self.depth:
-            raise IndexError("no generator %d in a depth-%d tower" % (i, self.depth))
-        lv = self.levels[i]
-        rep = tuple(
-            _const(self.levels, i, Fraction(1 if j == 1 else 0))
-            for j in range(lv.degree)
-        )
-        # rep is a level-(i+1) element; pad it up to the top of the tower
-        for k in range(i + 2, self.depth + 1):
-            rep = _lift_one(self.levels, k, rep)
-        return rep
 
     def describe(self) -> str:
         if not self.levels:
@@ -356,9 +343,8 @@ class SplitEvent(Exception):
     """A tower level's minimal polynomial was caught being reducible.
 
     Carries the offending level index (0-based), the two monic cofactors as
-    tails, and the original levels.  factor_fields() yields, for each factor,
-    the replacement ExtField together with a projection callable mapping any
-    old representation (given with its level) into the factor tower.
+    tails, and the original levels.  targets() yields the factor towers a
+    computation continues in.
     """
 
     def __init__(self, levels, k, g_tail, h_tail):
@@ -375,11 +361,20 @@ class SplitEvent(Exception):
     def counts_points(self) -> bool:
         return self.levels[self.k].counts_points
 
-    def factor_fields(self):
-        out = []
-        for tail in (self.g_tail, self.h_tail):
-            out.append(_make_factor(self.levels, self.k, tail))
-        return out
+    def targets(self):
+        """The factor towers to continue in, each as (ExtField, project),
+        project mapping any old representation (given with its level) into
+        that tower.
+
+        A level that counts points splits its cluster into two packets of
+        conjugate points, so both factors are kept.  A level that does not
+        only parametrizes local coordinates: either factor describes the
+        same points downstairs, so only the one with the smaller tail is
+        kept (the first on a tie)."""
+        tails = (self.g_tail, self.h_tail)
+        if not self.counts_points:
+            tails = (min(tails, key=len),)
+        return [_make_factor(self.levels, self.k, tail) for tail in tails]
 
 
 def _make_factor(old_levels, k, tail):
@@ -517,6 +512,18 @@ def adjoin_root(field: ExtField, tail, name: str, counts_points: bool = True,
     z = _zero(levels, k)
     root = (z, one) + (z,) * (n - 2)
     return new_field, root
+
+
+def adjoin_radical(field: ExtField, t, w: int, name: str,
+                   bound: int | None = None):
+    """Adjoin a w-th root u of the element t, u^w = t, as a level that does
+    not count points; returns (new_field, u).  For w = 1 nothing is adjoined
+    and t itself comes back.  u^w - t must be squarefree, which holds when
+    t is a unit."""
+    if w == 1:
+        return field, t
+    tail = [_neg(field.levels, field.depth, t)] + [field.zero()] * (w - 1)
+    return adjoin_root(field, tail, name, counts_points=False, bound=bound)
 
 
 # ---------------------------------------------------------------------------

@@ -74,11 +74,6 @@ class SparsePoly:
         return cls(field, variables, {tuple(e): field.one()})
 
     @classmethod
-    def monomial(cls, field, variables, exps, c=1):
-        rep = c if not isinstance(c, (int, Fraction)) else field.from_rat(c)
-        return cls(field, variables, {tuple(exps): rep})
-
-    @classmethod
     def from_univariate(cls, field, var, coeffs):
         return cls(field, (var,), {(i,): c for i, c in enumerate(coeffs)})
 
@@ -92,9 +87,6 @@ class SparsePoly:
 
     def constant_term(self):
         return self.terms.get((0,) * len(self.vars), self.field.zero())
-
-    def support(self):
-        return sorted(self.terms)
 
     def total_order(self) -> int:
         """Minimum total degree of a term (the multiplicity at the origin)."""
@@ -566,21 +558,6 @@ def poly_gcd(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     levels, k = f.field.levels, f.field.depth
     out = exactnum._pgcd_monic(levels, k, f.coeff_list(), g.coeff_list())
     return SparsePoly.from_univariate(f.field, var, out)
-
-
-def poly_divmod(f: SparsePoly, g: SparsePoly):
-    levels, k = f.field.levels, f.field.depth
-    q, r = exactnum._pdivmod(levels, k, f.coeff_list(), g.coeff_list())
-    var = f.vars[0]
-    return (SparsePoly.from_univariate(f.field, var, q),
-            SparsePoly.from_univariate(f.field, var, r))
-
-
-def poly_exact_div(f: SparsePoly, g: SparsePoly) -> SparsePoly:
-    q, r = poly_divmod(f, g)
-    if not r.is_zero():
-        raise InternalInconsistency("division of %s by %s is not exact" % (f, g))
-    return q
 
 
 def squarefree_part(f: SparsePoly):

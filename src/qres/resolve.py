@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 from .errors import (BadType, DegeneratePolygon, InternalInconsistency,
                      NonExactDivision, NotReduced, NotSemiInvariant,
                      ResolutionDepthExceeded, UnitGerm, ZeroPolynomial)
-from .exactnum import (ExtField, Rat, SplitEvent, adjoin_root,
-                       is_zero_validated, _is_zero, _neg)
+from .exactnum import (SplitEvent, adjoin_radical, adjoin_root,
+                       is_zero_validated, _is_zero)
 from .poly import (SparsePoly, blowup_transform, choose_face,
                    is_squarefree_two_vars, poly_gcd, project_poly,
                    squarefree_part, support_polygon, weighted_order)
@@ -473,20 +473,13 @@ class _Engine:
                 self.face_child(node, bc, strict1, fact, idx)
 
     def face_child(self, node, bc, strict1, fact, idx):
-        d1 = bc.chart1.d
-        deg = fact.degree_in("y")
         coeffs = fact.coeff_list("y")
         # Yun factors are monic, so coeffs[:-1] is the minimal polynomial tail
         field2, t0 = adjoin_root(node.field, coeffs[:-1],
                                  "a%d_%d" % (node.id, idx),
                                  counts_points=True, bound=self.bound)
-        if d1 == 1:
-            field3, y0 = field2, t0
-        else:
-            tail = [_neg(field2.levels, field2.depth, t0)]
-            tail += [field2.zero() for _ in range(d1 - 1)]
-            field3, y0 = adjoin_root(field2, tail, "r%d_%d" % (node.id, idx),
-                                     counts_points=False, bound=self.bound)
+        field3, y0 = adjoin_radical(field2, t0, bc.chart1.d,
+                                    "r%d_%d" % (node.id, idx), self.bound)
         raw = {}
         for lab in sorted(strict1):
             s1 = strict1[lab]
@@ -506,19 +499,18 @@ class _Engine:
         if ev.levels != node.field.levels:
             raise InternalInconsistency(
                 "a coefficient split escaped the node that owns its tower")
-        factors = ev.factor_fields()
+        targets = ev.targets()
         if not ev.counts_points:
-            # the level only parametrized local coordinates; either factor
-            # describes the same downstairs points, keep the smaller one
-            keep = 0 if len(ev.g_tail) <= len(ev.h_tail) else 1
-            field2, project = factors[keep]
+            # the level only parametrized local coordinates: re-expand the
+            # node in the one factor kept
+            (field2, project), = targets
             node.field = field2
             node.labels = self._project_labels(node.labels, field2, project)
             self._reset(node)
             return True
         # conjugate points fall into two genuinely different packets: fork
         forks = []
-        for field2, project in factors:
+        for field2, project in targets:
             labels = self._project_labels(node.labels, field2, project)
             child = self.build(node.ambient, field2, labels, node.exc_x,
                                node.exc_y, node.depth, "split",

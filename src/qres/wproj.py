@@ -10,7 +10,9 @@ roots to one polynomial per orbit, and candidate clusters only become tower
 extensions after that cross-resultant filter (so smooth high-degree curves
 never build a tower at all).  Each surviving cluster carries its conjugacy
 multiplicity, and the local delta of the whole cluster comes out of one
-resolution over the cluster's field.
+resolution over the cluster's field.  Split handling and the adjunction of
+chart radicals are exactnum's (SplitEvent.targets, adjoin_radical), shared
+with the resolution engine.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (BadType, InternalInconsistency, NonDivisibleExponent,
                      NonExactDivision, NotQuasiHomogeneous, NotReduced,
                      PointNotOnCurve, ZeroPolynomial)
 from .exactnum import (ExtField, Rat, SplitEvent, _add, _inv, _is_zero, _mul,
-                       _neg, _sub, adjoin_root, format_rep, lift)
+                       _sub, adjoin_radical, adjoin_root, format_rep, lift)
 from .poly import (SparsePoly, poly_gcd, resultant, squarefree_discriminant,
                    squarefree_part)
 from .quotsing import QuotType, SMOOTH, normalize_with_multipliers
@@ -36,6 +38,8 @@ __all__ = [
 ]
 
 _QQ = ExtField(())
+# the curve's reducedness check covers every germ cut from it
+_NO_RECHECK = EngineConfig(check_reduced=False)
 
 
 @dataclass(frozen=True)
@@ -244,7 +248,10 @@ def _partial_eval(f: SparsePoly, var: str, field: ExtField, rep):
 
 def localize(F: SparsePoly, w: Weights, P: ProjPoint):
     """Local equation and ambient type of the curve at P; the germ sits at
-    the origin of the returned chart."""
+    the origin of the returned chart.  The singular-locus search and
+    genus(points=...) both cut their germs here.  P's chart coordinate
+    must be 1.  A coordinate that is zero is not translated by, so a point
+    on a chart axis costs no tower arithmetic for it."""
     i = P.chart
     j, k = [t for t in range(3) if t != i]
     fld = P.field
@@ -268,7 +275,10 @@ def localize(F: SparsePoly, w: Weights, P: ProjPoint):
                 germ.field.levels, germ.field.depth, germ.constant_term()):
             raise PointNotOnCurve("%s does not lie on the curve" % (P,))
         return germ, ambient
-    germ = slice_.lift_to(fld).translate("x", a).translate("y", b)
+    germ = slice_.lift_to(fld)
+    for var, c in (("x", a), ("y", b)):
+        if not _is_zero(fld.levels, fld.depth, c):
+            germ = germ.translate(var, c)
     if germ.is_constant() or not _is_zero(
             fld.levels, fld.depth, germ.constant_term()):
         raise PointNotOnCurve("%s does not lie on the curve" % (P,))
@@ -276,48 +286,32 @@ def localize(F: SparsePoly, w: Weights, P: ProjPoint):
 
 
 # ---------------------------------------------------------------------------
-# singular locus: staged cluster search with split handling
+# singular locus: cluster search with split handling
 
 
 class _Drop(Exception):
     """Abandon the current candidate cluster (spurious at every conjugate)."""
 
 
-def _run_stages(field, reps, stage, stages):
-    """Run stages[stage:] on (field, reps); every stage extends the tower.
+def _with_splits(field, reps, step):
+    """[step(field, reps)], where a SplitEvent of field's tower restarts the
+    step in every tower of its targets(), with reps projected there.
 
-    A SplitEvent from a reducible minimal polynomial restarts the stage in
-    the factor towers: both when the offending level counts points, only
-    the one with the smaller tail otherwise.  _Drop discards the cluster;
-    that is only reached once the data is uniform across the cluster,
-    because inverting a zero divisor on the way splits first."""
-    if stage == len(stages):
-        return [(field, reps)]
-    while True:
-        try:
-            field2, reps2 = stages[stage](field, reps)
-        except _Drop:
-            return []
-        except SplitEvent as ev:
-            if ev.levels != field.levels:
-                raise
-            factors = ev.factor_fields()
-            if not ev.counts_points:
-                keep = 0 if len(ev.g_tail) <= len(ev.h_tail) else 1
-                f2, project = factors[keep]
-                reps = tuple(project(r, field.depth) for r in reps)
-                field = f2
-                continue
-            out = []
-            for f2, project in factors:
-                reps_f = tuple(project(r, field.depth) for r in reps)
-                out.extend(_run_stages(f2, reps_f, stage, stages))
-            return out
-        return _run_stages(field2, reps2, stage + 1, stages)
-
-
-def _lift_reps(old: ExtField, new: ExtField, reps):
-    return tuple(lift(new.levels, old.depth, new.depth, r) for r in reps)
+    _Drop discards the cluster; that is only reached once the data is
+    uniform across the cluster, because inverting a zero divisor on the way
+    splits first."""
+    try:
+        return [step(field, reps)]
+    except _Drop:
+        return []
+    except SplitEvent as ev:
+        if ev.levels != field.levels:
+            raise
+        out = []
+        for f2, project in ev.targets():
+            out.extend(_with_splits(
+                f2, tuple(project(r, field.depth) for r in reps), step))
+        return out
 
 
 def _monic_tail(f: SparsePoly, var: str):
@@ -346,54 +340,18 @@ def _nonzero_radical_collapsed(f: SparsePoly, var: str, w: int) -> SparsePoly:
             "multiples of %d" % (var, rad, w))
 
 
-def _stage_adjoin_counted(tail_poly: SparsePoly, name: str, bound):
-    def run(field, reps):
-        tp = tail_poly.lift_to(field)
-        tail = _monic_tail(tp, tp.vars[0])
-        f2, root = adjoin_root(field, tail, name, counts_points=True,
-                               bound=bound)
-        return f2, _lift_reps(field, f2, reps) + (root,)
-    return run
+def _cluster_field(s: SparsePoly, w: int, t_name: str, u_name: str, bound):
+    """Q(t, u) with s(t) = 0 and u^w = t, for s squarefree over Q with
+    s(0) != 0; returns (field, u).  Only t counts points.
 
-
-def _stage_radical(src_index: int, w: int, name: str, bound):
-    def run(field, reps):
-        t0 = reps[src_index]
-        if w == 1:
-            return field, reps + (t0,)
-        tail = [_neg(field.levels, field.depth, t0)]
-        tail += [field.zero() for _ in range(w - 1)]
-        f2, root = adjoin_root(field, tail, name, counts_points=False,
-                               bound=bound)
-        return f2, _lift_reps(field, f2, reps) + (root,)
-    return run
-
-
-def _stage_gcd_roots(polys, var_sub: str, name: str, bound):
-    """Slice each poly at var_sub = reps[-1], take the gcd of the nonzero
-    slices, and adjoin a root of its squarefree part (counted)."""
-    def run(field, reps):
-        u0 = reps[-1]
-        g = None
-        for p in polys:
-            sl = _partial_eval(p, var_sub, field, u0)
-            if sl.is_zero():
-                continue
-            g = sl if g is None else poly_gcd(g, sl)
-            if g.degree_in(g.vars[0]) == 0:
-                raise _Drop()
-        if g is None:
-            raise InternalInconsistency(
-                "every defining equation vanished along a chart line of a "
-                "reduced curve")
-        rad, _ = squarefree_part(g)
-        if rad.degree_in(rad.vars[0]) == 0:
-            raise _Drop()
-        tail = _monic_tail(rad, rad.vars[0])
-        f2, root = adjoin_root(field, tail, name, counts_points=True,
-                               bound=bound)
-        return f2, _lift_reps(field, f2, reps) + (root,)
-    return run
+    Neither adjunction can split.  s is over Q, so adjoining its root
+    inverts nothing in a tower.  s(0) != 0 makes t a unit of Q(t), so the
+    gcd of u^w - t with w u^(w-1) that adjoin_radical's squarefreeness check
+    computes inverts only units, and u^w - t is squarefree over every factor
+    of Q(t)."""
+    field, t = adjoin_root(_QQ, _monic_tail(s, s.vars[0]), t_name,
+                           bound=bound)
+    return adjoin_radical(field, t, w, u_name, bound)
 
 
 def _x_candidates(r: SparsePoly, w0: int):
@@ -417,7 +375,14 @@ def _affine_stratum(F0: SparsePoly, elimination, w0: int, bound, tag: str):
     radical of Res_y(body, body_y).  Candidate x-coordinates of the body
     are the common roots of disc and Res_y(body, body_x), the only
     resultant computed here besides the crossing; a trivial candidate set
-    certifies the stratum empty.  Returns a list of (field, x-rep, y-rep)."""
+    certifies the stratum empty.
+
+    The squarefree candidate polynomial s(t) in t = x^w0 gives the field
+    Q(t, u), u^w0 = t, which cannot split (_cluster_field).  Only the next
+    step can: the gcd of the sliced system at x = u, whose squarefree part
+    gives a counted root v.  That step runs under _with_splits, so a
+    reducible level of Q(t, u) restarts it in the factor towers that
+    SplitEvent.targets() names.  Returns a list of (field, u, v)."""
     if F0.degree_in("x") == 0 or F0.degree_in("y") == 0:
         return []
     q, body, disc = elimination
@@ -446,14 +411,33 @@ def _affine_stratum(F0: SparsePoly, elimination, w0: int, bound, tag: str):
     s, _ = squarefree_part(s)
     if s.degree_in("x") == 0:
         return []
-    stages = (
-        _stage_adjoin_counted(s, "t" + tag, bound),
-        _stage_radical(0, w0, "u" + tag, bound),
-        _stage_gcd_roots((F0, F0.derivative("x"), F0.derivative("y")),
-                         "x", "v" + tag, bound),
-    )
-    return [(field, reps[1], reps[2])
-            for field, reps in _run_stages(_QQ, (), 0, stages)]
+    polys = (F0, F0.derivative("x"), F0.derivative("y"))
+
+    def roots_over(field, reps):
+        # the gcd of the system's nonzero slices at x = u0, and a counted
+        # root of its squarefree part
+        u0, = reps
+        g = None
+        for p in polys:
+            sl = _partial_eval(p, "x", field, u0)
+            if sl.is_zero():
+                continue
+            g = sl if g is None else poly_gcd(g, sl)
+            if g.degree_in("y") == 0:
+                raise _Drop()
+        if g is None:
+            raise InternalInconsistency(
+                "every defining equation vanished along a chart line of a "
+                "reduced curve")
+        rad, _ = squarefree_part(g)
+        if rad.degree_in("y") == 0:
+            raise _Drop()
+        f2, v0 = adjoin_root(field, _monic_tail(rad, "y"), "v" + tag,
+                             bound=bound)
+        return f2, lift(f2.levels, field.depth, f2.depth, u0), v0
+
+    field, u0 = _cluster_field(s, w0, "t" + tag, "u" + tag, bound)
+    return _with_splits(field, (u0,), roots_over)
 
 
 def _axis_stratum(F0: SparsePoly, axis_divides: bool, w_chart: int, bound,
@@ -461,8 +445,10 @@ def _axis_stratum(F0: SparsePoly, axis_divides: bool, w_chart: int, bound,
     """Singular clusters on the chart line x = 0 away from the chart origin.
 
     When the line is a component of the curve, every crossing with the rest
-    of it counts; otherwise the sliced derivative system decides.  Returns
-    a list of (field, y-rep)."""
+    of it counts; otherwise the sliced derivative system decides.  The gcd
+    runs over Q, and the candidate field Q(t, v), v^w_chart = t, cannot
+    split (_cluster_field), so this stratum needs no split handling.
+    Returns a list of (field, v) with at most one entry."""
     if axis_divides:
         sl = F0.shift_down("x", 1).set_var_zero("x")
         if sl.is_zero():
@@ -485,12 +471,7 @@ def _axis_stratum(F0: SparsePoly, axis_divides: bool, w_chart: int, bound,
     s = _nonzero_radical_collapsed(g, "y", w_chart)
     if s.degree_in("y") == 0:
         return []
-    stages = (
-        _stage_adjoin_counted(s, "t" + tag, bound),
-        _stage_radical(0, w_chart, "v" + tag, bound),
-    )
-    return [(field, reps[1])
-            for field, reps in _run_stages(_QQ, (), 0, stages)]
+    return [_cluster_field(s, w_chart, "t" + tag, "v" + tag, bound)]
 
 
 def _check_reduced(F: SparsePoly, w: Weights):
@@ -508,57 +489,48 @@ def _check_reduced(F: SparsePoly, w: Weights):
     return F0, elimination
 
 
-def singular_locus(F: SparsePoly, w: Weights, bound=None):
+def singular_locus(F: SparsePoly, w: Weights):
     """Points where the curve is singular, plus every vertex on the curve
     (vertices carry orbifold structure even when the germ looks smooth).
 
     A cluster of conjugate points comes back as one SingularPoint with a
-    multiplicity.  Complete as long as every cluster's coordinate degree
-    fits in the tower bound; overflow raises rather than dropping points."""
-    if bound is None:
-        bound = default_ext_bound()
+    multiplicity, and every point gets its germ from localize.  Complete as
+    long as every cluster's coordinate degree fits in the tower bound
+    (QRES_EXT_BOUND); overflow raises rather than dropping points."""
+    bound = default_ext_bound()
     w, F = normalize_weights(w, F)
     wdegree(F, w)
     F0, elimination = _check_reduced(F, w)
     points = []
 
+    def add(P, kind):
+        germ, ambient = localize(F, w, P)
+        points.append(SingularPoint(point=P, germ=germ, ambient=ambient,
+                                    multiplicity=P.field.cluster_size,
+                                    kind=kind))
+
     for i in range(3):
         coords = [Rat(0)] * 3
         coords[i] = Rat(1)
-        p = ProjPoint(_QQ, tuple(coords), i)
         try:
-            germ, ambient = localize(F, w, p)
+            add(ProjPoint(_QQ, tuple(coords), i), "vertex")
         except PointNotOnCurve:
-            continue
-        points.append(SingularPoint(point=p, germ=germ, ambient=ambient,
-                                    multiplicity=1, kind="vertex"))
+            pass
 
     # chart 0 with x1 != 0 (the line x1 = 0 is handled separately below)
     for field, u0, v0 in _affine_stratum(F0, elimination, w.w0, bound, "a"):
-        p = ProjPoint(field, (field.one(), u0, v0), 0)
-        germ = F0.lift_to(field).translate("x", u0).translate("y", v0)
-        points.append(SingularPoint(point=p, germ=germ, ambient=SMOOTH,
-                                    multiplicity=field.cluster_size,
-                                    kind="affine"))
+        add(ProjPoint(field, (field.one(), u0, v0), 0), "affine")
 
     # the line x1 = 0 inside chart 0 (so x2 != 0)
     for field, v0 in _axis_stratum(F0, F.min_exp(F.vars[1]) > 0, w.w0,
                                    bound, "b"):
-        p = ProjPoint(field, (field.one(), field.zero(), v0), 0)
-        germ = F0.lift_to(field).translate("y", v0)
-        points.append(SingularPoint(point=p, germ=germ, ambient=SMOOTH,
-                                    multiplicity=field.cluster_size,
-                                    kind="axis"))
+        add(ProjPoint(field, (field.one(), field.zero(), v0), 0), "axis")
 
     # the line x0 = 0 via chart 1 (so x2 != 0)
     F1 = _dehomogenize(F, 1)
     for field, v0 in _axis_stratum(F1, F.min_exp(F.vars[0]) > 0, w.w1,
                                    bound, "d"):
-        p = ProjPoint(field, (field.zero(), field.one(), v0), 1)
-        germ = F1.lift_to(field).translate("y", v0)
-        points.append(SingularPoint(point=p, germ=germ, ambient=SMOOTH,
-                                    multiplicity=field.cluster_size,
-                                    kind="axis"))
+        add(ProjPoint(field, (field.zero(), field.one(), v0), 1), "axis")
 
     return points
 
@@ -585,38 +557,70 @@ def _power_point(P: ProjPoint, divisors) -> ProjPoint:
     return ProjPoint(fld, tuple(coords), P.chart)
 
 
-def genus(F: SparsePoly, w: Weights, bound=None, config=None,
-          points=None) -> GenusReport:
-    """Genus of the reduced curve F = 0: virtual genus of its degree minus
-    the local delta at every singular point (vertices included).
+def _int_root(m: int, n: int):
+    """The integer r >= 0 with r^n = m, for m >= 1, or None."""
+    r = 1 << -(-m.bit_length() // n)          # r^n > m
+    while True:
+        s = ((n - 1) * r + m // r ** (n - 1)) // n
+        if s >= r:
+            return r if r ** n == m else None
+        r = s
 
-    With `points` (ProjPoints, each with its chart coordinate equal to 1)
-    the search is skipped and the curve is localized at exactly those
-    points, reported with kind "manual"; the value is only the genus if
-    they include every singular point and vertex on the curve.  The points
-    are read in the coordinates of the weights w as given; when w is not
-    normalized, each [x_0 : x_1 : x_2] becomes [x_0^D_0 : x_1^D_1 : x_2^D_2]
-    (D_i the exponent divisor of x_i in the normalization), and the report,
-    like the rest of it, holds them in the normalized coordinates.  A point
-    listed twice raises BadType: the same coordinates, or two rational
-    points of one chart that its cyclic group mu_{w_i} maps onto each
-    other (such as [1:1:1] and [1:-1:-1] on P(2,3,5)), compared after that
-    change of coordinates."""
-    if bound is None:
-        bound = default_ext_bound()
+
+def _to_chart_one(P: ProjPoint, w: Weights) -> ProjPoint:
+    """The rational point P with its chart coordinate x_i made 1 by
+    x_j -> lam^{w_j} x_j, lam^{w_i} = 1/x_i; BadType when no rational lam
+    exists.  Points over a tower come back as they are."""
+    c = P.coords[P.chart]
+    if P.field.depth or c in (0, 1):
+        return P
+    q, wi = 1 / Rat(c), w[P.chart]
+    num = _int_root(abs(q.numerator), wi)
+    den = _int_root(q.denominator, wi)
+    if num is None or den is None or (q < 0 and wi % 2 == 0):
+        raise BadType(
+            "the chart coordinate of %s is %s; making it 1 needs a rational "
+            "lam with lam^%d = %s, and there is none" % (P, c, wi, q))
+    lam = Rat(num if q > 0 else -num, den)
+    return ProjPoint(P.field, tuple(x * lam ** w[j]
+                                    for j, x in enumerate(P.coords)), P.chart)
+
+
+def genus(F: SparsePoly, w: Weights, points=None) -> GenusReport:
+    """Genus of the reduced curve F = 0: virtual genus of its degree minus
+    the local delta at every singular point (vertices included).  The
+    tower bound of the search and of the resolutions comes from
+    QRES_EXT_BOUND.
+
+    With `points` (ProjPoints) the search is skipped and the curve is
+    localized at exactly those points, reported with kind "manual"; the
+    value is only the genus if they include every singular point and vertex
+    on the curve.  The points are read in the coordinates of the weights w
+    as given.  A rational point whose chart coordinate x_i is not 1 is
+    first rescaled to [lam^w_0 x_0 : lam^w_1 x_1 : lam^w_2 x_2] with
+    lam^{w_i} = 1/x_i, and raises BadType when no rational lam exists.
+    When w is not normalized, each [x_0 : x_1 : x_2] then becomes
+    [x_0^D_0 : x_1^D_1 : x_2^D_2] (D_i the exponent divisor of x_i in the
+    normalization), and the report, like the rest of it, holds them in the
+    normalized coordinates.  A point listed twice raises BadType: the same
+    coordinates, or two rational points of one chart that its cyclic group
+    mu_{w_i} maps onto each other (such as [1:1:1] and [1:-1:-1] on
+    P(2,3,5)), compared after that change of coordinates."""
+    given = w
     w, F, divisors = _normalize(w, F)
     d = wdegree(F, w)
     virt = virtual_genus(d, w)
     warnings = []
     if points is None:
-        located = singular_locus(F, w, bound=bound)
+        located = singular_locus(F, w)
         if any(F.min_exp(v) > 0 for v in F.vars):
             warnings.append(
                 "the curve contains a coordinate axis, so it is reducible "
                 "and the genus value is virtual")
     else:
         _check_reduced(F, w)
-        moved = [_power_point(P, divisors) for P in points]
+        moved = [_power_point(_to_chart_one(P, given), divisors)
+                 for P in points]
         if len({_orbit_key(P, w) for P in moved}) != len(moved):
             raise BadType("a point is listed twice")
         located = []
@@ -627,13 +631,10 @@ def genus(F: SparsePoly, w: Weights, bound=None, config=None,
                 raise PointNotOnCurve("%s does not lie on the curve" % (P,))
             located.append(SingularPoint(point=Q, germ=germ, ambient=ambient,
                                          multiplicity=1, kind="manual"))
-    if config is None:
-        config = EngineConfig(mode="plain", ext_bound=bound,
-                              check_reduced=False)
     total = Rat(0)
     enriched = []
     for sp in located:
-        tree = resolve_germ(sp.germ, sp.ambient, config=config)
+        tree = resolve_germ(sp.germ, sp.ambient, config=_NO_RECHECK)
         dsum = delta_breakdown(tree).total
         total += dsum
         enriched.append((sp, dsum))

@@ -89,6 +89,28 @@ def test_curve_manual_points(capsys):
     assert "genus: 0" in out
 
 
+def test_curve_points_are_rescaled_to_chart_coordinate_one(capsys):
+    # [2:2:2] is [1:1:1] on P(1,1,1): lam = 1/2
+    rc, out, _ = run(capsys, "curve", "x0*x1 - x2^2", "--w", "1,1,1",
+                     "--points", "2,2,2")
+    assert rc == 0
+    assert "[1 : 1 : 1]   manual" in out and "genus: 0" in out
+    # on P(2,3,5), lam^2 = 1/4 gives lam = 1/2 and [4:-8:32] = [1:-1:1]
+    rc, out, _ = run(capsys, "curve", "x0*x1 + x2", "--w", "2,3,5",
+                     "--points", "4,-8,32")
+    assert rc == 0
+    assert "[1 : -1 : 1]  manual" in out
+    # a rescaled point is compared with the others after rescaling
+    rc, _, err = run(capsys, "curve", "x0*x1 - x2^2", "--w", "1,1,1",
+                     "--points", "2,2,2;1,1,1")
+    assert rc == 2 and "listed twice" in err
+    # lam^2 = 1/2 has no rational solution
+    rc, out, err = run(capsys, "curve", "x0*x1 + x2", "--w", "2,3,5",
+                       "--points", "2,1,1")
+    assert rc == 2 and not out
+    assert "lam^2 = 1/2" in err and "[2 : 1 : 1]" in err
+
+
 def test_resolve_writes_files(tmp_path, capsys):
     jp, dp = tmp_path / "t.json", tmp_path / "t.dot"
     rc, out, _ = run(capsys, "resolve", "y^2 - x^3",

@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 from qres.errors import (DivisionByZero, ExtensionOverflow, NotInvertible,
                          NotSquarefree)
 from qres.exactnum import (ExtField, Rat, SplitEvent, _add, _inv, _is_zero,
-                           _mul, _neg, _smul, _sub, adjoin_root, format_rep,
-                           is_zero_validated, lift, mod_inverse)
+                           _mul, _neg, _smul, _sub, adjoin_radical,
+                           adjoin_root, format_rep, is_zero_validated, lift,
+                           mod_inverse)
 
 QQ = ExtField(())
 
@@ -54,9 +55,6 @@ def test_nested_tower():
     assert _mul(L, k, _mul(L, k, c, c), c) == F2.from_rat(5)
     s = lift(L, 1, 2, r2)
     assert _mul(L, k, s, s) == F2.from_rat(2)
-    # generators resolve to the same elements
-    assert F2.generator(0) == s
-    assert F2.generator(1) == c
 
 
 rats = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -93,7 +91,7 @@ def test_zero_divisor_splits_the_tower():
         _inv(F.levels, F.depth, _sub(F.levels, F.depth, root, F.one()))
     out = info.value
     assert out.k == 0 and out.counts_points
-    fields = out.factor_fields()
+    fields = out.targets()
     assert len(fields) == 2
     roots = set()
     for f2, project in fields:
@@ -112,11 +110,44 @@ def test_split_event_projects_upper_levels():
     L, k = F2.levels, F2.depth
     with pytest.raises(SplitEvent) as info:
         _inv(L, k, _sub(L, k, lift(L, 1, 2, t_rep), F2.one()))
-    for f2, project in info.value.factor_fields():
+    for f2, project in info.value.targets():
         assert f2.depth == 1            # u-level survives over each root
         u2 = project(u_rep, 2)
         sq = _mul(f2.levels, f2.depth, u2, u2)
         assert sq == f2.from_rat(4) or sq == f2.from_rat(2)
+
+
+@pytest.mark.parametrize("counts_points", [True, False])
+def test_split_targets_follow_the_level_kind(counts_points):
+    # t^3 = 1 splits as (t - 1)(t^2 + t + 1); inverting either factor
+    # finds it first, so the smaller tail comes as g once and as h once
+    F, t = adjoin_root(QQ, (Rat(-1), Rat(0), Rat(0)), "t", counts_points)
+    L, k = F.levels, F.depth
+    t_minus_1 = _sub(L, k, t, F.one())
+    quadratic = _add(L, k, _mul(L, k, t, t), _add(L, k, t, F.one()))
+    for zero_divisor, g_degree in ((t_minus_1, 1), (quadratic, 2)):
+        with pytest.raises(SplitEvent) as info:
+            _inv(L, k, zero_divisor)
+        ev = info.value
+        assert len(ev.g_tail) == g_degree
+        targets = ev.targets()
+        if counts_points:
+            # two packets of conjugate points: continue in both
+            assert sorted(f2.degree for f2, _ in targets) == [1, 2]
+        else:
+            # local coordinates only: the smaller factor, where t = 1
+            (f2, project), = targets
+            assert f2.depth == 0 and project(t, 1) == 1
+
+
+def test_adjoin_radical():
+    F, s = sqrt2_field()
+    assert adjoin_radical(F, s, 1, "u") == (F, s)
+    F2, u = adjoin_radical(F, s, 2, "u")
+    assert F2.degree == 4 and F2.cluster_size == 2
+    assert not F2.levels[-1].counts_points
+    L, k = F2.levels, F2.depth
+    assert _mul(L, k, u, u) == lift(L, 1, 2, s)
 
 
 def test_cluster_size_skips_uncounted_levels():

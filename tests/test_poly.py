@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import QQ, germ
-from qres.errors import (DegeneratePolygon, InternalInconsistency, NonExactDivision,
+from qres.errors import (DegeneratePolygon, NonExactDivision,
                          PolySyntaxError, UnknownVariable)
 from qres import exactnum
 from qres.exactnum import Rat, adjoin_root
 from qres.poly import (SparsePoly, blowup_transform, choose_face,
                        choose_weights, content_in, face_poly,
                        is_squarefree_two_vars, newton_polygon, parse_poly,
-                       poly_divmod, poly_exact_div, poly_gcd, resultant,
+                       poly_gcd, resultant,
                        squarefree_discriminant, squarefree_part,
                        weighted_order)
 
@@ -160,18 +160,6 @@ def test_poly_gcd_univariate_monic():
     assert poly_gcd(t2, t3) == parse_poly("y - 1", ("y",))
     zero = SparsePoly(QQ, ("y",), {})
     assert poly_gcd(t2, zero) == parse_poly("(y-1)*(y+1)", ("y",))
-
-
-def test_poly_divmod_and_exact_division():
-    f = parse_poly("y^3 - 1", ("y",))
-    g = parse_poly("y - 1", ("y",))
-    q, r = poly_divmod(f, g)
-    assert r.is_zero() and q == parse_poly("y^2 + y + 1", ("y",))
-    assert poly_exact_div(f, g) == q
-    # exact division is an internal contract: failure is an engine bug,
-    # not a user input error
-    with pytest.raises(InternalInconsistency):
-        poly_exact_div(parse_poly("y^2 + 1", ("y",)), g)
 
 
 def test_content_in():

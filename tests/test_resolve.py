@@ -6,7 +6,7 @@ import pytest
 from conftest import germ
 from qres.errors import (BadType, ExtensionOverflow, NotReduced,
                          NotSemiInvariant, ResolutionDepthExceeded, UnitGerm)
-from qres.exactnum import Rat
+from qres.exactnum import Rat, SplitEvent
 from qres.invariants import delta_breakdown, delta_w, full_report
 from qres.quotsing import SMOOTH, QuotType
 from qres.resolve import (EngineConfig, resolve_germ, resolve_labels,
@@ -74,6 +74,33 @@ def test_conjugate_cluster_and_rational_split():
     tree2 = resolve_germ(g, SMOOTH)
     assert delta_w(tree2) == 8                  # 1 + 1 + 6
     assert all(n.field.depth == 0 for n in tree2.iter_nodes())
+
+
+@pytest.mark.parametrize("mode", ["plain", "strong"])
+def test_engine_forks_a_cluster_whose_face_polynomial_splits(mode,
+                                                            monkeypatch):
+    """The tangent cone (y^4 - 4x^4)^2 is four double lines, one cluster
+    over t^4 - 4 = (t^2 - 2)(t^2 + 2).  After one blow-up (y = t x) the
+    strict transform is (t^4 - 4)^2 + x (t^2 - 2) + x^2.  At t^2 = 2 its
+    quadratic part 128 s^2 + 2 t x s + x^2 (s = t - sqrt 2) has
+    discriminant 8 - 512 != 0, a node; at t^2 = -2 the term -4x makes it
+    smooth.  Without the engine: delta = sum of m(m - 1)/2 over the
+    infinitely near points = 28 + 1 + 1 = 30, and r = 2*2 + 2 = 6."""
+    splits = []
+    init = SplitEvent.__init__
+
+    def counting_init(self, *args, **kwargs):
+        splits.append(args[1])
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(SplitEvent, "__init__", counting_init)
+    f = germ("(y^4 - 4*x^4)^2 + x^7*(y^2 - 2*x^2) + x^10")
+    tree = resolve_germ(f, SMOOTH, mode=mode)
+    assert splits
+    assert sorted(n.origin for n in tree.iter_nodes()).count("split") == 2
+    rep = full_report(f, SMOOTH, mode=mode)
+    assert rep.delta_w == rep.delta_classical == delta_w(tree) == 30
+    assert rep.r_w == rep.r_classical == 6
+    assert rep.mu_w == 2 * rep.delta_w - rep.r_w + 1 == 55
 
 
 def test_axis_factors_ride_along():

@@ -6,7 +6,7 @@ from conftest import curve
 from qres import poly, wproj
 from qres.errors import (BadType, NonDivisibleExponent, NotQuasiHomogeneous,
                          NotReduced, PointNotOnCurve)
-from qres.exactnum import ExtField, Rat
+from qres.exactnum import ExtField, Rat, SplitEvent
 from qres.poly import SparsePoly
 from qres.quotsing import SMOOTH, QuotType
 from qres.wproj import (GenusReport, ProjPoint, Weights, bezout, genus,
@@ -201,6 +201,54 @@ def test_manual_points():
     with pytest.raises(NotReduced):
         genus(curve("x0^2*(x1^2 - x0*x2)"), w("1,1,1"),
               points=[ProjPoint(QQ, (Rat(1), Rat(1), Rat(1)), 0)])
+
+
+def _arrangement(rng):
+    """(k, F): k = 3 or 4 distinct lines and smooth conics on P(1,1,1)."""
+    k = rng.choice([3, 4])
+    lines, conics = [], []
+    while len(lines) + len(conics) < k:
+        if rng.random() < 0.75:
+            c = tuple(rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(3))
+            if all(c[1] * d[2] - c[2] * d[1] or c[0] * d[2] - c[2] * d[0]
+                   or c[0] * d[1] - c[1] * d[0] for d in lines):
+                lines.append(c)
+        else:
+            # a x0^2 + b x1^2 - c x2^2 + s x0 x1 is smooth: 4ab != 1, c != 0
+            c = (rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3),
+                 rng.choice([-1, 1]))
+            if c not in conics:
+                conics.append(c)
+    parts = ["(%d*x0 %+d*x1 %+d*x2)" % c for c in lines]
+    parts += ["(%d*x0^2 + %d*x1^2 - %d*x2^2 %+d*x0*x1)" % c for c in conics]
+    return k, curve("*".join(parts))
+
+
+def test_arrangements_of_rational_curves_split_the_search(monkeypatch):
+    """A reduced curve with k smooth rational components has genus
+    sum(g_i) - (k - 1) = 1 - k, however its components meet.  Crossings of
+    lines are rational, so the search adjoins roots of minimal polynomials
+    that are reducible over Q and has to split its clusters."""
+    splits, in_search = [0], [0]
+    init = SplitEvent.__init__
+
+    def counting_init(self, *args, **kwargs):
+        splits[0] += 1
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(SplitEvent, "__init__", counting_init)
+    locus = wproj.singular_locus
+
+    def counting_locus(*args, **kwargs):
+        before = splits[0]
+        try:
+            return locus(*args, **kwargs)
+        finally:
+            in_search[0] += splits[0] - before
+    monkeypatch.setattr(wproj, "singular_locus", counting_locus)
+    for seed in range(7):
+        k, F = _arrangement(random.Random(seed))
+        assert genus(F, w("1,1,1")).genus == 1 - k
+    assert in_search[0] >= 1
 
 
 def test_singular_locus_lists_vertices_on_the_curve():
