@@ -7,7 +7,8 @@ an inversion meets a zero divisor the tower splits (classic dynamic
 evaluation).  The split is surfaced as a SplitEvent; its targets() are the
 factor towers, with projection maps, that a computation retries in.  That
 policy and the adjunction of chart radicals (adjoin_radical) live here, so
-the resolution engine and the singular-locus search share them.
+the resolution engine and the singular-locus search share them.  Every
+inversion goes through _inv, which memoizes it on the storey's Level object.
 
 Element representation is positional and closed under hashing: a level-0
 element is a Fraction, a level-k element is a tuple of level-(k-1) elements
@@ -19,7 +20,7 @@ and depth explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _field
 from fractions import Fraction
 
 from .errors import (
@@ -55,12 +56,13 @@ class Level:
     minpoly holds the tail (c_0, ..., c_{n-1}) of t^n + c_{n-1} t^{n-1} + ... + c_0,
     coefficients being elements one level down.  counts_points marks whether the
     conjugates of this generator represent distinct downstream points (face root
-    parameters do; covering-chart radicals do not).
+    parameters do; covering-chart radicals do not).  units is _inv's memo.
     """
 
     name: str
     minpoly: tuple
     counts_points: bool = True
+    units: dict = _field(default_factory=dict, compare=False, hash=False, repr=False)
 
     @property
     def degree(self) -> int:
@@ -425,12 +427,31 @@ def _project(old_levels, k, collapse, root, tail, rep, level):
 
 
 def _inv(levels, k, a):
+    """Inverse of the level-k element a; a zero divisor raises SplitEvent.
+
+    An element of a lower storey is inverted there and lifted (the Euclid's
+    first division would invert the same constant, so a split is the same).
+    Other inverses are memoized in the Level object levels[k - 1].units; the
+    memo cannot go stale, as only adjoin_root and _make_factor make a Level,
+    on top of the levels it is stored with, a split makes fresh Levels from
+    the split storey up, and only successful inversions are recorded."""
     if k == 0:
         if a == 0:
             raise DivisionByZero("division by zero in Q")
         return Fraction(1) / a
     if _is_zero(levels, k, a):
         raise DivisionByZero("division by zero in %s" % ExtField(tuple(levels[:k])).describe())
+    if all(_is_zero(levels, k - 1, c) for c in a[1:]):
+        return _lift_one(levels, k, _inv(levels, k - 1, a[0]))
+    units = levels[k - 1].units
+    inv = units.get(a)
+    if inv is None:
+        inv = units[a] = _inv_euclid(levels, k, a)
+    return inv
+
+
+def _inv_euclid(levels, k, a):
+    """The extended Euclid behind _inv, for a nonzero level-k element a."""
     lv = levels[k - 1]
     n = lv.degree
     one = _const(levels, k - 1, Fraction(1))
@@ -467,8 +488,8 @@ def is_zero_validated(field: "ExtField", rep) -> bool:
     """Decide rep == 0, certifying invertibility of nonzero answers.
 
     Structural zero is sound (reduction is eager and canonical); a nonzero
-    answer is backed by an inversion, which either succeeds or raises a
-    SplitEvent for the caller to handle.
+    answer is backed by _inv, which succeeds (from its memo when the element
+    was certified before) or raises a SplitEvent for the caller to handle.
     """
     if _is_zero(field.levels, field.depth, rep):
         return True

@@ -161,6 +161,8 @@ def wdegree(F: SparsePoly, w: Weights) -> int:
         raise ZeroPolynomial("the zero polynomial has no degree")
     if len(F.vars) != 3:
         raise BadType("weighted plane curves live in three variables")
+    if F.is_constant():
+        raise BadType("a nonzero constant equation defines no curve")
     degs = {}
     for e in sorted(F.terms):
         degs.setdefault(w.w0 * e[0] + w.w1 * e[1] + w.w2 * e[2], []).append(e)
@@ -613,7 +615,8 @@ def genus(F: SparsePoly, w: Weights, points=None) -> GenusReport:
     warnings = []
     if points is None:
         located = singular_locus(F, w)
-        if any(F.min_exp(v) > 0 for v in F.vars):
+        if (any(F.min_exp(v) > 0 for v in F.vars)
+                and sum(map(sum, F.terms)) > 1):   # F is not c*x_i itself
             warnings.append(
                 "the curve contains a coordinate axis, so it is reducible "
                 "and the genus value is virtual")

@@ -142,6 +142,8 @@ def test_bad_inputs_exit_2(capsys):
         ("germ", "x + y", "--type", "X(3;1,2)"),      # not semi-invariant
         ("curve", "x0 + x1^2", "--w", "1,1,1"),       # not quasi-homogeneous
         ("curve", "x0*x1 + x2", "--w", "2,4,6"),
+        ("curve", "5", "--w", "2,3,5"),               # a constant equation
+        ("curve", "-3", "--w", "1,1,1"),
         ("curve", "x0^2*(x1^2 - x0*x2)", "--w", "1,1,1",
          "--points", "1,1,1"),                    # non-reduced curve
         ("curve", "x0*x1 + x2", "--w", "2,3,5",

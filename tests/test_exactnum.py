@@ -5,10 +5,11 @@ from hypothesis import given, strategies as st
 
 from qres.errors import (DivisionByZero, ExtensionOverflow, NotInvertible,
                          NotSquarefree)
-from qres.exactnum import (ExtField, Rat, SplitEvent, _add, _inv, _is_zero,
-                           _mul, _neg, _smul, _sub, adjoin_radical,
-                           adjoin_root, format_rep, is_zero_validated, lift,
-                           mod_inverse)
+from qres import exactnum
+from qres.exactnum import (ExtField, Rat, SplitEvent, _add, _const, _inv,
+                           _is_zero, _mul, _neg, _pdeg, _pmul, _psub, _ptrim,
+                           _smul, _sub, _zero, adjoin_radical, adjoin_root,
+                           format_rep, is_zero_validated, lift, mod_inverse)
 
 QQ = ExtField(())
 
@@ -190,3 +191,204 @@ def test_format_rep():
                               F.from_rat(Rat(1, 2)))) == "1/2 + 3/2*s"
     assert format_rep(F, F.zero()) == "0"
     assert F.describe() == "Q(s:deg 2)"
+
+
+# ---------------------------------------------------------------------------
+# _inv's shortcuts (lower storey, memo) against a plain extended Euclid
+
+
+def ref_inv(L, k, a):
+    """The extended Euclid with no shortcut and no memo, recursing into
+    itself for every inversion one storey down."""
+    if k == 0:
+        if a == 0:
+            raise DivisionByZero("division by zero in Q")
+        return 1 / a
+    if _is_zero(L, k, a):
+        raise DivisionByZero("zero element")
+    n = L[k - 1].degree
+    one = _const(L, k - 1, Rat(1))
+    modulus = list(L[k - 1].minpoly) + [one]
+    r0, s0 = modulus, []
+    r1, s1 = _ptrim(L, k - 1, list(a)), [one]
+    while _pdeg(L, k - 1, r1) >= 0:
+        q, r = ref_divmod(L, k - 1, r0, r1)
+        r0, s0, r1, s1 = r1, s1, r, _psub(L, k - 1, s0,
+                                          _pmul(L, k - 1, q, s1))
+    if _pdeg(L, k - 1, r0) == 0:
+        c = ref_inv(L, k - 1, r0[0])
+        inv = [_mul(L, k - 1, c, x) for x in s0]
+        assert len(inv) <= n
+        return tuple(inv + [_zero(L, k - 1)] * (n - len(inv)))
+    lead = ref_inv(L, k - 1, r0[-1])
+    g = [_mul(L, k - 1, lead, x) for x in r0]
+    h, rem = ref_divmod(L, k - 1, modulus, g)
+    assert _pdeg(L, k - 1, rem) < 0
+    raise SplitEvent(L, k - 1, g[:-1], h[:-1])
+
+
+def ref_divmod(L, k, num, den):
+    dd = _pdeg(L, k, den)
+    lead_inv = ref_inv(L, k, den[dd])
+    r = _ptrim(L, k, num)
+    q = [_zero(L, k)] * max(len(r) - dd, 1)
+    while _pdeg(L, k, r) >= dd:
+        dr = _pdeg(L, k, r)
+        c = q[dr - dd] = _mul(L, k, r[dr], lead_inv)
+        for t in range(dd + 1):
+            r[dr - dd + t] = _sub(L, k, r[dr - dd + t], _mul(L, k, c, den[t]))
+    return _ptrim(L, k, q), _ptrim(L, k, r)
+
+
+def outcome(inv, L, k, a):
+    try:
+        return "unit", inv(L, k, a)
+    except SplitEvent as ev:
+        assert ev.levels == tuple(L)
+        return "split", ev.k, ev.g_tail, ev.h_tail
+    except DivisionByZero:
+        return "zero",
+
+
+def build_tower(name):
+    """A tower of 2 or 3 storeys with a generator t, t given at the top.
+    Where the name says reducible, t's storey is t^2 - 1 = (t - 1)(t + 1)."""
+    F, s = adjoin_root(QQ, (Rat(-2), Rat(0)), "s")             # s^2 = 2
+    if name == "reducible-base":
+        F, t = adjoin_root(QQ, (Rat(-1), Rat(0)), "t")
+        tail = (_neg(F.levels, 1, _add(F.levels, 1, t, F.from_rat(3))),
+                F.zero())
+        F2 = adjoin_root(F, tail, "u")[0]                   # u^2 = t + 3
+        return F2, lift(F2.levels, 1, 2, t)
+    if name == "irreducible":
+        F2, t = adjoin_root(F, (_neg(F.levels, 1, s), F.zero()), "t")
+        return F2, t                                        # t^2 = s
+    F2, t = adjoin_root(F, (F.from_rat(-1), F.zero()), "t")     # t^2 = 1
+    if name == "reducible-top":
+        return F2, t
+    L = F2.levels
+    st_plus_3 = _add(L, 2, _mul(L, 2, lift(L, 1, 2, s), t), F2.from_rat(3))
+    F3 = adjoin_root(F2, (_neg(L, 2, st_plus_3), F2.zero()),
+                     "u")[0]                                # u^2 = s t + 3
+    return F3, lift(F3.levels, 2, 3, t)
+
+
+TOWERS = ("irreducible", "reducible-top", "reducible-base",
+          "reducible-middle")
+coefficients = st.one_of(st.just(Rat(0)),
+                         st.fractions(min_value=-6, max_value=6,
+                                      max_denominator=4))
+
+
+def element(L, k, flat):
+    """The level-k element with the given rational coordinates."""
+    if k == 0:
+        return flat[0]
+    n = L[k - 1].degree
+    size = len(flat) // n
+    return tuple(element(L, k - 1, flat[i * size:(i + 1) * size])
+                 for i in range(n))
+
+
+@given(st.data())
+def test_inverse_shortcuts_agree_with_plain_euclid(data):
+    F, t = build_tower(data.draw(st.sampled_from(TOWERS)))
+    L, k = F.levels, F.depth
+    low = data.draw(st.integers(0, k))          # storey the element lies in
+    size = ExtField(L[:low]).degree
+    flat = data.draw(st.lists(coefficients, min_size=size, max_size=size))
+    a = lift(L, low, k, element(L, low, flat))
+    root = data.draw(st.sampled_from((None, 1, -1)))
+    if root is not None:                        # a zero divisor if reducible
+        a = _mul(L, k, a, _sub(L, k, t, F.from_rat(root)))
+    want = outcome(ref_inv, L, k, a)
+    assert outcome(_inv, L, k, a) == want
+    assert outcome(_inv, L, k, a) == want       # again, from the memo
+    if want[0] == "unit":
+        assert _mul(L, k, a, want[1]) == F.one()
+
+
+def count_euclid(monkeypatch):
+    """Record the storey of every extended Euclid _inv runs."""
+    runs = []
+    euclid = exactnum._inv_euclid
+
+    def counting(L, k, a):
+        runs.append(k)
+        return euclid(L, k, a)
+    monkeypatch.setattr(exactnum, "_inv_euclid", counting)
+    return runs
+
+
+def test_a_repeated_inverse_runs_no_euclid(monkeypatch):
+    F, _ = build_tower("irreducible")
+    L, k = F.levels, F.depth
+    a = element(L, k, [Rat(1), Rat(2), Rat(0), Rat(-1)])
+    runs = count_euclid(monkeypatch)
+    first = _inv(L, k, a)
+    assert runs.count(2) == 1
+    done = len(runs)
+    assert _inv(L, k, a) == first and is_zero_validated(F, a) is False
+    assert len(runs) == done
+
+
+def test_a_lifted_element_is_inverted_at_its_own_storey(monkeypatch):
+    F, _ = build_tower("reducible-middle")
+    L = F.levels
+    runs = count_euclid(monkeypatch)
+    s_plus_1 = (Rat(1), Rat(1))
+    got = _inv(L, 3, lift(L, 1, 3, s_plus_1))
+    assert got == lift(L, 1, 3, (Rat(-1), Rat(1)))          # sqrt2 - 1
+    assert runs == [1]
+    assert s_plus_1 in L[0].units
+    assert lift(L, 1, 2, s_plus_1) not in L[1].units
+    assert lift(L, 1, 3, s_plus_1) not in L[2].units
+    assert _inv(L, 0, Rat(3)) == Rat(1, 3) and runs == [1]  # a unit of Q
+
+
+def test_memo_is_per_level_object_and_ignored_by_equality(monkeypatch):
+    F, G = build_tower("irreducible")[0], build_tower("irreducible")[0]
+    L, k = F.levels, F.depth
+    a = element(L, k, [Rat(0), Rat(1), Rat(1), Rat(0)])
+    runs = count_euclid(monkeypatch)
+    _inv(L, k, a)
+    assert F.levels[-1].units and not G.levels[-1].units
+    assert F == G and hash(F) == hash(G) and repr(F) == repr(G)
+    assert F.levels[-1] == G.levels[-1]
+    assert hash(F.levels[-1]) == hash(G.levels[-1])
+    # an equal tower built afresh does its own work
+    assert _inv(G.levels, k, a) == _inv(L, k, a)
+    assert runs.count(2) == 2
+
+
+def test_a_failed_inversion_is_not_memoized(monkeypatch):
+    F, _ = build_tower("reducible-top")
+    L, k = F.levels, F.depth
+    t_minus_1 = element(L, k, [Rat(-1), Rat(0), Rat(1), Rat(0)])
+    runs = count_euclid(monkeypatch)
+    events = []
+    for _ in range(2):
+        with pytest.raises(SplitEvent) as info:
+            _inv(L, k, t_minus_1)
+        events.append((info.value.k, info.value.g_tail, info.value.h_tail))
+        assert t_minus_1 not in L[-1].units
+    assert events[0] == events[1] and events[0][0] == 1
+    assert runs.count(2) == 2
+
+
+def test_split_towers_start_with_empty_memos_above_the_split():
+    F, _ = build_tower("reducible-middle")
+    L, k = F.levels, F.depth
+    s = lift(L, 1, 3, (Rat(0), Rat(1)))
+    u = element(L, k, [Rat(0)] * 4 + [Rat(1)] + [Rat(0)] * 3)
+    t_minus_1 = lift(L, 2, 3, ((Rat(-1), Rat(0)), (Rat(1), Rat(0))))
+    for unit in (_add(L, k, s, F.one()), _add(L, k, u, s)):
+        _inv(L, k, unit)
+    assert all(lv.units for lv in L)
+    with pytest.raises(SplitEvent) as info:
+        _inv(L, k, t_minus_1)
+    ev = info.value
+    assert ev.k == 1
+    for f2, _ in ev.targets():
+        assert f2.levels[0] is L[0]                 # below the split: kept
+        assert all(not lv.units for lv in f2.levels[1:])

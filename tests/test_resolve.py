@@ -1,12 +1,14 @@
 import json
+import os
 
 import jsonschema
 import pytest
 
 from conftest import germ
+from qres import exactnum
 from qres.errors import (BadType, ExtensionOverflow, NotReduced,
                          NotSemiInvariant, ResolutionDepthExceeded, UnitGerm)
-from qres.exactnum import Rat, SplitEvent
+from qres.exactnum import Rat, SplitEvent, is_zero_validated
 from qres.invariants import delta_breakdown, delta_w, full_report
 from qres.quotsing import SMOOTH, QuotType
 from qres.resolve import (EngineConfig, resolve_germ, resolve_labels,
@@ -101,6 +103,40 @@ def test_engine_forks_a_cluster_whose_face_polynomial_splits(mode,
     assert rep.delta_w == rep.delta_classical == delta_w(tree) == 30
     assert rep.r_w == rep.r_classical == 6
     assert rep.mu_w == 2 * rep.delta_w - rep.r_w + 1 == 55
+
+
+def test_split_germ_certifies_each_unit_once(monkeypatch):
+    """The germ-split golden's germ: the engine splits level 0 once and
+    builds the tree of tests/golden/resolve-split-json.out, both as before
+    inverses were memoized.  Certifying again every strict transform the
+    engine certified over a tower runs no extended Euclid."""
+    splits, euclids = [], []
+    init, euclid = SplitEvent.__init__, exactnum._inv_euclid
+
+    def counting_init(self, *args, **kwargs):
+        splits.append(args[1])
+        init(self, *args, **kwargs)
+
+    def counting_euclid(levels, k, a):
+        euclids.append(k)
+        return euclid(levels, k, a)
+    monkeypatch.setattr(SplitEvent, "__init__", counting_init)
+    monkeypatch.setattr(exactnum, "_inv_euclid", counting_euclid)
+    tree = resolve_germ(germ("(y^4 - 4*x^4)^2 + x^7*(y^2 - 2*x^2) + x^10"),
+                        SMOOTH)
+    assert splits == [0]
+    golden = os.path.join(os.path.dirname(__file__), "golden",
+                          "resolve-split-json.out")
+    with open(golden) as fh:
+        assert tree_to_dict(tree) == json.load(fh)
+    ran = len(euclids)
+    certified = [(n.field, c) for n in tree.iter_nodes()
+                 if n.field.depth and n.ingested
+                 for st in n.labels.values() if st.poly is not None
+                 for c in st.poly.terms.values()]
+    assert len(certified) > 10
+    assert not any(is_zero_validated(f, c) for f, c in certified)
+    assert len(euclids) == ran
 
 
 def test_axis_factors_ride_along():

@@ -57,6 +57,8 @@ def test_wdegree():
     assert wdegree(curve("x0*x1 + x2"), w("2,3,5")) == 5
     with pytest.raises(NotQuasiHomogeneous):
         wdegree(curve("x0 + x1^2"), w("1,1,1"))
+    with pytest.raises(BadType):
+        wdegree(curve("5"), w("2,3,5"))
 
 
 def test_normalize_weights():
@@ -136,6 +138,12 @@ def test_reducible_curves_warn():
     conic_line = genus(curve("(x0 + x1)*(x0^2 + x1^2 - x2^2)"), w("1,1,1"))
     assert conic_line.genus == -1 and len(conic_line.warnings) == 1
     assert ("affine", 2, "2") in kinds(conic_line)
+
+
+def test_a_coordinate_axis_alone_is_not_called_reducible():
+    for F, weights in (("x0", "1,1,1"), ("x1", "2,3,5"), ("3*x2", "1,2,3")):
+        rep = genus(curve(F), w(weights))
+        assert rep.genus == 0 and not rep.warnings, F
 
 
 def test_conjugate_tangency_cluster():
