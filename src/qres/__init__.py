@@ -16,8 +16,8 @@ from .errors import (BadType, CommonComponent, DegeneratePolygon,
                      PolySyntaxError, QresError, ResolutionDepthExceeded,
                      UnitGerm, UnknownVariable, ZeroPolynomial)
 from .exactnum import ExtField, Rat, SplitEvent
-from .poly import (SparsePoly, choose_weights, face_poly, newton_polygon,
-                   parse_poly, resultant, squarefree_part, weighted_order)
+from .poly import (SparsePoly, newton_polygon, parse_poly, resultant,
+                   squarefree_part, weighted_order)
 from .quotsing import (SMOOTH, BlowupCharts, QuotType, blowup_charts,
                        exceptional_data, is_normalized, normalize_type,
                        parse_type, types_isomorphic)

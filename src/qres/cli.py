@@ -18,7 +18,7 @@ import sys
 from .checks import SUITE_NAMES, run_suite
 from .errors import (BadType, ExtensionOverflow, InternalInconsistency,
                      QresError, ResolutionDepthExceeded)
-from .exactnum import ExtField, Rat
+from .exactnum import ExtField, Rat, ext_bound
 from .invariants import full_report, report_to_dict
 from .poly import parse_poly
 from .quotsing import parse_type
@@ -258,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        ext_bound()     # a malformed QRES_EXT_BOUND exits 2 before any work
         return args.func(args)
     except (ExtensionOverflow, ResolutionDepthExceeded) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -20,12 +20,15 @@ and depth explicitly.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
 
 from .errors import (
+    BadType,
     DivisionByZero,
     ExtensionOverflow,
+    InternalInconsistency,
     NotInvertible,
     NotSquarefree,
 )
@@ -267,6 +270,14 @@ def _pdivmod(levels, k, num, den):
     return _ptrim(levels, k, q), _ptrim(levels, k, r)
 
 
+def _pdiv_exact(levels, k, num, den):
+    """The quotient num / den; InternalInconsistency unless den divides num."""
+    q, r = _pdivmod(levels, k, num, den)
+    if _pdeg(levels, k, r) >= 0:
+        raise InternalInconsistency("polynomial division was not exact")
+    return q
+
+
 def _pmonic(levels, k, v):
     d = _pdeg(levels, k, v)
     if d < 0:
@@ -477,9 +488,7 @@ def _inv_euclid(levels, k, a):
         return tuple(inv[:n])
     # proper factor found: compute the cofactor and surface the split
     g = _pmonic(levels, k - 1, r0)
-    h, rem = _pdivmod(levels, k - 1, modulus, g)
-    if _pdeg(levels, k - 1, rem) >= 0:
-        raise AssertionError("gcd does not divide the modulus")
+    h = _pdiv_exact(levels, k - 1, modulus, g)
     # the event carries the whole tower so upper levels can be projected
     raise SplitEvent(levels, k - 1, g[:-1], h[:-1])
 
@@ -501,12 +510,23 @@ def is_zero_validated(field: "ExtField", rep) -> bool:
 # adjunction
 
 
-def adjoin_root(field: ExtField, tail, name: str, counts_points: bool = True,
-                bound: int | None = None):
+def ext_bound():
+    """The tower degree bound: QRES_EXT_BOUND, default 16; a value <= 0
+    means no bound (None), a non-integer raises BadType."""
+    raw = os.environ.get("QRES_EXT_BOUND", "16")
+    try:
+        v = int(raw)
+    except ValueError:
+        raise BadType("QRES_EXT_BOUND must be an integer, got %r" % (raw,))
+    return v if v > 0 else None
+
+
+def adjoin_root(field: ExtField, tail, name: str, counts_points: bool = True):
     """Adjoin a root of the monic polynomial t^n + tail (squarefree required).
 
     Returns (new_field, root_rep).  A degree-1 polynomial adjoins nothing:
-    the same field comes back with the root it already contains.
+    the same field comes back with the root it already contains.  A tower
+    whose degree would exceed ext_bound() raises ExtensionOverflow.
     """
     levels = field.levels
     k = field.depth
@@ -525,6 +545,7 @@ def adjoin_root(field: ExtField, tail, name: str, counts_points: bool = True,
             "cannot adjoin a root of a non-squarefree polynomial (gcd degree %d)"
             % _pdeg(levels, k, g)
         )
+    bound = ext_bound()
     if bound is not None and field.degree * n > bound:
         raise ExtensionOverflow(
             "tower degree %d exceeds the bound %d" % (field.degree * n, bound)
@@ -535,8 +556,7 @@ def adjoin_root(field: ExtField, tail, name: str, counts_points: bool = True,
     return new_field, root
 
 
-def adjoin_radical(field: ExtField, t, w: int, name: str,
-                   bound: int | None = None):
+def adjoin_radical(field: ExtField, t, w: int, name: str):
     """Adjoin a w-th root u of the element t, u^w = t, as a level that does
     not count points; returns (new_field, u).  For w = 1 nothing is adjoined
     and t itself comes back.  u^w - t must be squarefree, which holds when
@@ -544,7 +564,7 @@ def adjoin_radical(field: ExtField, t, w: int, name: str,
     if w == 1:
         return field, t
     tail = [_neg(field.levels, field.depth, t)] + [field.zero()] * (w - 1)
-    return adjoin_root(field, tail, name, counts_points=False, bound=bound)
+    return adjoin_root(field, tail, name, counts_points=False)
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,7 @@ def _leaf_count(tree: ResolutionTree) -> int:
                for n, rec in tree.leaves())
 
 
-def delta_classical(f: SparsePoly, config=None) -> Rat:
+def delta_classical(f: SparsePoly, config=EngineConfig()) -> Rat:
     """delta of a reduced germ at a smooth point (an integer as a Rat)."""
     tree = resolve_germ(f, SMOOTH, mode="plain", config=config)
     val = delta_breakdown(tree).total
@@ -136,10 +136,10 @@ class InvariantReport:
 
 
 def full_report(f: SparsePoly, ambient: QuotType, mode=None,
-                config=None) -> InvariantReport:
+                config=EngineConfig()) -> InvariantReport:
     """Resolve on the quotient and, when d > 1, once more upstairs at d = 1;
     assemble every invariant and re-check the identities binding them.
-    mode=None keeps the mode of config (plain when config is None)."""
+    mode=None keeps the mode of config."""
     from .resolve import semi_invariance_check
 
     if len(f.vars) != 2:
@@ -165,11 +165,7 @@ def full_report(f: SparsePoly, ambient: QuotType, mode=None,
     if d == 1:
         delta, r = dw, r_w
     else:
-        cfg = EngineConfig(mode="plain",
-                           ext_bound=tree.config.ext_bound,
-                           depth_bound=tree.config.depth_bound,
-                           check_reduced=False)
-        up = resolve_germ(f, SMOOTH, config=cfg)
+        up = resolve_germ(f, SMOOTH, config=EngineConfig(check_reduced=False))
         delta, r = delta_breakdown(up).total, _leaf_count(up)
     if delta.denominator != 1 or delta < 0:
         raise InternalInconsistency(
@@ -198,14 +194,12 @@ def full_report(f: SparsePoly, ambient: QuotType, mode=None,
 
 
 def noether_intersection(C: SparsePoly, D: SparsePoly, ambient: QuotType,
-                         config=None) -> Rat:
+                         config=EngineConfig()) -> Rat:
     """Local intersection number of two semi-invariant germs without common
     components: sum of nu_C * nu_D / (p q d) over a shared resolution."""
     C = C.with_vars(("x", "y"))
     D = D.with_vars(("x", "y"))
     _reject_common_component(C, D)
-    if config is None:
-        config = EngineConfig()
     tree = resolve_labels({"C": C, "D": D}, ambient, config)
     total = Rat(0)
     for n in tree.internal_nodes():
@@ -232,7 +226,7 @@ def _reject_common_component(C: SparsePoly, D: SparsePoly):
 
 
 def delta_additivity_check(C: SparsePoly, D: SparsePoly, ambient: QuotType,
-                           config=None):
+                           config=EngineConfig()):
     """Both sides of delta_w(C*D) = delta_w(C) + delta_w(D) + (C.D)."""
     C = C.with_vars(("x", "y"))
     D = D.with_vars(("x", "y"))

@@ -1,6 +1,6 @@
 """Sparse multivariate polynomials over tower fields, plus the polynomial
 geometry the resolution engine runs on: weighted orders, Newton polygons,
-face polynomials, weighted blow-up transforms, squarefree (Yun)
+weighted blow-up transforms, squarefree (Yun)
 factorization, resultants, and the one squarefreeness certificate for
 two-variable polynomials over Q (squarefree_discriminant).
 
@@ -511,21 +511,6 @@ def choose_face(np_: NewtonPolygon) -> Face:
     return max(np_.faces, key=lambda fc: (fc.p + fc.q, fc.p, fc.q))
 
 
-def choose_weights(f: SparsePoly):
-    fc = choose_face(newton_polygon(f))
-    return fc.p, fc.q
-
-
-def face_poly(f: SparsePoly, face: Face, var: str = "t") -> SparsePoly:
-    """The face's terms as a univariate polynomial in the root parameter t,
-    where a branch on this face satisfies y^p = t * x^q."""
-    i0, j0 = face.right
-    coeffs = []
-    for k in range(face.length + 1):
-        coeffs.append(f.terms.get((i0 - k * face.q, j0 + k * face.p), f.field.zero()))
-    return SparsePoly.from_univariate(f.field, var, coeffs)
-
-
 def blowup_transform(f: SparsePoly, p: int, q: int, chart: int):
     """Total transform of f under the (p, q) blow-up in the given chart,
     divided by the exceptional multiplicity.  Returns (nu, strict).
@@ -563,9 +548,10 @@ def poly_gcd(f: SparsePoly, g: SparsePoly) -> SparsePoly:
 def squarefree_part(f: SparsePoly):
     """Yun's algorithm over a field of characteristic zero.
 
-    Returns (radical, factors) where radical is the monic product of the
-    distinct squarefree factors and factors is a list of (factor, multiplicity)
-    in increasing multiplicity.  Unit content is discarded.
+    Returns (radical, factors) where radical is Yun's first quotient
+    f / gcd(f, f'), the monic product of the distinct squarefree factors, and
+    factors is a list of (factor, multiplicity) in increasing multiplicity.
+    Unit content is discarded.
     """
     if f.is_zero():
         raise ZeroPolynomial("the zero polynomial has no squarefree part")
@@ -581,12 +567,9 @@ def squarefree_part(f: SparsePoly):
     fm = exactnum._pmonic(levels, k, coeffs)
     df = [exactnum._smul(levels, k, Fraction(i), fm[i]) for i in range(1, len(fm))]
     a = exactnum._pgcd_monic(levels, k, fm, df)
-    w, rem = exactnum._pdivmod(levels, k, fm, a)
-    if exactnum._pdeg(levels, k, rem) >= 0:
-        raise InternalInconsistency("gcd does not divide in Yun's algorithm")
-    y, rem = exactnum._pdivmod(levels, k, df, a)
-    if exactnum._pdeg(levels, k, rem) >= 0:
-        raise InternalInconsistency("gcd does not divide in Yun's algorithm")
+    w = exactnum._pdiv_exact(levels, k, fm, a)
+    y = exactnum._pdiv_exact(levels, k, df, a)
+    radical = SparsePoly.from_univariate(field, var, w)
     factors = []
     m = 1
     while exactnum._pdeg(levels, k, w) > 0:
@@ -595,16 +578,9 @@ def squarefree_part(f: SparsePoly):
         ai = exactnum._pgcd_monic(levels, k, w, z)
         if exactnum._pdeg(levels, k, ai) > 0:
             factors.append((SparsePoly.from_univariate(field, var, ai), m))
-        w, rem = exactnum._pdivmod(levels, k, w, ai)
-        if exactnum._pdeg(levels, k, rem) >= 0:
-            raise InternalInconsistency("gcd does not divide in Yun's algorithm")
-        y, rem = exactnum._pdivmod(levels, k, z, ai)
-        if exactnum._pdeg(levels, k, rem) >= 0:
-            raise InternalInconsistency("gcd does not divide in Yun's algorithm")
+        w = exactnum._pdiv_exact(levels, k, w, ai)
+        y = exactnum._pdiv_exact(levels, k, z, ai)
         m += 1
-    radical = SparsePoly.const(field, (var,), 1)
-    for fac, _ in factors:
-        radical = radical * fac
     return radical, factors
 
 
@@ -818,9 +794,7 @@ def _primitive_part(f: SparsePoly, var):
         return lifted, f
     out = {}
     for jv, col in _columns(f, vi).items():
-        quo, rem = exactnum._pdivmod(levels, kd, col, d)
-        if exactnum._pdeg(levels, kd, rem) >= 0:
-            raise InternalInconsistency("content division was not exact")
+        quo = exactnum._pdiv_exact(levels, kd, col, d)
         for o, c in enumerate(quo):
             out[(jv, o) if vi == 0 else (o, jv)] = c
     return lifted, SparsePoly(f.field, f.vars, out)
@@ -864,12 +838,3 @@ def is_squarefree_two_vars(f: SparsePoly) -> bool:
     """Squarefreeness of a nonzero two-variable polynomial over Q."""
     return squarefree_discriminant(f) is not None
 
-
-# ---------------------------------------------------------------------------
-# tower plumbing for polynomials
-
-
-def project_poly(f: SparsePoly, new_field: ExtField, project) -> SparsePoly:
-    level = f.field.depth
-    return SparsePoly(new_field, f.vars,
-                      {e: project(c, level) for e, c in f.terms.items()})

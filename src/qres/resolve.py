@@ -21,7 +21,6 @@ factor (uncounted levels) or forks the node into one branch per factor
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 
 from .errors import (BadType, DegeneratePolygon, InternalInconsistency,
@@ -30,43 +29,35 @@ from .errors import (BadType, DegeneratePolygon, InternalInconsistency,
 from .exactnum import (SplitEvent, adjoin_radical, adjoin_root,
                        is_zero_validated, _is_zero)
 from .poly import (SparsePoly, blowup_transform, choose_face,
-                   is_squarefree_two_vars, poly_gcd, project_poly,
-                   squarefree_part, support_polygon, weighted_order)
+                   is_squarefree_two_vars, poly_gcd, squarefree_part,
+                   support_polygon, weighted_order)
 from .quotsing import (SMOOTH, BlowupCharts, QuotType, blowup_charts,
                        exceptional_data, require_normalized)
 
 __all__ = [
     "EngineConfig", "FactorState", "LeafRecord", "BlowupStep",
-    "ResolutionNode", "ResolutionTree", "default_ext_bound",
+    "ResolutionNode", "ResolutionTree", "DEPTH_BOUND",
     "semi_invariance_check", "axis_split", "resolve_germ", "resolve_labels",
     "tree_to_dict", "tree_to_dot",
 ]
 
 _UNSET = object()
 
-
-def default_ext_bound():
-    """Tower degree bound, from QRES_EXT_BOUND (default 16, <= 0 disables)."""
-    raw = os.environ.get("QRES_EXT_BOUND", "16")
-    try:
-        v = int(raw)
-    except ValueError:
-        raise BadType("QRES_EXT_BOUND must be an integer, got %r" % (raw,))
-    return v if v > 0 else None
+# blow-ups along one path before ResolutionDepthExceeded; the tower degree
+# bound is exactnum.ext_bound(), read where a root is adjoined
+DEPTH_BOUND = 128
 
 
 @dataclass(frozen=True)
 class EngineConfig:
     mode: str = "plain"              # "plain" or "strong"
     weight_overrides: tuple = ()     # (p, q) pairs, consumed depth-first
-    ext_bound: object = _UNSET       # int, None (unbounded), or unset -> env
-    depth_bound: int = 128
     check_reduced: bool = True
 
-    def resolved_bound(self):
-        if self.ext_bound is _UNSET:
-            return default_ext_bound()
-        return self.ext_bound
+    def __post_init__(self):
+        if self.mode not in ("plain", "strong"):
+            raise BadType("mode must be 'plain' or 'strong', got %r"
+                          % (self.mode,))
 
 
 @dataclass
@@ -165,7 +156,6 @@ class ResolutionTree:
     ambient: QuotType
     germs: dict                   # label -> input germ (canonical x, y vars)
     mode: str
-    config: EngineConfig
 
     @property
     def labels(self):
@@ -221,7 +211,6 @@ def axis_split(f: SparsePoly):
 class _Engine:
     def __init__(self, config: EngineConfig):
         self.config = config
-        self.bound = config.resolved_bound()
         self.overrides = list(config.weight_overrides)
         self.next_id = 0
 
@@ -249,10 +238,10 @@ class _Engine:
     # -- one attempt at expanding a node ------------------------------------
 
     def process(self, node):
-        if node.depth > self.config.depth_bound:
+        if node.depth > DEPTH_BOUND:
             raise ResolutionDepthExceeded(
                 "resolution did not terminate within %d blow-ups at %s"
-                % (self.config.depth_bound, node.ambient))
+                % (DEPTH_BOUND, node.ambient))
         self.ingest(node)
         if not node.labels:
             node.pruned = True
@@ -477,9 +466,9 @@ class _Engine:
         # Yun factors are monic, so coeffs[:-1] is the minimal polynomial tail
         field2, t0 = adjoin_root(node.field, coeffs[:-1],
                                  "a%d_%d" % (node.id, idx),
-                                 counts_points=True, bound=self.bound)
+                                 counts_points=True)
         field3, y0 = adjoin_radical(field2, t0, bc.chart1.d,
-                                    "r%d_%d" % (node.id, idx), self.bound)
+                                    "r%d_%d" % (node.id, idx))
         raw = {}
         for lab in sorted(strict1):
             s1 = strict1[lab]
@@ -528,7 +517,8 @@ class _Engine:
         for lab, st in labels.items():
             g = None
             if st.poly is not None:
-                g = project_poly(st.poly, field2, project)
+                depth = st.poly.field.depth
+                g = st.poly.map_coeffs(lambda c: project(c, depth), field2)
             out[lab] = FactorState(st.axis_x, st.axis_y, g)
         return out
 
@@ -565,10 +555,9 @@ def _prepare_germ(f: SparsePoly, ambient: QuotType, check_reduced: bool):
     return f
 
 
-def resolve_labels(germs: dict, ambient: QuotType, config=None) -> ResolutionTree:
+def resolve_labels(germs: dict, ambient: QuotType,
+                   config=EngineConfig()) -> ResolutionTree:
     """Resolve several labelled germs at the same point simultaneously."""
-    if config is None:
-        config = EngineConfig()
     require_normalized(ambient)
     if not germs:
         raise BadType("need at least one labelled germ")
@@ -584,18 +573,14 @@ def resolve_labels(germs: dict, ambient: QuotType, config=None) -> ResolutionTre
     if root is None:
         raise UnitGerm("no labelled germ vanishes at the origin")
     return ResolutionTree(root=root, ambient=ambient, germs=prepared,
-                          mode=config.mode, config=config)
+                          mode=config.mode)
 
 
 def resolve_germ(f: SparsePoly, ambient: QuotType, mode=None,
-                 config=None) -> ResolutionTree:
+                 config=EngineConfig()) -> ResolutionTree:
     """Embedded resolution of one reduced semi-invariant germ at the origin
     of X(d;a,b) (the type must be in normal form)."""
-    if config is None:
-        config = EngineConfig()
     if mode is not None:
-        if mode not in ("plain", "strong"):
-            raise BadType("mode must be 'plain' or 'strong', got %r" % (mode,))
         config = replace(config, mode=mode)
     return resolve_labels({"C": f}, ambient, config)
 

@@ -28,7 +28,7 @@ from .exactnum import (ExtField, Rat, SplitEvent, _add, _inv, _is_zero, _mul,
 from .poly import (SparsePoly, poly_gcd, resultant, squarefree_discriminant,
                    squarefree_part)
 from .quotsing import QuotType, SMOOTH, normalize_with_multipliers
-from .resolve import EngineConfig, default_ext_bound, resolve_germ
+from .resolve import EngineConfig, resolve_germ
 from .invariants import delta_breakdown
 
 __all__ = [
@@ -342,7 +342,7 @@ def _nonzero_radical_collapsed(f: SparsePoly, var: str, w: int) -> SparsePoly:
             "multiples of %d" % (var, rad, w))
 
 
-def _cluster_field(s: SparsePoly, w: int, t_name: str, u_name: str, bound):
+def _cluster_field(s: SparsePoly, w: int, t_name: str, u_name: str):
     """Q(t, u) with s(t) = 0 and u^w = t, for s squarefree over Q with
     s(0) != 0; returns (field, u).  Only t counts points.
 
@@ -351,9 +351,8 @@ def _cluster_field(s: SparsePoly, w: int, t_name: str, u_name: str, bound):
     gcd of u^w - t with w u^(w-1) that adjoin_radical's squarefreeness check
     computes inverts only units, and u^w - t is squarefree over every factor
     of Q(t)."""
-    field, t = adjoin_root(_QQ, _monic_tail(s, s.vars[0]), t_name,
-                           bound=bound)
-    return adjoin_radical(field, t, w, u_name, bound)
+    field, t = adjoin_root(_QQ, _monic_tail(s, s.vars[0]), t_name)
+    return adjoin_radical(field, t, w, u_name)
 
 
 def _x_candidates(r: SparsePoly, w0: int):
@@ -367,7 +366,7 @@ def _x_candidates(r: SparsePoly, w0: int):
     return s if s.degree_in("x") > 0 else None
 
 
-def _affine_stratum(F0: SparsePoly, elimination, w0: int, bound, tag: str):
+def _affine_stratum(F0: SparsePoly, elimination, w0: int, tag: str):
     """Singular clusters of the chart slice F0 with x != 0 (any y).
 
     `elimination` is the squarefreeness certificate (q, body, disc) of F0
@@ -434,16 +433,14 @@ def _affine_stratum(F0: SparsePoly, elimination, w0: int, bound, tag: str):
         rad, _ = squarefree_part(g)
         if rad.degree_in("y") == 0:
             raise _Drop()
-        f2, v0 = adjoin_root(field, _monic_tail(rad, "y"), "v" + tag,
-                             bound=bound)
+        f2, v0 = adjoin_root(field, _monic_tail(rad, "y"), "v" + tag)
         return f2, lift(f2.levels, field.depth, f2.depth, u0), v0
 
-    field, u0 = _cluster_field(s, w0, "t" + tag, "u" + tag, bound)
+    field, u0 = _cluster_field(s, w0, "t" + tag, "u" + tag)
     return _with_splits(field, (u0,), roots_over)
 
 
-def _axis_stratum(F0: SparsePoly, axis_divides: bool, w_chart: int, bound,
-                  tag: str):
+def _axis_stratum(F0: SparsePoly, axis_divides: bool, w_chart: int, tag: str):
     """Singular clusters on the chart line x = 0 away from the chart origin.
 
     When the line is a component of the curve, every crossing with the rest
@@ -473,7 +470,7 @@ def _axis_stratum(F0: SparsePoly, axis_divides: bool, w_chart: int, bound,
     s = _nonzero_radical_collapsed(g, "y", w_chart)
     if s.degree_in("y") == 0:
         return []
-    return [_cluster_field(s, w_chart, "t" + tag, "v" + tag, bound)]
+    return [_cluster_field(s, w_chart, "t" + tag, "v" + tag)]
 
 
 def _check_reduced(F: SparsePoly, w: Weights):
@@ -497,9 +494,9 @@ def singular_locus(F: SparsePoly, w: Weights):
 
     A cluster of conjugate points comes back as one SingularPoint with a
     multiplicity, and every point gets its germ from localize.  Complete as
-    long as every cluster's coordinate degree fits in the tower bound
-    (QRES_EXT_BOUND); overflow raises rather than dropping points."""
-    bound = default_ext_bound()
+    long as every cluster's coordinate degree fits in the tower bound that
+    exactnum.adjoin_root enforces (QRES_EXT_BOUND); overflow raises
+    ExtensionOverflow rather than dropping points."""
     w, F = normalize_weights(w, F)
     wdegree(F, w)
     F0, elimination = _check_reduced(F, w)
@@ -520,18 +517,16 @@ def singular_locus(F: SparsePoly, w: Weights):
             pass
 
     # chart 0 with x1 != 0 (the line x1 = 0 is handled separately below)
-    for field, u0, v0 in _affine_stratum(F0, elimination, w.w0, bound, "a"):
+    for field, u0, v0 in _affine_stratum(F0, elimination, w.w0, "a"):
         add(ProjPoint(field, (field.one(), u0, v0), 0), "affine")
 
     # the line x1 = 0 inside chart 0 (so x2 != 0)
-    for field, v0 in _axis_stratum(F0, F.min_exp(F.vars[1]) > 0, w.w0,
-                                   bound, "b"):
+    for field, v0 in _axis_stratum(F0, F.min_exp(F.vars[1]) > 0, w.w0, "b"):
         add(ProjPoint(field, (field.one(), field.zero(), v0), 0), "axis")
 
     # the line x0 = 0 via chart 1 (so x2 != 0)
     F1 = _dehomogenize(F, 1)
-    for field, v0 in _axis_stratum(F1, F.min_exp(F.vars[0]) > 0, w.w1,
-                                   bound, "d"):
+    for field, v0 in _axis_stratum(F1, F.min_exp(F.vars[0]) > 0, w.w1, "d"):
         add(ProjPoint(field, (field.zero(), field.one(), v0), 1), "axis")
 
     return points
@@ -591,8 +586,8 @@ def _to_chart_one(P: ProjPoint, w: Weights) -> ProjPoint:
 def genus(F: SparsePoly, w: Weights, points=None) -> GenusReport:
     """Genus of the reduced curve F = 0: virtual genus of its degree minus
     the local delta at every singular point (vertices included).  The
-    tower bound of the search and of the resolutions comes from
-    QRES_EXT_BOUND.
+    search and the resolutions share one tower bound, QRES_EXT_BOUND, which
+    exactnum.adjoin_root reads each time it adjoins a root.
 
     With `points` (ProjPoints) the search is skipped and the curve is
     localized at exactly those points, reported with kind "manual"; the

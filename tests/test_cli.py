@@ -171,6 +171,20 @@ def test_budget_exhaustion_exits_3(capsys, monkeypatch):
     assert "bound" in err
 
 
+def test_malformed_extension_bound_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("QRES_EXT_BOUND", "abc")
+    # checked before any work, also where no tower would be built
+    for argv in (("germ", "y^2 - x^3"),
+                 ("curve", "x0*x1 + x2", "--w", "2,3,5"),
+                 ("resolve", "y^2 - x^3", "--json", "-"),
+                 ("check", "lattice")):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2, argv
+        assert out == "", argv
+        assert err == ("error: QRES_EXT_BOUND must be an integer, "
+                       "got 'abc'\n"), argv
+
+
 def test_unwritable_output_exits_4(tmp_path, capsys):
     rc, _, err = run(capsys, "resolve", "y^2 - x^3", "--json", str(tmp_path))
     assert rc == 4

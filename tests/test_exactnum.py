@@ -3,8 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from qres.errors import (DivisionByZero, ExtensionOverflow, NotInvertible,
-                         NotSquarefree)
+from qres.errors import (BadType, DivisionByZero, ExtensionOverflow,
+                         InternalInconsistency, NotInvertible, NotSquarefree)
 from qres import exactnum
 from qres.exactnum import (ExtField, Rat, SplitEvent, _add, _const, _inv,
                            _is_zero, _mul, _neg, _pdeg, _pmul, _psub, _ptrim,
@@ -158,10 +158,32 @@ def test_cluster_size_skips_uncounted_levels():
     assert F2.degree == 6 and F2.cluster_size == 3
 
 
-def test_extension_bound():
+def test_extension_bound(monkeypatch):
+    monkeypatch.setenv("QRES_EXT_BOUND", "2")
     with pytest.raises(ExtensionOverflow):
-        adjoin_root(QQ, (Rat(-5), Rat(0), Rat(0)), "c", bound=2)
-    adjoin_root(QQ, (Rat(-5), Rat(0), Rat(0)), "c", bound=3)
+        adjoin_root(QQ, (Rat(-5), Rat(0), Rat(0)), "c")
+    monkeypatch.setenv("QRES_EXT_BOUND", "3")
+    adjoin_root(QQ, (Rat(-5), Rat(0), Rat(0)), "c")
+
+
+def test_ext_bound_parsing(monkeypatch):
+    monkeypatch.delenv("QRES_EXT_BOUND", raising=False)
+    assert exactnum.ext_bound() == 16
+    for raw, want in (("5", 5), ("0", None), ("-3", None)):
+        monkeypatch.setenv("QRES_EXT_BOUND", raw)
+        assert exactnum.ext_bound() == want
+    monkeypatch.setenv("QRES_EXT_BOUND", "abc")
+    with pytest.raises(BadType, match="QRES_EXT_BOUND must be an integer"):
+        exactnum.ext_bound()
+
+
+def test_pdiv_exact():
+    # (t^2 - 1) / (t - 1) = t + 1; t^2 + 1 is not a multiple of t - 1
+    assert exactnum._pdiv_exact((), 0, [Rat(-1), Rat(0), Rat(1)],
+                                [Rat(-1), Rat(1)]) == [Rat(1), Rat(1)]
+    with pytest.raises(InternalInconsistency):
+        exactnum._pdiv_exact((), 0, [Rat(1), Rat(0), Rat(1)],
+                             [Rat(-1), Rat(1)])
 
 
 def test_adjoin_rejects_non_squarefree():

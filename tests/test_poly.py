@@ -8,8 +8,7 @@ from qres.errors import (DegeneratePolygon, NonExactDivision,
                          PolySyntaxError, UnknownVariable)
 from qres import exactnum
 from qres.exactnum import Rat, adjoin_root
-from qres.poly import (SparsePoly, blowup_transform, choose_face,
-                       choose_weights, content_in, face_poly,
+from qres.poly import (SparsePoly, blowup_transform, choose_face, content_in,
                        is_squarefree_two_vars, newton_polygon, parse_poly,
                        poly_gcd, resultant,
                        squarefree_discriminant, squarefree_part,
@@ -92,21 +91,12 @@ def test_chosen_weights_minimize_over_the_face(f):
     if f.min_exp("x") > 0 or f.min_exp("y") > 0:
         return                       # polygon code expects axis-free input
     try:
-        p, q = choose_weights(f)
+        face = choose_face(newton_polygon(f))
     except DegeneratePolygon:
         return
+    p, q = face.p, face.q
     nu = weighted_order(f, p, q)
     assert sum(1 for i, j in f.terms if p * i + q * j == nu) >= 2
-
-
-def test_face_poly_of_cusp_like_germ():
-    f = germ("x^3 - 2*x*y + 5*y^2 + y^5")
-    np_ = newton_polygon(f)
-    face = choose_face(np_)
-    t = face_poly(f, face)
-    # branch parameter t of y^p = t x^q picks up the face coefficients
-    assert t.vars == ("t",)
-    assert not t.is_zero()
 
 
 def test_blowup_transform_charts():
@@ -118,15 +108,32 @@ def test_blowup_transform_charts():
 
 
 def test_squarefree_part_reconstructs_multiplicities():
-    f = parse_poly("(y - 1)^2 * (y + 2)", ("y",))
+    for text, mults, rad in [
+            ("(y - 1)^2 * (y + 2)", [1, 2], "(y - 1) * (y + 2)"),
+            ("3*y^3 * (y + 1)^2 * (2*y - 1)", [1, 2, 3],
+             "y * (y + 1) * (y - 1/2)"),
+            ("y^2 - 2", [1], "y^2 - 2"),
+            ("(y^2 - 2)^3", [3], "y^2 - 2")]:
+        f = parse_poly(text, ("y",))
+        radical, factors = squarefree_part(f)
+        assert [m for _, m in factors] == mults
+        prod = product = SparsePoly(QQ, ("y",), {(0,): Rat(1)})
+        for fac, m in factors:
+            prod = prod * fac ** m
+            product = product * fac
+        assert prod * f.coeff_list()[-1] == f
+        assert radical == product
+        assert radical == parse_poly(rad, ("y",))
+
+
+def test_squarefree_part_over_a_tower():
+    field, s = adjoin_root(QQ, (Rat(-2), Rat(0)), "s")
+    lin = SparsePoly.from_univariate(field, "y", [s, field.one()])
+    f = lin ** 2 * parse_poly("y - 1", ("y",)).lift_to(field)
     radical, factors = squarefree_part(f)
     assert [m for _, m in factors] == [1, 2]
-    prod = SparsePoly(QQ, ("y",), {(0,): Rat(1)})
-    for fac, m in factors:
-        prod = prod * fac ** m
-    assert prod == f
+    assert factors[1][0] == lin
     assert radical == factors[0][0] * factors[1][0]
-    assert radical == parse_poly("(y - 1) * (y + 2)", ("y",))
 
 
 def test_resultant_known_values():

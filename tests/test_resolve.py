@@ -5,7 +5,7 @@ import jsonschema
 import pytest
 
 from conftest import germ
-from qres import exactnum
+from qres import exactnum, resolve
 from qres.errors import (BadType, ExtensionOverflow, NotReduced,
                          NotSemiInvariant, ResolutionDepthExceeded, UnitGerm)
 from qres.exactnum import Rat, SplitEvent, is_zero_validated
@@ -164,19 +164,30 @@ def test_strong_mode_equals_plain_total():
             delta_w(resolve_germ(f, t, mode="strong"))
 
 
-def test_extension_bound_is_enforced():
+def test_extension_bound_is_enforced(monkeypatch):
     f = germ("(y^2 - 2*x^2)^2 - x^7")
+    monkeypatch.setenv("QRES_EXT_BOUND", "1")
     with pytest.raises(ExtensionOverflow):
-        resolve_germ(f, SMOOTH, config=EngineConfig(ext_bound=1))
-    assert delta_w(resolve_germ(f, SMOOTH,
-                                config=EngineConfig(ext_bound=2))) == 8
+        resolve_germ(f, SMOOTH)
+    for raw in ("2", "0"):           # 0 lifts the bound
+        monkeypatch.setenv("QRES_EXT_BOUND", raw)
+        assert delta_w(resolve_germ(f, SMOOTH)) == 8
 
 
-def test_depth_bound_is_enforced():
+def test_depth_bound_is_enforced(monkeypatch):
     f = germ("(y - x^2)^2 - x^7")
+    monkeypatch.setattr(resolve, "DEPTH_BOUND", 1)
     with pytest.raises(ResolutionDepthExceeded):
-        resolve_germ(f, SMOOTH, config=EngineConfig(depth_bound=1))
+        resolve_germ(f, SMOOTH)
+    monkeypatch.undo()
     assert delta_w(resolve_germ(f, SMOOTH)) == 3
+
+
+def test_engine_config_rejects_an_unknown_mode():
+    with pytest.raises(BadType):
+        EngineConfig(mode="Strong")
+    with pytest.raises(BadType):
+        resolve_germ(germ("y^2 - x^3"), SMOOTH, mode="Strong")
 
 
 def test_input_validation():
