@@ -12,6 +12,7 @@ depth budget exhausted, 4 io error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -202,6 +203,7 @@ def run_check(args) -> int:
 # wiring
 
 
+@functools.cache        # built on the first main() call, then reused
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qres",

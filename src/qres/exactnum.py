@@ -316,8 +316,11 @@ def _coprime_mod_p(f, g) -> bool:
     """True when the images of the nonzero rational polynomials f and g mod
     _P, after clearing denominators, keep their degrees and are coprime."""
     a, b = _clear_mod_p(f), _clear_mod_p(g)
-    if a is None or b is None:
-        return False
+    return a is not None and b is not None and _coprime_images(a, b)
+
+
+def _coprime_images(a, b) -> bool:
+    """gcd(a, b) is constant over GF(_P); a, b are trimmed, b may be []."""
     while b:
         a, b = b, _prem_mod_p(a, b)
     return len(a) == 1

@@ -14,10 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (CommonComponent, InternalInconsistency, NotMultiple,
-                     UnitGerm)
-from .exactnum import Rat
-from .poly import SparsePoly, resultant, weighted_order
+from .errors import CommonComponent, InternalInconsistency, NotMultiple
+from .exactnum import Rat, _coprime_images
+from .poly import SparsePoly, probe_images, resultant, weighted_order
 from .quotsing import QuotType, SMOOTH
 from .resolve import (EngineConfig, LeafRecord, ResolutionNode,
                       ResolutionTree, axis_split, resolve_germ, resolve_labels)
@@ -212,6 +211,8 @@ def noether_intersection(C: SparsePoly, D: SparsePoly, ambient: QuotType,
 
 
 def _reject_common_component(C: SparsePoly, D: SparsePoly):
+    """CommonComponent unless Res_y of the non-axis parts is nonzero, which
+    coprime images keeping their y-degree (poly.probe_images) prove."""
     if C.is_zero() or D.is_zero():
         raise CommonComponent("the zero germ shares every component")
     axC, ayC, gC = axis_split(C)
@@ -219,6 +220,9 @@ def _reject_common_component(C: SparsePoly, D: SparsePoly):
     if (axC and axD) or (ayC and ayD):
         raise CommonComponent("both germs contain a coordinate axis")
     if gC.is_constant() or gD.is_constant():
+        return
+    if any(a and b and _coprime_images(a, b)
+           for a, b in zip(probe_images(gC, 1), probe_images(gD, 1))):
         return
     if resultant(gC, gD, "y").is_zero():
         raise CommonComponent(

@@ -1,8 +1,8 @@
 """Sparse multivariate polynomials over tower fields, plus the polynomial
 geometry the resolution engine runs on: weighted orders, Newton polygons,
-weighted blow-up transforms, squarefree (Yun)
-factorization, resultants, and the one squarefreeness certificate for
-two-variable polynomials over Q (squarefree_discriminant).
+weighted blow-up transforms, squarefree (Yun) factorization, resultants,
+and squarefreeness over Q in two variables: an evaluation probe mod
+2^61 - 1 in front of the exact certificate squarefree_discriminant.
 
 Coefficients are exactnum representations (nested tuples over Fraction); a
 polynomial never stores a structural zero coefficient.  Whether a nonzero
@@ -26,7 +26,7 @@ from .errors import (
     UnknownVariable,
     ZeroPolynomial,
 )
-from .exactnum import ExtField, Rat
+from .exactnum import ExtField
 
 MAX_EXPONENT = 2 ** 31
 
@@ -811,7 +811,7 @@ def _univariate_squarefree(u: SparsePoly, var) -> bool:
 
 
 def squarefree_discriminant(f: SparsePoly):
-    """The one squarefreeness test for two-variable polynomials over Q.
+    """The exact squarefreeness test for two-variable polynomials over Q.
 
     Splits f = q(y) * c(x) * p(x, y), where q and c are the contents of f in
     x and in y.  f is squarefree iff q and c are and Res_y(p, p_y) != 0.
@@ -834,7 +834,38 @@ def squarefree_discriminant(f: SparsePoly):
     return q, body, c * res
 
 
-def is_squarefree_two_vars(f: SparsePoly) -> bool:
-    """Squarefreeness of a nonzero two-variable polynomial over Q."""
-    return squarefree_discriminant(f) is not None
+_PROBE_POINTS = (1, -1, 2)     # not 0: a singular germ is unlucky there
 
+
+def probe_images(f: SparsePoly, vi: int):
+    """For each t0 in _PROBE_POINTS: f over Q with denominators cleared, the
+    other variable set to t0, mod P = 2^61 - 1, as a coefficient list in
+    variable vi; [] where its leading coefficient in vi vanishes.  Over a
+    tower there are no images."""
+    if f.field.depth:
+        return
+    P, d = exactnum._P, f.degree_in(vi)
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    terms = [(e[vi], e[1 - vi], c.numerator * (den // c.denominator) % P)
+             for e, c in f.terms.items()]
+    for t0 in _PROBE_POINTS:
+        image = [0] * (d + 1)
+        for i, j, c in terms:
+            image[i] = (image[i] + c * pow(t0, j, P)) % P
+        yield image if image[d] else []
+
+
+def is_squarefree_two_vars(f: SparsePoly) -> bool:
+    """Squarefreeness of a nonzero two-variable polynomial over Q.
+
+    True at once if, for each variable v of f, some image (probe_images) is
+    coprime to its derivative over GF(P): by Gauss's lemma a square factor
+    g^2 lies in Z[x, y] with positive degree in some v, and as f's leading
+    coefficient in v survives, g's image keeps that degree and divides the
+    gcd.  Every other outcome goes to the exact squarefree_discriminant."""
+    if not f.is_zero() and all(f.degree_in(vi) == 0 or any(
+            img and exactnum._coprime_images(
+                img, [i * c % exactnum._P for i, c in enumerate(img)][1:])
+            for img in probe_images(f, vi)) for vi in (0, 1)):
+        return True
+    return squarefree_discriminant(f) is not None

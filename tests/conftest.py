@@ -19,6 +19,17 @@ def curve(text):
     return parse_poly(text, ("x0", "x1", "x2"))
 
 
+def spy(monkeypatch, module, name):
+    """Record the arguments of every call of module.name."""
+    calls, orig = [], getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return orig(*args)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 @pytest.fixture(name="germ")
 def germ_fixture():
     return germ

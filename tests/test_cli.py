@@ -1,10 +1,12 @@
 import json
 import shutil
 import subprocess
+import sys
 
 import jsonschema
 import pytest
 
+from qres import cli
 from qres.cli import main
 
 SCHEMA = json.load(open("docs/resolution.schema.json"))
@@ -198,6 +200,49 @@ def test_check_subcommand(capsys):
     with pytest.raises(SystemExit):
         main(["check", "bogus"])
     capsys.readouterr()
+
+
+SEQUENCE = [
+    ("germ", "x^2 - y^4", "--type", "X(2;1,1)", "--json"),
+    ("curve", "x0*x1 + x2", "--w", "2,3,5"),
+    ("germ", "x^2 - y^4", "--type", "X(2;1,1)"),
+    ("resolve", "y^2 - x^3", "--json", "-"),
+    ("check", "bogus"),                            # usage error
+    ("germ", "(x - y)^2"),                         # exit 2
+    ("curve", "x0*x1 + x2", "--w", "2,3,5", "--json"),
+    ("germ", "y^2 - x^3", "--mode", "strong", "--json"),
+    ("check", "lattice"),
+    ("germ", "x^2 - y^4", "--type", "X(2;1,1)"),
+]
+
+
+def outcome(capsys, argv):
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:
+        rc = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_the_parser_is_built_once_and_reused(capsys):
+    fresh = []
+    for argv in SEQUENCE:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(capsys, argv))
+    cli.build_parser.cache_clear()
+    reused = [outcome(capsys, argv) for argv in SEQUENCE]
+    assert cli.build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [r[0] for r in fresh] == [0, 0, 0, 0, ("exit", 2), 2, 0, 0, 0, 0]
+
+
+def test_the_parser_is_not_built_at_import():
+    code = ("import qres.cli as c; "
+            "assert c.build_parser.cache_info().currsize == 0")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_missing_subcommand_is_usage_error():

@@ -1,9 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import germ
-from qres import resolve
+from conftest import germ, spy
+from qres import invariants, resolve
 from qres.errors import CommonComponent, NotMultiple
 from qres.exactnum import Rat
 from qres.invariants import (delta_additivity_check, delta_classical,
@@ -89,6 +90,62 @@ def test_common_components_are_rejected():
     with pytest.raises(CommonComponent):
         noether_intersection(germ("y^2 - x^3"),
                              germ("(y^2 - x^3)*(y - x)"), SMOOTH)
+
+
+def test_ladder_germ_resolves_at_once():
+    # an exact reducedness resultant takes about two minutes here
+    rep = full_report(germ("(x + y)^40 - y^41"), SMOOTH)
+    assert (rep.delta_classical, rep.mu_classical, rep.r_classical) == \
+        (780, 1560, 1)
+
+
+def exact_rejects(C, D):
+    """The common-component test by the resultant alone."""
+    axC, ayC, gC = resolve.axis_split(C)
+    axD, ayD, gD = resolve.axis_split(D)
+    if (axC and axD) or (ayC and ayD):
+        return True
+    if gC.is_constant() or gD.is_constant():
+        return False
+    return resultant(gC, gD, "y").is_zero()
+
+
+FACTORS = [germ(t) for t in (
+    "x", "y", "x - 1", "x + 1", "x - 2", "y - x^2", "y^2 - x^3", "y + x",
+    "2*y - 1", "x*y - 1", "y^2 + 1/3*x", "y - (x - 1)*(x + 1)*(x - 2)",
+    "y + (x - 1)*(x + 1)*(x - 2)")]
+FACTORS.append(germ("y").scale(Rat(2 ** 61 - 1)) + germ("x"))
+factor_lists = st.lists(st.sampled_from(FACTORS), min_size=1, max_size=3)
+
+
+@given(factor_lists, factor_lists)
+def test_common_component_probe_agrees_with_the_resultant(cs, ds):
+    C, D = germ("1"), germ("1")
+    for f in cs:
+        C = C * f
+    for f in ds:
+        D = D * f
+    try:
+        invariants._reject_common_component(C, D)
+        rejected = False
+    except CommonComponent:
+        rejected = True
+    assert rejected is exact_rejects(C, D)
+
+
+def test_common_component_check_falls_back_to_the_resultant(monkeypatch):
+    calls = spy(monkeypatch, invariants, "resultant")
+    invariants._reject_common_component(germ("y^2 - x^3"), germ("y - x^2"))
+    assert calls == []
+    # both images are y at every probe point, yet Res_y = 2 g(x) != 0
+    g = "(x - 1)*(x + 1)*(x - 2)"
+    invariants._reject_common_component(germ("y - " + g), germ("y + " + g))
+    assert len(calls) == 1
+    with pytest.raises(CommonComponent,
+                       match=r"share a factor \(their resultant in y"):
+        invariants._reject_common_component(
+            germ("y^2 - x^3"), germ("(y^2 - x^3)*(y - x)"))
+    assert len(calls) == 2
 
 
 def test_delta_additivity():

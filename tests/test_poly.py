@@ -1,12 +1,10 @@
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import QQ, germ
+from conftest import QQ, germ, spy
 from qres.errors import (DegeneratePolygon, NonExactDivision,
                          PolySyntaxError, UnknownVariable)
-from qres import exactnum
+from qres import exactnum, poly
 from qres.exactnum import Rat, adjoin_root
 from qres.poly import (SparsePoly, blowup_transform, choose_face, content_in,
                        is_squarefree_two_vars, newton_polygon, parse_poly,
@@ -408,3 +406,62 @@ def test_certificate_falls_back_on_multiples_of_the_prime():
     u, v = [Rat(P61), Rat(1)], [Rat(0), Rat(1)]
     assert not exactnum._coprime_mod_p(u, v)
     assert exactnum._pgcd_monic((), 0, u, v) == [Rat(1)]
+
+
+# ---------------------------------------------------------------------------
+# the evaluation probe of is_squarefree_two_vars against the exact path
+
+
+# pure-x and pure-y contents, some vanishing at a probe point
+contents = st.sampled_from([germ(t) for t in (
+    "x", "x - 1", "x + 1", "x - 2", "3*x^2 - 1/2", "y", "y + 2", "2*y^2 - 1",
+    "y - 1")])
+factors = bivariate(2, 2).filter(lambda g: not g.is_zero())
+exponents = st.integers(1, 2)
+
+
+@st.composite
+def products(draw):
+    f = germ("1").scale(draw(rationals.filter(bool)) * draw(scales))
+    for _ in range(draw(st.integers(1, 2))):
+        f = f * draw(factors).scale(draw(scales)) ** draw(exponents)
+    for _ in range(draw(st.integers(0, 2))):
+        f = f * draw(contents) ** draw(exponents)
+    return f
+
+
+@given(products())
+def test_probe_agrees_with_the_exact_certificate(f):
+    assert is_squarefree_two_vars(f) is (squarefree_discriminant(f) is not None)
+
+
+def test_every_probe_point_unlucky_falls_back(monkeypatch):
+    # y^2 - g^2 = (y - g)(y + g) is squarefree, but g vanishes at every
+    # probe point, where the image in y is y^2
+    g = "*".join("(x - (%d))" % t for t in poly._PROBE_POINTS)
+    f = germ("y^2 - (%s)^2" % g)
+    exact = spy(monkeypatch, poly, "squarefree_discriminant")
+    assert all(img == [0, 0, 1] for img in poly.probe_images(f, 1))
+    assert is_squarefree_two_vars(f) is True
+    assert exact == [(f,)]
+
+
+@pytest.mark.parametrize("f,expect", [
+    # the leading coefficient in y is a multiple of P61
+    (germ("y^2").scale(Rat(P61)) - germ("x"), True),
+    ((germ("y").scale(Rat(P61)) + germ("x")) ** 2, False),
+    # every image in y is y^2
+    (germ("y^2") - germ("x").scale(Rat(P61)), True),
+])
+def test_probe_falls_back_on_multiples_of_the_prime(monkeypatch, f, expect):
+    exact = spy(monkeypatch, poly, "squarefree_discriminant")
+    assert is_squarefree_two_vars(f) is expect
+    assert exact == [(f,)]
+
+
+def test_probe_decides_squarefree_inputs_alone(monkeypatch):
+    exact = spy(monkeypatch, poly, "squarefree_discriminant")
+    for text in ("y^2 - x^3", "x*y*(x - y)", "1/3*y^3 - 5/2*x^7", "x",
+                 "(x + y)^40 - y^41", "(x - 1)*(y^2 + 1)", "7"):
+        assert is_squarefree_two_vars(germ(text)) is True
+    assert exact == []

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from qres.errors import BadType
-from qres.exactnum import Rat, mod_inverse
+from qres.exactnum import Rat
 from qres.quotsing import (SMOOTH, QuotType, blowup_charts, exceptional_data,
                            is_normalized, normalize_type,
                            normalize_with_multipliers, parse_type,

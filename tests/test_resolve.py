@@ -4,8 +4,8 @@ import os
 import jsonschema
 import pytest
 
-from conftest import germ
-from qres import exactnum, resolve
+from conftest import germ, spy
+from qres import exactnum, poly, resolve
 from qres.errors import (BadType, ExtensionOverflow, NotReduced,
                          NotSemiInvariant, ResolutionDepthExceeded, UnitGerm)
 from qres.exactnum import Rat, SplitEvent, is_zero_validated
@@ -188,6 +188,19 @@ def test_engine_config_rejects_an_unknown_mode():
         EngineConfig(mode="Strong")
     with pytest.raises(BadType):
         resolve_germ(germ("y^2 - x^3"), SMOOTH, mode="Strong")
+
+
+def test_reduced_germ_precheck_runs_no_resultant(monkeypatch):
+    resultants = spy(monkeypatch, poly, "resultant")
+    contents = spy(monkeypatch, poly, "content_in")
+    for text in ("y^2 - x^3", "x*y*(x - y)", "(x + y)^40 - y^41",
+                 "(y^2 - 2*x^2)^2 - x^7"):
+        resolve._prepare_germ(germ(text), SMOOTH, True)
+    assert resultants == [] and contents == []
+    # a germ that is not reduced goes to the exact certificate
+    with pytest.raises(NotReduced):
+        resolve._prepare_germ(germ("(y^2 - x^3)^2*(y - x)"), SMOOTH, True)
+    assert len(resultants) == 1
 
 
 def test_input_validation():

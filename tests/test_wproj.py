@@ -8,7 +8,7 @@ from qres.errors import (BadType, NonDivisibleExponent, NotQuasiHomogeneous,
                          NotReduced, PointNotOnCurve)
 from qres.exactnum import ExtField, Rat, SplitEvent
 from qres.poly import SparsePoly
-from qres.quotsing import SMOOTH, QuotType
+from qres.quotsing import SMOOTH
 from qres.wproj import (GenusReport, ProjPoint, Weights, bezout, genus,
                         localize, normalize_weights, parse_weights,
                         singular_locus, smoothness_certificate, virtual_genus,
