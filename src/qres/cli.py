@@ -6,7 +6,7 @@ projective plane, `resolve` exports a resolution tree as DOT or JSON, and
 `check` runs the consistency suites.  All numbers are exact rationals
 ("num/den"); given identical flags the output is byte-identical across
 runs.  Exit codes: 0 ok, 1 failed checks, 2 bad input, 3 extension or
-depth budget exhausted, 4 io error.
+depth budget exhausted, 4 io error, 5 internal inconsistency (a bug).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import shlex
 import sys
 
 from .checks import SUITE_NAMES, run_suite
@@ -268,8 +269,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print("io error: %s" % exc, file=sys.stderr)
         return 4
-    except InternalInconsistency:
-        raise
+    except InternalInconsistency as exc:
+        print("internal error: %s; reproduce with: qres %s"
+              % (exc, shlex.join(sys.argv[1:] if argv is None else argv)),
+              file=sys.stderr)
+        return 5
     except QresError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

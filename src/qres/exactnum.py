@@ -19,6 +19,7 @@ and depth explicitly.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field as _field
@@ -250,6 +251,10 @@ def _pmul(levels, k, u, v):
     return out
 
 
+def _pderiv(levels, k, v):
+    return [_smul(levels, k, Fraction(i), v[i]) for i in range(1, len(v))]
+
+
 def _pdivmod(levels, k, num, den):
     """Polynomial division; the divisor's leading coefficient is inverted,
     which can raise SplitEvent in a reducible tower."""
@@ -287,20 +292,16 @@ def _pmonic(levels, k, v):
 
 
 def _pgcd_monic(levels, k, f, g):
-    """Monic gcd by Euclid; returns [] for gcd of two zero polynomials.
+    """Monic gcd; returns [] for gcd of two zero polynomials.
 
-    Over Q (k = 0) a prime first tries to certify that f and g are coprime:
-    both are scaled to integer polynomials and reduced mod P = 2^61 - 1, and
-    when P divides neither leading coefficient and their gcd mod P is
-    constant, the answer is [1] with no Euclid over Q.  That is sound: by
-    Gauss's lemma a common factor h of positive degree over Q can be taken
-    primitive and divides both integer polynomials, so P does not divide its
-    leading coefficient either, and h mod P is a common factor of the same
-    degree.  Any other outcome falls through to Euclid over Q."""
+    Over Q (k = 0) it is _zgcd of the primitive integer parts of f and g
+    (Gauss's lemma), made monic; over a tower it is Euclid."""
     a = _ptrim(levels, k, f)
     b = _ptrim(levels, k, g)
-    if k == 0 and a and b and _coprime_mod_p(a, b):
-        return [Fraction(1)]
+    if k == 0:
+        if not a:
+            a, b = b, a
+        return _qmonic(_zgcd(_zclear(a)[0], _zclear(b)[0])[0]) if a else []
     while _pdeg(levels, k, b) >= 0:
         _, r = _pdivmod(levels, k, a, b)
         a, b = b, r
@@ -309,46 +310,161 @@ def _pgcd_monic(levels, k, f, g):
     return _pmonic(levels, k, a)
 
 
+# ---------------------------------------------------------------------------
+# integer polynomials (int lists, low to high, trimmed) and their images
+# over GF(p): the gcd over Q, Yun over Q and poly.resultant's Bareiss
+
+
 _P = 2 ** 61 - 1
+_PRIMES = [_P]          # _P and the primes below it that a gcd has needed
 
 
-def _coprime_mod_p(f, g) -> bool:
-    """True when the images of the nonzero rational polynomials f and g mod
-    _P, after clearing denominators, keep their degrees and are coprime."""
-    a, b = _clear_mod_p(f), _clear_mod_p(g)
-    return a is not None and b is not None and _coprime_images(a, b)
+def _primes():
+    """_P, then the primes below it in decreasing order; each is found the
+    first time a gcd needs it and kept in _PRIMES."""
+    for i in itertools.count():
+        if i == len(_PRIMES):
+            _PRIMES.append(next(n for n in range(_PRIMES[-1] - 2, 0, -2) if _is_prime(n)))
+        yield _PRIMES[i]
+
+
+def _is_prime(n) -> bool:
+    """Miller-Rabin to the prime bases up to 37, deterministic for odd n
+    with 37 < n < 3.3 * 10^24."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1       # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s))
+               for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+
+
+def _zgcd(A, B):
+    """(H, A / H, B / H) for the gcd H of integer polynomials A != [] and B,
+    primitive, up to sign, by Brown's modular gcd.
+
+    For each prime p of _primes() that divides neither leading coefficient,
+    the gcd over GF(p) is made monic and scaled by gamma = gcd(lc A, lc B).
+    Its degree is at least deg H: an image of larger degree than the last
+    is dropped, one of smaller degree restarts the Chinese remaindering.
+    After each prime, the symmetric lift made primitive is H as soon as it
+    divides A and B in Z[x] (it divides H and has an image's degree); the
+    quotients of that trial division are the cofactors."""
+    if not B:
+        H, c = _zclear(A)
+        return H, [c.numerator], []
+    if len(A) == 1 or len(B) == 1:
+        return [1], A, B
+    gamma = math.gcd(A[-1], B[-1])
+    img = None
+    for p in _primes():
+        if not (A[-1] % p and B[-1] % p):
+            continue
+        g = _gcd_mod(A, B, p)
+        if len(g) == 1:
+            return [1], A, B
+        if img is not None and len(g) > len(img):
+            continue
+        s = gamma * pow(g[-1], -1, p) % p
+        g = [c * s % p for c in g]
+        if img is None or len(g) < len(img):
+            img, m = g, p
+        else:
+            t = pow(m, -1, p)
+            img = [c + m * ((d - c) * t % p) for c, d in zip(img, g)]
+            m *= p
+        H = _zclear([c - m if 2 * c > m else c for c in img])[0]
+        qa = _zdiv(A, H)
+        if qa is not None and (qb := _zdiv(B, H)) is not None:
+            return H, qa, qb
+
+
+def _gcd_mod(a, b, p):
+    """A gcd of integer lists a and b over GF(p); b is [] or keeps its lead."""
+    a, b = [c % p for c in a], [c % p for c in b]
+    while b:
+        a, b = b, _prem_mod(a, b, p)
+    return a
 
 
 def _coprime_images(a, b) -> bool:
-    """gcd(a, b) is constant over GF(_P); a, b are trimmed, b may be []."""
-    while b:
-        a, b = b, _prem_mod_p(a, b)
-    return len(a) == 1
+    """gcd(a, b) is constant over GF(_P); b is [] or keeps its degree."""
+    return len(_gcd_mod(a, b, _P)) == 1
 
 
-def _clear_mod_p(v):
-    """L * v mod _P for the lcm L of v's denominators, or None when _P
-    divides the leading coefficient of L * v."""
-    den = math.lcm(*(c.denominator for c in v))
-    out = [c.numerator * (den // c.denominator) % _P for c in v]
-    return out if out[-1] else None
-
-
-def _prem_mod_p(a, b):
-    """Remainder of a by b over GF(_P), trimmed; b has a nonzero lead."""
+def _prem_mod(a, b, p):
+    """Remainder of a by b over GF(p), trimmed; b has a nonzero lead."""
     a = list(a)
     db = len(b) - 1
-    inv = pow(b[-1], -1, _P)
+    inv = pow(b[-1], -1, p)
     for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] * inv % _P
+        c = a[i] * inv % p
         if c:
             off = i - db
             for t in range(db):
-                a[off + t] = (a[off + t] - c * b[t]) % _P
+                a[off + t] = (a[off + t] - c * b[t]) % p
     del a[db:]
     while a and not a[-1]:
         a.pop()
     return a
+
+
+def _zclear(v):
+    """(V, c) with v = c * V for a list v of rationals (or ints): V is a
+    primitive integer list and c > 0 rational; ([], 0) for v = []."""
+    den = math.lcm(*(x.denominator for x in v))
+    num = [x.numerator * (den // x.denominator) for x in v]
+    cont = math.gcd(*num)
+    return [x // cont for x in num], Fraction(cont, den)
+
+
+def _qmonic(V):
+    """The monic rational list V / lc(V) of a nonzero integer list V."""
+    return [Fraction(c, V[-1]) for c in V]
+
+
+def _zderiv(v):
+    return [i * c for i, c in enumerate(v)][1:]
+
+
+def _zmul(u, v):
+    """Product of trimmed integer coefficient lists."""
+    if not u or not v:
+        return []
+    out = [0] * (len(u) + len(v) - 1)
+    for i, c in enumerate(u):
+        if c:
+            for j, d in enumerate(v):
+                out[i + j] += c * d
+    return out
+
+
+def _zsub(u, v):
+    """Difference of integer coefficient lists, trimmed."""
+    out = [c - d for c, d in itertools.zip_longest(u, v, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zdiv(num, den):
+    """The quotient of trimmed integer lists num / den, or None unless den
+    divides num in Z[t]."""
+    if not num:
+        return []
+    dd = len(den) - 1
+    lead = den[-1]
+    rem = list(num)
+    quo = [0] * max(len(rem) - dd, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[i + dd], lead)
+        if r:
+            return None
+        if c:
+            quo[i] = c
+            for t in range(dd):
+                rem[i + t] -= c * den[t]
+    if not quo or any(rem[:dd]):
+        return None
+    return quo
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +657,7 @@ def adjoin_root(field: ExtField, tail, name: str, counts_points: bool = True):
         return field, _neg(levels, k, tail[0])
     one = _const(levels, k, Fraction(1))
     poly = list(tail) + [one]
-    deriv = [_smul(levels, k, Fraction(i), poly[i]) for i in range(1, n + 1)]
-    g = _pgcd_monic(levels, k, poly, deriv)
+    g = _pgcd_monic(levels, k, poly, _pderiv(levels, k, poly))
     if _pdeg(levels, k, g) > 0:
         raise NotSquarefree(
             "cannot adjoin a root of a non-squarefree polynomial (gcd degree %d)"

@@ -13,6 +13,7 @@ structural.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,9 +27,10 @@ from .errors import (
     UnknownVariable,
     ZeroPolynomial,
 )
-from .exactnum import ExtField
+from .exactnum import ExtField, _zclear, _zdiv, _zmul, _zsub
 
 MAX_EXPONENT = 2 ** 31
+MAX_DIGITS = 1000       # digits of an integer literal that is not an exponent
 
 
 class SparsePoly:
@@ -346,7 +348,7 @@ def parse_poly(text: str, variables) -> SparsePoly:
             raise PolySyntaxError("expected %r at position %d" % (ch, pos))
         pos += 1
 
-    def natural() -> int:
+    def natural(exponent=False) -> int:
         nonlocal pos
         skip()
         start = pos
@@ -354,10 +356,12 @@ def parse_poly(text: str, variables) -> SparsePoly:
             pos += 1
         if start == pos:
             raise PolySyntaxError("expected a number at position %d" % (start,))
-        value = int(text[start:pos])
-        if value > MAX_EXPONENT:
-            raise PolySyntaxError("number too large at position %d" % (start,))
-        return value
+        if exponent and (pos - start > 10 or int(text[start:pos]) > MAX_EXPONENT):
+            raise PolySyntaxError("exponent above 2^31 at position %d" % (start,))
+        if pos - start > MAX_DIGITS:     # checked before int(), which has a limit
+            raise PolySyntaxError("number of more than %d digits at position %d"
+                                  % (MAX_DIGITS, start))
+        return int(text[start:pos])
 
     def base() -> SparsePoly:
         nonlocal pos
@@ -395,8 +399,7 @@ def parse_poly(text: str, variables) -> SparsePoly:
         skip()
         if pos < n and text[pos] == "^":
             pos += 1
-            e = natural()
-            b = b ** e
+            b = b ** natural(exponent=True)
         return b
 
     def term() -> SparsePoly:
@@ -551,7 +554,9 @@ def squarefree_part(f: SparsePoly):
     Returns (radical, factors) where radical is Yun's first quotient
     f / gcd(f, f'), the monic product of the distinct squarefree factors, and
     factors is a list of (factor, multiplicity) in increasing multiplicity.
-    Unit content is discarded.
+    Unit content is discarded.  Over Q, Yun runs on integer lists: each gcd
+    comes from exactnum._zgcd with the cofactors its certificate computed,
+    which are Yun's next w and y, and only what is returned is made monic.
     """
     if f.is_zero():
         raise ZeroPolynomial("the zero polynomial has no squarefree part")
@@ -561,25 +566,28 @@ def squarefree_part(f: SparsePoly):
     field = f.field
     levels, k = field.levels, field.depth
     coeffs = f.coeff_list()
-    d = exactnum._pdeg(levels, k, coeffs)
-    if d <= 0:
+    if len(coeffs) <= 1:
         return SparsePoly.const(field, (var,), 1), []
-    fm = exactnum._pmonic(levels, k, coeffs)
-    df = [exactnum._smul(levels, k, Fraction(i), fm[i]) for i in range(1, len(fm))]
-    a = exactnum._pgcd_monic(levels, k, fm, df)
-    w = exactnum._pdiv_exact(levels, k, fm, a)
-    y = exactnum._pdiv_exact(levels, k, df, a)
-    radical = SparsePoly.from_univariate(field, var, w)
+    if k == 0:
+        u, _ = _zclear(coeffs)
+        gcd, sub, deriv, monic = exactnum._zgcd, _zsub, exactnum._zderiv, exactnum._qmonic
+    else:
+        u, monic = exactnum._pmonic(levels, k, coeffs), list
+        sub, deriv = (functools.partial(fn, levels, k)
+                      for fn in (exactnum._psub, exactnum._pderiv))
+
+        def gcd(a, b):
+            h = exactnum._pgcd_monic(levels, k, a, b)
+            return (h, exactnum._pdiv_exact(levels, k, a, h),
+                    exactnum._pdiv_exact(levels, k, b, h))
+    _, w, y = gcd(u, deriv(u))
+    radical = SparsePoly.from_univariate(field, var, monic(w))
     factors = []
     m = 1
-    while exactnum._pdeg(levels, k, w) > 0:
-        dw = [exactnum._smul(levels, k, Fraction(i), w[i]) for i in range(1, len(w))]
-        z = exactnum._psub(levels, k, y, dw)
-        ai = exactnum._pgcd_monic(levels, k, w, z)
-        if exactnum._pdeg(levels, k, ai) > 0:
-            factors.append((SparsePoly.from_univariate(field, var, ai), m))
-        w = exactnum._pdiv_exact(levels, k, w, ai)
-        y = exactnum._pdiv_exact(levels, k, z, ai)
+    while len(w) > 1:
+        a, w, y = gcd(w, sub(y, deriv(w)))
+        if len(a) > 1:
+            factors.append((SparsePoly.from_univariate(field, var, monic(a)), m))
         m += 1
     return radical, factors
 
@@ -651,16 +659,14 @@ def resultant(f: SparsePoly, g: SparsePoly, var) -> SparsePoly:
 
     def rows(h, d):
         """Primitive integer rows of h by degree in var, and the scale."""
-        den = math.lcm(*(c.denominator for c in h.terms.values()))
-        num = {e: c.numerator * (den // c.denominator) for e, c in h.terms.items()}
-        cont = math.gcd(*num.values())
+        num, scale = _zclear(list(h.terms.values()))
         out = [[] for _ in range(d + 1)]
-        for e, c in num.items():
+        for e, c in zip(h.terms, num):
             col = out[e[vi]]
             o = e[oi] if oi is not None else 0
             col.extend([0] * (o + 1 - len(col)))
-            col[o] = c // cont
-        return out, Fraction(cont, den)
+            col[o] = c
+        return out, scale
 
     (fc, cf), (gc, cg) = rows(f, a), rows(g, b)
     n = a + b
@@ -691,8 +697,10 @@ def resultant(f: SparsePoly, g: SparsePoly, var) -> SparsePoly:
             row = matrix[i]
             lead = row[kpiv]
             for j in range(kpiv + 1, n):
-                num = _zsub(_zmul(piv, row[j]), _zmul(lead, pivot_row[j]))
-                row[j] = _zdiv_exact(num, prev)
+                q = _zdiv(_zsub(_zmul(piv, row[j]), _zmul(lead, pivot_row[j])), prev)
+                if q is None:
+                    raise InternalInconsistency("non-exact division in Bareiss elimination")
+                row[j] = q
             row[kpiv] = []
         prev = piv
     scale = cf ** b * cg ** a * sign
@@ -703,50 +711,6 @@ def resultant(f: SparsePoly, g: SparsePoly, var) -> SparsePoly:
             e[oi] = o
         out[tuple(e)] = scale * c
     return SparsePoly(f.field, f.vars, out)
-
-
-def _zmul(u, v):
-    """Product of trimmed integer coefficient lists."""
-    if not u or not v:
-        return []
-    out = [0] * (len(u) + len(v) - 1)
-    for i, c in enumerate(u):
-        if c:
-            for j, d in enumerate(v):
-                out[i + j] += c * d
-    return out
-
-
-def _zsub(u, v):
-    """Difference of integer coefficient lists, trimmed."""
-    if len(u) < len(v):
-        u = u + [0] * (len(v) - len(u))
-    out = [c - v[i] if i < len(v) else c for i, c in enumerate(u)]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _zdiv_exact(num, den):
-    """Quotient of integer coefficient lists; InternalInconsistency unless
-    den divides num in Z[t]."""
-    if not num:
-        return []
-    dd = len(den) - 1
-    lead = den[-1]
-    rem = list(num)
-    quo = [0] * max(len(rem) - dd, 0)
-    for i in range(len(quo) - 1, -1, -1):
-        c, r = divmod(rem[i + dd], lead)
-        if r:
-            raise InternalInconsistency("non-exact division in Bareiss elimination")
-        if c:
-            quo[i] = c
-            for t in range(dd):
-                rem[i + t] -= c * den[t]
-    if not quo or any(rem[:dd]):
-        raise InternalInconsistency("non-exact division in Bareiss elimination")
-    return quo
 
 
 # ---------------------------------------------------------------------------
@@ -804,8 +768,7 @@ def _univariate_squarefree(u: SparsePoly, var) -> bool:
     """gcd(u, u') is constant, for a u that involves only var."""
     levels, kd = u.field.levels, u.field.depth
     coeffs = u.coeff_list(var)
-    deriv = [exactnum._smul(levels, kd, Fraction(i), coeffs[i])
-             for i in range(1, len(coeffs))]
+    deriv = exactnum._pderiv(levels, kd, coeffs)
     return exactnum._pdeg(levels, kd, exactnum._pgcd_monic(
         levels, kd, coeffs, deriv)) <= 0
 
@@ -845,9 +808,8 @@ def probe_images(f: SparsePoly, vi: int):
     if f.field.depth:
         return
     P, d = exactnum._P, f.degree_in(vi)
-    den = math.lcm(*(c.denominator for c in f.terms.values()))
-    terms = [(e[vi], e[1 - vi], c.numerator * (den // c.denominator) % P)
-             for e, c in f.terms.items()]
+    num, _ = _zclear(list(f.terms.values()))
+    terms = [(e[vi], e[1 - vi], c % P) for e, c in zip(f.terms, num)]
     for t0 in _PROBE_POINTS:
         image = [0] * (d + 1)
         for i, j, c in terms:
@@ -864,8 +826,7 @@ def is_squarefree_two_vars(f: SparsePoly) -> bool:
     coefficient in v survives, g's image keeps that degree and divides the
     gcd.  Every other outcome goes to the exact squarefree_discriminant."""
     if not f.is_zero() and all(f.degree_in(vi) == 0 or any(
-            img and exactnum._coprime_images(
-                img, [i * c % exactnum._P for i, c in enumerate(img)][1:])
+            img and exactnum._coprime_images(img, exactnum._zderiv(img))
             for img in probe_images(f, vi)) for vi in (0, 1)):
         return True
     return squarefree_discriminant(f) is not None

@@ -8,6 +8,7 @@ import pytest
 
 from qres import cli
 from qres.cli import main
+from qres.errors import InternalInconsistency
 
 SCHEMA = json.load(open("docs/resolution.schema.json"))
 
@@ -185,6 +186,29 @@ def test_malformed_extension_bound_exits_2(capsys, monkeypatch):
         assert out == "", argv
         assert err == ("error: QRES_EXT_BOUND must be an integer, "
                        "got 'abc'\n"), argv
+
+
+def test_long_numerals_exit_2_and_coefficients_are_not_exponents(capsys):
+    rc, out, _ = run(capsys, "germ", "2147483649*y^2 - x")
+    assert rc == 0 and "germ: -x + 2147483649*y^2" in out
+    many = "9" * 5000                         # above Python's int() limit
+    for text, msg in ((many + "*y^2 - x", "more than 1000 digits"),
+                      ("x - 1/" + many + "*y^2", "more than 1000 digits"),
+                      ("y^" + many + " - x", "exponent above 2^31"),
+                      ("y^2147483649 - x", "exponent above 2^31")):
+        rc, out, err = run(capsys, "germ", text)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and msg in err
+
+
+def test_internal_inconsistency_exits_5_with_a_reproducer(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise InternalInconsistency("a cross-check failed")
+    monkeypatch.setattr(cli, "full_report", boom)
+    rc, out, err = run(capsys, "germ", "y^2 - x^3", "--type", "X(2;1,1)")
+    assert rc == 5 and out == ""
+    assert err == ("internal error: a cross-check failed; reproduce with: "
+                   "qres germ 'y^2 - x^3' --type 'X(2;1,1)'\n")
 
 
 def test_unwritable_output_exits_4(tmp_path, capsys):

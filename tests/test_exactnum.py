@@ -1,15 +1,20 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import spy
 from qres.errors import (BadType, DivisionByZero, ExtensionOverflow,
                          InternalInconsistency, NotInvertible, NotSquarefree)
 from qres import exactnum
 from qres.exactnum import (ExtField, Rat, SplitEvent, _add, _const, _inv,
-                           _is_zero, _mul, _neg, _pdeg, _pmul, _psub, _ptrim,
-                           _smul, _sub, _zero, adjoin_radical, adjoin_root,
-                           format_rep, is_zero_validated, lift, mod_inverse)
+                           _is_zero, _mul, _neg, _pdeg, _pgcd_monic, _pmul,
+                           _psub, _ptrim, _smul, _sub, _zero, adjoin_radical,
+                           adjoin_root, format_rep, is_zero_validated, lift,
+                           mod_inverse)
 
 QQ = ExtField(())
 
@@ -414,3 +419,99 @@ def test_split_towers_start_with_empty_memos_above_the_split():
     for f2, _ in ev.targets():
         assert f2.levels[0] is L[0]                 # below the split: kept
         assert all(not lv.units for lv in f2.levels[1:])
+
+
+# ---------------------------------------------------------------------------
+# the modular gcd over Q against a plain Fraction Euclid
+
+P61 = 2 ** 61 - 1
+
+
+def ref_gcd(u, v):
+    """Monic gcd of rational lists (low to high) by Fraction Euclid."""
+    u, v = _ptrim((), 0, u), _ptrim((), 0, v)
+    while v:
+        r = u
+        while len(r) >= len(v):
+            c, off = r[-1] / v[-1], len(r) - len(v)
+            r = _ptrim((), 0, [x - c * v[i - off] if i >= off else x
+                               for i, x in enumerate(r)])
+        u, v = v, r
+    return [x / u[-1] for x in u]
+
+
+coefficients = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    st.integers(-2 ** 70, 2 ** 70).map(Rat),
+    st.sampled_from([Rat(P61), Rat(-2 * P61), Rat(1, P61)]))
+lists = st.lists(coefficients, max_size=5)
+
+
+@given(lists, lists, lists)
+def test_modular_gcd_matches_fraction_euclid(u, v, h):
+    a, b = _pmul((), 0, u, h), _pmul((), 0, v, h)
+    assert _pgcd_monic((), 0, a, b) == ref_gcd(a, b)
+
+
+def primes_used(monkeypatch, u, v):
+    images = spy(monkeypatch, exactnum, "_gcd_mod")
+    return _pgcd_monic((), 0, u, v), [p for _, _, p in images]
+
+
+def test_an_unlucky_first_prime_is_dropped(monkeypatch):
+    # x(x + P) and x(x + 2P): the gcd is x, but mod P both are x^2
+    u = [Rat(0), Rat(P61), Rat(1)]
+    v = [Rat(0), Rat(2 * P61), Rat(1)]
+    g, used = primes_used(monkeypatch, u, v)
+    assert g == [Rat(0), Rat(1)] == ref_gcd(u, v)
+    assert used == exactnum._PRIMES[:2]
+
+
+def test_a_gcd_with_large_coefficients_needs_two_primes(monkeypatch):
+    c = 3 ** 50                                 # above 2^61
+    u = _pmul((), 0, [Rat(c), Rat(1)], [Rat(1), Rat(1)])
+    v = _pmul((), 0, [Rat(c), Rat(1)], [Rat(-1), Rat(1)])
+    g, used = primes_used(monkeypatch, u, v)
+    assert g == [Rat(c), Rat(1)]
+    assert used == exactnum._PRIMES[:2]
+
+
+def test_gcd_signs_denominators_and_zeros():
+    # -2*(x^2 - 1) and -3/2*(x - 1)
+    assert _pgcd_monic((), 0, [Rat(2), Rat(0), Rat(-2)],
+                       [Rat(3, 2), Rat(-3, 2)]) == [Rat(-1), Rat(1)]
+    assert _pgcd_monic((), 0, [Rat(1, 2), Rat(-3)], []) == [Rat(-1, 6), Rat(1)]
+    assert _pgcd_monic((), 0, [], [Rat(0), Rat(-5, 7)]) == [Rat(0), Rat(1)]
+    assert _pgcd_monic((), 0, [Rat(0)], []) == []
+    assert _pgcd_monic((), 0, [Rat(-4)], [Rat(0), Rat(1)]) == [Rat(1)]
+
+
+def strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2 ** r, n) == n - 1
+                                  for r in range(1, s))
+
+
+def test_the_prime_generator_yields_primes():
+    sieve = [True] * 20000
+    for i in range(2, 142):
+        sieve[i * i::i] = [False] * len(range(i * i, 20000, i))
+    assert all(exactnum._is_prime(n) is sieve[n] for n in range(39, 20000, 2))
+    # strong pseudoprimes to the bases 2..7 and 2..23
+    assert not exactnum._is_prime(3215031751)
+    assert not exactnum._is_prime(3825123056546413051)
+    primes = exactnum._primes()
+    got = [next(primes) for _ in range(4)]
+    assert got[0] == P61 and got == sorted(got, reverse=True)
+    for p in got:
+        assert all(strong_probable_prime(p, a) for a in (41, 43, 47, 53, 59))
+
+
+def test_importing_qres_makes_no_prime():
+    code = ("import qres, qres.cli; from qres import exactnum; "
+            "assert exactnum._PRIMES == [2 ** 61 - 1]")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

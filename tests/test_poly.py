@@ -375,7 +375,8 @@ def test_coprimality_certificate_is_sound(u, v):
     u, v = trimmed(u), trimmed(v)
     if not u or not v:
         return
-    if exactnum._coprime_mod_p(u, v):
+    U, V = exactnum._zclear(u)[0], exactnum._zclear(v)[0]
+    if U[-1] % P61 and V[-1] % P61 and exactnum._coprime_images(U, V):
         assert euclid_gcd(u, v) == [Rat(1)]
     assert exactnum._pgcd_monic((), 0, u, v) == euclid_gcd(u, v)
 
@@ -390,22 +391,100 @@ def test_gcd_recovers_a_common_factor(u, v, h):
     assert poly_gcd(f * h, g * h).coeff_list() == expect
 
 
-def test_certificate_falls_back_on_multiples_of_the_prime():
-    # (y - 1)(y - 2) and P61*(y - 1)*y: P61 divides the second leading
-    # coefficient, so the prime certifies nothing and Euclid finds y - 1
+def test_certificate_falls_back_on_multiples_of_the_prime(monkeypatch):
+    images = spy(monkeypatch, exactnum, "_gcd_mod")
+    primes = exactnum._primes()
+    assert next(primes) == P61
+    P2, P3 = next(primes), next(primes)
+
+    def primes_used(u, v):
+        images.clear()
+        out = exactnum._pgcd_monic((), 0, u, v)
+        return out, [p for _, _, p in images]
+    # (y - 1)(y - 2) and P61*(y - 1)*y: the content P61 is divided out
+    # (Gauss's lemma), so the first prime finds y - 1
     u = [Rat(2), Rat(-3), Rat(1)]
     v = [Rat(0), Rat(-P61), Rat(P61)]
-    assert not exactnum._coprime_mod_p(u, v)
-    assert exactnum._pgcd_monic((), 0, u, v) == [Rat(-1), Rat(1)]
-    # a common factor P61*y + 1 that is a unit mod P61
+    assert primes_used(u, v) == ([Rat(-1), Rat(1)], [P61])
+    # a common factor P61*y + 1: P61 divides both leading coefficients and
+    # is skipped; the gcd's leading coefficient P61 needs two more primes
     u = [Rat(-2), Rat(1 - 2 * P61), Rat(P61)]
     v = [Rat(-3), Rat(1 - 3 * P61), Rat(P61)]
-    assert not exactnum._coprime_mod_p(u, v)
-    assert exactnum._pgcd_monic((), 0, u, v) == [Rat(1, P61), Rat(1)]
-    # y + P61 and y are coprime over Q but equal mod P61: Euclid decides
+    assert primes_used(u, v) == ([Rat(1, P61), Rat(1)], [P2, P3])
+    # y + P61 and y are coprime over Q but equal mod P61: the candidate y
+    # fails the trial division, and the next prime finds them coprime
     u, v = [Rat(P61), Rat(1)], [Rat(0), Rat(1)]
-    assert not exactnum._coprime_mod_p(u, v)
-    assert exactnum._pgcd_monic((), 0, u, v) == [Rat(1)]
+    assert primes_used(u, v) == ([Rat(1)], [P61, P2])
+
+
+def ref_divide(u, v):
+    """u / v over Q by long division; the remainder must be zero."""
+    u, q = trimmed(u), [Rat(0)] * max(len(u) - len(v) + 1, 0)
+    while len(u) >= len(v):
+        c = u[-1] / v[-1]
+        q[len(u) - len(v)] = c
+        off = len(u) - len(v)
+        u = trimmed([x - c * v[i - off] if i >= off else x
+                     for i, x in enumerate(u)])
+    assert not u
+    return trimmed(q)
+
+
+def ref_yun(u):
+    """Yun's algorithm with Fraction Euclid: (radical, [(factor, m)]),
+    all monic coefficient lists."""
+    f = [c / u[-1] for c in u]
+
+    def deriv(w):
+        return [i * c for i, c in enumerate(w)][1:]
+    a = euclid_gcd(f, deriv(f))
+    w, y = ref_divide(f, a), ref_divide(deriv(f), a)
+    radical, factors, m = w, [], 1
+    while len(w) > 1:
+        z = trimmed([c - d for c, d in zip(y + [Rat(0)] * len(w),
+                                           deriv(w) + [Rat(0)] * len(y))])
+        a = euclid_gcd(w, z)
+        if len(a) > 1:
+            factors.append((a, m))
+        w, y, m = ref_divide(w, a), ref_divide(z, a), m + 1
+    return radical, factors
+
+
+big = st.integers(-2 ** 70, 2 ** 70).map(Rat)
+pieces = st.lists(st.one_of(rationals, big), min_size=2, max_size=4).filter(
+    lambda u: u[-1] != 0)
+
+
+@given(st.lists(st.tuples(pieces, st.integers(1, 3)), min_size=1, max_size=3),
+       scales)
+def test_yun_over_q_matches_a_fraction_yun(parts, scale):
+    f = SparsePoly.const(QQ, ("y",), scale)
+    for piece, e in parts:
+        f = f * SparsePoly.from_univariate(QQ, "y", piece) ** e
+    radical, factors = squarefree_part(f)
+    rad, ref = ref_yun(f.coeff_list())
+    assert radical.coeff_list() == rad
+    assert [(fac.coeff_list(), m) for fac, m in factors] == ref
+
+
+def test_yun_step_with_a_zero_z(monkeypatch):
+    # on (y - 1)^3 the last step has z = y - w' = 0 and gcd(w, 0) = w
+    gcds = spy(monkeypatch, exactnum, "_zgcd")
+    radical, factors = squarefree_part(parse_poly("(y - 1)^3", ("y",)))
+    assert radical == parse_poly("y - 1", ("y",))
+    assert factors == [(parse_poly("y - 1", ("y",)), 3)]
+    assert gcds[-1] == ([-1, 1], [])
+
+
+def test_gcd_and_yun_over_q_make_no_fraction_division(monkeypatch):
+    divisions = spy(monkeypatch, exactnum, "_pdivmod")
+    for text in ("(y - 1)^2 * (y + 2)", "3*y^3 * (y + 1)^2 * (2*y - 1)",
+                 "(y^2 - 2)^3", "(y - 1)^3", "1/2*y^4 - 7/3", "5"):
+        squarefree_part(parse_poly(text, ("y",)))
+    for a, b in (("y^2 - 1", "(y - 1)^2"), ("y", "0"), ("0", "3*y - 1"),
+                 ("0", "0"), ("y^3 + 1/2", "2")):
+        poly_gcd(parse_poly(a, ("y",)), parse_poly(b, ("y",)))
+    assert divisions == []
 
 
 # ---------------------------------------------------------------------------
