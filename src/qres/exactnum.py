@@ -312,7 +312,8 @@ def _pgcd_monic(levels, k, f, g):
 
 # ---------------------------------------------------------------------------
 # integer polynomials (int lists, low to high, trimmed) and their images
-# over GF(p): the gcd over Q, Yun over Q and poly.resultant's Bareiss
+# over GF(p): the gcd over Q, Yun over Q, poly's Bareiss elimination and
+# the irreducibility certificate of the singular-locus search
 
 
 _P = 2 ** 61 - 1
@@ -383,6 +384,57 @@ def _gcd_mod(a, b, p):
     while b:
         a, b = b, _prem_mod(a, b, p)
     return a
+
+
+_DDF_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def certified_irreducible(A) -> bool:
+    """True only if the integer polynomial A (degree >= 1) is irreducible
+    over Q (Musser 1978): for a p in _DDF_PRIMES dividing no lc(A) and
+    leaving A squarefree, a factor of degree d in Z[x] maps to distinct
+    irreducible factors mod p, so d is a sum of some of their degrees.  No
+    d in 1..deg A - 1 may be such a sum for every prime used."""
+    undecided = set(range(1, len(A) - 1))
+    for p in _DDF_PRIMES:
+        if not undecided:
+            break
+        a = _monic_mod(A, p)
+        if len(a) != len(A) or len(_gcd_mod(a, _monic_mod(_zderiv(a), p), p)) > 1:
+            continue
+        sums = {0}
+        for d in _ddf_degrees(a, p):
+            sums |= {s + d for s in sums}
+        undecided &= sums
+    return not undecided
+
+
+def _monic_mod(a, p):
+    """The monic image of an integer list over GF(p), trimmed."""
+    a = [c % p for c in a]
+    while a and not a[-1]:
+        a.pop()
+    inv = pow(a[-1], -1, p) if a else 0
+    return [c * inv % p for c in a]
+
+
+def _ddf_degrees(f, p):
+    """Degrees of the irreducible factors of a monic squarefree f over GF(p):
+    gcd(f, x^(p^d) - x) has degree sum(e N_e) over the e dividing d, N_e
+    factors having degree e; at most one has degree above deg f / 2."""
+    n = len(f) - 1
+    counts, h = {}, [0, 1]
+    for d in range(1, n // 2 + 1):
+        m, base, h = p, h, [1]                 # h = h^p mod f
+        while m:
+            if m & 1:
+                h = _prem_mod(_zmul(h, base), f, p)
+            base, m = _prem_mod(_zmul(base, base), f, p), m >> 1
+        g = _gcd_mod(f, _monic_mod(_zsub(h, [0, 1]), p), p)
+        below = sum(e * c for e, c in counts.items() if d % e == 0)
+        counts[d] = (len(g) - 1 - below) // d
+    out = [d for d, c in counts.items() for _ in range(c)]
+    return out + [n - sum(out)] * (sum(out) < n)
 
 
 def _coprime_images(a, b) -> bool:

@@ -31,6 +31,9 @@ from .exactnum import ExtField, _zclear, _zdiv, _zmul, _zsub
 
 MAX_EXPONENT = 2 ** 31
 MAX_DIGITS = 1000       # digits of an integer literal that is not an exponent
+MAX_COEFF_DIGITS = 4300     # of a coefficient: Python's int -> str limit
+_COEFF_LIMIT = 10 ** MAX_COEFF_DIGITS
+_COEFF_BITS = _COEFF_LIMIT.bit_length()     # of every integer >= the limit
 
 
 class SparsePoly:
@@ -393,21 +396,48 @@ def parse_poly(text: str, variables) -> SparsePoly:
             return SparsePoly.variable(field, variables, name)
         raise PolySyntaxError("unexpected %r at position %d" % (ch or "end of input", pos))
 
+    def too_long(at: int):
+        return PolySyntaxError("coefficient of more than %d digits after %r "
+                               "at position %d" % (MAX_COEFF_DIGITS, text[at], at))
+
+    def printable(p: SparsePoly, at: int, exps=None) -> SparsePoly:
+        # only the coefficients at exps (all by default) may have grown
+        terms = p.terms
+        for e in terms if exps is None else exps:
+            c = terms.get(e, 0)
+            if ((c.numerator.bit_length() >= _COEFF_BITS
+                 or c.denominator.bit_length() >= _COEFF_BITS)
+                    and max(abs(c.numerator), c.denominator) >= _COEFF_LIMIT):
+                raise too_long(at)
+        return p
+
     def factor() -> SparsePoly:
         nonlocal pos
         b = base()
         skip()
         if pos < n and text[pos] == "^":
+            at = pos
             pos += 1
-            b = b ** natural(exponent=True)
+            e = natural(exponent=True)
+            # b's coefficient at its largest exponent tuple, to the power e,
+            # is one of b^e: a huge power is refused before it is expanded
+            c = b.terms[max(b.terms)] if b.terms else Fraction(0)
+            big = max(abs(c.numerator), c.denominator)
+            if len(b.terms) == 1 and big == 1:
+                b = b ** e                  # a unit monomial stays one
+            elif (big.bit_length() - 1) * e >= _COEFF_BITS:
+                raise too_long(at)
+            else:
+                b = printable(b ** e, at)
         return b
 
     def term() -> SparsePoly:
         nonlocal pos
         f = factor()
         while peek() == "*":
+            at = pos
             pos += 1
-            f = f * factor()
+            f = printable(f * factor(), at)
         return f
 
     def expr() -> SparsePoly:
@@ -420,10 +450,10 @@ def parse_poly(text: str, variables) -> SparsePoly:
         if sign < 0:
             t = -t
         while peek() in ("+", "-"):
-            op = text[pos]
+            at, op = pos, text[pos]
             pos += 1
             t2 = term()
-            t = t - t2 if op == "-" else t + t2
+            t = printable(t - t2 if op == "-" else t + t2, at, t2.terms)
         return t
 
     result = expr()
@@ -600,14 +630,9 @@ def resultant(f: SparsePoly, g: SparsePoly, var) -> SparsePoly:
     """Resultant over Q with respect to var, eliminating it.
 
     Entries may involve one further variable; the answer is returned in the
-    same ring.  An input c * var^k has a closed form.  Otherwise each input
-    is scaled to a primitive polynomial over Z, f = cf * F and g = cg * G
-    with cf, cg rational, and Res(f, g) = cf^b * cg^a * Res(F, G), where a
-    and b are the degrees of f and g in var.  Res(F, G) is a fraction-free
-    (Bareiss) determinant of the Sylvester matrix whose entries are integer
-    coefficient lists in the other variable; every step divides exactly by
-    the previous pivot, and the scale is applied once at the end.
-    Coefficients in a tower field raise ValueError.
+    same ring.  An input c * var^k has a closed form; otherwise it is the
+    fraction-free determinant S_0 of _subresultant.  Coefficients in a tower
+    field raise ValueError.
     """
     if f.field != g.field or f.vars != g.vars:
         raise ValueError("resultant of polynomials in different rings")
@@ -650,8 +675,26 @@ def resultant(f: SparsePoly, g: SparsePoly, var) -> SparsePoly:
             res = -res
         return res
 
-    # general case: Bareiss over Z on the Sylvester matrix; entries are
-    # integer coefficient lists (low to high) in the remaining variable
+    return _subresultant(f, g, vi, a, b, 0)
+
+
+def first_subresultant(f: SparsePoly, g: SparsePoly, var) -> SparsePoly:
+    """S_1 = A y + B of f and g over Q in var = y, degrees m > n >= 1 in y
+    (Collins 1967), in f's ring.  Where both leading coefficients in y stay
+    nonzero, gcd(f, g) is linear exactly where A is, and then is S_1."""
+    vi = f._vi(var)
+    a, b = f.degree_in(vi), g.degree_in(vi)
+    if not a > b >= 1:
+        raise ValueError("first_subresultant needs deg f > deg g >= 1")
+    return _subresultant(f, g, vi, a, b, 1)
+
+
+def _subresultant(f, g, vi, a, b, j):
+    """S_j (j = 0 or 1) of f and g, of degrees a and b >= j in variable vi.
+    _bareiss on the b - j shifted rows of F and a - j of G (f = cf * F and
+    g = cg * G, F and G primitive over Z; entries are coefficient lists in
+    the other variable) leaves S_j's coefficients in the last row
+    (Sylvester's identity), up to the sign and scale applied at the end."""
     rest = [i for i in range(len(f.vars)) if i != vi]
     if any(e[i] for i in rest[1:] for e in list(f.terms) + list(g.terms)):
         raise ValueError("resultant entries may involve at most one other variable")
@@ -669,26 +712,37 @@ def resultant(f: SparsePoly, g: SparsePoly, var) -> SparsePoly:
         return out, scale
 
     (fc, cf), (gc, cg) = rows(f, a), rows(g, b)
-    n = a + b
+    width = a + b - j
     matrix = []
-    for i in range(b):
-        row = [[] for _ in range(n)]
-        for j in range(a + 1):
-            row[i + j] = fc[a - j]
-        matrix.append(row)
-    for i in range(a):
-        row = [[] for _ in range(n)]
-        for j in range(b + 1):
-            row[i + j] = gc[b - j]
-        matrix.append(row)
+    for shifts, coeffs, d in ((b - j, fc, a), (a - j, gc, b)):
+        for i in range(shifts):
+            row = [[] for _ in range(width)]
+            for t in range(d + 1):
+                row[i + t] = coeffs[d - t]
+            matrix.append(row)
+    scale = cf ** (b - j) * cg ** (a - j) * _bareiss(matrix)
+    out = {}
+    for deg in range(j + 1):
+        for o, c in enumerate(matrix[-1][width - 1 - deg]):
+            e = [0] * len(f.vars)
+            e[vi] = deg
+            if oi is not None:
+                e[oi] = o
+            out[tuple(e)] = scale * c
+    return SparsePoly(f.field, f.vars, out)
 
-    sign = 1
-    prev = [1]
+
+def _bareiss(matrix) -> int:
+    """Fraction-free elimination of the first n - 1 columns of n rows of
+    integer coefficient lists, in place, dividing exactly by the previous
+    pivot.  Returns the row-swap sign, or 0 when a column has no pivot."""
+    sign, prev = 1, [1]
+    n, width = len(matrix), len(matrix[0])
     for kpiv in range(n - 1):
         if not matrix[kpiv][kpiv]:
             swap = next((r for r in range(kpiv + 1, n) if matrix[r][kpiv]), None)
             if swap is None:
-                return SparsePoly.zero(f.field, f.vars)
+                return 0
             matrix[kpiv], matrix[swap] = matrix[swap], matrix[kpiv]
             sign = -sign
         pivot_row = matrix[kpiv]
@@ -696,21 +750,14 @@ def resultant(f: SparsePoly, g: SparsePoly, var) -> SparsePoly:
         for i in range(kpiv + 1, n):
             row = matrix[i]
             lead = row[kpiv]
-            for j in range(kpiv + 1, n):
-                q = _zdiv(_zsub(_zmul(piv, row[j]), _zmul(lead, pivot_row[j])), prev)
+            for jc in range(kpiv + 1, width):
+                q = _zdiv(_zsub(_zmul(piv, row[jc]), _zmul(lead, pivot_row[jc])), prev)
                 if q is None:
                     raise InternalInconsistency("non-exact division in Bareiss elimination")
-                row[j] = q
+                row[jc] = q
             row[kpiv] = []
         prev = piv
-    scale = cf ** b * cg ** a * sign
-    out = {}
-    for o, c in enumerate(matrix[n - 1][n - 1]):
-        e = [0] * len(f.vars)
-        if oi is not None:
-            e[oi] = o
-        out[tuple(e)] = scale * c
-    return SparsePoly(f.field, f.vars, out)
+    return sign
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,11 @@ multiplicity, and the local delta of the whole cluster comes out of one
 resolution over the cluster's field.  Split handling and the adjunction of
 chart radicals are exactnum's (SplitEvent.targets, adjoin_radical), shared
 with the resolution engine.
+
+An affine cluster's y-coordinate comes from the first subresultant of the
+slice and its y-derivative, with no gcd over the tower, where the cluster's
+minimal polynomial is certified irreducible; elsewhere a tower gcd, which
+splits a cluster over a reducible tower, finds it.
 """
 
 from __future__ import annotations
@@ -24,9 +29,11 @@ from .errors import (BadType, InternalInconsistency, NonDivisibleExponent,
                      NonExactDivision, NotQuasiHomogeneous, NotReduced,
                      PointNotOnCurve, ZeroPolynomial)
 from .exactnum import (ExtField, Rat, SplitEvent, _add, _inv, _is_zero, _mul,
-                       _sub, adjoin_radical, adjoin_root, format_rep, lift)
-from .poly import (SparsePoly, poly_gcd, resultant, squarefree_discriminant,
-                   squarefree_part)
+                       _neg, _pdivmod, _sub, _zclear, adjoin_radical,
+                       adjoin_root, certified_irreducible, format_rep,
+                       is_zero_validated, lift)
+from .poly import (SparsePoly, _columns, first_subresultant, poly_gcd,
+                   resultant, squarefree_discriminant, squarefree_part)
 from .quotsing import QuotType, SMOOTH, normalize_with_multipliers
 from .resolve import EngineConfig, resolve_germ
 from .invariants import delta_breakdown
@@ -379,11 +386,15 @@ def _affine_stratum(F0: SparsePoly, elimination, w0: int, tag: str):
     certifies the stratum empty.
 
     The squarefree candidate polynomial s(t) in t = x^w0 gives the field
-    Q(t, u), u^w0 = t, which cannot split (_cluster_field).  Only the next
-    step can: the gcd of the sliced system at x = u, whose squarefree part
-    gives a counted root v.  That step runs under _with_splits, so a
+    Q(t, u) = Q[x]/S, S = s(x^w0), u^w0 = t, which cannot split
+    (_cluster_field).  Where certified_irreducible proves S irreducible,
+    _subresultant_root finds the counted root v.  Otherwise, where it does
+    not decide, or for deg_y F0 < 2, the squarefree part of the gcd of the
+    sliced system at x = u gives v.  That gcd runs under _with_splits: a
     reducible level of Q(t, u) restarts it in the factor towers that
-    SplitEvent.targets() names.  Returns a list of (field, u, v)."""
+    SplitEvent.targets() names, and the cluster is listed as those packets.
+    Hence the guard: over a reducible tower S_1 can give one v, and one
+    cluster where the gcd lists several.  Returns a list of (field, u, v)."""
     if F0.degree_in("x") == 0 or F0.degree_in("y") == 0:
         return []
     q, body, disc = elimination
@@ -437,7 +448,55 @@ def _affine_stratum(F0: SparsePoly, elimination, w0: int, tag: str):
         return f2, lift(f2.levels, field.depth, f2.depth, u0), v0
 
     field, u0 = _cluster_field(s, w0, "t" + tag, "u" + tag)
+    sc = s.coeff_list("x")
+    S = [0] * ((len(sc) - 1) * w0 + 1)
+    S[::w0] = _zclear(sc)[0]
+    if F0.degree_in("y") >= 2 and certified_irreducible(S):
+        try:
+            v0 = _subresultant_root(polys, sc, w0, field)
+        except _Drop:
+            return []
+        if v0 is not None:
+            return [(field, u0, v0)]
     return _with_splits(field, (u0,), roots_over)
+
+
+def _subresultant_root(polys, sc, w0, field):
+    """The counted root v over the field Q[x]/S of _affine_stratum, or None.
+
+    polys is (F0, F0_x, F0_y), sc the monic s; c(x) over Q is c mod s at u,
+    or for w0 > 1 the tuple of the c_r mod s, c = sum_r x^r c_r(x^w0).  The
+    candidates make F0(u, y) and F0_y(u, y) share a root, so where lc_y
+    F0(u) and A(u) are nonzero their gcd is S_1(u) = A(u) y + B(u) and
+    v = -B(u)/A(u).  F0_x(u, v) = 0 keeps the point, else _Drop."""
+    F0, Fx, Fy = polys
+    lv, k = field.levels, field.depth
+    n = len(sc) - 1
+
+    def storey(c):
+        _, r = _pdivmod((), 0, c, sc)
+        r += [Rat(0)] * (n - len(r))
+        return tuple(r) if n > 1 else r[0]
+
+    def at_u(c):
+        return storey(c) if w0 == 1 else tuple(storey(c[r::w0])
+                                               for r in range(w0))
+
+    lc = _columns(F0, 1)[F0.degree_in("y")]
+    s1 = _columns(first_subresultant(F0, Fy, "y"), 1)
+    a = at_u(s1.get(1, []))
+    if _is_zero(lv, k, at_u(lc)) or _is_zero(lv, k, a):
+        return None
+    v = _neg(lv, k, _mul(lv, k, at_u(s1.get(0, [])), _inv(lv, k, a)))
+    cols = _columns(Fx, 1)
+    acc = field.zero()
+    for j in range(max(cols), -1, -1):
+        acc = _mul(lv, k, acc, v)
+        if j in cols:
+            acc = _add(lv, k, acc, at_u(cols[j]))
+    if not is_zero_validated(field, acc):
+        raise _Drop()
+    return v
 
 
 def _axis_stratum(F0: SparsePoly, axis_divides: bool, w_chart: int, tag: str):

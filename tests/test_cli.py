@@ -201,6 +201,27 @@ def test_long_numerals_exit_2_and_coefficients_are_not_exponents(capsys):
         assert err.startswith("error: ") and msg in err
 
 
+def test_coefficients_that_could_not_be_printed_exit_2(capsys):
+    """Python prints no integer of more than 4300 digits; the parser
+    refuses such a coefficient after the operator that makes it."""
+    big = "(2147483647*y)^300"                      # 2800 digits
+    for text, at in (("(2147483647*y)^600 - x", "'^' at position 14"),
+                     ("(2*y)^2000000000 - x", "'^' at position 5"),
+                     (big + "*" + big + " - x", "'*' at position 18"),
+                     ("x - (1/7*y)^5089", "'^' at position 11"),
+                     ("((10^4299 - 1)*10 + 10)*x - y^2",
+                      "'+' at position 18")):
+        rc, out, err = run(capsys, "germ", text)
+        assert rc == 2 and out == ""
+        assert err == ("error: coefficient of more than 4300 digits after "
+                       "%s\n" % at)
+    # 10^4300 - 1 and 7^5088 have 4300 digits
+    for text in ("((10^4299 - 1)*10 + 9)*x - y^2", "x - (1/7*y)^5088"):
+        rc, out, _ = run(capsys, "germ", text)
+        assert rc == 0
+    assert "9" * 4300 in run(capsys, "germ", "((10^4299 - 1)*10 + 9)*x - y^2")[1]
+
+
 def test_internal_inconsistency_exits_5_with_a_reproducer(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise InternalInconsistency("a cross-check failed")

@@ -515,3 +515,52 @@ def test_importing_qres_makes_no_prime():
             "assert exactnum._PRIMES == [2 ** 61 - 1]")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+# the irreducibility certificate over Q
+
+
+QUARTIC_PRODUCT_S = [256, 0, 0, 0, 893, -200, 90, -16, 1115, -275, 105, -17,
+                     433, 0, 0, 0, 81]
+
+
+def cyclotomic(p):
+    return [1] * p
+
+
+@pytest.mark.parametrize("A", [[-2, 1], [-2, 0, 1], [-2, 0, 0, 0, 0, 1],
+                               [-2] + [0] * 11 + [1], cyclotomic(3),
+                               cyclotomic(5), cyclotomic(7), cyclotomic(13),
+                               QUARTIC_PRODUCT_S])
+def test_the_certificate_accepts_irreducible_polynomials(A):
+    """x^n - 2 (Eisenstein), cyclotomic Phi_p, and the candidate polynomial
+    of degree 16 of the singular-locus search on the product of two plane
+    quartics (its 16 crossings are conjugate)."""
+    assert exactnum.certified_irreducible(A)
+
+
+def test_distinct_degree_patterns():
+    # x^3 + x + 1 is irreducible mod 2; x^2 - 4 = (x - 2)(x + 2) mod 5
+    assert exactnum._ddf_degrees([1, 1, 0, 1], 2) == [3]
+    assert exactnum._ddf_degrees([1, 0, 1], 5) == [1, 1]
+    # (x^2 + 1)(x^3 + 2x + 1)(x + 1) mod 3; the first two have no root
+    f = exactnum._monic_mod(exactnum._zmul(exactnum._zmul(
+        [1, 0, 1], [1, 2, 0, 1]), [1, 1]), 3)
+    assert sorted(exactnum._ddf_degrees(f, 3)) == [1, 2, 3]
+
+
+integer_factor = st.builds(
+    lambda tail, lead: tail + [lead],
+    st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+    st.integers(-4, 4).filter(bool))
+
+
+@given(integer_factor, integer_factor)
+def test_the_certificate_refuses_products(G, H):
+    assert not exactnum.certified_irreducible(exactnum._zmul(G, H))
+
+
+@given(st.integers(-50, 50), st.integers(1, 20))
+def test_the_certificate_refuses_a_square_under_a_radical(p, q):
+    """s(x^2) for s(t) = t - c^2, c = p/q: q^2 x^2 - p^2 = (qx - p)(qx + p)."""
+    assert not exactnum.certified_irreducible([-p * p, 0, q * q])

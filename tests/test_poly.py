@@ -544,3 +544,75 @@ def test_probe_decides_squarefree_inputs_alone(monkeypatch):
                  "(x + y)^40 - y^41", "(x - 1)*(y^2 + 1)", "7"):
         assert is_squarefree_two_vars(germ(text)) is True
     assert exact == []
+
+
+def subresultant_1_at(fc, gc):
+    """(A, B) of S_1 = A y + B by definition: determinants of the first
+    m + n - 3 columns of the subresultant matrix of fc and gc (coefficient
+    lists, highest first, of degrees m > n) with its y^1 or y^0 column."""
+    m, n = len(fc) - 1, len(gc) - 1
+    width = m + n - 1
+    rows = [[Rat(0)] * i + fc + [Rat(0)] * (width - m - 1 - i)
+            for i in range(n - 1)]
+    rows += [[Rat(0)] * i + gc + [Rat(0)] * (width - n - 1 - i)
+             for i in range(m - 1)]
+    return tuple(fraction_det([r[:width - 2] + [r[col]] for r in rows])
+                 for col in (width - 2, width - 1))
+
+
+def assert_first_subresultant(f, g):
+    """first_subresultant agrees with subresultant_1_at at more points x0
+    than its degree in x."""
+    s1 = poly.first_subresultant(f, g, "y")
+    assert s1.degree_in("y") <= 1
+    for x0 in range(f.degree_in("x") * g.degree_in("y")
+                    + g.degree_in("x") * f.degree_in("y") + 1):
+        assert coefficients_at(s1, x0) == subresultant_1_at(
+            y_coeffs_at(f, x0), y_coeffs_at(g, x0))
+
+
+def coefficients_at(s1, x0):
+    """(A(x0), B(x0)) for S_1 = A y + B."""
+    return tuple(sum((c * Rat(x0) ** e[0] for e, c in s1.terms.items()
+                      if e[1] == j), Rat(0)) for j in (1, 0))
+
+
+def in_y(dy):
+    """Polynomials of degree exactly dy in y, at most 2 in x."""
+    coeff = st.lists(rationals, min_size=1, max_size=3)
+    return st.builds(
+        lambda cols, lead: SparsePoly(QQ, ("x", "y"), {
+            (i, j): c for j, col in enumerate(cols + [lead])
+            for i, c in enumerate(col)}),
+        st.lists(coeff, min_size=dy, max_size=dy),
+        coeff.filter(any))
+
+
+@given(st.integers(2, 5).flatmap(lambda m: st.tuples(
+    in_y(m), st.integers(1, m - 1).flatmap(in_y))), scales, scales)
+def test_first_subresultant_is_the_determinant_by_definition(fg, sf, sg):
+    f, g = fg
+    assert_first_subresultant(f.scale(sf), g.scale(sg))
+
+
+@pytest.mark.parametrize("f,g", [
+    ("y^3 + x", "y^2 + 1"),               # a leading 2 x 2 minor is 0
+    ("y^4 + x*y + 1", "y^2 + x"),
+    ("y^5 - x", "y^3 + x*y"),
+    ("(y^2 + 1)*(y + x)", "y^2 + 1"),     # gcd of degree 2: S_1 = 0
+    ("y^2 + x*y", "x*y + 1/2"),           # S_1 = g
+])
+def test_first_subresultant_through_vanishing_minors(f, g):
+    assert_first_subresultant(germ(f), germ(g))
+
+
+def test_first_subresultant_is_the_gcd_where_it_is_linear():
+    f = germ("(y - x)*(y - 2)*(y + 3*x)")
+    s1 = poly.first_subresultant(f, f.derivative("y"), "y")
+    # at x = 2 the roots x and 2 meet: the gcd is y - 2, and so is S_1
+    a, b = coefficients_at(s1, 2)
+    assert a and -b / a == 2
+    assert poly.first_subresultant(germ("(y^2 + 1)*(y + x)"), germ("y^2 + 1"),
+                                   "y").is_zero()
+    with pytest.raises(ValueError):
+        poly.first_subresultant(f.derivative("y"), f, "y")

@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import curve
-from qres import poly, wproj
+from conftest import curve, spy
+from qres import exactnum, poly, wproj
 from qres.errors import (BadType, NonDivisibleExponent, NotQuasiHomogeneous,
-                         NotReduced, PointNotOnCurve)
+                         NotReduced, PointNotOnCurve, QresError)
 from qres.exactnum import ExtField, Rat, SplitEvent
 from qres.poly import SparsePoly
 from qres.quotsing import SMOOTH
@@ -311,3 +312,82 @@ def test_generic_degree_40_curve_on_2_3_5():
     assert rep.virtual == 21
     assert kinds(rep) == [("vertex", 1, "1")]
     assert rep.genus == interior
+
+
+CONIC_TIMES_CUBIC = ("(x0^2 + 2*x1^2 - 3*x2^2 + x0*x1)"
+                     "*(x0^3 + x1^3 + 2*x2^3 - x0*x1*x2)")
+
+
+def test_the_search_runs_no_gcd_over_a_tower(monkeypatch):
+    """The six crossings of a conic and a cubic form one cluster whose
+    minimal polynomial is irreducible: the first subresultant gives its
+    y-coordinate, and no gcd or polynomial division runs over the tower."""
+    over_tower, inside = [], [False]
+    gcd, divmod_ = wproj.poly_gcd, exactnum._pdivmod
+
+    def counting_gcd(f, g):
+        if inside[0] and f.field.depth:
+            over_tower.append("poly_gcd")
+        return gcd(f, g)
+
+    def counting_divmod(levels, k, num, den):
+        if inside[0] and k:
+            over_tower.append("_pdivmod")
+        return divmod_(levels, k, num, den)
+    stratum = wproj._affine_stratum
+
+    def marked(*args):
+        inside[0] = True
+        try:
+            return stratum(*args)
+        finally:
+            inside[0] = False
+    monkeypatch.setattr(wproj, "poly_gcd", counting_gcd)
+    monkeypatch.setattr(exactnum, "_pdivmod", counting_divmod)
+    monkeypatch.setattr(wproj, "_affine_stratum", marked)
+    roots = spy(monkeypatch, wproj, "_subresultant_root")
+    rep = genus(curve(CONIC_TIMES_CUBIC), w("1,1,1"))
+    assert rep.genus == 0
+    assert kinds(rep) == [("affine", 6, "6")]
+    assert len(roots) == 1 and over_tower == []
+
+
+def generic_curve(w, d, coeffs):
+    """Every monomial of weighted degree d on P(w), with the given
+    coefficients in turn."""
+    terms = {}
+    for a in range(d // w[0] + 1):
+        for b in range((d - a * w[0]) // w[1] + 1):
+            c, r = divmod(d - a * w[0] - b * w[1], w[2])
+            if r == 0:
+                terms[(a, b, c)] = Rat(next(coeffs))
+    return SparsePoly(QQ, ("x0", "x1", "x2"), terms)
+
+
+NODAL_PRODUCTS = [((1, 1, 1), 1, 3), ((1, 1, 1), 2, 2), ((1, 1, 1), 2, 3),
+                  ((1, 2, 3), 3, 4), ((1, 2, 3), 2, 6), ((1, 2, 3), 4, 4),
+                  ((2, 3, 5), 5, 10), ((2, 3, 5), 6, 10), ((2, 3, 5), 10, 10)]
+
+
+def located(F, weights):
+    try:
+        return singular_locus(F, weights)
+    except QresError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=20)
+@given(st.sampled_from(NODAL_PRODUCTS),
+       st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=60,
+                max_size=60))
+def test_the_subresultant_root_agrees_with_the_tower_gcd(case, coeffs):
+    """Products of two generic curves: the points found through the first
+    subresultant equal, field by field and germ by germ, those of the
+    tower gcd that the search falls back on."""
+    ws, d1, d2 = case
+    it = iter(coeffs * 2)
+    F = generic_curve(ws, d1, it) * generic_curve(ws, d2, it)
+    fast = located(F, Weights(*ws))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wproj, "certified_irreducible", lambda S: False)
+        assert located(F, Weights(*ws)) == fast
