@@ -3,7 +3,6 @@ compare what they print.
 
 Usage:
     python3 scripts/differential.py --against REV [--seed N]
-        [--arrangements K] [--timeout S] [--tiny] [--show M]
 
 REV (any git revision) is checked out with `git worktree` into a temporary
 directory, which needs no network, and removed afterwards.  Each tree runs
@@ -12,17 +11,19 @@ the corpus through `qres.cli.main` in a process of its own, with its own
 once, in this tree:
 
 - every argv of the golden tests (tests/test_golden.py);
-- the three perfbench corpora at the seed (`--tiny`: their tiny versions).
+- the three perfbench corpora at the seed.
   Germ and curve items run as `qres germ` / `qres curve --json`, resolve
   items as `qres resolve --json -`, and a pair (C, D) as the germ of the
   product C*D, whose delta_w carries the intersection number of C and D;
-- K seeded arrangements of 3 or 4 lines and conics on P(1,1,1), which
-  reach tower splits in the singular-locus search.
+- ARRANGEMENTS seeded arrangements of 3 or 4 lines and conics on
+  P(1,1,1), which reach tower splits in the singular-locus search.
 
-A timer signal stops a case after S seconds of wall time.  The report
-counts identical cases, cases whose stdout, stderr or exit code differ,
-and cases stopped on both sides or on one; then it shows the first M
-differences.  Exit code 0 when no case differs, 1 otherwise.
+A timer signal stops a case after TIMEOUT seconds of wall time.  The
+report counts identical cases, cases whose stdout, stderr or exit code
+differ, and cases stopped on both sides or on one; then it shows the first
+SHOW differences.  Exit code 0 when every case is identical or stopped on
+both sides, 1 otherwise: a case stopped on one side only is a slowdown (or
+a speed-up) too large to call equal.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIMEOUT = 20.0          # seconds of wall time per case
+ARRANGEMENTS = 40
+SHOW = 5
 
 
 def arrangement(rng) -> str:
@@ -100,7 +104,7 @@ def _stop(signum, frame):
     raise _Stopped()
 
 
-def run_cases(corpus, timeout):
+def run_cases(corpus):
     import qres
     from qres.cli import main
 
@@ -116,7 +120,7 @@ def run_cases(corpus, timeout):
         try:
             with contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(err):
-                signal.setitimer(signal.ITIMER_REAL, timeout)
+                signal.setitimer(signal.ITIMER_REAL, TIMEOUT)
                 try:
                     rc = main(list(argv))
                 finally:
@@ -132,8 +136,8 @@ def run_cases(corpus, timeout):
     return results
 
 
-def worker(corpus_path, out_path, timeout):
-    results = run_cases(load(corpus_path), timeout)
+def worker(corpus_path, out_path):
+    results = run_cases(load(corpus_path))
     with open(out_path, "w") as fh:
         json.dump(results, fh)
 
@@ -185,13 +189,13 @@ def compare(corpus, theirs, ours):
     return counts, details
 
 
-def summary(rev, counts, seed, timeout) -> str:
+def summary(rev, counts, seed) -> str:
     return ("differential against %s: %d cases, %d identical, %d differ "
             "(stdout %d, stderr %d, exit code %d), %d stopped on both sides, "
             "%d on one side (seed %d, %g s per case)"
             % (rev, counts["cases"], counts["identical"], counts["differ"],
                counts["stdout"], counts["stderr"], counts["exit_code"],
-               counts["stopped_both"], counts["stopped_one"], seed, timeout))
+               counts["stopped_both"], counts["stopped_one"], seed, TIMEOUT))
 
 
 def load(path):
@@ -199,14 +203,14 @@ def load(path):
         return json.load(fh)
 
 
-def run_tree(tree, corpus_path, out_path, timeout):
+def run_tree(tree, corpus_path, out_path):
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     return subprocess.Popen(
         [sys.executable, os.path.abspath(__file__), "--worker", corpus_path,
-         out_path, "--timeout", str(timeout)], cwd=tree, env=env)
+         out_path], cwd=tree, env=env)
 
 
-def differential(rev, seed=1, arrangements=40, timeout=20.0, tiny=False):
+def differential(rev, seed=1, arrangements=ARRANGEMENTS, tiny=False):
     """(summary line, counts, details) of the corpus run against rev."""
     corpus = build_corpus(seed, arrangements, tiny)
     short = subprocess.run(["git", "-C", ROOT, "rev-parse", "--short", rev],
@@ -222,7 +226,7 @@ def differential(rev, seed=1, arrangements=40, timeout=20.0, tiny=False):
                 json.dump(corpus, fh)
             paths = [os.path.join(tmp, n) for n in ("theirs.json",
                                                      "ours.json")]
-            procs = [run_tree(t, corpus_path, p, timeout)
+            procs = [run_tree(t, corpus_path, p)
                      for t, p in zip((tree, ROOT), paths)]
             if any([p.wait() for p in procs]):
                 raise RuntimeError("a worker process failed")
@@ -231,33 +235,26 @@ def differential(rev, seed=1, arrangements=40, timeout=20.0, tiny=False):
             subprocess.run(["git", "-C", ROOT, "worktree", "remove",
                             "--force", tree], check=False)
     counts, details = compare(corpus, theirs, ours)
-    return summary(short, counts, seed, timeout), counts, details
+    return summary(short, counts, seed), counts, details
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--against", metavar="REV")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--arrangements", type=int, default=40, metavar="K")
-    ap.add_argument("--timeout", type=float, default=20.0, metavar="S")
-    ap.add_argument("--tiny", action="store_true",
-                    help="the tiny perfbench corpora")
-    ap.add_argument("--show", type=int, default=5, metavar="M")
     ap.add_argument("--worker", nargs=2, metavar=("CORPUS", "OUT"),
                     help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
-        worker(*args.worker, args.timeout)
+        worker(*args.worker)
         return 0
     if not args.against:
         ap.error("--against REV is required")
-    line, counts, details = differential(args.against, args.seed,
-                                         args.arrangements, args.timeout,
-                                         args.tiny)
+    line, counts, details = differential(args.against, args.seed)
     print(line)
-    for argv, text in details[:args.show]:
+    for argv, text in details[:SHOW]:
         print("  qres %s\n    %s" % (shlex.join(argv), text))
-    return 1 if counts["differ"] else 0
+    return 1 if counts["differ"] or counts["stopped_one"] else 0
 
 
 if __name__ == "__main__":

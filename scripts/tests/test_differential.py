@@ -19,9 +19,8 @@ def test_a_tree_against_its_own_head_differs_nowhere():
     line, counts, details = differential.differential(
         "HEAD", seed=1, arrangements=3, tiny=True)
     assert line.startswith("differential against ")
-    assert counts["differ"] == 0, details
-    assert counts["identical"] + counts["stopped_both"] \
-        + counts["stopped_one"] == counts["cases"]
+    assert counts["differ"] == 0 and counts["stopped_one"] == 0, details
+    assert counts["identical"] + counts["stopped_both"] == counts["cases"]
     # the corpus holds every golden argv, the tiny perfbench corpora and
     # the arrangements
     assert counts["cases"] > 60

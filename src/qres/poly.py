@@ -366,8 +366,14 @@ def parse_poly(text: str, variables) -> SparsePoly:
                                   % (MAX_DIGITS, start))
         return int(text[start:pos])
 
+    # Each value made so far is F/D, F over Z with 1-norm at most
+    # 2^(size * mult) and D at most that: size adds the bits of the literals
+    # and 1 per binary + or -, mult multiplies the exponents (0 as 1) of
+    # bases other than a variable.  Below _COEFF_BITS nothing is scanned.
+    size, mult, var_end = 0, 1, -1      # var_end: where a variable ended
+
     def base() -> SparsePoly:
-        nonlocal pos
+        nonlocal pos, size, var_end
         ch = peek()
         if ch == "(":
             pos += 1
@@ -376,12 +382,14 @@ def parse_poly(text: str, variables) -> SparsePoly:
             return e
         if ch.isdigit():
             num = natural()
+            size += num.bit_length()
             skip()
             if pos < n and text[pos] == "/":
                 pos += 1
                 den = natural()
                 if den == 0:
                     raise PolySyntaxError("zero denominator at position %d" % (pos,))
+                size += den.bit_length()
                 return SparsePoly.const(field, variables, Fraction(num, den))
             return SparsePoly.const(field, variables, Fraction(num))
         if ch.isalpha() or ch == "_":
@@ -393,6 +401,7 @@ def parse_poly(text: str, variables) -> SparsePoly:
                 raise UnknownVariable(
                     "unknown variable %r at position %d (expected one of %s)"
                     % (name, start, ", ".join(variables)))
+            var_end = pos
             return SparsePoly.variable(field, variables, name)
         raise PolySyntaxError("unexpected %r at position %d" % (ch or "end of input", pos))
 
@@ -400,35 +409,33 @@ def parse_poly(text: str, variables) -> SparsePoly:
         return PolySyntaxError("coefficient of more than %d digits after %r "
                                "at position %d" % (MAX_COEFF_DIGITS, text[at], at))
 
-    def printable(p: SparsePoly, at: int, exps=None) -> SparsePoly:
-        # only the coefficients at exps (all by default) may have grown
-        terms = p.terms
-        for e in terms if exps is None else exps:
-            c = terms.get(e, 0)
-            if ((c.numerator.bit_length() >= _COEFF_BITS
-                 or c.denominator.bit_length() >= _COEFF_BITS)
-                    and max(abs(c.numerator), c.denominator) >= _COEFF_LIMIT):
+    def printable(p: SparsePoly, at: int, exps) -> SparsePoly:
+        for e in exps:
+            c = p.terms.get(e, 0)
+            if max(abs(c.numerator), c.denominator) >= _COEFF_LIMIT:
                 raise too_long(at)
         return p
 
     def factor() -> SparsePoly:
-        nonlocal pos
+        nonlocal pos, mult
         b = base()
+        end = pos
         skip()
         if pos < n and text[pos] == "^":
             at = pos
             pos += 1
             e = natural(exponent=True)
+            if var_end != end:
+                mult *= e or 1
+            if size * mult < _COEFF_BITS:
+                return b ** e
             # b's coefficient at its largest exponent tuple, to the power e,
             # is one of b^e: a huge power is refused before it is expanded
             c = b.terms[max(b.terms)] if b.terms else Fraction(0)
-            big = max(abs(c.numerator), c.denominator)
-            if len(b.terms) == 1 and big == 1:
-                b = b ** e                  # a unit monomial stays one
-            elif (big.bit_length() - 1) * e >= _COEFF_BITS:
+            if (max(abs(c.numerator), c.denominator).bit_length() - 1) * e >= _COEFF_BITS:
                 raise too_long(at)
-            else:
-                b = printable(b ** e, at)
+            b = b ** e
+            return printable(b, at, b.terms)
         return b
 
     def term() -> SparsePoly:
@@ -437,11 +444,13 @@ def parse_poly(text: str, variables) -> SparsePoly:
         while peek() == "*":
             at = pos
             pos += 1
-            f = printable(f * factor(), at)
+            f = f * factor()
+            if size * mult >= _COEFF_BITS:
+                printable(f, at, f.terms)
         return f
 
     def expr() -> SparsePoly:
-        nonlocal pos
+        nonlocal pos, size
         sign = 1
         if peek() in ("+", "-"):
             sign = -1 if text[pos] == "-" else 1
@@ -452,8 +461,11 @@ def parse_poly(text: str, variables) -> SparsePoly:
         while peek() in ("+", "-"):
             at, op = pos, text[pos]
             pos += 1
+            size += 1
             t2 = term()
-            t = printable(t - t2 if op == "-" else t + t2, at, t2.terms)
+            t = t - t2 if op == "-" else t + t2
+            if size * mult >= _COEFF_BITS:
+                printable(t, at, t2.terms)    # only these may have grown
         return t
 
     result = expr()

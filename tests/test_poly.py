@@ -41,6 +41,52 @@ def test_str_parse_round_trip():
         assert germ(str(f)) == f
 
 
+# leaves (numerator, denominator, text or ""), nodes ("^", tree, e) and
+# (op, tree, tree); a coefficient of 4300 digits reaches 10^4300 in a sum
+expr_trees = st.recursive(
+    st.tuples(st.integers(0, 10 ** 999) | st.integers(0, 9),
+              st.integers(1, 10 ** 40) | st.just(1),
+              st.sampled_from(["", "", "x", "y", "5*10^4299",
+                               "-7*10^4299*y"])),
+    lambda inner: (st.tuples(st.just("^"), inner, st.integers(0, 12))
+                   | st.tuples(st.sampled_from("*+-"), inner, inner)),
+    max_leaves=6)
+
+
+def _evaluate(tree, at=0):
+    """(text, value, position of the first operator after which a
+    coefficient has 10^4300 or more, or None) of a tree whose text starts
+    at position at; operators are taken in the parser's order."""
+    op, a, b = tree
+    if not isinstance(op, str):
+        text = b or "%d/%d" % (op, a)
+        return text, germ(text), None
+    ta, f, first = _evaluate(a, at + 1)
+    if op == "^":
+        text, f = "(%s)^%d" % (ta, b), f ** b
+    else:
+        tb, g, first_b = _evaluate(b, at + len(ta) + 4)
+        text, first = "(%s)%s(%s)" % (ta, op, tb), first or first_b
+        f = f * g if op == "*" else f + g if op == "+" else f - g
+    if first is None and any(max(abs(c.numerator), c.denominator) >= 10 ** 4300
+                             for c in f.terms.values()):
+        first = at + len(ta) + 2
+    return text, f, first
+
+
+@given(expr_trees)
+def test_parser_refuses_exactly_the_unprintable_coefficients(tree):
+    """The parser's size bounds skip the scan only where it cannot fail."""
+    text, value, first = _evaluate(tree)
+    if first is not None:
+        with pytest.raises(PolySyntaxError,
+                           match="more than 4300 digits after '.' at "
+                                 "position %d$" % first):
+            parse_poly(text, ("x", "y"))
+    else:
+        assert parse_poly(text, ("x", "y")) == value
+
+
 small_polys = st.builds(
     lambda terms: SparsePoly(QQ, ("x", "y"),
                              {e: Rat(c) for e, c in terms.items()}),
