@@ -63,6 +63,13 @@ REPORTS = [
     ("curve-lines-split",
      ["curve", "(x0 + 2*x1 - 2*x2)*(5*x0 + 2*x1 + 5*x2)*(x0 - 2*x1 + 5*x2)",
       "--w", "1,1,1"]),
+    # horizontal components crossing the rest of the curve; with w0 = 2
+    # the candidates collapse to one polynomial per orbit
+    ("curve-crossing-collapsed",
+     ["curve", "(x2^2 - 4*x0)*(x1^2 + x2^2 - 5*x0)", "--w", "2,1,1"]),
+    ("curve-crossing",
+     ["curve", "(x2 - 2*x0)*(x2 - 3*x0)*(x1^2 + x2^2 - 5*x0^2)",
+      "--w", "1,1,1"]),
 ]
 
 CASES = (
