@@ -14,10 +14,11 @@ resolution over the cluster's field.  Split handling and the adjunction of
 chart radicals are exactnum's (SplitEvent.targets, adjoin_radical), shared
 with the resolution engine.
 
-An affine cluster's y-coordinate comes from the first subresultant of the
-slice and its y-derivative, with no gcd over the tower, where the cluster's
-minimal polynomial is certified irreducible; elsewhere a tower gcd, which
-splits a cluster over a reducible tower, finds it.
+The search runs over Q on primitive integer lists and slices the chart
+system at an affine cluster's x = u once.  Its y-coordinate comes from the
+first subresultant, with no tower gcd, where the cluster's minimal
+polynomial is certified irreducible; elsewhere a tower gcd of the slices,
+which splits a cluster over a reducible tower, finds it.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from .errors import (BadType, InternalInconsistency, NonDivisibleExponent,
                      NonExactDivision, NotQuasiHomogeneous, NotReduced,
                      PointNotOnCurve, ZeroPolynomial)
 from .exactnum import (ExtField, Rat, SplitEvent, _add, _inv, _is_zero, _mul,
-                       _neg, _pdivmod, _sub, _zclear, adjoin_radical,
-                       adjoin_root, certified_irreducible, format_rep,
-                       is_zero_validated, lift)
+                       _neg, _pdivmod, _qmonic, _sub, _zclear, _zderiv, _zgcd,
+                       _zmul, adjoin_radical, adjoin_root,
+                       certified_irreducible, format_rep, is_zero_validated,
+                       lift)
 from .poly import (SparsePoly, _columns, first_subresultant, poly_gcd,
                    resultant, squarefree_discriminant, squarefree_part)
 from .quotsing import QuotType, SMOOTH, normalize_with_multipliers
@@ -219,38 +221,6 @@ def _dehomogenize(F: SparsePoly, i: int) -> SparsePoly:
     return SparsePoly(fld, ("x", "y"), terms)
 
 
-def _as_univar(f: SparsePoly, var: str) -> SparsePoly:
-    """Forget the other variables of f; they must not occur."""
-    vi = f._vi(var)
-    for e in f.terms:
-        if any(x for t, x in enumerate(e) if t != vi):
-            raise InternalInconsistency(
-                "%s still involves a variable other than %s" % (f, var))
-    return SparsePoly(f.field, (var,),
-                      {(e[vi],): c for e, c in f.terms.items()})
-
-
-def _partial_eval(f: SparsePoly, var: str, field: ExtField, rep):
-    """Substitute var = rep (a top-level element of field) in a bivariate f
-    over a prefix tower; returns a univariate poly in the other variable."""
-    f = f.lift_to(field)
-    vi = f.vars.index(var)
-    oi = 1 - vi
-    other = f.vars[oi]
-    cols = {}
-    for e, c in f.terms.items():
-        cols.setdefault(e[oi], {})[e[vi]] = c
-    out = {}
-    for j, col in cols.items():
-        acc = field.zero()
-        for deg in range(max(col), -1, -1):
-            acc = _mul(field.levels, field.depth, acc, rep)
-            if deg in col:
-                acc = _add(field.levels, field.depth, acc, col[deg])
-        out[(j,)] = acc
-    return SparsePoly(field, (other,), out)
-
-
 # ---------------------------------------------------------------------------
 # localize
 
@@ -302,15 +272,16 @@ class _Drop(Exception):
     """Abandon the current candidate cluster (spurious at every conjugate)."""
 
 
-def _with_splits(field, reps, step):
-    """[step(field, reps)], where a SplitEvent of field's tower restarts the
-    step in every tower of its targets(), with reps projected there.
+def _with_splits(field, u0, slices, step):
+    """[step(field, u0, slices)], where a SplitEvent of field's tower
+    restarts the step in every tower of its targets(), with u0 and the
+    slices' coefficients projected there.
 
     _Drop discards the cluster; that is only reached once the data is
     uniform across the cluster, because inverting a zero divisor on the way
     splits first."""
     try:
-        return [step(field, reps)]
+        return [step(field, u0, slices)]
     except _Drop:
         return []
     except SplitEvent as ev:
@@ -319,58 +290,52 @@ def _with_splits(field, reps, step):
         out = []
         for f2, project in ev.targets():
             out.extend(_with_splits(
-                f2, tuple(project(r, field.depth) for r in reps), step))
+                f2, project(u0, field.depth),
+                [[project(c, field.depth) for c in sl] for sl in slices],
+                step))
         return out
 
 
-def _monic_tail(f: SparsePoly, var: str):
-    coeffs = f.coeff_list(var)
-    fld = f.field
-    inv = _inv(fld.levels, fld.depth, coeffs[-1])
-    return [_mul(fld.levels, fld.depth, c, inv) for c in coeffs[:-1]]
-
-
-def _nonzero_radical_collapsed(f: SparsePoly, var: str, w: int) -> SparsePoly:
-    """Strip var^k, take the squarefree part, collapse var^w -> var.
+def _radical_collapsed(v, w: int):
+    """The radical of the integer list v with its factor x^k stripped, in
+    x^w -> x: the cofactor of gcd(v, v'), primitive.
 
     The root set is stable under scaling by w-th roots of unity, which is
     exactly what makes the collapse exact."""
-    k = f.min_exp(var)
-    if k:
-        f = f.shift_down(var, k)
-    rad, _ = squarefree_part(f)
-    if rad.degree_in(var) == 0 or w == 1:
-        return rad
-    try:
-        return rad.divide_var_exponents(var, w)
-    except NonExactDivision:
+    v = v[next(i for i, c in enumerate(v) if c):]
+    if len(v) > 1:
+        _, v, _ = _zgcd(v, _zderiv(v))
+    if w == 1 or len(v) == 1:
+        return v
+    if any(c for i, c in enumerate(v) if i % w):
         raise InternalInconsistency(
-            "orbit collapse failed: exponents of %s in %s are not all "
-            "multiples of %d" % (var, rad, w))
+            "orbit collapse failed: the exponents of %s are not all "
+            "multiples of %d" % (v, w))
+    return v[::w]
 
 
-def _cluster_field(s: SparsePoly, w: int, t_name: str, u_name: str):
-    """Q(t, u) with s(t) = 0 and u^w = t, for s squarefree over Q with
-    s(0) != 0; returns (field, u).  Only t counts points.
+def _cluster_field(s, w: int, t_name: str, u_name: str):
+    """Q(t, u) with s(t) = 0 and u^w = t, for a squarefree primitive integer
+    list s with s(0) != 0; returns (field, u).  Only t counts points.
 
     Neither adjunction can split.  s is over Q, so adjoining its root
     inverts nothing in a tower.  s(0) != 0 makes t a unit of Q(t), so the
     gcd of u^w - t with w u^(w-1) that adjoin_radical's squarefreeness check
     computes inverts only units, and u^w - t is squarefree over every factor
     of Q(t)."""
-    field, t = adjoin_root(_QQ, _monic_tail(s, s.vars[0]), t_name)
+    field, t = adjoin_root(_QQ, _qmonic(s)[:-1], t_name)
     return adjoin_radical(field, t, w, u_name)
 
 
 def _x_candidates(r: SparsePoly, w0: int):
-    """Collapsed radical of a resultant in x, or None when it certifies
-    that no candidate lies off the axis."""
+    """Collapsed radical of a resultant in x, as a primitive integer list, or
+    None when it certifies that no candidate lies off the axis."""
     if r.is_zero():
         raise InternalInconsistency(
-            "the resultant of a reduced slice with its derivative "
-            "vanished identically")
-    s = _nonzero_radical_collapsed(_as_univar(r, "x"), "x", w0)
-    return s if s.degree_in("x") > 0 else None
+            "a resultant of the singular-locus search vanished "
+            "identically on a reduced curve")
+    s = _radical_collapsed(_zclear(r.coeff_list("x"))[0], w0)
+    return s if len(s) > 1 else None
 
 
 def _affine_stratum(F0: SparsePoly, elimination, w0: int, tag: str):
@@ -383,55 +348,61 @@ def _affine_stratum(F0: SparsePoly, elimination, w0: int, tag: str):
     radical of Res_y(body, body_y).  Candidate x-coordinates of the body
     are the common roots of disc and Res_y(body, body_x), the only
     resultant computed here besides the crossing; a trivial candidate set
-    certifies the stratum empty.
+    certifies the stratum empty.  Every polynomial over Q on the way is a
+    primitive integer list.
 
     The squarefree candidate polynomial s(t) in t = x^w0 gives the field
     Q(t, u) = Q[x]/S, S = s(x^w0), u^w0 = t, which cannot split
-    (_cluster_field).  Where certified_irreducible proves S irreducible,
-    _subresultant_root finds the counted root v.  Otherwise, where it does
-    not decide, or for deg_y F0 < 2, the squarefree part of the gcd of the
-    sliced system at x = u gives v.  That gcd runs under _with_splits: a
-    reducible level of Q(t, u) restarts it in the factor towers that
-    SplitEvent.targets() names, and the cluster is listed as those packets.
+    (_cluster_field).  The system (F0, F0_x, F0_y) is sliced at x = u once,
+    by reduction mod s, and both root paths read these slices.  Where
+    certified_irreducible proves S irreducible, _subresultant_root finds
+    the counted root v.  Otherwise, where it does not decide, or for
+    deg_y F0 < 2, the squarefree part of the gcd of the slices gives v.
+    That gcd runs under _with_splits: a reducible level of Q(t, u) restarts
+    it in the factor towers that SplitEvent.targets() names, with the
+    slices projected there, and the cluster is listed as those packets.
     Hence the guard: over a reducible tower S_1 can give one v, and one
     cluster where the gcd lists several.  Returns a list of (field, u, v)."""
     if F0.degree_in("x") == 0 or F0.degree_in("y") == 0:
         return []
     q, body, disc = elimination
-    pieces = []
+    s = [1]
     if body.degree_in("y") > 0:
-        s = _x_candidates(disc, w0)
-        if s is not None:
-            t = _x_candidates(
-                resultant(body, body.derivative("x"), "y"), w0)
-            if t is not None:
-                pieces.append(poly_gcd(t, s))
+        d = _x_candidates(disc, w0)
+        t = d and _x_candidates(
+            resultant(body, body.derivative("x"), "y"), w0)
+        if t:
+            s = _zgcd(t, d)[0]
     if q.degree_in("y") > 0 and not body.is_constant():
-        r = resultant(body, q, "y")
-        if r.is_zero():
-            raise InternalInconsistency(
-                "a horizontal component survived the content split")
-        if not r.is_constant():
-            pieces.append(
-                _nonzero_radical_collapsed(_as_univar(r, "x"), "x", w0))
-    s = None
-    for p in pieces:
-        if p.degree_in("x") > 0:
-            s = p if s is None else s * p
-    if s is None:
+        s = _zmul(s, _x_candidates(resultant(body, q, "y"), w0) or [1])
+    s = _radical_collapsed(s, 1)
+    if len(s) == 1:
         return []
-    s, _ = squarefree_part(s)
-    if s.degree_in("x") == 0:
-        return []
-    polys = (F0, F0.derivative("x"), F0.derivative("y"))
+    field, u0 = _cluster_field(s, w0, "t" + tag, "u" + tag)
+    sc = _qmonic(s)
+    n = len(sc) - 1
 
-    def roots_over(field, reps):
-        # the gcd of the system's nonzero slices at x = u0, and a counted
-        # root of its squarefree part
-        u0, = reps
+    def storey(c):
+        _, r = _pdivmod((), 0, c, sc)
+        r += [Rat(0)] * (n - len(r))
+        return tuple(r) if n > 1 else r[0]
+
+    def at_u(c):
+        # c(x) over Q at x = u: c mod s, or for w0 > 1 the tuple of the
+        # c_r mod s, c = sum_r x^r c_r(x^w0)
+        return storey(c) if w0 == 1 else tuple(storey(c[r::w0])
+                                               for r in range(w0))
+
+    polys = (F0, F0.derivative("x"), F0.derivative("y"))
+    cols = [_columns(p, 1) for p in polys]
+    slices = [[at_u(c.get(j, [])) for j in range(max(c) + 1)] for c in cols]
+
+    def roots_over(field, u0, slices):
+        # the gcd of the system's nonzero slices, and a counted root of its
+        # squarefree part
         g = None
-        for p in polys:
-            sl = _partial_eval(p, "x", field, u0)
+        for sl in slices:
+            sl = SparsePoly.from_univariate(field, "y", sl)
             if sl.is_zero():
                 continue
             g = sl if g is None else poly_gcd(g, sl)
@@ -444,56 +415,43 @@ def _affine_stratum(F0: SparsePoly, elimination, w0: int, tag: str):
         rad, _ = squarefree_part(g)
         if rad.degree_in("y") == 0:
             raise _Drop()
-        f2, v0 = adjoin_root(field, _monic_tail(rad, "y"), "v" + tag)
+        # Yun's radical is monic
+        f2, v0 = adjoin_root(field, rad.coeff_list("y")[:-1], "v" + tag)
         return f2, lift(f2.levels, field.depth, f2.depth, u0), v0
 
-    field, u0 = _cluster_field(s, w0, "t" + tag, "u" + tag)
-    sc = s.coeff_list("x")
-    S = [0] * ((len(sc) - 1) * w0 + 1)
-    S[::w0] = _zclear(sc)[0]
+    S = [0] * ((len(s) - 1) * w0 + 1)
+    S[::w0] = s
     if F0.degree_in("y") >= 2 and certified_irreducible(S):
         try:
-            v0 = _subresultant_root(polys, sc, w0, field)
+            v0 = _subresultant_root(polys, slices, at_u, field)
         except _Drop:
             return []
         if v0 is not None:
             return [(field, u0, v0)]
-    return _with_splits(field, (u0,), roots_over)
+    return _with_splits(field, u0, slices, roots_over)
 
 
-def _subresultant_root(polys, sc, w0, field):
+def _subresultant_root(polys, slices, at_u, field):
     """The counted root v over the field Q[x]/S of _affine_stratum, or None.
 
-    polys is (F0, F0_x, F0_y), sc the monic s; c(x) over Q is c mod s at u,
-    or for w0 > 1 the tuple of the c_r mod s, c = sum_r x^r c_r(x^w0).  The
-    candidates make F0(u, y) and F0_y(u, y) share a root, so where lc_y
-    F0(u) and A(u) are nonzero their gcd is S_1(u) = A(u) y + B(u) and
-    v = -B(u)/A(u).  F0_x(u, v) = 0 keeps the point, else _Drop."""
-    F0, Fx, Fy = polys
+    polys is (F0, F0_x, F0_y), slices their slices at x = u, and at_u
+    slices a coefficient in x the same way.  The candidates make F0(u, y)
+    and F0_y(u, y) share a root, so where lc_y F0(u) and A(u) are nonzero
+    their gcd is S_1(u) = A(u) y + B(u) and v = -B(u)/A(u); lc_y F0(u) is
+    read off the slice first, so S_1 is only computed where it can serve.
+    F0_x(u, v) = 0 keeps the point, else _Drop."""
+    F0, _, Fy = polys
     lv, k = field.levels, field.depth
-    n = len(sc) - 1
-
-    def storey(c):
-        _, r = _pdivmod((), 0, c, sc)
-        r += [Rat(0)] * (n - len(r))
-        return tuple(r) if n > 1 else r[0]
-
-    def at_u(c):
-        return storey(c) if w0 == 1 else tuple(storey(c[r::w0])
-                                               for r in range(w0))
-
-    lc = _columns(F0, 1)[F0.degree_in("y")]
+    if _is_zero(lv, k, slices[0][-1]):
+        return None
     s1 = _columns(first_subresultant(F0, Fy, "y"), 1)
     a = at_u(s1.get(1, []))
-    if _is_zero(lv, k, at_u(lc)) or _is_zero(lv, k, a):
+    if _is_zero(lv, k, a):
         return None
     v = _neg(lv, k, _mul(lv, k, at_u(s1.get(0, [])), _inv(lv, k, a)))
-    cols = _columns(Fx, 1)
     acc = field.zero()
-    for j in range(max(cols), -1, -1):
-        acc = _mul(lv, k, acc, v)
-        if j in cols:
-            acc = _add(lv, k, acc, at_u(cols[j]))
+    for c in reversed(slices[1]):
+        acc = _add(lv, k, _mul(lv, k, acc, v), c)
     if not is_zero_validated(field, acc):
         raise _Drop()
     return v
@@ -504,9 +462,9 @@ def _axis_stratum(F0: SparsePoly, axis_divides: bool, w_chart: int, tag: str):
 
     When the line is a component of the curve, every crossing with the rest
     of it counts; otherwise the sliced derivative system decides.  The gcd
-    runs over Q, and the candidate field Q(t, v), v^w_chart = t, cannot
-    split (_cluster_field), so this stratum needs no split handling.
-    Returns a list of (field, v) with at most one entry."""
+    runs over Q on integer lists, and the candidate field Q(t, v),
+    v^w_chart = t, cannot split (_cluster_field), so this stratum needs no
+    split handling.  Returns a list of (field, v) with at most one entry."""
     if axis_divides:
         sl = F0.shift_down("x", 1).set_var_zero("x")
         if sl.is_zero():
@@ -522,12 +480,12 @@ def _axis_stratum(F0: SparsePoly, axis_divides: bool, w_chart: int, tag: str):
                 "the sliced system of a reduced curve vanished identically")
     g = None
     for sl in polys:
-        u = _as_univar(sl, "y")
-        g = u if g is None else poly_gcd(g, u)
-        if g.degree_in("y") == 0:
+        u = _zclear(sl.coeff_list("y"))[0]
+        g = u if g is None else _zgcd(g, u)[0]
+        if len(g) == 1:
             return []
-    s = _nonzero_radical_collapsed(g, "y", w_chart)
-    if s.degree_in("y") == 0:
+    s = _radical_collapsed(g, w_chart)
+    if len(s) == 1:
         return []
     return [_cluster_field(s, w_chart, "t" + tag, "v" + tag)]
 

@@ -391,3 +391,26 @@ def test_the_subresultant_root_agrees_with_the_tower_gcd(case, coeffs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wproj, "certified_irreducible", lambda S: False)
         assert located(F, Weights(*ws)) == fast
+
+
+def test_a_vanishing_leading_coefficient_skips_the_first_subresultant(
+        monkeypatch):
+    """On P(2,3,5) the degree-6 curve x0^3 + x1^2 has the chart slice
+    1 + x^2, free of y, so lc_y F0 of its product F with a generic degree-10
+    curve vanishes at their two crossings x = +-i.  The minimal polynomial
+    x^2 + 1 of that cluster is certified irreducible, but S_1 cannot give v
+    there: lc_y F0(u) is read off the slice before S_1 is computed, so
+    first_subresultant does not run, and the points are those of the
+    forced tower gcd."""
+    F = curve("(x0^3 + x1^2)*(-3*x2^2 - x0*x1*x2 + 2*x0^2*x1^2 + x0^5)")
+    verdicts = []
+    certify = wproj.certified_irreducible
+    monkeypatch.setattr(wproj, "certified_irreducible",
+                        lambda S: verdicts.append(certify(S)) or verdicts[-1])
+    s1 = spy(monkeypatch, wproj, "first_subresultant")
+    fast = located(F, Weights(2, 3, 5))
+    assert verdicts == [True] and s1 == []
+    assert sorted((p.kind, p.multiplicity) for p in fast) == [
+        ("affine", 2), ("vertex", 1), ("vertex", 1)]
+    monkeypatch.setattr(wproj, "certified_irreducible", lambda S: False)
+    assert located(F, Weights(2, 3, 5)) == fast
