@@ -28,6 +28,7 @@ __all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "normalized_types",
 SEED = 20260815
 _QQ = ExtField(())
 _NO_RECHECK = EngineConfig(check_reduced=False)
+_STRONG = EngineConfig(mode="strong", check_reduced=False)
 
 
 @dataclass
@@ -114,13 +115,12 @@ def check_deltaw(count=110, dmax=6, seed=SEED) -> CheckResult:
         f = random_semi_invariant(rng, t)
         label = "%s on %s" % (f, t)
         try:
-            rep = full_report(f, t, mode="plain")
+            rep = full_report(f, t)
             lhs = rep.delta_w
             rhs = (Rat(rep.delta_classical, t.d)
                    + Rat(rep.r_w - Rat(rep.r_classical, t.d), 2))
             bd = rep.breakdown
-            strong = delta_w(resolve_germ(f, t, mode="strong",
-                                          config=_NO_RECHECK))
+            strong = delta_w(resolve_germ(f, t, config=_STRONG))
             ok = (lhs == rhs
                   and strong == lhs
                   and strong == bd.node_sum + bd.correction_sum)

@@ -12,7 +12,7 @@ instead of a plausible number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import CommonComponent, InternalInconsistency, NotMultiple
 from .exactnum import Rat, _coprime_images
@@ -102,7 +102,7 @@ def _leaf_count(tree: ResolutionTree) -> int:
 
 def delta_classical(f: SparsePoly, config=EngineConfig()) -> Rat:
     """delta of a reduced germ at a smooth point (an integer as a Rat)."""
-    tree = resolve_germ(f, SMOOTH, mode="plain", config=config)
+    tree = resolve_germ(f, SMOOTH, config=replace(config, mode="plain"))
     val = delta_breakdown(tree).total
     if val.denominator != 1 or val < 0:
         raise InternalInconsistency(
@@ -134,11 +134,10 @@ class InvariantReport:
         return self.breakdown.per_node
 
 
-def full_report(f: SparsePoly, ambient: QuotType, mode=None,
+def full_report(f: SparsePoly, ambient: QuotType,
                 config=EngineConfig()) -> InvariantReport:
     """Resolve on the quotient and, when d > 1, once more upstairs at d = 1;
-    assemble every invariant and re-check the identities binding them.
-    mode=None keeps the mode of config."""
+    assemble every invariant and re-check the identities binding them."""
     from .resolve import semi_invariance_check
 
     if len(f.vars) != 2:
@@ -156,7 +155,7 @@ def full_report(f: SparsePoly, ambient: QuotType, mode=None,
             warnings.append(
                 "germ was not semi-invariant as written; its transpose "
                 "(variable roles swapped) is, and was used instead")
-    tree = resolve_germ(f, ambient, mode=mode, config=config)
+    tree = resolve_germ(f, ambient, config=config)
     bd = delta_breakdown(tree)
     dw = bd.total
     r_w = _leaf_count(tree)

@@ -21,7 +21,7 @@ factor (uncounted levels) or forks the node into one branch per factor
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import (BadType, DegeneratePolygon, InternalInconsistency,
                      NonExactDivision, NotReduced, NotSemiInvariant,
@@ -576,12 +576,10 @@ def resolve_labels(germs: dict, ambient: QuotType,
                           mode=config.mode)
 
 
-def resolve_germ(f: SparsePoly, ambient: QuotType, mode=None,
+def resolve_germ(f: SparsePoly, ambient: QuotType,
                  config=EngineConfig()) -> ResolutionTree:
     """Embedded resolution of one reduced semi-invariant germ at the origin
     of X(d;a,b) (the type must be in normal form)."""
-    if mode is not None:
-        config = replace(config, mode=mode)
     return resolve_labels({"C": f}, ambient, config)
 
 

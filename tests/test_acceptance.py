@@ -6,6 +6,7 @@ Runs under pytest (each criterion is its own test) and as a script:
 """
 import random
 import sys
+from dataclasses import replace
 
 if __package__ is None and "tests" not in sys.path[0]:
     sys.path.insert(0, "tests")
@@ -41,7 +42,7 @@ def criterion_2():
     t = QuotType(7, 2, 3)
     cfg = EngineConfig(weight_overrides=((1, 5),))
     plain = full_report(f, t, config=cfg)
-    strong = full_report(f, t, mode="strong", config=cfg)
+    strong = full_report(f, t, config=replace(cfg, mode="strong"))
     want = [Rat(3, 5), Rat(2, 5)]
     ok = (plain.delta_w == 1
           and [c for _, c in plain.per_node_contributions] == want
@@ -123,7 +124,7 @@ def criterion_10():
         f = random_semi_invariant(rng, t)
         cfg = EngineConfig(check_reduced=False)
         plain = delta_breakdown(resolve_germ(f, t, config=cfg))
-        strong_tree = resolve_germ(f, t, mode="strong", config=cfg)
+        strong_tree = resolve_germ(f, t, config=replace(cfg, mode="strong"))
         strong = delta_breakdown(strong_tree).total
         correction_sum = Rat(0)
         for n in resolve_germ(f, t, config=cfg).iter_nodes():

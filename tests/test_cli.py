@@ -247,6 +247,14 @@ def test_check_subcommand(capsys):
     capsys.readouterr()
 
 
+def test_check_quasihom(capsys):
+    """The closed form delta_w = (pq - p - q + d)/(2d) of x^p - y^q on every
+    normalized type with d <= 6, and the axes' (d - 1)/(2d)."""
+    rc, out, _ = run(capsys, "check", "quasihom")
+    assert rc == 0
+    assert out == "quasihom   ok  (322 passed, 0 failed)\n"
+
+
 SEQUENCE = [
     ("germ", "x^2 - y^4", "--type", "X(2;1,1)", "--json"),
     ("curve", "x0*x1 + x2", "--w", "2,3,5"),

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -230,8 +231,8 @@ def test_full_report_takes_the_mode_from_config():
     f = germ("x*y + (x^2 - y^3)^2")
     cfg = EngineConfig(mode="strong", weight_overrides=((1, 5),))
     rep = full_report(f, X723, config=cfg)
-    direct = full_report(f, X723, mode="strong",
-                         config=EngineConfig(weight_overrides=((1, 5),)))
+    direct = full_report(f, X723, config=replace(
+        EngineConfig(weight_overrides=((1, 5),)), mode="strong"))
     assert rep.mode == direct.mode == "strong"
     assert rep.delta_w == direct.delta_w
     assert ([(nid, c) for nid, c in rep.breakdown.per_node]

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import jsonschema
 import pytest
@@ -8,8 +9,10 @@ from conftest import germ, spy
 from qres import exactnum, poly, resolve
 from qres.errors import (BadType, ExtensionOverflow, NotReduced,
                          NotSemiInvariant, ResolutionDepthExceeded, UnitGerm)
-from qres.exactnum import Rat, SplitEvent, is_zero_validated
+from qres.exactnum import (ExtField, Rat, SplitEvent, adjoin_radical,
+                           is_zero_validated)
 from qres.invariants import delta_breakdown, delta_w, full_report
+from qres.poly import SparsePoly
 from qres.quotsing import SMOOTH, QuotType
 from qres.resolve import (EngineConfig, resolve_germ, resolve_labels,
                           semi_invariance_check, tree_to_dict, tree_to_dot)
@@ -48,7 +51,7 @@ def test_override_weights_reproduce_hand_computation():
     assert [c for _, c in bd.node_terms] == [Rat(3, 5)]
     assert [c for _, c in bd.corrections] == [Rat(2, 5)]
     assert bd.total == 1
-    strong = resolve_germ(f, X723, mode="strong", config=cfg)
+    strong = resolve_germ(f, X723, config=replace(cfg, mode="strong"))
     bd2 = delta_breakdown(strong)
     assert [c for _, c in bd2.node_terms] == [Rat(3, 5), Rat(2, 5)]
     assert not bd2.corrections
@@ -96,10 +99,10 @@ def test_engine_forks_a_cluster_whose_face_polynomial_splits(mode,
         init(self, *args, **kwargs)
     monkeypatch.setattr(SplitEvent, "__init__", counting_init)
     f = germ("(y^4 - 4*x^4)^2 + x^7*(y^2 - 2*x^2) + x^10")
-    tree = resolve_germ(f, SMOOTH, mode=mode)
+    tree = resolve_germ(f, SMOOTH, config=EngineConfig(mode=mode))
     assert splits
     assert sorted(n.origin for n in tree.iter_nodes()).count("split") == 2
-    rep = full_report(f, SMOOTH, mode=mode)
+    rep = full_report(f, SMOOTH, config=EngineConfig(mode=mode))
     assert rep.delta_w == rep.delta_classical == delta_w(tree) == 30
     assert rep.r_w == rep.r_classical == 6
     assert rep.mu_w == 2 * rep.delta_w - rep.r_w + 1 == 55
@@ -139,6 +142,30 @@ def test_split_germ_certifies_each_unit_once(monkeypatch):
     assert len(euclids) == ran
 
 
+def test_a_level_that_counts_no_points_splits_in_place(monkeypatch):
+    """Over Q(u), u^2 = 4, a level that counts no points (as adjoin_radical
+    builds for a chart radical), y^2 - x^3 + (u - 2) x^2 is a cusp at
+    u = 2 and a node at u = -2.  Such a level only parametrizes local
+    coordinates, so the engine does not fork: it re-expands the node in
+    the one factor that SplitEvent.targets() keeps, here u = 2."""
+    events = []
+    init = SplitEvent.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        events.append(self)
+    monkeypatch.setattr(SplitEvent, "__init__", counting_init)
+    field, _ = adjoin_radical(ExtField(()), Rat(4), 2, "u")
+    f = SparsePoly(field, ("x", "y"), {(0, 2): field.one(),
+                                       (3, 0): field.from_rat(Rat(-1)),
+                                       (2, 0): (Rat(-2), Rat(1))})
+    rep = full_report(f, SMOOTH)
+    assert [ev.counts_points for ev in events] == [False]
+    assert [(n.origin, n.field.describe())
+            for n in rep.tree.iter_nodes()] == [("root", "Q")]
+    assert (rep.delta_w, rep.r_w) == (1, 1)
+
+
 def test_axis_factors_ride_along():
     f = germ("x*(y^2 - x^3)")
     tree = resolve_germ(f, SMOOTH)
@@ -149,9 +176,10 @@ def test_axis_factors_ride_along():
 
 def test_q_smooth_axis_plain_vs_strong():
     for mode in ("plain", "strong"):
-        tree = resolve_germ(germ("x"), QuotType(5, 1, 2), mode=mode)
+        cfg = EngineConfig(mode=mode)
+        tree = resolve_germ(germ("x"), QuotType(5, 1, 2), config=cfg)
         assert delta_w(tree) == Rat(2, 5)
-        rep = full_report(germ("x"), QuotType(5, 1, 2), mode=mode)
+        rep = full_report(germ("x"), QuotType(5, 1, 2), config=cfg)
         assert (rep.r_w, rep.r_classical) == (1, 1)
 
 
@@ -159,9 +187,10 @@ def test_strong_mode_equals_plain_total():
     cases = [(germ("x^2 - y^4"), X211), (germ("x*y"), X723),
              (germ("(y^2 - 2*x^2)^2 - x^7"), SMOOTH),
              (germ("y^2 - x^7"), SMOOTH)]
+    plain, strong = EngineConfig(mode="plain"), EngineConfig(mode="strong")
     for f, t in cases:
-        assert delta_w(resolve_germ(f, t, mode="plain")) == \
-            delta_w(resolve_germ(f, t, mode="strong"))
+        assert delta_w(resolve_germ(f, t, config=plain)) == \
+            delta_w(resolve_germ(f, t, config=strong))
 
 
 def test_extension_bound_is_enforced(monkeypatch):
@@ -184,10 +213,11 @@ def test_depth_bound_is_enforced(monkeypatch):
 
 
 def test_engine_config_rejects_an_unknown_mode():
+    """EngineConfig is the one way to set the mode, and it checks it."""
     with pytest.raises(BadType):
         EngineConfig(mode="Strong")
-    with pytest.raises(BadType):
-        resolve_germ(germ("y^2 - x^3"), SMOOTH, mode="Strong")
+    with pytest.raises(TypeError):
+        resolve_germ(germ("y^2 - x^3"), SMOOTH, mode="strong")
 
 
 def test_reduced_germ_precheck_runs_no_resultant(monkeypatch):
