@@ -1,8 +1,10 @@
 """Sparse multivariate polynomials over tower fields, plus the polynomial
 geometry the resolution engine runs on: weighted orders, Newton polygons,
-weighted blow-up transforms, squarefree (Yun) factorization, resultants,
-and squarefreeness over Q in two variables: an evaluation probe mod
-2^61 - 1 in front of the exact certificate squarefree_discriminant.
+weighted blow-up transforms, squarefree (Yun) factorization, and
+elimination over Q in two variables (resultants, contents, squarefreeness:
+an evaluation probe mod 2^61 - 1 in front of the exact certificate
+squarefree_discriminant), which reads a polynomial only as its primitive
+integer columns in one variable (_zcolumns) and refuses a tower.
 
 Coefficients are exactnum representations (nested tuples over Fraction); a
 polynomial never stores a structural zero coefficient.  Whether a nonzero
@@ -14,6 +16,7 @@ structural.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +30,8 @@ from .errors import (
     UnknownVariable,
     ZeroPolynomial,
 )
-from .exactnum import ExtField, _zclear, _zdiv, _zmul, _zsub
+from .exactnum import (ExtField, _qmonic, _zclear, _zderiv, _zdiv, _zgcd,
+                       _zmul, _zsub)
 
 MAX_EXPONENT = 2 ** 31
 MAX_DIGITS = 1000       # digits of an integer literal that is not an exponent
@@ -432,7 +436,8 @@ def parse_poly(text: str, variables) -> SparsePoly:
             # b's coefficient at its largest exponent tuple, to the power e,
             # is one of b^e: a huge power is refused before it is expanded
             c = b.terms[max(b.terms)] if b.terms else Fraction(0)
-            if (max(abs(c.numerator), c.denominator).bit_length() - 1) * e >= _COEFF_BITS:
+            if ((max(abs(c.numerator), c.denominator).bit_length() - 1) * e
+                    >= _COEFF_BITS or _power_bits(b, e) >= _COEFF_BITS):
                 raise too_long(at)
             b = b ** e
             return printable(b, at, b.terms)
@@ -473,6 +478,22 @@ def parse_poly(text: str, variables) -> SparsePoly:
     if pos != n:
         raise PolySyntaxError("unexpected %r at position %d" % (text[pos], pos))
     return result
+
+
+def _power_bits(b: SparsePoly, e: int) -> int:
+    """A k such that b^e has a coefficient above 2^k in absolute value, for
+    b with integer coefficients; -1, no claim, for any other b.  At each
+    point s of {1, -1}^n the coefficients of b^e sum in absolute value to
+    at least |b(s)|^e, and b^e has at most N = prod over the variables of
+    (e deg_v b + 1) of them, so one is at least v^e / N, v = max |b(s)|."""
+    if not b.terms or any(c.denominator != 1 for c in b.terms.values()):
+        return -1
+    n = len(b.vars)
+    v = max(abs(sum(c.numerator * math.prod(s ** k for s, k in zip(pt, ex))
+                    for ex, c in b.terms.items()))
+            for pt in itertools.product((1, -1), repeat=n))
+    N = math.prod(e * b.degree_in(i) + 1 for i in range(n))
+    return (v.bit_length() - 1) * e - N.bit_length()
 
 
 # ---------------------------------------------------------------------------
@@ -639,54 +660,21 @@ def squarefree_part(f: SparsePoly):
 
 
 def resultant(f: SparsePoly, g: SparsePoly, var) -> SparsePoly:
-    """Resultant over Q with respect to var, eliminating it.
-
-    Entries may involve one further variable; the answer is returned in the
-    same ring.  An input c * var^k has a closed form; otherwise it is the
-    fraction-free determinant S_0 of _subresultant.  Coefficients in a tower
-    field raise ValueError.
-    """
+    """Resultant over Q with respect to var, eliminating it, in the ring of
+    f and g, which involve one further variable: f^deg g * g^deg f when one
+    input is constant in var, else the fraction-free determinant S_0 of
+    _subresultant.  Coefficients in a tower field raise ValueError."""
     if f.field != g.field or f.vars != g.vars:
         raise ValueError("resultant of polynomials in different rings")
     if f.field.depth:
         raise ValueError("resultant expects coefficients in Q, not in %s"
                          % f.field.describe())
     vi = f._vi(var)
-    a, b = f.degree_in(vi), g.degree_in(vi)
     if f.is_zero() or g.is_zero():
         return SparsePoly.zero(f.field, f.vars)
-    if b < 0 or a < 0:
-        return SparsePoly.zero(f.field, f.vars)
-
-    def as_const_power(h: SparsePoly, d: int):
-        """h == c * var^k for a single k?  Return (k, c) or None."""
-        ks = {e[vi] for e in h.terms}
-        if len(ks) != 1:
-            return None
-        k0 = ks.pop()
-        c = SparsePoly(h.field, h.vars,
-                       {tuple(0 if t == vi else x for t, x in enumerate(e)): cc
-                        for e, cc in h.terms.items()})
-        return k0, c
-
-    # res(f, c * v^k) = (-1)^(k deg f) f(v=0)^k * c^(deg f)
-    mono = as_const_power(g, b)
-    if mono is not None:
-        k0, c = mono
-        f0 = f.set_var_zero(vi)
-        if k0 > 0 and f0.is_zero():
-            return SparsePoly.zero(f.field, f.vars)
-        out = (c ** a) * (f0 ** k0)
-        if (k0 * a) % 2:
-            out = -out
-        return out
-    mono = as_const_power(f, a)
-    if mono is not None:
-        res = resultant(g, f, var)
-        if (a * b) % 2:
-            res = -res
-        return res
-
+    a, b = f.degree_in(vi), g.degree_in(vi)
+    if a == 0 or b == 0:
+        return f ** b * g ** a
     return _subresultant(f, g, vi, a, b, 0)
 
 
@@ -703,27 +691,10 @@ def first_subresultant(f: SparsePoly, g: SparsePoly, var) -> SparsePoly:
 
 def _subresultant(f, g, vi, a, b, j):
     """S_j (j = 0 or 1) of f and g, of degrees a and b >= j in variable vi.
-    _bareiss on the b - j shifted rows of F and a - j of G (f = cf * F and
-    g = cg * G, F and G primitive over Z; entries are coefficient lists in
-    the other variable) leaves S_j's coefficients in the last row
-    (Sylvester's identity), up to the sign and scale applied at the end."""
-    rest = [i for i in range(len(f.vars)) if i != vi]
-    if any(e[i] for i in rest[1:] for e in list(f.terms) + list(g.terms)):
-        raise ValueError("resultant entries may involve at most one other variable")
-    oi = rest[0] if rest else None
-
-    def rows(h, d):
-        """Primitive integer rows of h by degree in var, and the scale."""
-        num, scale = _zclear(list(h.terms.values()))
-        out = [[] for _ in range(d + 1)]
-        for e, c in zip(h.terms, num):
-            col = out[e[vi]]
-            o = e[oi] if oi is not None else 0
-            col.extend([0] * (o + 1 - len(col)))
-            col[o] = c
-        return out, scale
-
-    (fc, cf), (gc, cg) = rows(f, a), rows(g, b)
+    _bareiss on the b - j shifted rows of f's integer columns and a - j of
+    g's (_zcolumns) leaves S_j's coefficients in the last row (Sylvester's
+    identity), up to the sign and scale applied at the end."""
+    (fc, cf), (gc, cg) = _zcolumns(f, vi), _zcolumns(g, vi)
     width = a + b - j
     matrix = []
     for shifts, coeffs, d in ((b - j, fc, a), (a - j, gc, b)):
@@ -733,15 +704,9 @@ def _subresultant(f, g, vi, a, b, j):
                 row[i + t] = coeffs[d - t]
             matrix.append(row)
     scale = cf ** (b - j) * cg ** (a - j) * _bareiss(matrix)
-    out = {}
-    for deg in range(j + 1):
-        for o, c in enumerate(matrix[-1][width - 1 - deg]):
-            e = [0] * len(f.vars)
-            e[vi] = deg
-            if oi is not None:
-                e[oi] = o
-            out[tuple(e)] = scale * c
-    return SparsePoly(f.field, f.vars, out)
+    return SparsePoly(f.field, f.vars, {
+        (deg, o) if vi == 0 else (o, deg): scale * c for deg in range(j + 1)
+        for o, c in enumerate(matrix[-1][width - 1 - deg])})
 
 
 def _bareiss(matrix) -> int:
@@ -776,60 +741,65 @@ def _bareiss(matrix) -> int:
 # reducedness over Q
 
 
-def _columns(f: SparsePoly, vi: int) -> dict:
-    """f as a polynomial in variable vi over the other variable: exponent of
-    vi -> dense coefficient list in the other variable."""
-    cols = {}
-    for e, c in f.terms.items():
-        col = cols.setdefault(e[vi], [])
-        col.extend([f.field.zero()] * (e[1 - vi] + 1 - len(col)))
-        col[e[1 - vi]] = c
-    return cols
+def _zcolumns(f: SparsePoly, vi: int):
+    """(cols, scale) with f = scale * sum_j v^j cols[j], v the variable vi
+    of a two-variable f over Q: cols[j] is a trimmed integer list in the
+    other variable, all of them together primitive; ([], 0) for f = 0."""
+    if len(f.vars) != 2:
+        raise ValueError("elimination expects a two-variable polynomial")
+    if f.field.depth:
+        raise ValueError("elimination expects coefficients in Q, not in %s"
+                         % f.field.describe())
+    num, scale = _zclear(list(f.terms.values()))
+    cols = [[] for _ in range(f.degree_in(vi) + 1)]
+    for e, c in zip(f.terms, num):
+        col, o = cols[e[vi]], e[1 - vi]
+        col.extend([0] * (o + 1 - len(col)))
+        col[o] = c
+    return cols, scale
 
 
 def content_in(f: SparsePoly, var) -> SparsePoly:
-    """Monic gcd of the coefficients of f seen as a polynomial in var; the
-    result is univariate in the other variable."""
+    """Monic gcd of the coefficients of f over Q seen as a polynomial in var,
+    from _zgcd on its integer columns; the result is univariate in the
+    other variable.  Coefficients in a tower raise ValueError."""
     vi = f._vi(var)
-    if len(f.vars) != 2:
-        raise ValueError("content_in expects a two-variable polynomial")
-    field = f.field
-    levels, kd = field.levels, field.depth
-    cols = _columns(f, vi)
-    acc = []
-    for jv in sorted(cols):
-        acc = exactnum._pgcd_monic(levels, kd, acc, cols[jv])
-        if exactnum._pdeg(levels, kd, acc) == 0:
+    g = _zgcd_all(_zcolumns(f, vi)[0])
+    return SparsePoly.from_univariate(f.field, f.vars[1 - vi], _qmonic(g or [1]))
+
+
+def _zgcd_all(lists):
+    """The primitive gcd of the nonzero integer lists in lists, [] if there
+    are none; it stops at the first constant gcd."""
+    g = []
+    for v in filter(None, lists):
+        g = _zgcd(v, g)[0]
+        if len(g) == 1:
             break
-    return SparsePoly.from_univariate(field, f.vars[1 - vi], acc or [field.one()])
+    return g
 
 
 def _primitive_part(f: SparsePoly, var):
     """Split f = content * primitive part, seen as a polynomial in var; the
     content comes back in f's ring (it involves only the other variable)."""
     vi = f._vi(var)
-    cont = content_in(f, var)
-    d = cont.coeff_list()
-    levels, kd = f.field.levels, f.field.depth
+    d = content_in(f, var).coeff_list()
     lifted = SparsePoly(f.field, f.vars, {
         (0, i) if vi == 0 else (i, 0): c for i, c in enumerate(d)})
     if len(d) == 1:
         return lifted, f
-    out = {}
-    for jv, col in _columns(f, vi).items():
-        quo = exactnum._pdiv_exact(levels, kd, col, d)
-        for o, c in enumerate(quo):
-            out[(jv, o) if vi == 0 else (o, jv)] = c
-    return lifted, SparsePoly(f.field, f.vars, out)
+    D = _zclear(d)[0]
+    cols, scale = _zcolumns(f, vi)
+    scale *= D[-1]
+    return lifted, SparsePoly(f.field, f.vars, {
+        (j, o) if vi == 0 else (o, j): scale * c
+        for j, col in enumerate(cols) for o, c in enumerate(_zdiv(col, D))})
 
 
 def _univariate_squarefree(u: SparsePoly, var) -> bool:
-    """gcd(u, u') is constant, for a u that involves only var."""
-    levels, kd = u.field.levels, u.field.depth
-    coeffs = u.coeff_list(var)
-    deriv = exactnum._pderiv(levels, kd, coeffs)
-    return exactnum._pdeg(levels, kd, exactnum._pgcd_monic(
-        levels, kd, coeffs, deriv)) <= 0
+    """gcd(u, u') is constant, for a nonzero u that involves only var."""
+    (col,), _ = _zcolumns(u, 1 - u._vi(var))
+    return len(col) < 2 or len(_zgcd(col, _zderiv(col))[0]) == 1
 
 
 def squarefree_discriminant(f: SparsePoly):
@@ -840,7 +810,8 @@ def squarefree_discriminant(f: SparsePoly):
     Returns None when f is not squarefree, else (q, body, disc) in f's
     ring: the horizontal components q, the rest body = c * p, and
     disc = c * Res_y(p, p_y) (just c when p is a constant), which has the
-    radical of Res_y(body, body_y)."""
+    radical of Res_y(body, body_y).  Coefficients in a tower raise
+    ValueError."""
     if f.is_zero():
         raise ZeroPolynomial("squarefreeness of the zero polynomial is undefined")
     x, y = f.vars
@@ -860,20 +831,14 @@ _PROBE_POINTS = (1, -1, 2)     # not 0: a singular germ is unlucky there
 
 
 def probe_images(f: SparsePoly, vi: int):
-    """For each t0 in _PROBE_POINTS: f over Q with denominators cleared, the
-    other variable set to t0, mod P = 2^61 - 1, as a coefficient list in
-    variable vi; [] where its leading coefficient in vi vanishes.  Over a
-    tower there are no images."""
-    if f.field.depth:
-        return
-    P, d = exactnum._P, f.degree_in(vi)
-    num, _ = _zclear(list(f.terms.values()))
-    terms = [(e[vi], e[1 - vi], c % P) for e, c in zip(f.terms, num)]
+    """For each t0 in _PROBE_POINTS: f's integer columns in variable vi
+    (_zcolumns) at the other variable t0, mod P = 2^61 - 1, as a
+    coefficient list in vi; [] where its leading coefficient vanishes."""
+    cols, _ = _zcolumns(f, vi)
     for t0 in _PROBE_POINTS:
-        image = [0] * (d + 1)
-        for i, j, c in terms:
-            image[i] = (image[i] + c * pow(t0, j, P)) % P
-        yield image if image[d] else []
+        image = [sum(c * t0 ** j for j, c in enumerate(col)) % exactnum._P
+                 for col in cols]
+        yield image if image[-1] else []
 
 
 def is_squarefree_two_vars(f: SparsePoly) -> bool:
@@ -883,9 +848,10 @@ def is_squarefree_two_vars(f: SparsePoly) -> bool:
     coprime to its derivative over GF(P): by Gauss's lemma a square factor
     g^2 lies in Z[x, y] with positive degree in some v, and as f's leading
     coefficient in v survives, g's image keeps that degree and divides the
-    gcd.  Every other outcome goes to the exact squarefree_discriminant."""
+    gcd.  Every other outcome goes to the exact squarefree_discriminant.
+    A nonconstant f with coefficients in a tower raises ValueError."""
     if not f.is_zero() and all(f.degree_in(vi) == 0 or any(
-            img and exactnum._coprime_images(img, exactnum._zderiv(img))
+            img and exactnum._coprime_images(img, _zderiv(img))
             for img in probe_images(f, vi)) for vi in (0, 1)):
         return True
     return squarefree_discriminant(f) is not None

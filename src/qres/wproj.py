@@ -30,12 +30,12 @@ from .errors import (BadType, InternalInconsistency, NonDivisibleExponent,
                      NonExactDivision, NotQuasiHomogeneous, NotReduced,
                      PointNotOnCurve, ZeroPolynomial)
 from .exactnum import (ExtField, Rat, SplitEvent, _add, _inv, _is_zero, _mul,
-                       _neg, _pdivmod, _qmonic, _sub, _zclear, _zderiv, _zgcd,
-                       _zmul, adjoin_radical, adjoin_root,
-                       certified_irreducible, format_rep, is_zero_validated,
-                       lift)
-from .poly import (SparsePoly, _columns, first_subresultant, poly_gcd,
-                   resultant, squarefree_discriminant, squarefree_part)
+                       _neg, _pdivmod, _qmonic, _sub, _zderiv, _zgcd, _zmul,
+                       adjoin_radical, adjoin_root, certified_irreducible,
+                       format_rep, is_zero_validated, lift)
+from .poly import (SparsePoly, _zcolumns, _zgcd_all, first_subresultant,
+                   poly_gcd, resultant, squarefree_discriminant,
+                   squarefree_part)
 from .quotsing import QuotType, SMOOTH, normalize_with_multipliers
 from .resolve import EngineConfig, resolve_germ
 from .invariants import delta_breakdown
@@ -334,7 +334,7 @@ def _x_candidates(r: SparsePoly, w0: int):
         raise InternalInconsistency(
             "a resultant of the singular-locus search vanished "
             "identically on a reduced curve")
-    s = _radical_collapsed(_zclear(r.coeff_list("x"))[0], w0)
+    s = _radical_collapsed(_zcolumns(r, 1)[0][0], w0)
     return s if len(s) > 1 else None
 
 
@@ -353,10 +353,10 @@ def _affine_stratum(F0: SparsePoly, elimination, w0: int, tag: str):
 
     The squarefree candidate polynomial s(t) in t = x^w0 gives the field
     Q(t, u) = Q[x]/S, S = s(x^w0), u^w0 = t, which cannot split
-    (_cluster_field).  The system (F0, F0_x, F0_y) is sliced at x = u once,
-    by reduction mod s, and both root paths read these slices.  Where
-    certified_irreducible proves S irreducible, _subresultant_root finds
-    the counted root v.  Otherwise, where it does not decide, or for
+    (_cluster_field).  The system (F0, F0_x, F0_y), read off F0's integer
+    columns in y, is sliced at x = u once, by reduction mod s, and both
+    root paths read these slices.  Where certified_irreducible proves S
+    irreducible, _subresultant_root finds the counted root v.  Otherwise, where it does not decide, or for
     deg_y F0 < 2, the squarefree part of the gcd of the slices gives v.
     That gcd runs under _with_splits: a reducible level of Q(t, u) restarts
     it in the factor towers that SplitEvent.targets() names, with the
@@ -383,7 +383,7 @@ def _affine_stratum(F0: SparsePoly, elimination, w0: int, tag: str):
     n = len(sc) - 1
 
     def storey(c):
-        _, r = _pdivmod((), 0, c, sc)
+        _, r = _pdivmod((), 0, [Rat(x) for x in c], sc)
         r += [Rat(0)] * (n - len(r))
         return tuple(r) if n > 1 else r[0]
 
@@ -393,9 +393,11 @@ def _affine_stratum(F0: SparsePoly, elimination, w0: int, tag: str):
         return storey(c) if w0 == 1 else tuple(storey(c[r::w0])
                                                for r in range(w0))
 
-    polys = (F0, F0.derivative("x"), F0.derivative("y"))
-    cols = [_columns(p, 1) for p in polys]
-    slices = [[at_u(c.get(j, [])) for j in range(max(c) + 1)] for c in cols]
+    # (F0, F0_x, F0_y) by columns in y, each an integer list in x
+    cols, _ = _zcolumns(F0, 1)
+    system = (cols, [_zderiv(c) for c in cols],
+              [[j * c for c in col] for j, col in enumerate(cols)][1:])
+    slices = [[at_u(c) for c in sy] for sy in system]
 
     def roots_over(field, u0, slices):
         # the gcd of the system's nonzero slices, and a counted root of its
@@ -423,7 +425,7 @@ def _affine_stratum(F0: SparsePoly, elimination, w0: int, tag: str):
     S[::w0] = s
     if F0.degree_in("y") >= 2 and certified_irreducible(S):
         try:
-            v0 = _subresultant_root(polys, slices, at_u, field)
+            v0 = _subresultant_root(F0, slices, at_u, field)
         except _Drop:
             return []
         if v0 is not None:
@@ -431,24 +433,24 @@ def _affine_stratum(F0: SparsePoly, elimination, w0: int, tag: str):
     return _with_splits(field, u0, slices, roots_over)
 
 
-def _subresultant_root(polys, slices, at_u, field):
+def _subresultant_root(F0, slices, at_u, field):
     """The counted root v over the field Q[x]/S of _affine_stratum, or None.
 
-    polys is (F0, F0_x, F0_y), slices their slices at x = u, and at_u
-    slices a coefficient in x the same way.  The candidates make F0(u, y)
-    and F0_y(u, y) share a root, so where lc_y F0(u) and A(u) are nonzero
-    their gcd is S_1(u) = A(u) y + B(u) and v = -B(u)/A(u); lc_y F0(u) is
-    read off the slice first, so S_1 is only computed where it can serve.
-    F0_x(u, v) = 0 keeps the point, else _Drop."""
-    F0, _, Fy = polys
+    slices are those of (F0, F0_x, F0_y) at x = u, and at_u slices an
+    integer column in x the same way, here those of S_1 in y.  The
+    candidates make F0(u, y) and F0_y(u, y) share a root, so where
+    lc_y F0(u) and A(u) are nonzero their gcd is S_1(u) = A(u) y + B(u)
+    and v = -B(u)/A(u); lc_y F0(u) is read off the slice first, so S_1 is
+    only computed where it can serve.  F0_x(u, v) = 0 keeps the point,
+    else _Drop."""
     lv, k = field.levels, field.depth
     if _is_zero(lv, k, slices[0][-1]):
         return None
-    s1 = _columns(first_subresultant(F0, Fy, "y"), 1)
-    a = at_u(s1.get(1, []))
+    s1 = _zcolumns(first_subresultant(F0, F0.derivative("y"), "y"), 1)[0] + [[], []]
+    a = at_u(s1[1])
     if _is_zero(lv, k, a):
         return None
-    v = _neg(lv, k, _mul(lv, k, at_u(s1.get(0, [])), _inv(lv, k, a)))
+    v = _neg(lv, k, _mul(lv, k, at_u(s1[0]), _inv(lv, k, a)))
     acc = field.zero()
     for c in reversed(slices[1]):
         acc = _add(lv, k, _mul(lv, k, acc, v), c)
@@ -465,25 +467,15 @@ def _axis_stratum(F0: SparsePoly, axis_divides: bool, w_chart: int, tag: str):
     runs over Q on integer lists, and the candidate field Q(t, v),
     v^w_chart = t, cannot split (_cluster_field), so this stratum needs no
     split handling.  Returns a list of (field, v) with at most one entry."""
-    if axis_divides:
-        sl = F0.shift_down("x", 1).set_var_zero("x")
-        if sl.is_zero():
-            raise InternalInconsistency(
-                "a repeated axis factor survived the reducedness check")
-        polys = [sl]
-    else:
-        polys = [p.set_var_zero("x")
-                 for p in (F0, F0.derivative("x"), F0.derivative("y"))]
-        polys = [p for p in polys if not p.is_zero()]
-        if not polys:
-            raise InternalInconsistency(
-                "the sliced system of a reduced curve vanished identically")
-    g = None
-    for sl in polys:
-        u = _zclear(sl.coeff_list("y"))[0]
-        g = u if g is None else _zgcd(g, u)[0]
-        if len(g) == 1:
-            return []
+    # F0(0, y), F0_x(0, y), F0_y(0, y): F0's columns 0 and 1 in x and the
+    # derivative of column 0; where x divides F0, only (F0 / x)(0, y) is left
+    cols = _zcolumns(F0, 0)[0] + [[], []]
+    g = _zgcd_all((cols[0], cols[1], _zderiv(cols[0])))
+    if not g:
+        raise InternalInconsistency(
+            "a repeated axis factor survived the reducedness check"
+            if axis_divides else
+            "the sliced system of a reduced curve vanished identically")
     s = _radical_collapsed(g, w_chart)
     if len(s) == 1:
         return []

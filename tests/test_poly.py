@@ -87,6 +87,19 @@ def test_parser_refuses_exactly_the_unprintable_coefficients(tree):
         assert parse_poly(text, ("x", "y")) == value
 
 
+def test_parser_refuses_a_huge_power_before_expanding_it(monkeypatch):
+    """(x+1)^20000 has coefficients of about 6000 digits, though its leading
+    one is 1: the values of x + 1 at x = 1 and -1 refuse it unexpanded."""
+    power = SparsePoly.__pow__
+
+    def no_huge_power(self, n):
+        assert n != 20000, "the power was expanded"
+        return power(self, n)
+    monkeypatch.setattr(SparsePoly, "__pow__", no_huge_power)
+    with pytest.raises(PolySyntaxError, match="after '\\^' at position 5$"):
+        parse_poly("(x+1)^20000 - y", ("x", "y"))
+
+
 small_polys = st.builds(
     lambda terms: SparsePoly(QQ, ("x", "y"),
                              {e: Rat(c) for e, c in terms.items()}),
@@ -369,9 +382,23 @@ def test_resultant_specializes_to_the_sylvester_determinant(f, g, sf, sg):
     ("1/2*y^3 + x", "y^2 + y"),
     ("y^3 + x", "3*y^2 - x*y"),
     ("y^3 + y + x", "y^3 + x"),
+    # c * y^k, with f(x, 0) nonzero and zero
+    ("y^2 + x", "3*y"),
+    ("y^3 - x", "(x + 1)*y^2"),
+    ("y^2 + 2*y + x", "1/2*x*y^3"),
+    ("y^2 + x*y", "2*y"),
+    ("y^3 + x*y", "(x - 1)*y^2"),
+    ("y^2 - y", "x*y^3"),
+    ("x*y^2", "y^2 + x"),
+    # constant in y on either side and on both
+    ("x^2 + 1", "y^2 + x"),
+    ("y^3 + x", "x - 2"),
+    ("3", "y - x"),
+    ("x + 1", "2*x^2 - 1/3"),
 ])
 def test_resultant_through_a_row_swap(f, g):
-    """Sparse rows whose elimination meets a zero pivot."""
+    """Sparse rows whose elimination meets a zero pivot, and the inputs
+    c * y^k or constant in y."""
     assert_specializes(germ(f), germ(g))
 
 
@@ -380,6 +407,21 @@ def test_resultant_rejects_tower_coefficients():
     f, g = germ("y^2 - x").lift_to(field), germ("y - x^2").lift_to(field)
     with pytest.raises(ValueError):
         resultant(f, g, "y")
+
+
+def test_contents_and_squarefreeness_reject_tower_coefficients(monkeypatch):
+    """Elimination is over Q only: content_in and squarefree_discriminant,
+    and so is_squarefree_two_vars, refuse a tower before any tower Euclid
+    runs."""
+    field, _ = adjoin_root(QQ, (Rat(-2), Rat(0)), "s")
+    f = germ("(x - 1)*(y^2 - x)").lift_to(field)
+    euclid = spy(monkeypatch, exactnum, "_pgcd_monic")
+    for check in (lambda: content_in(f, "x"),
+                  lambda: squarefree_discriminant(f),
+                  lambda: is_squarefree_two_vars(f)):
+        with pytest.raises(ValueError):
+            check()
+    assert euclid == []
 
 
 def trimmed(w):
@@ -530,6 +572,10 @@ def test_gcd_and_yun_over_q_make_no_fraction_division(monkeypatch):
     for a, b in (("y^2 - 1", "(y - 1)^2"), ("y", "0"), ("0", "3*y - 1"),
                  ("0", "0"), ("y^3 + 1/2", "2")):
         poly_gcd(parse_poly(a, ("y",)), parse_poly(b, ("y",)))
+    # the certificate, through contents in x and in y
+    for text in ("(x - 1)*(y^2 - x^3)", "(y + 2)*(x^2 - 3)*(y^2 - 2*x^2 + x)",
+                 "(y - 1)^2*(x + 2)*(y - x^2)", "1/2*(x^2 - 1)*(3*y + 1)"):
+        squarefree_discriminant(germ(text))
     assert divisions == []
 
 

@@ -1,0 +1,51 @@
+"""No private function or class is kept that only its own tests call.
+
+A single-underscore name defined by `def` or `class` anywhere in
+src/qres/*.py must be read somewhere in src/qres: as a Name, as an
+Attribute, or in an import.  Tests do not count as readers.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SOURCES = sorted(ROOT.glob("src/qres/*.py"))
+
+
+def unread_private_definitions(sources: dict):
+    """[(file, line, name)] of the private definitions in sources (file
+    name -> text) that no Name, Attribute or import there reads."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                read |= {a.name.split(".")[-1] for a in node.names}
+    return sorted(
+        (name, node.lineno, node.name)
+        for name, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in read)
+
+
+def test_every_private_definition_is_read():
+    sources = {p.name: p.read_text() for p in SOURCES}
+    assert unread_private_definitions(sources) == []
+
+
+def test_the_walk_sees_an_unread_private_definition():
+    a = ("from b import _imported\n"
+         "def _called():\n    return _imported\n"
+         "def _orphan():\n    _orphan_name = 1\n    return _orphan_name\n"
+         "class _Holder:\n    def _method(self):\n        return _called()\n"
+         "    def _unused_method(self):\n        pass\n"
+         "def __dunder__():\n    pass\n")
+    b = "def _imported():\n    pass\nprint(_Holder()._method())\n"
+    assert unread_private_definitions({"a.py": a, "b.py": b}) == [
+        ("a.py", 4, "_orphan"), ("a.py", 10, "_unused_method")]
