@@ -10,7 +10,7 @@ from qres import exactnum, poly, resolve
 from qres.errors import (BadType, ExtensionOverflow, NotReduced,
                          NotSemiInvariant, ResolutionDepthExceeded, UnitGerm)
 from qres.exactnum import (ExtField, Rat, SplitEvent, adjoin_radical,
-                           is_zero_validated)
+                           adjoin_root, is_zero_validated)
 from qres.invariants import delta_breakdown, delta_w, full_report
 from qres.poly import SparsePoly
 from qres.quotsing import SMOOTH, QuotType
@@ -164,6 +164,41 @@ def test_a_level_that_counts_no_points_splits_in_place(monkeypatch):
     assert [(n.origin, n.field.describe())
             for n in rep.tree.iter_nodes()] == [("root", "Q")]
     assert (rep.delta_w, rep.r_w) == (1, 1)
+
+
+LATE_SPLIT_TREES = [
+    ((), [(0, "root", 0, "Q(t:deg 2)", None), (2, "split", 0, "Q", (1, 1)),
+          (4, "face", 1, "Q", (3, 1)), (8, "split", 0, "Q", (1, 1)),
+          (10, "face", 1, "Q", (2, 1))]),
+    (((1, 1), (1, 2), (2, 1)),
+     [(0, "root", 0, "Q(t:deg 2)", None), (2, "split", 0, "Q", (1, 1)),
+      (4, "face", 1, "Q", (1, 2)), (6, "chart2", 2, "Q", (2, 1)),
+      (8, "chart2", 3, "Q", (3, 1)), (12, "split", 0, "Q", (1, 1)),
+      (14, "face", 1, "Q", (2, 1))]),
+]
+
+
+@pytest.mark.parametrize("overrides, nodes", LATE_SPLIT_TREES)
+def test_a_split_after_the_blowup_began_forks_the_node(overrides, nodes):
+    """Over Q(t), t^2 = 4, every coefficient of
+    f = (y - x)^2 (y - t x/2) + x^4 is a unit, so ingesting the root does
+    not split.  The root blows up with (1, 1), and its chart-1 child takes
+    id 1; only then does Yun's algorithm on the face polynomial
+    (y - 1)^2 (y - t/2) split t^2 - 4, and the root forks into one "split"
+    child per factor.  The abandoned attempt keeps the ids and overrides it
+    took, so both forks reuse the root's (1, 1).  By hand,
+    delta = 3 + 3: E6 at t = 2; at t = -2 a cusp along y = x (delta 1)
+    meeting the line y = -x with intersection number 2."""
+    field, _ = adjoin_root(ExtField(()), (-4, 0), "t")
+    x, y = (SparsePoly.variable(field, ("x", "y"), v) for v in "xy")
+    half_t = SparsePoly.const(field, ("x", "y"), (Rat(0), Rat(1, 2)))
+    f = (y - x) ** 2 * (y - half_t * x) + x ** 4
+    tree = resolve_germ(f, SMOOTH,
+                        config=EngineConfig(weight_overrides=overrides))
+    assert [(n.id, n.origin, n.depth, n.field.describe(),
+             n.blowup and (n.blowup.p, n.blowup.q))
+            for n in tree.iter_nodes()] == nodes
+    assert delta_w(tree) == 6
 
 
 def test_axis_factors_ride_along():

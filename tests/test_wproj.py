@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import curve, spy
 from qres import exactnum, poly, wproj
+from qres.cli import main
 from qres.errors import (BadType, NonDivisibleExponent, NotQuasiHomogeneous,
                          NotReduced, PointNotOnCurve, QresError)
 from qres.exactnum import ExtField, Rat, SplitEvent
@@ -414,3 +416,27 @@ def test_a_vanishing_leading_coefficient_skips_the_first_subresultant(
         ("affine", 2), ("vertex", 1), ("vertex", 1)]
     monkeypatch.setattr(wproj, "certified_irreducible", lambda S: False)
     assert located(F, Weights(2, 3, 5)) == fast
+
+
+def test_the_first_subresultant_drops_a_tangency_off_the_singular_locus(
+        capsys, monkeypatch):
+    """F0(1, y) = y^2 (y - 1) has a vertical tangent at (1, 0) and a
+    horizontal one at (1, 1), so x = 1 is a candidate of degree 1, which
+    the certificate accepts.  S_1 gives v = 0, where F0_x(1, 0) = -1: the
+    cluster is dropped, and the cubic is smooth away from [0 : 1 : 0]."""
+    drops = []
+    root = wproj._subresultant_root
+
+    def recording(*args):
+        try:
+            return root(*args)
+        except wproj._Drop:
+            drops.append(args[3].describe())
+            raise
+    monkeypatch.setattr(wproj, "_subresultant_root", recording)
+    rc = main(["curve", "x2^3 - x2^2*x0 + (x1 - x0)*(x2 - x0)*x0"
+               " + (x1 - x0)^2*x0", "--w", "1,1,1", "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0 and doc["genus"] == "1"
+    assert [p["point"] for p in doc["points"]] == ["[0 : 1 : 0]"]
+    assert drops == ["Q"]
