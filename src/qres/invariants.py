@@ -14,12 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import CommonComponent, InternalInconsistency, NotMultiple
+from .errors import (BadType, CommonComponent, InternalInconsistency,
+                     NotMultiple)
 from .exactnum import Rat, _coprime_images
 from .poly import SparsePoly, probe_images, resultant, weighted_order
 from .quotsing import QuotType, SMOOTH
 from .resolve import (EngineConfig, LeafRecord, ResolutionNode,
-                      ResolutionTree, axis_split, resolve_germ, resolve_labels)
+                      ResolutionTree, axis_split, resolve_germ, resolve_labels,
+                      semi_invariance_check)
 
 __all__ = [
     "DeltaTerm", "DeltaBreakdown", "InvariantReport", "delta_breakdown",
@@ -138,10 +140,7 @@ def full_report(f: SparsePoly, ambient: QuotType,
                 config=EngineConfig()) -> InvariantReport:
     """Resolve on the quotient and, when d > 1, once more upstairs at d = 1;
     assemble every invariant and re-check the identities binding them."""
-    from .resolve import semi_invariance_check
-
     if len(f.vars) != 2:
-        from .errors import BadType
         raise BadType("curve germs live in two variables, got %r" % (f.vars,))
     f = f.with_vars(("x", "y"))
     warnings = []

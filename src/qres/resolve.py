@@ -20,13 +20,14 @@ factor (uncounted levels) or forks the node into one branch per factor
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _field
 
 from .errors import (BadType, DegeneratePolygon, InternalInconsistency,
                      NonExactDivision, NotReduced, NotSemiInvariant,
                      ResolutionDepthExceeded, UnitGerm, ZeroPolynomial)
-from .exactnum import (SplitEvent, adjoin_radical, adjoin_root,
+from .exactnum import (ExtField, SplitEvent, adjoin_radical, adjoin_root,
                        is_zero_validated, _is_zero)
 from .poly import (SparsePoly, blowup_transform, choose_face,
                    is_squarefree_two_vars, poly_gcd, squarefree_part,
@@ -99,32 +100,21 @@ class BlowupStep:
     def e(self):
         return self.charts.e
 
-    @property
-    def exc_mult(self):
-        return exceptional_data(self.charts, self.nu)[0]
 
-
+@dataclass(eq=False, repr=False, slots=True)
 class ResolutionNode:
-    __slots__ = ("id", "ambient", "field", "labels", "exc_x", "exc_y",
-                 "depth", "origin", "ingested", "blowup", "leaf_records",
-                 "children", "pruned", "override")
-
-    def __init__(self, id, ambient, field, labels, exc_x, exc_y, depth,
-                 origin, override=_UNSET):
-        self.id = id
-        self.ambient = ambient
-        self.field = field
-        self.labels = labels
-        self.exc_x = exc_x
-        self.exc_y = exc_y
-        self.depth = depth
-        self.origin = origin
-        self.ingested = False
-        self.blowup = None
-        self.leaf_records = []
-        self.children = []
-        self.pruned = False
-        self.override = override
+    id: int
+    ambient: QuotType
+    field: ExtField
+    labels: dict                  # label -> FactorState
+    exc_x: bool
+    exc_y: bool
+    depth: int
+    origin: str
+    override: object = _UNSET     # (p, q) or None once pick_weights ran
+    blowup: BlowupStep | None = None
+    leaf_records: list = _field(default_factory=list)
+    children: list = _field(default_factory=list)
 
     @property
     def conjugacy_multiplicity(self) -> int:
@@ -144,10 +134,6 @@ class ResolutionNode:
                 bits.append("(%s)" % (st.poly,) if bits else str(st.poly))
             out[lab] = " * ".join(bits) if bits else "1"
         return out
-
-    def __repr__(self):
-        return "<node %d %s %s depth=%d>" % (
-            self.id, self.ambient, self.origin, self.depth)
 
 
 @dataclass
@@ -212,47 +198,58 @@ class _Engine:
     def __init__(self, config: EngineConfig):
         self.config = config
         self.overrides = list(config.weight_overrides)
-        self.next_id = 0
-
-    def fresh_id(self):
-        i = self.next_id
-        self.next_id += 1
-        return i
+        self.ids = itertools.count()
 
     def build(self, ambient, field, labels, exc_x, exc_y, depth, origin,
               override=_UNSET):
         """Create and fully expand a node; returns None when nothing of the
-        curve passes through the point."""
-        node = ResolutionNode(self.fresh_id(), ambient, field, labels,
+        curve passes through the point.  The one place that handles a split
+        of the node's tower: a level that counts no points re-expands the
+        node in the factor that SplitEvent.targets() keeps; a level that
+        counts points forks it into one "split" child per target.  Children
+        of an abandoned attempt keep the ids and overrides they took."""
+        node = ResolutionNode(next(self.ids), ambient, field, labels,
                               exc_x, exc_y, depth, origin, override)
         while True:
+            node.blowup, node.leaf_records, node.children = None, [], []
             try:
-                self.process(node)
+                return self.process(node)
             except SplitEvent as ev:
-                if self.handle_split(node, ev):
-                    continue
-            if node.pruned:
-                return None
-            return node
+                if ev.levels != node.field.levels:
+                    raise InternalInconsistency(
+                        "a coefficient split escaped the node that owns its "
+                        "tower")
+                if ev.counts_points:
+                    node.blowup, node.leaf_records, node.children = None, [], []
+                    for field2, project in ev.targets():
+                        child = self.build(
+                            node.ambient, field2,
+                            self._project_labels(node.labels, field2, project),
+                            node.exc_x, node.exc_y, node.depth, "split",
+                            override=node.override)
+                        if child is not None:
+                            node.children.append(child)
+                    return node if node.children else None
+                (node.field, project), = ev.targets()
+                node.labels = self._project_labels(node.labels, node.field,
+                                                   project)
 
     # -- one attempt at expanding a node ------------------------------------
 
     def process(self, node):
+        """The node expanded once, or None when no label is left."""
         if node.depth > DEPTH_BOUND:
             raise ResolutionDepthExceeded(
                 "resolution did not terminate within %d blow-ups at %s"
                 % (DEPTH_BOUND, node.ambient))
         self.ingest(node)
         if not node.labels:
-            node.pruned = True
-            return
-        if self.try_leaf(node):
-            return
-        self.blow_up(node)
+            return None
+        if not self.try_leaf(node):
+            self.blow_up(node)
+        return node
 
     def ingest(self, node):
-        if node.ingested:
-            return
         for lab in sorted(node.labels):
             st = node.labels[lab]
             if st.poly is not None:
@@ -260,8 +257,9 @@ class _Engine:
                     raise InternalInconsistency(
                         "label %s degenerated to the zero germ" % (lab,))
                 if node.field.depth > 0:
-                    # certify every coefficient as zero or unit; anything
-                    # else raises a SplitEvent handled by build()
+                    # certify every coefficient as zero or unit (so the
+                    # structural test below is sound); anything else raises
+                    # a SplitEvent handled by build()
                     for e in sorted(st.poly.terms):
                         is_zero_validated(node.field, st.poly.terms[e])
                 ax, ay, g = axis_split(st.poly)
@@ -269,7 +267,8 @@ class _Engine:
                 st.axis_y += ay
                 if g.is_constant():
                     st.poly = None
-                elif not self._rep_is_zero(node.field, g.constant_term()):
+                elif not _is_zero(node.field.levels, node.field.depth,
+                                  g.constant_term()):
                     # unit at the origin: no component through this point
                     st.poly = None
                 else:
@@ -286,12 +285,6 @@ class _Engine:
                     "label %s contains an exceptional axis" % (lab,))
             if st.is_empty:
                 del node.labels[lab]
-        node.ingested = True
-
-    @staticmethod
-    def _rep_is_zero(field, rep):
-        # structural test is sound: coefficients were certified above
-        return _is_zero(field.levels, field.depth, rep)
 
     # -- leaves --------------------------------------------------------------
 
@@ -306,7 +299,7 @@ class _Engine:
             if st.poly is not None:
                 slots.append((lab, "poly"))
         if not slots:
-            raise InternalInconsistency("non-pruned node with no branch slot")
+            raise InternalInconsistency("a node with labels has no branch slot")
         if len(slots) > 1:
             return False
         lab, kind = slots[0]
@@ -483,34 +476,6 @@ class _Engine:
 
     # -- reducible minimal polynomials ---------------------------------------
 
-    def handle_split(self, node, ev) -> bool:
-        """Returns True when the node should simply be re-expanded."""
-        if ev.levels != node.field.levels:
-            raise InternalInconsistency(
-                "a coefficient split escaped the node that owns its tower")
-        targets = ev.targets()
-        if not ev.counts_points:
-            # the level only parametrized local coordinates: re-expand the
-            # node in the one factor kept
-            (field2, project), = targets
-            node.field = field2
-            node.labels = self._project_labels(node.labels, field2, project)
-            self._reset(node)
-            return True
-        # conjugate points fall into two genuinely different packets: fork
-        forks = []
-        for field2, project in targets:
-            labels = self._project_labels(node.labels, field2, project)
-            child = self.build(node.ambient, field2, labels, node.exc_x,
-                               node.exc_y, node.depth, "split",
-                               override=node.override)
-            if child is not None:
-                forks.append(child)
-        self._reset(node)
-        node.children = forks
-        node.pruned = not forks
-        return False
-
     @staticmethod
     def _project_labels(labels, field2, project):
         out = {}
@@ -521,14 +486,6 @@ class _Engine:
                 g = st.poly.map_coeffs(lambda c: project(c, depth), field2)
             out[lab] = FactorState(st.axis_x, st.axis_y, g)
         return out
-
-    @staticmethod
-    def _reset(node):
-        node.ingested = False
-        node.blowup = None
-        node.leaf_records = []
-        node.children = []
-        node.pruned = False
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +568,8 @@ def _node_dict(node):
         d["blowup"] = {
             "p": b.p, "q": b.q, "e": b.e, "nu": b.nu,
             "nu_by_label": dict(sorted(b.nu_by_label.items())),
-            "exceptional_multiplicity": str(b.exc_mult),
+            "exceptional_multiplicity": str(
+                exceptional_data(b.charts, b.nu)[0]),
             "chart1": str(b.charts.chart1),
             "chart2": str(b.charts.chart2),
         }

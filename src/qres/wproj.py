@@ -415,8 +415,6 @@ def _affine_stratum(F0: SparsePoly, elimination, w0: int, tag: str):
                 "every defining equation vanished along a chart line of a "
                 "reduced curve")
         rad, _ = squarefree_part(g)
-        if rad.degree_in("y") == 0:
-            raise _Drop()
         # Yun's radical is monic
         f2, v0 = adjoin_root(field, rad.coeff_list("y")[:-1], "v" + tag)
         return f2, lift(f2.levels, field.depth, f2.depth, u0), v0

@@ -134,7 +134,8 @@ def test_split_germ_certifies_each_unit_once(monkeypatch):
         assert tree_to_dict(tree) == json.load(fh)
     ran = len(euclids)
     certified = [(n.field, c) for n in tree.iter_nodes()
-                 if n.field.depth and n.ingested
+                 if n.field.depth
+                 and all(ch.origin != "split" for ch in n.children)
                  for st in n.labels.values() if st.poly is not None
                  for c in st.poly.terms.values()]
     assert len(certified) > 10
