@@ -211,16 +211,15 @@ class _Engine:
         node = ResolutionNode(next(self.ids), ambient, field, labels,
                               exc_x, exc_y, depth, origin, override)
         while True:
-            node.blowup, node.leaf_records, node.children = None, [], []
             try:
                 return self.process(node)
             except SplitEvent as ev:
+                node.blowup, node.leaf_records, node.children = None, [], []
                 if ev.levels != node.field.levels:
                     raise InternalInconsistency(
                         "a coefficient split escaped the node that owns its "
                         "tower")
                 if ev.counts_points:
-                    node.blowup, node.leaf_records, node.children = None, [], []
                     for field2, project in ev.targets():
                         child = self.build(
                             node.ambient, field2,
