@@ -20,7 +20,8 @@ once, in this tree:
 
 A timer signal stops a case after TIMEOUT seconds of wall time.  The
 report counts identical cases, cases whose stdout, stderr or exit code
-differ, and cases stopped on both sides or on one; then it shows the first
+differ, and cases stopped on both sides or on one, and gives each tree's
+total wall time over the cases done on both sides; then it shows the first
 SHOW differences.  Exit code 0 when every case is identical or stopped on
 both sides, 1 otherwise: a case stopped on one side only is a slowdown (or
 a speed-up) too large to call equal.
@@ -39,6 +40,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIMEOUT = 20.0          # seconds of wall time per case
@@ -117,6 +119,7 @@ def run_cases(corpus):
     for argv in corpus:
         out, err = io.StringIO(), io.StringIO()
         status, rc = "done", None
+        start = time.perf_counter()
         try:
             with contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(err):
@@ -132,7 +135,8 @@ def run_cases(corpus):
         except Exception as exc:          # a traceback is an outcome too
             status = "raised %s: %s" % (type(exc).__name__, exc)
         results.append({"status": status, "rc": rc, "out": out.getvalue(),
-                        "err": err.getvalue()})
+                        "err": err.getvalue(),
+                        "s": time.perf_counter() - start})
     return results
 
 
@@ -157,11 +161,17 @@ def first_difference(a: str, b: str) -> str:
 
 def compare(corpus, theirs, ours):
     """(counts, details): details lists (argv, text) for every differing
-    or one-sidedly stopped case."""
+    or one-sidedly stopped case.  timed counts the cases done on both
+    sides, and s_theirs and s_ours sum their wall times."""
     counts = dict(cases=len(corpus), identical=0, differ=0, stdout=0,
-                  stderr=0, exit_code=0, stopped_both=0, stopped_one=0)
+                  stderr=0, exit_code=0, stopped_both=0, stopped_one=0,
+                  timed=0, s_theirs=0.0, s_ours=0.0)
     details = []
     for argv, a, b in zip(corpus, theirs, ours):
+        if a["status"] == b["status"] == "done":
+            counts["timed"] += 1
+            counts["s_theirs"] += a["s"]
+            counts["s_ours"] += b["s"]
         stopped = (a["status"] == "stopped", b["status"] == "stopped")
         if all(stopped):
             counts["stopped_both"] += 1
@@ -192,10 +202,12 @@ def compare(corpus, theirs, ours):
 def summary(rev, counts, seed) -> str:
     return ("differential against %s: %d cases, %d identical, %d differ "
             "(stdout %d, stderr %d, exit code %d), %d stopped on both sides, "
-            "%d on one side (seed %d, %g s per case)"
+            "%d on one side (seed %d, %g s per case); wall time over the %d "
+            "cases done on both sides: %.2f s against %s, %.2f s in this tree"
             % (rev, counts["cases"], counts["identical"], counts["differ"],
                counts["stdout"], counts["stderr"], counts["exit_code"],
-               counts["stopped_both"], counts["stopped_one"], seed, TIMEOUT))
+               counts["stopped_both"], counts["stopped_one"], seed, TIMEOUT,
+               counts["timed"], counts["s_theirs"], rev, counts["s_ours"]))
 
 
 def load(path):

@@ -15,6 +15,13 @@ element is a Fraction, a level-k element is a tuple of level-(k-1) elements
 whose length equals the degree of the k-th minimal polynomial.  No element
 object carries a field pointer: the functions below take the tower's levels
 and depth explicitly.
+
+The storey over Q (k = 1) computes on integers under that representation:
+its product, its inversion and the reduction of a projection clear
+denominators once, work on int lists against the storey's primitive
+integer minimal polynomial (Level.zminpoly), and build one Fraction per
+coordinate at the end.  Higher storeys compute with the storey below as
+their coefficients, so their products and inversions reach it.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import math
 import os
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     BadType,
@@ -71,6 +79,12 @@ class Level:
     @property
     def degree(self) -> int:
         return len(self.minpoly)
+
+    @cached_property
+    def zminpoly(self):
+        """For a storey over Q: the minimal polynomial as a primitive integer
+        list, its lead positive; kept on the object, outside equality."""
+        return _zclear(list(self.minpoly) + [1])[0]
 
 
 @dataclass(frozen=True)
@@ -174,8 +188,14 @@ def _sub(levels, k, a, b):
 
 
 def _mul(levels, k, a, b):
+    """The product of level-k elements.  At k = 1 each factor's denominators
+    are cleared once, the product is convolved and reduced on ints
+    (_zrem), and each coordinate becomes one Fraction."""
     if k == 0:
         return a * b
+    if k == 1:
+        (A, da), (B, db) = _zden(a), _zden(b)
+        return tuple(_zrem(_zmul(A, B), levels[0].zminpoly, da * db))
     n = levels[k - 1].degree
     z = _zero(levels, k - 1)
     conv = [z] * (2 * n - 1)
@@ -459,13 +479,43 @@ def _prem_mod(a, b, p):
     return a
 
 
+def _zden(v):
+    """(V, d) with v = V / d for a list v of rationals (or ints): V is an
+    integer list and d > 0 the lcm of the denominators."""
+    den = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (den // x.denominator) for x in v], den
+
+
 def _zclear(v):
     """(V, c) with v = c * V for a list v of rationals (or ints): V is a
     primitive integer list and c > 0 rational; ([], 0) for v = []."""
-    den = math.lcm(*(x.denominator for x in v))
-    num = [x.numerator * (den // x.denominator) for x in v]
+    num, den = _zden(v)
     cont = math.gcd(*num)
     return [x // cont for x in num], Fraction(cont, den)
+
+
+def _zrem(C, M, den=1):
+    """The deg M coordinates of (C / den) mod M, as Fractions, for an
+    integer list C and a trimmed integer list M of degree >= 1.  Where
+    lc(M) is not 1, C is scaled by lc(M)^e first, e = deg C - deg M + 1,
+    so that every step of the long division divides exactly
+    (pseudo-division); one Fraction is built per coordinate at the end."""
+    n, lead = len(M) - 1, M[-1]
+    R = list(C)
+    while R and not R[-1]:
+        R.pop()
+    e = len(R) - n
+    if e > 0 and lead != 1:
+        scale = lead ** e
+        R = [c * scale for c in R]
+        den *= scale
+    for i in range(len(R) - 1, n - 1, -1):
+        c = R[i] // lead
+        if c:
+            for t in range(n):
+                R[i - n + t] -= c * M[t]
+    del R[n:]
+    return [Fraction(c, den) for c in R] + [Fraction(0)] * (n - len(R))
 
 
 def _qmonic(V):
@@ -565,15 +615,13 @@ def _make_factor(old_levels, k, tail):
     """Build the factor tower where level k's minpoly is replaced by `tail`,
     plus the projection of old representations into it."""
     lv = old_levels[k]
-    collapse = len(tail) == 1
-    root = _neg(old_levels, k, tail[0]) if collapse else None
+    new = Level(lv.name, tuple(tail), lv.counts_points) if len(tail) > 1 else None
+    root = _neg(old_levels, k, tail[0]) if new is None else None
 
     def project(rep, level):
-        return _project(old_levels, k, collapse, root, tail, rep, level)
+        return _project(old_levels, k, root, new, rep, level)
 
-    new_levels = list(old_levels[:k])
-    if not collapse:
-        new_levels.append(Level(lv.name, tuple(tail), lv.counts_points))
+    new_levels = list(old_levels[:k]) + ([new] if new is not None else [])
     for j in range(k + 1, len(old_levels)):
         up = old_levels[j]
         new_tail = tuple(project(c, j) for c in up.minpoly)
@@ -581,31 +629,33 @@ def _make_factor(old_levels, k, tail):
     return ExtField(tuple(new_levels)), project
 
 
-def _project(old_levels, k, collapse, root, tail, rep, level):
+def _project(old_levels, k, root, new, rep, level):
     """Project a level-`level` representation into the factor tower.
 
     Levels strictly below k are untouched.  At level k+1 the coefficient
-    vector is either evaluated at the degree-1 root (collapsing the level) or
-    reduced modulo the new tail.  Above that, coefficients are projected
-    recursively; the positional shape only changes at level k+1 when the
-    level collapses.
+    vector is either evaluated at the degree-1 root (new is None: the level
+    collapses) or reduced modulo the minimal polynomial of the new Level,
+    on ints (_zrem) when that storey is over Q.  Above that, coefficients
+    are projected recursively; the positional shape only changes at level
+    k+1 when the level collapses.
     """
     if level <= k:
         return rep
-    if level == k + 1:
-        if collapse:
-            # Horner evaluation at the root, one level down.
-            acc = _zero(old_levels, k)
-            for c in reversed(rep):
-                acc = _add(old_levels, k, _mul(old_levels, k, acc, root), c)
-            return acc
-        num = _ptrim(old_levels, k, list(rep))
-        den = list(tail) + [_const(old_levels, k, Fraction(1))]
-        _, r = _pdivmod(old_levels, k, num, den)
-        z = _zero(old_levels, k)
-        r = r + [z] * (len(tail) - len(r))
-        return tuple(r)
-    return tuple(_project(old_levels, k, collapse, root, tail, c, level - 1) for c in rep)
+    if level > k + 1:
+        return tuple(_project(old_levels, k, root, new, c, level - 1) for c in rep)
+    if new is None:
+        # Horner evaluation at the root, one level down.
+        acc = _zero(old_levels, k)
+        for c in reversed(rep):
+            acc = _add(old_levels, k, _mul(old_levels, k, acc, root), c)
+        return acc
+    if k == 0:
+        num, den = _zden(rep)
+        return tuple(_zrem(num, new.zminpoly, den))
+    num = _ptrim(old_levels, k, list(rep))
+    _, r = _pdivmod(old_levels, k, num,
+                    list(new.minpoly) + [_const(old_levels, k, Fraction(1))])
+    return tuple(r + [_zero(old_levels, k)] * (new.degree - len(r)))
 
 
 def _inv(levels, k, a):
@@ -633,7 +683,11 @@ def _inv(levels, k, a):
 
 
 def _inv_euclid(levels, k, a):
-    """The extended Euclid behind _inv, for a nonzero level-k element a."""
+    """The inversion behind _inv, for a nonzero level-k element a: over Q
+    (k = 1) a fraction-free linear solve (_inv_over_q), above it the
+    extended Euclid over the storey below."""
+    if k == 1:
+        return _inv_over_q(levels, a)
     lv = levels[k - 1]
     n = lv.degree
     one = _const(levels, k - 1, Fraction(1))
@@ -662,6 +716,47 @@ def _inv_euclid(levels, k, a):
     h = _pdiv_exact(levels, k - 1, modulus, g)
     # the event carries the whole tower so upper levels can be projected
     raise SplitEvent(levels, k - 1, g[:-1], h[:-1])
+
+
+def _inv_over_q(levels, a):
+    """The inverse of a in the storey Q[t]/m, m = M / lc(M) for the integer
+    list M = levels[0].zminpoly, or the SplitEvent of a zero divisor.
+
+    With a = A / d, the integer columns C_j = L^j (A t^j mod m), L = lc(M),
+    follow C_{j+1} = L t C_j - c M, c the top coordinate of C_j.  The system
+    sum_j y_j C_j = e_0 is solved by fraction-free Gauss-Jordan elimination
+    (Bareiss 1968): every division by the previous pivot is exact, and at the
+    end each row holds det * y_i.  The inverse's coordinates are then
+    y_j d L^j.  A column with no pivot makes a a zero divisor: the split's
+    factors are the monic gcd g of A and M (_zgcd) and the cofactor M / g."""
+    M = levels[0].zminpoly
+    n, lead = len(M) - 1, M[-1]
+    A, d = _zden(a)
+    cols = [A]
+    for _ in range(n - 1):
+        col = cols[-1]
+        cols.append([lead * x - col[-1] * m for x, m in zip([0] + col[:-1], M)])
+    rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(n)]
+    prev = 1
+    for j in range(n):
+        p = next((i for i in range(j, n) if rows[i][j]), None)
+        if p is None:
+            H, _, cof = _zgcd(_zclear(_ptrim(levels, 0, a))[0], M)
+            raise SplitEvent(levels, 0, _qmonic(H)[:-1], _qmonic(cof)[:-1])
+        rows[j], rows[p] = rows[p], rows[j]
+        pivot_row = rows[j]
+        piv = pivot_row[j]
+        for i, row in enumerate(rows):
+            if i == j:
+                continue
+            f = row[j]
+            qr = [divmod(piv * x - f * y, prev)
+                  for x, y in zip(row[j + 1:], pivot_row[j + 1:])]
+            if any(r for _, r in qr):
+                raise InternalInconsistency("non-exact division in Bareiss elimination")
+            row[j + 1:] = [q for q, _ in qr]
+        prev = piv
+    return tuple(Fraction(rows[i][n] * d * lead ** i, prev) for i in range(n))
 
 
 def is_zero_validated(field: "ExtField", rep) -> bool:

@@ -30,7 +30,7 @@ from .errors import (BadType, InternalInconsistency, NonDivisibleExponent,
                      NonExactDivision, NotQuasiHomogeneous, NotReduced,
                      PointNotOnCurve, ZeroPolynomial)
 from .exactnum import (ExtField, Rat, SplitEvent, _add, _inv, _is_zero, _mul,
-                       _neg, _pdivmod, _qmonic, _sub, _zderiv, _zgcd, _zmul,
+                       _neg, _qmonic, _sub, _zderiv, _zgcd, _zmul, _zrem,
                        adjoin_radical, adjoin_root, certified_irreducible,
                        format_rep, is_zero_validated, lift)
 from .poly import (SparsePoly, _zcolumns, _zgcd_all, first_subresultant,
@@ -379,12 +379,10 @@ def _affine_stratum(F0: SparsePoly, elimination, w0: int, tag: str):
     if len(s) == 1:
         return []
     field, u0 = _cluster_field(s, w0, "t" + tag, "u" + tag)
-    sc = _qmonic(s)
-    n = len(sc) - 1
+    n = len(s) - 1
 
     def storey(c):
-        _, r = _pdivmod((), 0, [Rat(x) for x in c], sc)
-        r += [Rat(0)] * (n - len(r))
+        r = _zrem(c, s)
         return tuple(r) if n > 1 else r[0]
 
     def at_u(c):

@@ -221,7 +221,35 @@ def test_format_rep():
 
 
 # ---------------------------------------------------------------------------
-# _inv's shortcuts (lower storey, memo) against a plain extended Euclid
+# _inv's shortcuts (lower storey, memo) and the integer storey over Q
+# against a plain Fraction product and extended Euclid
+
+
+def ref_mul(L, k, a, b):
+    """The product of level-k elements by Fraction arithmetic alone:
+    convolve, then reduce by the monic minimal polynomial from the top."""
+    if k == 0:
+        return a * b
+    n, tail = L[k - 1].degree, L[k - 1].minpoly
+    conv = [_zero(L, k - 1)] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] = _add(L, k - 1, conv[i + j], ref_mul(L, k - 1, x, y))
+    for m in range(2 * n - 2, n - 1, -1):
+        for t in range(n):
+            conv[m - n + t] = _sub(L, k - 1, conv[m - n + t],
+                                   ref_mul(L, k - 1, conv[m], tail[t]))
+    return tuple(conv[:n])
+
+
+def ref_pmul(L, k, u, v):
+    """The product of polynomials over level k, by ref_mul."""
+    du, dv = _pdeg(L, k, u), _pdeg(L, k, v)
+    out = [_zero(L, k)] * (du + dv + 1 if du >= 0 and dv >= 0 else 0)
+    for i in range(du + 1):
+        for j in range(dv + 1):
+            out[i + j] = _add(L, k, out[i + j], ref_mul(L, k, u[i], v[j]))
+    return out
 
 
 def ref_inv(L, k, a):
@@ -241,14 +269,14 @@ def ref_inv(L, k, a):
     while _pdeg(L, k - 1, r1) >= 0:
         q, r = ref_divmod(L, k - 1, r0, r1)
         r0, s0, r1, s1 = r1, s1, r, _psub(L, k - 1, s0,
-                                          _pmul(L, k - 1, q, s1))
+                                          ref_pmul(L, k - 1, q, s1))
     if _pdeg(L, k - 1, r0) == 0:
         c = ref_inv(L, k - 1, r0[0])
-        inv = [_mul(L, k - 1, c, x) for x in s0]
+        inv = [ref_mul(L, k - 1, c, x) for x in s0]
         assert len(inv) <= n
         return tuple(inv + [_zero(L, k - 1)] * (n - len(inv)))
     lead = ref_inv(L, k - 1, r0[-1])
-    g = [_mul(L, k - 1, lead, x) for x in r0]
+    g = [ref_mul(L, k - 1, lead, x) for x in r0]
     h, rem = ref_divmod(L, k - 1, modulus, g)
     assert _pdeg(L, k - 1, rem) < 0
     raise SplitEvent(L, k - 1, g[:-1], h[:-1])
@@ -261,9 +289,10 @@ def ref_divmod(L, k, num, den):
     q = [_zero(L, k)] * max(len(r) - dd, 1)
     while _pdeg(L, k, r) >= dd:
         dr = _pdeg(L, k, r)
-        c = q[dr - dd] = _mul(L, k, r[dr], lead_inv)
+        c = q[dr - dd] = ref_mul(L, k, r[dr], lead_inv)
         for t in range(dd + 1):
-            r[dr - dd + t] = _sub(L, k, r[dr - dd + t], _mul(L, k, c, den[t]))
+            r[dr - dd + t] = _sub(L, k, r[dr - dd + t],
+                                  ref_mul(L, k, c, den[t]))
     return _ptrim(L, k, q), _ptrim(L, k, r)
 
 
@@ -279,10 +308,17 @@ def outcome(inv, L, k, a):
 
 def build_tower(name):
     """A tower of 2 or 3 storeys with a generator t, t given at the top.
-    Where the name says reducible, t's storey is t^2 - 1 = (t - 1)(t + 1)."""
-    F, s = adjoin_root(QQ, (Rat(-2), Rat(0)), "s")             # s^2 = 2
+    Where the name says reducible, t's storey is t^2 - 1 = (t - 1)(t + 1).
+    A name ending in /rational-tail puts denominators into the tails of
+    the storey over Q: s^3 + s/2 - 5/4 replaces s^2 - 2, and a reducible
+    t over Q is t^2 - 2t/3 - 1/3 = (t - 1)(t + 1/3)."""
+    rational = name.endswith("/rational-tail")
+    name = name.split("/")[0]
+    F, s = adjoin_root(QQ, (Rat(-5, 4), Rat(1, 2), Rat(0)) if rational
+                       else (Rat(-2), Rat(0)), "s")     # s^2 = 2
     if name == "reducible-base":
-        F, t = adjoin_root(QQ, (Rat(-1), Rat(0)), "t")
+        F, t = adjoin_root(QQ, (Rat(-1, 3), Rat(-2, 3)) if rational
+                           else (Rat(-1), Rat(0)), "t")
         tail = (_neg(F.levels, 1, _add(F.levels, 1, t, F.from_rat(3))),
                 F.zero())
         F2 = adjoin_root(F, tail, "u")[0]                   # u^2 = t + 3
@@ -294,7 +330,7 @@ def build_tower(name):
     if name == "reducible-top":
         return F2, t
     L = F2.levels
-    st_plus_3 = _add(L, 2, _mul(L, 2, lift(L, 1, 2, s), t), F2.from_rat(3))
+    st_plus_3 = _add(L, 2, ref_mul(L, 2, lift(L, 1, 2, s), t), F2.from_rat(3))
     F3 = adjoin_root(F2, (_neg(L, 2, st_plus_3), F2.zero()),
                      "u")[0]                                # u^2 = s t + 3
     return F3, lift(F3.levels, 2, 3, t)
@@ -302,6 +338,7 @@ def build_tower(name):
 
 TOWERS = ("irreducible", "reducible-top", "reducible-base",
           "reducible-middle")
+TOWERS += tuple(name + "/rational-tail" for name in TOWERS)
 coefficients = st.one_of(st.just(Rat(0)),
                          st.fractions(min_value=-6, max_value=6,
                                       max_denominator=4))
@@ -327,12 +364,105 @@ def test_inverse_shortcuts_agree_with_plain_euclid(data):
     a = lift(L, low, k, element(L, low, flat))
     root = data.draw(st.sampled_from((None, 1, -1)))
     if root is not None:                        # a zero divisor if reducible
-        a = _mul(L, k, a, _sub(L, k, t, F.from_rat(root)))
+        a = ref_mul(L, k, a, _sub(L, k, t, F.from_rat(root)))
     want = outcome(ref_inv, L, k, a)
     assert outcome(_inv, L, k, a) == want
     assert outcome(_inv, L, k, a) == want       # again, from the memo
     if want[0] == "unit":
         assert _mul(L, k, a, want[1]) == F.one()
+
+
+# storeys over Q with denominators in the tail, as (tail, factors): the
+# factors are elements that are zero divisors of a reducible one
+RATIONAL_STOREYS = [
+    ((Rat(-1, 3), Rat(0)), ()),                                 # t^2 - 1/3
+    ((Rat(-5, 4), Rat(1, 2), Rat(0)), ()),                      # t^3 + t/2 - 5/4
+    ((Rat(-1, 3), Rat(-2, 3)),                                  # (t - 1)(t + 1/3)
+     ((Rat(-1), Rat(1)), (Rat(1, 3), Rat(1)))),
+    ((Rat(1, 3), Rat(1, 3), Rat(1)),                            # (t + 1)(t^2 + 1/3)
+     ((Rat(1), Rat(1), Rat(0)), (Rat(1, 3), Rat(0), Rat(1)))),
+    ((Rat(-2), Rat(0)), ()),                                    # t^2 - 2
+    ((Rat(-1), Rat(0)), ((Rat(-1), Rat(1)), (Rat(1), Rat(1)))),  # t^2 - 1
+]
+
+
+@given(st.data())
+def test_the_storey_over_q_multiplies_and_inverts_like_the_reference(data):
+    tail, factors = data.draw(st.sampled_from(RATIONAL_STOREYS))
+    F = adjoin_root(QQ, tail, "t")[0]
+    L, n = F.levels, len(tail)
+    a, b = (tuple(data.draw(st.lists(coefficients, min_size=n, max_size=n)))
+            for _ in range(2))
+    assert _mul(L, 1, a, b) == ref_mul(L, 1, a, b)
+    factor = data.draw(st.sampled_from((None,) + factors))
+    if factor is not None:
+        a = ref_mul(L, 1, a, factor)
+    want = outcome(ref_inv, L, 1, a)
+    assert outcome(_inv, L, 1, a) == want       # split tails included
+    if want[0] == "unit":
+        assert ref_mul(L, 1, a, want[1]) == F.one()
+
+
+@given(st.data())
+def test_projecting_a_rational_storey_into_its_factors_is_a_ring_map(data):
+    tail, factors = data.draw(st.sampled_from(
+        [c for c in RATIONAL_STOREYS if c[1]]))
+    F, t = adjoin_root(QQ, tail, "t")
+    L, n = F.levels, len(tail)
+    with pytest.raises(SplitEvent) as info:
+        _inv(L, 1, data.draw(st.sampled_from(factors)))
+    a, b = (tuple(data.draw(st.lists(coefficients, min_size=n, max_size=n)))
+            for _ in range(2))
+    for f2, project in info.value.targets():
+        L2, k2 = f2.levels, f2.depth
+        assert project(ref_mul(L, 1, a, b), 1) == ref_mul(
+            L2, k2, project(a, 1), project(b, 1))
+        assert project(_add(L, 1, a, b), 1) == _add(
+            L2, k2, project(a, 1), project(b, 1))
+        # t goes to a root of the factor's minimal polynomial
+        if k2:
+            acc = f2.zero()
+            for c in reversed(list(L2[0].minpoly) + [Rat(1)]):
+                acc = _add(L2, 1, ref_mul(L2, 1, acc, project(t, 1)),
+                           f2.from_rat(c))
+            assert _is_zero(L2, 1, acc)
+
+
+def test_the_storey_over_q_divides_no_polynomial_over_q(monkeypatch, curve):
+    """The product, the inversion and the projection into a factor tower
+    reduce a storey over Q on ints, and so does the slicing of a certified
+    cluster in genus: exactnum._pdivmod never runs over Q (k == 0)."""
+    from qres.wproj import Weights, genus
+    divisions = spy(monkeypatch, exactnum, "_pdivmod")
+    sqrt2, s = sqrt2_field()                                    # a unit
+    unit = _add(sqrt2.levels, 1, s, sqrt2.one())
+    assert _mul(sqrt2.levels, 1, unit, _inv(sqrt2.levels, 1, unit)) == \
+        sqrt2.one()
+    F, t = adjoin_root(QQ, (Rat(1, 3), Rat(1, 3), Rat(1)), "t")
+    L = F.levels                        # (t + 1)(t^2 + 1/3): a rational tail
+    t_plus_2 = _add(L, 1, t, F.from_rat(2))
+    assert _mul(L, 1, t_plus_2, _inv(L, 1, t_plus_2)) == F.one()
+    # a zero divisor at storey 1 of a 2-storey tower, projected into both
+    # factors: the quadratic one keeps its storey
+    F2, u = adjoin_root(F, (_neg(L, 1, t_plus_2), F.zero()), "u")
+    t_plus_1 = lift(F2.levels, 1, 2, _add(L, 1, t, F.one()))
+    with pytest.raises(SplitEvent) as info:
+        _inv(F2.levels, 2, t_plus_1)
+    for f2, project in info.value.targets():
+        u2 = project(u, 2)
+        assert _mul(f2.levels, f2.depth, u2, u2) == \
+            project(lift(F2.levels, 1, 2, t_plus_2), 2)
+    assert sorted(f2.degree for f2, _ in info.value.targets()) == [2, 4]
+    # a curve whose one affine cluster is certified (gallery golden 11)
+    certify = exactnum.certified_irreducible
+    verdicts = []
+    monkeypatch.setattr(
+        "qres.wproj.certified_irreducible",
+        lambda S: verdicts.append(certify(S)) or verdicts[-1])
+    report = genus(curve("(x0^2 + x1^2 - x2^2)*(x0^2 + x1^2 - 2*x2^2)"),
+                   Weights(1, 1, 1))
+    assert verdicts == [True] and report.genus == -1
+    assert [k for _, k, _, _ in divisions if k == 0] == []
 
 
 def count_euclid(monkeypatch):
