@@ -315,7 +315,7 @@ def build_tower(name):
     rational = name.endswith("/rational-tail")
     name = name.split("/")[0]
     F, s = adjoin_root(QQ, (Rat(-5, 4), Rat(1, 2), Rat(0)) if rational
-                       else (Rat(-2), Rat(0)), "s")     # s^2 = 2
+                       else (Rat(-2), Rat(0)), "s")     # or s^2 = 2
     if name == "reducible-base":
         F, t = adjoin_root(QQ, (Rat(-1, 3), Rat(-2, 3)) if rational
                            else (Rat(-1), Rat(0)), "t")
