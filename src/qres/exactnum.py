@@ -117,10 +117,10 @@ class ExtField:
         return _zero(self.levels, self.depth)
 
     def one(self):
-        return _const(self.levels, self.depth, Fraction(1))
+        return lift(self.levels, 0, self.depth, Fraction(1))
 
     def from_rat(self, c):
-        return _const(self.levels, self.depth, Fraction(c))
+        return lift(self.levels, 0, self.depth, Fraction(c))
 
     def describe(self) -> str:
         if not self.levels:
@@ -140,14 +140,6 @@ def _zero(levels, k):
         return Fraction(0)
     z = _zero(levels, k - 1)
     return (z,) * levels[k - 1].degree
-
-
-def _const(levels, k, c):
-    if k == 0:
-        return c
-    n = levels[k - 1].degree
-    z = _zero(levels, k - 1)
-    return (_const(levels, k - 1, c),) + (z,) * (n - 1)
 
 
 def _lift_one(levels, k, rep):
@@ -654,7 +646,7 @@ def _project(old_levels, k, root, new, rep, level):
         return tuple(_zrem(num, new.zminpoly, den))
     num = _ptrim(old_levels, k, list(rep))
     _, r = _pdivmod(old_levels, k, num,
-                    list(new.minpoly) + [_const(old_levels, k, Fraction(1))])
+                    list(new.minpoly) + [lift(old_levels, 0, k, Fraction(1))])
     return tuple(r + [_zero(old_levels, k)] * (new.degree - len(r)))
 
 
@@ -690,7 +682,7 @@ def _inv_euclid(levels, k, a):
         return _inv_over_q(levels, a)
     lv = levels[k - 1]
     n = lv.degree
-    one = _const(levels, k - 1, Fraction(1))
+    one = lift(levels, 0, k - 1, Fraction(1))
     modulus = list(lv.minpoly) + [one]
     # extended Euclid for gcd(modulus, a) with a Bezout coefficient for a
     r0, s0 = modulus, []
@@ -703,11 +695,9 @@ def _inv_euclid(levels, k, a):
     d = _pdeg(levels, k - 1, r0)
     if d == 0:
         c = _inv(levels, k - 1, r0[0])
+        # a Bezout coefficient of a modulo a degree-n polynomial has
+        # degree below n
         inv = _pscale(levels, k - 1, c, s0)
-        # Bezout coefficients for deg(a) < n stay below degree n, but reduce
-        # defensively so the shape contract is kept.
-        if _pdeg(levels, k - 1, inv) >= n:
-            _, inv = _pdivmod(levels, k - 1, inv, modulus)
         z = _zero(levels, k - 1)
         inv = inv + [z] * (n - len(inv))
         return tuple(inv[:n])
@@ -802,7 +792,7 @@ def adjoin_root(field: ExtField, tail, name: str, counts_points: bool = True):
         raise ValueError("minimal polynomial must have degree >= 1")
     if n == 1:
         return field, _neg(levels, k, tail[0])
-    one = _const(levels, k, Fraction(1))
+    one = field.one()
     poly = list(tail) + [one]
     g = _pgcd_monic(levels, k, poly, _pderiv(levels, k, poly))
     if _pdeg(levels, k, g) > 0:

@@ -577,24 +577,30 @@ def choose_face(np_: NewtonPolygon) -> Face:
     return max(np_.faces, key=lambda fc: (fc.p + fc.q, fc.p, fc.q))
 
 
-def blowup_transform(f: SparsePoly, p: int, q: int, chart: int):
-    """Total transform of f under the (p, q) blow-up in the given chart,
-    divided by the exceptional multiplicity.  Returns (nu, strict).
+def blowup_transform(f: SparsePoly, p: int, q: int, xdiv: int, ydiv: int):
+    """Strict transforms of f under the (p, q) blow-up in both charts, from
+    one walk of its terms.  Returns (nu, strict1, strict2).
 
     Chart 1 is (x, y) -> (x^p, x^q y) with exceptional locus x = 0; chart 2
-    is (x, y) -> (x y^p, y^q) with exceptional locus y = 0.
+    is (x, y) -> (x y^p, y^q) with exceptional locus y = 0.  Each total
+    transform is divided by the exceptional multiplicity nu, and then its
+    exceptional exponents by the chart divisor (BlowupCharts.xdiv1 in
+    chart 1, ydiv2 in chart 2).
     """
-    if chart not in (1, 2):
-        raise ValueError("chart must be 1 or 2")
     nu = weighted_order(f, p, q)
-    out = {}
+    out1, out2 = {}, {}
     for (i, j), c in f.terms.items():
         w = p * i + q * j - nu
-        e = (w, j) if chart == 1 else (i, w)
-        if e in out:
-            raise InternalInconsistency("blow-up transform collided on %r" % (e,))
-        out[e] = c
-    return nu, SparsePoly(f.field, f.vars, out)
+        if w % xdiv or w % ydiv:
+            raise InternalInconsistency(
+                "chart rewrite failed to divide the exceptional exponent %d "
+                "by %d (chart 1) and %d (chart 2)" % (w, xdiv, ydiv))
+        out1[w // xdiv, j] = c
+        out2[i, w // ydiv] = c
+    if len(out1) < len(f.terms) or len(out2) < len(f.terms):
+        raise InternalInconsistency("blow-up transform of %s collided" % (f,))
+    return (nu, SparsePoly(f.field, f.vars, out1),
+            SparsePoly(f.field, f.vars, out2))
 
 
 # ---------------------------------------------------------------------------

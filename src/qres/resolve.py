@@ -25,13 +25,13 @@ import math
 from dataclasses import dataclass, field as _field
 
 from .errors import (BadType, DegeneratePolygon, InternalInconsistency,
-                     NonExactDivision, NotReduced, NotSemiInvariant,
-                     ResolutionDepthExceeded, UnitGerm, ZeroPolynomial)
+                     NotReduced, NotSemiInvariant, ResolutionDepthExceeded,
+                     UnitGerm, ZeroPolynomial)
 from .exactnum import (ExtField, SplitEvent, adjoin_radical, adjoin_root,
                        is_zero_validated, _is_zero)
 from .poly import (SparsePoly, blowup_transform, choose_face,
                    is_squarefree_two_vars, poly_gcd, squarefree_part,
-                   support_polygon, weighted_order)
+                   support_polygon)
 from .quotsing import (SMOOTH, BlowupCharts, QuotType, blowup_charts,
                        exceptional_data, require_normalized)
 
@@ -325,29 +325,26 @@ class _Engine:
     def blow_up(self, node):
         p, q = self.pick_weights(node)
         bc = blowup_charts(node.ambient, p, q)
-        nu_by_label = {}
+        # chart 1: x = 0 is the new exceptional curve; axis-x parts die in
+        # it.  Chart 2: y = 0 is, and axis-y parts die in it.  Both strict
+        # transforms are taken here; the transform only copies coefficients,
+        # so it cannot split the tower before the chart-1 child is built.
+        nu_by_label, strict1, raw1, raw2 = {}, {}, {}, {}
         for lab in sorted(node.labels):
             st = node.labels[lab]
-            w = st.axis_x * p + st.axis_y * q
+            nu, s1, s2 = 0, None, None
             if st.poly is not None:
-                w += weighted_order(st.poly, p, q)
-            nu_by_label[lab] = w
-        nu = sum(nu_by_label.values())
-        node.blowup = BlowupStep(charts=bc, nu=nu, nu_by_label=nu_by_label)
-
-        # chart 1: x = 0 is the new exceptional curve; axis-x parts die in it
-        raw1 = {}
-        strict1 = {}
-        for lab in sorted(node.labels):
-            st = node.labels[lab]
-            s1 = None
-            if st.poly is not None:
-                _, s1 = blowup_transform(st.poly, p, q, 1)
-                s1 = self._divide_exps(s1, "x", bc.xdiv1)
+                nu, s1, s2 = blowup_transform(st.poly, p, q, bc.xdiv1,
+                                              bc.ydiv2)
+            nu_by_label[lab] = nu + st.axis_x * p + st.axis_y * q
             strict1[lab] = s1
-            fs = FactorState(0, st.axis_y, s1)
-            if not fs.is_empty:
-                raw1[lab] = fs
+            for raw, fs in ((raw1, FactorState(0, st.axis_y, s1)),
+                            (raw2, FactorState(st.axis_x, 0, s2))):
+                if not fs.is_empty:
+                    raw[lab] = fs
+        node.blowup = BlowupStep(charts=bc, nu=sum(nu_by_label.values()),
+                                 nu_by_label=nu_by_label)
+
         child = self.build(bc.chart1, node.field, raw1, True, node.exc_y,
                            node.depth + 1, "chart1")
         if child is not None:
@@ -355,17 +352,6 @@ class _Engine:
 
         self.process_faces(node, bc, strict1)
 
-        # chart 2: y = 0 is the new exceptional curve; axis-y parts die in it
-        raw2 = {}
-        for lab in sorted(node.labels):
-            st = node.labels[lab]
-            s2 = None
-            if st.poly is not None:
-                _, s2 = blowup_transform(st.poly, p, q, 2)
-                s2 = self._divide_exps(s2, "y", bc.ydiv2)
-            fs = FactorState(st.axis_x, 0, s2)
-            if not fs.is_empty:
-                raw2[lab] = fs
         child = self.build(bc.chart2, node.field, raw2, node.exc_x, True,
                            node.depth + 1, "chart2")
         if child is not None:
@@ -394,14 +380,6 @@ class _Engine:
         except DegeneratePolygon:
             # monomial product germ (axis branches only): any weights work
             return 1, 1
-
-    def _divide_exps(self, f, var, m):
-        try:
-            return f.divide_var_exponents(var, m)
-        except NonExactDivision as exc:
-            raise InternalInconsistency(
-                "chart rewrite failed to divide %s-exponents by %d: %s"
-                % (var, m, exc))
 
     # -- points on the exceptional curve away from both chart origins --------
 

@@ -10,9 +10,9 @@ from conftest import spy
 from qres.errors import (BadType, DivisionByZero, ExtensionOverflow,
                          InternalInconsistency, NotInvertible, NotSquarefree)
 from qres import exactnum
-from qres.exactnum import (ExtField, Rat, SplitEvent, _add, _const, _inv,
-                           _is_zero, _mul, _neg, _pdeg, _pgcd_monic, _pmul,
-                           _psub, _ptrim, _smul, _sub, _zero, adjoin_radical,
+from qres.exactnum import (ExtField, Rat, SplitEvent, _add, _inv, _is_zero,
+                           _mul, _neg, _pdeg, _pgcd_monic, _pmul, _psub,
+                           _ptrim, _smul, _sub, _zero, adjoin_radical,
                            adjoin_root, format_rep, is_zero_validated, lift,
                            mod_inverse)
 
@@ -262,7 +262,7 @@ def ref_inv(L, k, a):
     if _is_zero(L, k, a):
         raise DivisionByZero("zero element")
     n = L[k - 1].degree
-    one = _const(L, k - 1, Rat(1))
+    one = lift(L, 0, k - 1, Rat(1))
     modulus = list(L[k - 1].minpoly) + [one]
     r0, s0 = modulus, []
     r1, s1 = _ptrim(L, k - 1, list(a)), [one]
@@ -428,6 +428,42 @@ def test_projecting_a_rational_storey_into_its_factors_is_a_ring_map(data):
             assert _is_zero(L2, 1, acc)
 
 
+@given(st.data())
+def test_projecting_into_a_quadratic_factor_above_q_is_a_ring_map(data):
+    """s^2 = 2, t^4 = 2, u^2 = t + 1.  Inverting t^2 - s splits t's
+    storey into t^2 - s and t^2 + s over Q(s), so both factor towers keep
+    a storey of degree 2 above the storey over Q, and projecting an
+    element of u's storey reduces its coefficients modulo that factor."""
+    F1, s = adjoin_root(QQ, (Rat(-2), Rat(0)), "s")
+    F2, t = adjoin_root(F1, (F1.from_rat(-2),) + (F1.zero(),) * 3, "t")
+    t_plus_1 = _add(F2.levels, 2, t, F2.one())
+    F3, u = adjoin_root(F2, (_neg(F2.levels, 2, t_plus_1), F2.zero()), "u")
+    L = F3.levels
+    t2_minus_s = _sub(L, 2, ref_mul(L, 2, t, t), lift(L, 1, 2, s))
+    with pytest.raises(SplitEvent) as info:
+        _inv(L, 2, t2_minus_s)
+    a, b = (element(L, 3, data.draw(st.lists(coefficients, min_size=16,
+                                             max_size=16)))
+            for _ in range(2))
+    targets = info.value.targets()
+    assert len(targets) == 2
+    for f2, project in targets:
+        L2, k2 = f2.levels, f2.depth
+        assert k2 == 3 and L2[1].degree == 2
+        assert project(ref_mul(L, 3, a, b), 3) == ref_mul(
+            L2, 3, project(a, 3), project(b, 3))
+        assert project(_add(L, 3, a, b), 3) == _add(
+            L2, 3, project(a, 3), project(b, 3))
+        # t goes to a root of its factor, u to a square root of t + 1
+        t2 = project(t, 2)
+        acc = _zero(L2, 2)
+        for c in reversed(list(L2[1].minpoly) + [lift(L2, 0, 1, Rat(1))]):
+            acc = _add(L2, 2, ref_mul(L2, 2, acc, t2), lift(L2, 1, 2, c))
+        assert _is_zero(L2, 2, acc)
+        u2 = project(u, 3)
+        assert ref_mul(L2, 3, u2, u2) == project(lift(L, 2, 3, t_plus_1), 3)
+
+
 def test_the_storey_over_q_divides_no_polynomial_over_q(monkeypatch, curve):
     """The product, the inversion and the projection into a factor tower
     reduce a storey over Q on ints, and so does the slicing of a certified
@@ -570,11 +606,11 @@ def ref_gcd(u, v):
     return [x / u[-1] for x in u]
 
 
-coefficients = st.one_of(
+gcd_coefficients = st.one_of(
     st.fractions(min_value=-9, max_value=9, max_denominator=6),
     st.integers(-2 ** 70, 2 ** 70).map(Rat),
     st.sampled_from([Rat(P61), Rat(-2 * P61), Rat(1, P61)]))
-lists = st.lists(coefficients, max_size=5)
+lists = st.lists(gcd_coefficients, max_size=5)
 
 
 @given(lists, lists, lists)

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import QQ, germ, spy
-from qres.errors import (DegeneratePolygon, NonExactDivision,
-                         PolySyntaxError, UnknownVariable)
+from qres.errors import (DegeneratePolygon, InternalInconsistency,
+                         NonExactDivision, PolySyntaxError, UnknownVariable)
 from qres import exactnum, poly
 from qres.exactnum import Rat, adjoin_root
 from qres.poly import (SparsePoly, blowup_transform, choose_face, content_in,
@@ -158,10 +158,18 @@ def test_chosen_weights_minimize_over_the_face(f):
 
 def test_blowup_transform_charts():
     f = germ("x^2 - y^3")
-    nu, strict = blowup_transform(f, 3, 2, 1)
-    assert nu == 6 and strict == germ("1 - y^3")
-    nu, strict = blowup_transform(f, 3, 2, 2)
-    assert nu == 6 and strict == germ("x^2 - 1")
+    nu, strict1, strict2 = blowup_transform(f, 3, 2, 1, 1)
+    assert nu == 6
+    assert strict1 == germ("1 - y^3") and strict2 == germ("x^2 - 1")
+    # x^4 has exceptional exponent 12 - 6 = 6 in both charts, which the
+    # chart divisors divide
+    g = germ("x^2 - y^3 + x^4")
+    nu, strict1, strict2 = blowup_transform(g, 3, 2, 2, 3)
+    assert nu == 6
+    assert strict1 == germ("1 - y^3 + x^3")
+    assert strict2 == germ("x^2 - 1 + x^4*y^2")
+    with pytest.raises(InternalInconsistency):
+        blowup_transform(g, 3, 2, 4, 1)
 
 
 def test_squarefree_part_reconstructs_multiplicities():

@@ -1,8 +1,10 @@
-"""No private function or class is kept that only its own tests call.
+"""No function or class is kept that only its own tests call.
 
 A single-underscore name defined by `def` or `class` anywhere in
 src/qres/*.py must be read somewhere in src/qres: as a Name, as an
-Attribute, or in an import.  Tests do not count as readers.
+Attribute, or in an import.  So must a public name defined by `def` or
+`class` at module level; an import in qres/__init__.py, which exports it,
+is a read.  Tests do not count as readers.
 """
 
 import ast
@@ -10,11 +12,13 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted(ROOT.glob("src/qres/*.py"))
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def unread_private_definitions(sources: dict):
-    """[(file, line, name)] of the private definitions in sources (file
-    name -> text) that no Name, Attribute or import there reads."""
+def unread_definitions(sources: dict):
+    """[(file, line, name)] of the definitions in sources (file
+    name -> text) that no Name, Attribute or import there reads: private
+    ones anywhere, public ones at module level."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     read = set()
     for tree in trees.values():
@@ -25,18 +29,36 @@ def unread_private_definitions(sources: dict):
                 read.add(node.attr)
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 read |= {a.name.split(".")[-1] for a in node.names}
-    return sorted(
-        (name, node.lineno, node.name)
-        for name, tree in trees.items() for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef))
-        and node.name.startswith("_") and not node.name.startswith("__")
-        and node.name not in read)
+    out = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, DEFINITIONS) or node.name in read:
+                continue
+            if node.name.startswith("_"):
+                if not node.name.startswith("__"):
+                    out.append((name, node.lineno, node.name))
+            elif node in tree.body:
+                out.append((name, node.lineno, node.name))
+    return sorted(out)
+
+
+def unread_private_definitions(sources: dict):
+    return [d for d in unread_definitions(sources) if d[2].startswith("_")]
+
+
+def unread_public_definitions(sources: dict):
+    return [d for d in unread_definitions(sources)
+            if not d[2].startswith("_")]
 
 
 def test_every_private_definition_is_read():
     sources = {p.name: p.read_text() for p in SOURCES}
     assert unread_private_definitions(sources) == []
+
+
+def test_every_public_module_level_definition_is_read():
+    sources = {p.name: p.read_text() for p in SOURCES}
+    assert unread_public_definitions(sources) == []
 
 
 def test_the_walk_sees_an_unread_private_definition():
@@ -49,3 +71,13 @@ def test_the_walk_sees_an_unread_private_definition():
     b = "def _imported():\n    pass\nprint(_Holder()._method())\n"
     assert unread_private_definitions({"a.py": a, "b.py": b}) == [
         ("a.py", 4, "_orphan"), ("a.py", 10, "_unused_method")]
+
+
+def test_the_walk_sees_an_unread_public_definition():
+    a = ("def exported():\n    pass\n"
+         "def called():\n    pass\n"
+         "def orphan():\n    return called()\n"
+         "class Orphan:\n    def method(self):\n        pass\n")
+    init = "from .a import exported\n"
+    assert unread_public_definitions({"a.py": a, "__init__.py": init}) == [
+        ("a.py", 5, "orphan"), ("a.py", 7, "Orphan")]
