@@ -464,6 +464,36 @@ def test_projecting_into_a_quadratic_factor_above_q_is_a_ring_map(data):
         assert ref_mul(L2, 3, u2, u2) == project(lift(L, 2, 3, t_plus_1), 3)
 
 
+@given(st.data())
+def test_projecting_into_a_linear_factor_above_q_is_a_ring_map(data):
+    """In the reducible-top and reducible-middle towers t's storey over
+    Q(s) is t^2 - 1.  Inverting t - 1 or t + 1 splits it into two linear
+    factors, so each factor tower drops that storey: projecting an element
+    evaluates its coefficients at t = 1 or t = -1."""
+    name = data.draw(st.sampled_from(
+        [n for n in TOWERS if n.split("/")[0] in ("reducible-top",
+                                                  "reducible-middle")]))
+    F, t = build_tower(name)
+    L, k = F.levels, F.depth
+    with pytest.raises(SplitEvent) as info:
+        _inv(L, k, _sub(L, k, t, F.from_rat(data.draw(st.sampled_from((1, -1))))))
+    assert info.value.k == 1
+    a, b = (element(L, k, data.draw(st.lists(coefficients, min_size=F.degree,
+                                             max_size=F.degree)))
+            for _ in range(2))
+    signs = set()
+    for f2, project in info.value.targets():
+        L2, k2 = f2.levels, f2.depth
+        assert k2 == k - 1 and L2[0] is L[0]
+        assert project(ref_mul(L, k, a, b), k) == ref_mul(
+            L2, k2, project(a, k), project(b, k))
+        assert project(_add(L, k, a, b), k) == _add(
+            L2, k2, project(a, k), project(b, k))
+        assert project(t, k) in (f2.from_rat(1), f2.from_rat(-1))
+        signs.add(project(t, k) == f2.from_rat(1))
+    assert signs == {True, False}
+
+
 def test_the_storey_over_q_divides_no_polynomial_over_q(monkeypatch, curve):
     """The product, the inversion and the projection into a factor tower
     reduce a storey over Q on ints, and so does the slicing of a certified
