@@ -1,9 +1,13 @@
 """Print genus reports for a small gallery of weighted plane curves.
 
+Each curve's note is followed by the output of `qres curve` on it.  The
+golden tests (tests/test_golden.py) pin the JSON form of the same list.
+
 Usage: python3 scripts/gallery.py
 """
-from qres.poly import parse_poly
-from qres.wproj import genus, parse_weights
+import sys
+
+from qres import cli
 
 GALLERY = [
     ("x0*x1 - x2", "2,3,5", "rational curve through two vertices"),
@@ -24,22 +28,16 @@ GALLERY = [
 ]
 
 
-def main():
+def main() -> int:
+    """Exit code: the largest one `qres curve` gave."""
+    status = 0
     for text, wt, note in GALLERY:
-        w = parse_weights(wt)
-        rep = genus(parse_poly(text, ("x0", "x1", "x2")), w)
         print("%s  [%s]" % (note, wt))
-        print("  F = %s" % text)
-        print("  degree %d, virtual genus %s, genus %s"
-              % (rep.degree, rep.virtual, rep.genus))
-        for sp, dv in rep.points:
-            mult = " (x%d)" % sp.multiplicity if sp.multiplicity > 1 else ""
-            print("    %s %s%s on %s: delta_w %s"
-                  % (sp.kind, sp.point, mult, sp.ambient, dv))
-        for warning in rep.warnings:
-            print("    note: %s" % warning)
+        print("F = %s" % text)
+        status = max(status, cli.main(["curve", text, "--w", wt]))
         print()
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

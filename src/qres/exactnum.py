@@ -20,8 +20,9 @@ The storey over Q (k = 1) computes on integers under that representation:
 its product, its inversion and the reduction of a projection clear
 denominators once, work on int lists against the storey's primitive
 integer minimal polynomial (Level.zminpoly), and build one Fraction per
-coordinate at the end.  Higher storeys compute with the storey below as
-their coefficients, so their products and inversions reach it.
+coordinate at the end (_zrem).  A higher storey multiplies as polynomials
+over the storey below, and every reduction by its monic minimal
+polynomial, in a product or a projection into a factor, is _preduce.
 """
 
 from __future__ import annotations
@@ -181,34 +182,15 @@ def _sub(levels, k, a, b):
 
 def _mul(levels, k, a, b):
     """The product of level-k elements.  At k = 1 each factor's denominators
-    are cleared once, the product is convolved and reduced on ints
-    (_zrem), and each coordinate becomes one Fraction."""
+    are cleared once and the product is convolved and reduced on ints
+    (_zrem); above, it is the product of polynomials over the storey below,
+    reduced by _preduce."""
     if k == 0:
         return a * b
     if k == 1:
         (A, da), (B, db) = _zden(a), _zden(b)
-        return tuple(_zrem(_zmul(A, B), levels[0].zminpoly, da * db))
-    n = levels[k - 1].degree
-    z = _zero(levels, k - 1)
-    conv = [z] * (2 * n - 1)
-    for i, ai in enumerate(a):
-        if _is_zero(levels, k - 1, ai):
-            continue
-        for j, bj in enumerate(b):
-            if _is_zero(levels, k - 1, bj):
-                continue
-            conv[i + j] = _add(levels, k - 1, conv[i + j], _mul(levels, k - 1, ai, bj))
-    tail = levels[k - 1].minpoly
-    for m in range(2 * n - 2, n - 1, -1):
-        c = conv[m]
-        if _is_zero(levels, k - 1, c):
-            continue
-        conv[m] = z
-        for t in range(n):
-            conv[m - n + t] = _sub(
-                levels, k - 1, conv[m - n + t], _mul(levels, k - 1, c, tail[t])
-            )
-    return tuple(conv[:n])
+        return _zrem(_zmul(A, B), levels[0].zminpoly, da * db)
+    return _preduce(levels, k - 1, _pmul(levels, k - 1, a, b), levels[k - 1].minpoly)
 
 
 def _smul(levels, k, c, a):
@@ -250,17 +232,31 @@ def _pscale(levels, k, c, v):
 
 
 def _pmul(levels, k, u, v):
-    du, dv = _pdeg(levels, k, u), _pdeg(levels, k, v)
-    if du < 0 or dv < 0:
+    """The product of polynomials over level k; zero coefficients of either
+    factor are skipped."""
+    us = [(i, c) for i, c in enumerate(u) if not _is_zero(levels, k, c)]
+    vs = [(j, c) for j, c in enumerate(v) if not _is_zero(levels, k, c)]
+    if not us or not vs:
         return []
-    z = _zero(levels, k)
-    out = [z] * (du + dv + 1)
-    for i in range(du + 1):
-        if _is_zero(levels, k, u[i]):
-            continue
-        for j in range(dv + 1):
-            out[i + j] = _add(levels, k, out[i + j], _mul(levels, k, u[i], v[j]))
+    out = [_zero(levels, k)] * (us[-1][0] + vs[-1][0] + 1)
+    for i, a in us:
+        for j, b in vs:
+            out[i + j] = _add(levels, k, out[i + j], _mul(levels, k, a, b))
     return out
+
+
+def _preduce(levels, k, v, tail):
+    """The len(tail) coordinates of v mod t^n + tail, for a list v of
+    level-k elements.  The modulus is monic, so nothing is inverted and the
+    reduction cannot split."""
+    n = len(tail)
+    r = list(v) + [_zero(levels, k)] * (n - len(v))
+    for m in range(len(r) - 1, n - 1, -1):
+        c = r[m]
+        if not _is_zero(levels, k, c):
+            for t in range(n):
+                r[m - n + t] = _sub(levels, k, r[m - n + t], _mul(levels, k, c, tail[t]))
+    return tuple(r[:n])
 
 
 def _pderiv(levels, k, v):
@@ -296,11 +292,10 @@ def _pdiv_exact(levels, k, num, den):
 
 
 def _pmonic(levels, k, v):
-    d = _pdeg(levels, k, v)
-    if d < 0:
+    v = _ptrim(levels, k, v)
+    if not v:
         raise DivisionByZero("cannot normalize the zero polynomial")
-    inv = _inv(levels, k, v[d])
-    return [_mul(levels, k, inv, x) for x in _ptrim(levels, k, v)]
+    return _pscale(levels, k, _inv(levels, k, v[-1]), v)
 
 
 def _pgcd_monic(levels, k, f, g):
@@ -487,11 +482,12 @@ def _zclear(v):
 
 
 def _zrem(C, M, den=1):
-    """The deg M coordinates of (C / den) mod M, as Fractions, for an
-    integer list C and a trimmed integer list M of degree >= 1.  Where
-    lc(M) is not 1, C is scaled by lc(M)^e first, e = deg C - deg M + 1,
-    so that every step of the long division divides exactly
-    (pseudo-division); one Fraction is built per coordinate at the end."""
+    """The element (C / den) mod M of the storey Q[t]/M, for an integer
+    list C and a trimmed integer list M of degree n >= 1: the tuple of its
+    n coordinates as Fractions, or the one Fraction for n = 1.  Where lc(M)
+    is not 1, C is scaled by lc(M)^e first, e = deg C - deg M + 1, so that
+    every step of the long division divides exactly (pseudo-division); one
+    Fraction is built per coordinate at the end."""
     n, lead = len(M) - 1, M[-1]
     R = list(C)
     while R and not R[-1]:
@@ -507,7 +503,8 @@ def _zrem(C, M, den=1):
             for t in range(n):
                 R[i - n + t] -= c * M[t]
     del R[n:]
-    return [Fraction(c, den) for c in R] + [Fraction(0)] * (n - len(R))
+    r = tuple(Fraction(c, den) for c in R) + (Fraction(0),) * (n - len(R))
+    return r if n > 1 else r[0]
 
 
 def _qmonic(V):
@@ -605,15 +602,16 @@ class SplitEvent(Exception):
 
 def _make_factor(old_levels, k, tail):
     """Build the factor tower where level k's minpoly is replaced by `tail`,
-    plus the projection of old representations into it."""
+    plus the projection of old representations into it.  The factor's
+    Level is always built, as the projection reduces by it, and kept in the
+    tower only when its degree is above 1."""
     lv = old_levels[k]
-    new = Level(lv.name, tuple(tail), lv.counts_points) if len(tail) > 1 else None
-    root = _neg(old_levels, k, tail[0]) if new is None else None
+    new = Level(lv.name, tuple(tail), lv.counts_points)
 
     def project(rep, level):
-        return _project(old_levels, k, root, new, rep, level)
+        return _project(old_levels, k, new, rep, level)
 
-    new_levels = list(old_levels[:k]) + ([new] if new is not None else [])
+    new_levels = list(old_levels[:k]) + ([new] if new.degree > 1 else [])
     for j in range(k + 1, len(old_levels)):
         up = old_levels[j]
         new_tail = tuple(project(c, j) for c in up.minpoly)
@@ -621,33 +619,26 @@ def _make_factor(old_levels, k, tail):
     return ExtField(tuple(new_levels)), project
 
 
-def _project(old_levels, k, root, new, rep, level):
+def _project(old_levels, k, new, rep, level):
     """Project a level-`level` representation into the factor tower.
 
     Levels strictly below k are untouched.  At level k+1 the coefficient
-    vector is either evaluated at the degree-1 root (new is None: the level
-    collapses) or reduced modulo the minimal polynomial of the new Level,
-    on ints (_zrem) when that storey is over Q.  Above that, coefficients
-    are projected recursively; the positional shape only changes at level
-    k+1 when the level collapses.
+    vector is reduced modulo the factor's minimal polynomial: on ints
+    (_zrem) when that storey is over Q, by _preduce above it.  A degree-1
+    factor is the same reduction, whose one coordinate is the value at the
+    root, so the storey collapses.  Above that, coefficients are projected
+    recursively; the positional shape only changes at level k+1 when the
+    level collapses.
     """
     if level <= k:
         return rep
     if level > k + 1:
-        return tuple(_project(old_levels, k, root, new, c, level - 1) for c in rep)
-    if new is None:
-        # Horner evaluation at the root, one level down.
-        acc = _zero(old_levels, k)
-        for c in reversed(rep):
-            acc = _add(old_levels, k, _mul(old_levels, k, acc, root), c)
-        return acc
+        return tuple(_project(old_levels, k, new, c, level - 1) for c in rep)
     if k == 0:
         num, den = _zden(rep)
-        return tuple(_zrem(num, new.zminpoly, den))
-    num = _ptrim(old_levels, k, list(rep))
-    _, r = _pdivmod(old_levels, k, num,
-                    list(new.minpoly) + [lift(old_levels, 0, k, Fraction(1))])
-    return tuple(r + [_zero(old_levels, k)] * (new.degree - len(r)))
+        return _zrem(num, new.zminpoly, den)
+    r = _preduce(old_levels, k, rep, new.minpoly)
+    return r if new.degree > 1 else r[0]
 
 
 def _inv(levels, k, a):
@@ -681,7 +672,6 @@ def _inv_euclid(levels, k, a):
     if k == 1:
         return _inv_over_q(levels, a)
     lv = levels[k - 1]
-    n = lv.degree
     one = lift(levels, 0, k - 1, Fraction(1))
     modulus = list(lv.minpoly) + [one]
     # extended Euclid for gcd(modulus, a) with a Bezout coefficient for a
@@ -692,15 +682,11 @@ def _inv_euclid(levels, k, a):
         s = _psub(levels, k - 1, s0, _pmul(levels, k - 1, q, s1))
         r0, s0 = r1, s1
         r1, s1 = r, s
-    d = _pdeg(levels, k - 1, r0)
-    if d == 0:
+    if _pdeg(levels, k - 1, r0) == 0:
+        # a Bezout coefficient of a modulo the degree-n minimal polynomial
+        # has degree below n, so _preduce only pads it to n coordinates
         c = _inv(levels, k - 1, r0[0])
-        # a Bezout coefficient of a modulo a degree-n polynomial has
-        # degree below n
-        inv = _pscale(levels, k - 1, c, s0)
-        z = _zero(levels, k - 1)
-        inv = inv + [z] * (n - len(inv))
-        return tuple(inv[:n])
+        return _preduce(levels, k - 1, _pscale(levels, k - 1, c, s0), lv.minpoly)
     # proper factor found: compute the cofactor and surface the split
     g = _pmonic(levels, k - 1, r0)
     h = _pdiv_exact(levels, k - 1, modulus, g)

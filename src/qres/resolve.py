@@ -59,6 +59,11 @@ class EngineConfig:
         if self.mode not in ("plain", "strong"):
             raise BadType("mode must be 'plain' or 'strong', got %r"
                           % (self.mode,))
+        for pq in self.weight_overrides:
+            if not (isinstance(pq, tuple) and len(pq) == 2
+                    and all(isinstance(c, int) and c >= 1 for c in pq)
+                    and math.gcd(*pq) == 1):
+                raise BadType("invalid weight override %r" % (pq,))
 
 
 @dataclass
@@ -125,11 +130,8 @@ class ResolutionNode:
         out = {}
         for lab in sorted(self.labels):
             st = self.labels[lab]
-            bits = []
-            if st.axis_x:
-                bits.append("x" if st.axis_x == 1 else "x^%d" % st.axis_x)
-            if st.axis_y:
-                bits.append("y" if st.axis_y == 1 else "y^%d" % st.axis_y)
+            # ingest leaves axis exponents 0 or 1
+            bits = ["x"] * st.axis_x + ["y"] * st.axis_y
             if st.poly is not None:
                 bits.append("(%s)" % (st.poly,) if bits else str(st.poly))
             out[lab] = " * ".join(bits) if bits else "1"
@@ -361,11 +363,7 @@ class _Engine:
         if node.override is _UNSET:
             node.override = self.overrides.pop(0) if self.overrides else None
         if node.override is not None:
-            p, q = node.override
-            if (not isinstance(p, int) or not isinstance(q, int)
-                    or p < 1 or q < 1 or math.gcd(p, q) != 1):
-                raise BadType("invalid weight override %r" % (node.override,))
-            return p, q
+            return node.override
         pts = {(0, 0)}
         for lab in sorted(node.labels):
             st = node.labels[lab]

@@ -30,9 +30,10 @@ from .errors import (BadType, InternalInconsistency, NonDivisibleExponent,
                      NonExactDivision, NotQuasiHomogeneous, NotReduced,
                      PointNotOnCurve, ZeroPolynomial)
 from .exactnum import (ExtField, Rat, SplitEvent, _add, _inv, _is_zero, _mul,
-                       _neg, _qmonic, _sub, _zderiv, _zgcd, _zmul, _zrem,
-                       adjoin_radical, adjoin_root, certified_irreducible,
-                       format_rep, is_zero_validated, lift)
+                       _neg, _preduce, _qmonic, _sub, _zderiv, _zgcd, _zmul,
+                       _zrem, adjoin_radical, adjoin_root,
+                       certified_irreducible, format_rep, is_zero_validated,
+                       lift)
 from .poly import (SparsePoly, _zcolumns, _zgcd_all, first_subresultant,
                    poly_gcd, resultant, squarefree_discriminant,
                    squarefree_part)
@@ -379,17 +380,12 @@ def _affine_stratum(F0: SparsePoly, elimination, w0: int, tag: str):
     if len(s) == 1:
         return []
     field, u0 = _cluster_field(s, w0, "t" + tag, "u" + tag)
-    n = len(s) - 1
-
-    def storey(c):
-        r = _zrem(c, s)
-        return tuple(r) if n > 1 else r[0]
 
     def at_u(c):
         # c(x) over Q at x = u: c mod s, or for w0 > 1 the tuple of the
         # c_r mod s, c = sum_r x^r c_r(x^w0)
-        return storey(c) if w0 == 1 else tuple(storey(c[r::w0])
-                                               for r in range(w0))
+        return _zrem(c, s) if w0 == 1 else tuple(_zrem(c[r::w0], s)
+                                                 for r in range(w0))
 
     # (F0, F0_x, F0_y) by columns in y, each an integer list in x
     cols, _ = _zcolumns(F0, 1)
@@ -446,13 +442,11 @@ def _subresultant_root(F0, slices, at_u, field):
     a = at_u(s1[1])
     if _is_zero(lv, k, a):
         return None
-    v = _neg(lv, k, _mul(lv, k, at_u(s1[0]), _inv(lv, k, a)))
-    acc = field.zero()
-    for c in reversed(slices[1]):
-        acc = _add(lv, k, _mul(lv, k, acc, v), c)
-    if not is_zero_validated(field, acc):
+    minus_v = _mul(lv, k, at_u(s1[0]), _inv(lv, k, a))
+    # F0_x(u, v) is the remainder of F0_x(u, y) mod y - v
+    if not is_zero_validated(field, _preduce(lv, k, slices[1], (minus_v,))[0]):
         raise _Drop()
-    return v
+    return _neg(lv, k, minus_v)
 
 
 def _axis_stratum(F0: SparsePoly, axis_divides: bool, w_chart: int, tag: str):

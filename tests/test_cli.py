@@ -167,6 +167,14 @@ def test_bad_inputs_exit_2(capsys):
         assert err.strip(), argv
 
 
+def test_a_bad_weight_override_is_refused_before_the_engine_runs(capsys):
+    # x needs no blow-up, and x^2 is not reduced: both name the override
+    for poly in ("x", "x^2"):
+        rc, out, err = run(capsys, "germ", poly, "--weights", "(0,1)")
+        assert rc == 2 and not out
+        assert "invalid weight override (0, 1)" in err
+
+
 def test_budget_exhaustion_exits_3(capsys, monkeypatch):
     monkeypatch.setenv("QRES_EXT_BOUND", "1")
     rc, _, err = run(capsys, "germ", "(y^2 - 2*x^2)^2 - x^7")

@@ -19,22 +19,10 @@ import pytest
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
-GALLERY = [
-    ("x0*x1 - x2", "2,3,5"),
-    ("x0*x1 - x2", "3,4,7"),
-    ("x0*x1 - x2^2", "1,3,2"),
-    ("x0*x1 - x2^2", "3,5,4"),
-    ("x0*x1 - x2^2", "5,7,6"),
-    ("x0*x1*x2 + (x0^3 - x1^2)^2", "2,3,7"),
-    ("x1^2*x2 - x0^3", "1,1,1"),
-    ("x1^2*x2 - x0^3 - x0^2*x2", "1,1,1"),
-    ("x0^2*x1^2 + x1^2*x2^2 + x2^2*x0^2 - 2*x0*x1*x2*(x0 + x1 + x2)",
-     "1,1,1"),
-    ("x0^30 + x1^10 + x2^6", "1,3,5"),
-    ("x0^15 + x1^10 + x2^6", "2,3,5"),
-    ("(x0^2 + x1^2 - x2^2)*(x0^2 + x1^2 - 2*x2^2)", "1,1,1"),
-    ("x0*x1", "1,1,1"),
-]
+# the curves of scripts/gallery.py, one list for both
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "scripts"))
+from gallery import GALLERY  # noqa: E402
 
 SPLIT_GERM = "(y^4 - 4*x^4)^2 + x^7*(y^2 - 2*x^2) + x^10"
 
@@ -81,9 +69,12 @@ CASES = (
         ["resolve", "(y^2 - 2*x^2)^2 - x^7", "--json", "-"]),
        ("resolve-conjugate-dot",
         ["resolve", "(y^2 - 2*x^2)^2 - x^7", "--dot", "-"]),
-       ("resolve-split-json", ["resolve", SPLIT_GERM, "--json", "-"])]
+       ("resolve-split-json", ["resolve", SPLIT_GERM, "--json", "-"]),
+       # a node whose labels keep axis factors
+       ("resolve-axis-json",
+        ["resolve", "x*y*(y^2 - x^3)", "--json", "-"])]
     + [("gallery-%02d" % i, ["curve", text, "--w", w, "--json"])
-       for i, (text, w) in enumerate(GALLERY)]
+       for i, (text, w, _) in enumerate(GALLERY)]
 )
 
 

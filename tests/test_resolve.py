@@ -43,6 +43,13 @@ def test_tacnode_values():
     assert (rep.r_w, rep.r_classical) == (2, 2)
 
 
+@pytest.mark.parametrize("override", [(0, 1), (2, 4), (1, 2, 3), (1,),
+                                      (1.0, 2), "12", None])
+def test_the_engine_config_refuses_a_bad_weight_override(override):
+    with pytest.raises(BadType, match="invalid weight override"):
+        EngineConfig(weight_overrides=((1, 5), override))
+
+
 def test_override_weights_reproduce_hand_computation():
     f = germ("x*y + (y^2 - x^3)^2")    # semi-invariant orientation
     cfg = EngineConfig(weight_overrides=((1, 5),))
