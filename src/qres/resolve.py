@@ -60,7 +60,7 @@ class EngineConfig:
             raise BadType("mode must be 'plain' or 'strong', got %r"
                           % (self.mode,))
         for pq in self.weight_overrides:
-            if not (isinstance(pq, tuple) and len(pq) == 2
+            if not (isinstance(pq, (tuple, list)) and len(pq) == 2
                     and all(isinstance(c, int) and c >= 1 for c in pq)
                     and math.gcd(*pq) == 1):
                 raise BadType("invalid weight override %r" % (pq,))
