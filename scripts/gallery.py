@@ -7,8 +7,6 @@ Usage: python3 scripts/gallery.py
 """
 import sys
 
-from qres import cli
-
 GALLERY = [
     ("x0*x1 - x2", "2,3,5", "rational curve through two vertices"),
     ("x0*x1 - x2", "3,4,7", "same family, next weights"),
@@ -30,6 +28,9 @@ GALLERY = [
 
 def main() -> int:
     """Exit code: the largest one `qres curve` gave."""
+    # imported here, so that reading GALLERY needs no qres on the path
+    from qres import cli
+
     status = 0
     for text, wt, note in GALLERY:
         print("%s  [%s]" % (note, wt))
