@@ -6,9 +6,12 @@ Usage:
 
 REV (any git revision) is checked out with `git worktree` into a temporary
 directory, which needs no network, and removed afterwards.  Each tree runs
-the corpus through `qres.cli.main` in a process of its own, with its own
-`src` on the path; the two processes run side by side.  The corpus is built
-once, in this tree:
+the corpus through `qres.cli.main`, with its own `src` on the path.  The
+corpus is cut into BLOCKS blocks, and each block runs in one tree and then
+in the other, in a process per tree and block, so the trees never share
+the CPUs; the tree that goes first alternates from block to block, so a
+drift in the machine's speed falls on both.  The corpus is built once, in
+this tree:
 
 - every argv of the golden tests (tests/test_golden.py);
 - the three perfbench corpora at the seed.
@@ -45,6 +48,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIMEOUT = 20.0          # seconds of wall time per case
 ARRANGEMENTS = 40
+BLOCKS = 8
 SHOW = 5
 
 
@@ -216,10 +220,12 @@ def load(path):
 
 
 def run_tree(tree, corpus_path, out_path):
+    """The results of the corpus at corpus_path, run by a worker in tree."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    return subprocess.Popen(
-        [sys.executable, os.path.abspath(__file__), "--worker", corpus_path,
-         out_path], cwd=tree, env=env)
+    if subprocess.run([sys.executable, os.path.abspath(__file__), "--worker",
+                       corpus_path, out_path], cwd=tree, env=env).returncode:
+        raise RuntimeError("a worker process failed")
+    return load(out_path)
 
 
 def differential(rev, seed=1, arrangements=ARRANGEMENTS, tiny=False):
@@ -233,16 +239,16 @@ def differential(rev, seed=1, arrangements=ARRANGEMENTS, tiny=False):
         subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach",
                         "--quiet", tree, rev], check=True)
         try:
-            corpus_path = os.path.join(tmp, "corpus.json")
-            with open(corpus_path, "w") as fh:
-                json.dump(corpus, fh)
-            paths = [os.path.join(tmp, n) for n in ("theirs.json",
-                                                     "ours.json")]
-            procs = [run_tree(t, corpus_path, p)
-                     for t, p in zip((tree, ROOT), paths)]
-            if any([p.wait() for p in procs]):
-                raise RuntimeError("a worker process failed")
-            theirs, ours = (load(p) for p in paths)
+            block_path = os.path.join(tmp, "block.json")
+            out_path = os.path.join(tmp, "out.json")
+            results = {tree: [], ROOT: []}
+            size = -(-len(corpus) // BLOCKS)
+            for b in range(0, len(corpus), size):
+                with open(block_path, "w") as fh:
+                    json.dump(corpus[b:b + size], fh)
+                for t in (tree, ROOT) if b // size % 2 == 0 else (ROOT, tree):
+                    results[t].extend(run_tree(t, block_path, out_path))
+            theirs, ours = results[tree], results[ROOT]
         finally:
             subprocess.run(["git", "-C", ROOT, "worktree", "remove",
                             "--force", tree], check=False)

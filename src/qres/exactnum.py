@@ -143,16 +143,10 @@ def _zero(levels, k):
     return (z,) * levels[k - 1].degree
 
 
-def _lift_one(levels, k, rep):
-    """Embed a level-(k-1) element as a level-k element."""
-    n = levels[k - 1].degree
-    z = _zero(levels, k - 1)
-    return (rep,) + (z,) * (n - 1)
-
-
 def lift(levels, k_from, k_to, rep):
+    """Embed a level-k_from element as a level-k_to element."""
     for k in range(k_from + 1, k_to + 1):
-        rep = _lift_one(levels, k, rep)
+        rep = (rep,) + (_zero(levels, k - 1),) * (levels[k - 1].degree - 1)
     return rep
 
 
@@ -212,19 +206,12 @@ def _pdeg(levels, k, v) -> int:
 
 
 def _ptrim(levels, k, v):
-    d = _pdeg(levels, k, v)
-    return list(v[: d + 1])
+    return list(v[:_pdeg(levels, k, v) + 1])
 
 
 def _psub(levels, k, u, v):
-    n = max(len(u), len(v))
-    z = _zero(levels, k)
-    out = []
-    for i in range(n):
-        a = u[i] if i < len(u) else z
-        b = v[i] if i < len(v) else z
-        out.append(_sub(levels, k, a, b))
-    return out
+    return [_sub(levels, k, a, b)
+            for a, b in itertools.zip_longest(u, v, fillvalue=_zero(levels, k))]
 
 
 def _pscale(levels, k, c, v):
@@ -657,7 +644,7 @@ def _inv(levels, k, a):
     if _is_zero(levels, k, a):
         raise DivisionByZero("division by zero in %s" % ExtField(tuple(levels[:k])).describe())
     if all(_is_zero(levels, k - 1, c) for c in a[1:]):
-        return _lift_one(levels, k, _inv(levels, k - 1, a[0]))
+        return lift(levels, k - 1, k, _inv(levels, k - 1, a[0]))
     units = levels[k - 1].units
     inv = units.get(a)
     if inv is None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,24 +66,6 @@ class SparsePoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, field, variables):
-        return cls(field, variables, {})
-
-    @classmethod
-    def const(cls, field, variables, c):
-        rep = c if not isinstance(c, (int, Fraction)) else field.from_rat(c)
-        return cls(field, variables, {(0,) * len(tuple(variables)): rep})
-
-    @classmethod
-    def variable(cls, field, variables, name):
-        variables = tuple(variables)
-        if name not in variables:
-            raise UnknownVariable("unknown variable %r" % (name,))
-        e = [0] * len(variables)
-        e[variables.index(name)] = 1
-        return cls(field, variables, {tuple(e): field.one()})
-
-    @classmethod
     def from_univariate(cls, field, var, coeffs):
         return cls(field, (var,), {(i,): c for i, c in enumerate(coeffs)})
 
@@ -105,9 +88,7 @@ class SparsePoly:
 
     def degree_in(self, var) -> int:
         i = self._vi(var)
-        if not self.terms:
-            return -1
-        return max(e[i] for e in self.terms)
+        return max((e[i] for e in self.terms), default=-1)
 
     def min_exp(self, var) -> int:
         i = self._vi(var)
@@ -129,60 +110,37 @@ class SparsePoly:
         if self.field != other.field or self.vars != other.vars:
             raise ValueError("polynomials live in different rings")
 
-    def __add__(self, other):
-        self._check(other)
-        levels, k = self.field.levels, self.field.depth
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            if e in out:
-                out[e] = exactnum._add(levels, k, out[e], c)
-            else:
-                out[e] = c
-        return SparsePoly(self.field, self.vars, out)
+    def _ring(self, *ops):
+        """exactnum's ops, by default (_add, _mul), on this field."""
+        return [functools.partial(op, self.field.levels, self.field.depth)
+                for op in ops or (exactnum._add, exactnum._mul)]
 
-    def __neg__(self):
-        levels, k = self.field.levels, self.field.depth
-        return SparsePoly(self.field, self.vars,
-                          {e: exactnum._neg(levels, k, c) for e, c in self.terms.items()})
+    def __add__(self, other, op=exactnum._add):
+        self._check(other)
+        return SparsePoly(self.field, self.vars, _dadd(
+            self.terms, other.terms, *self._ring(op), self.field.zero()))
 
     def __sub__(self, other):
-        return self.__add__(other.__neg__())
+        return self.__add__(other, exactnum._sub)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(Fraction(other))
         self._check(other)
-        levels, k = self.field.levels, self.field.depth
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                p = exactnum._mul(levels, k, c1, c2)
-                if e in out:
-                    out[e] = exactnum._add(levels, k, out[e], p)
-                else:
-                    out[e] = p
-        return SparsePoly(self.field, self.vars, out)
+        return SparsePoly(self.field, self.vars, _dmul(self.terms, other.terms, *self._ring()))
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        levels, k = self.field.levels, self.field.depth
         rep = self.field.from_rat(c) if isinstance(c, (int, Fraction)) else c
-        return SparsePoly(self.field, self.vars,
-                          {e: exactnum._mul(levels, k, rep, v) for e, v in self.terms.items()})
+        mul, = self._ring(exactnum._mul)
+        return SparsePoly(self.field, self.vars, {e: mul(rep, v) for e, v in self.terms.items()})
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        result = SparsePoly.const(self.field, self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        one = {(0,) * len(self.vars): self.field.one()}
+        return SparsePoly(self.field, self.vars, _dpow(self.terms, n, one, *self._ring()))
 
     def __eq__(self, other):
         if not isinstance(other, SparsePoly):
@@ -213,68 +171,81 @@ class SparsePoly:
             out[e[i]] = c
         return out
 
-    def translate(self, var, root):
-        """Substitute var -> var + root."""
-        i = self._vi(var)
-        levels, k = self.field.levels, self.field.depth
-        maxe = max((e[i] for e in self.terms), default=0)
-        powers = [self.field.one()]
-        for _ in range(maxe):
-            powers.append(exactnum._mul(levels, k, powers[-1], root))
+    def lift_shift(self, field: ExtField, roots=()):
+        """This polynomial in field, a tower over its own, with variable i
+        replaced by itself plus roots[i] in field where that is nonzero.
+        Into Q: _taylor_shift.  Else the products of root powers are made
+        once, as coordinates at the coefficients' storey k (over Q cleared
+        to ints), and each coefficient times binomials multiplies them."""
+        levels, k, K = field.levels, self.field.depth, field.depth
+        if levels[:k] != self.field.levels:
+            raise InternalInconsistency("target tower does not extend the current one")
+        shifts = [i for i, r in enumerate(roots) if not exactnum._is_zero(levels, K, r)]
+        if K == 0:
+            return SparsePoly(field, self.vars, functools.reduce(
+                lambda t, i: _taylor_shift(t, i, roots[i]), shifts, self.terms))
+        mul_top, one = functools.partial(exactnum._mul, levels, K), field.one()
+        powers = {i: [one, *itertools.accumulate([roots[i]] * self.degree_in(i), mul_top)]
+                  for i in shifts}
+        below = {e: list(itertools.product(*(range(e[i] + 1) for i in shifts)))
+                 for e in self.terms}
+        prods = {u: [functools.reduce(mul_top, [powers[i][j] for i, j in zip(shifts, u) if j]
+                                      or [one])] for us in below.values() for u in us}
+        for _ in range(K - k):
+            prods = {u: [c for x in v for c in x] for u, v in prods.items()}
+        coeffs, (add, mul), zero = self.terms, self._ring(), self.field.zero()
+        dim = field.degree // self.field.degree
+        if k == 0:      # on ints: coefficients scale * num, coordinates flat / den
+            num, scale = _zclear(list(coeffs.values()))
+            coeffs, add, mul, zero = dict(zip(coeffs, num)), operator.add, operator.mul, 0
+            flat, den = exactnum._zden([c for v in prods.values() for c in v])
+            prods = {u: flat[j * dim:(j + 1) * dim] for j, u in enumerate(prods)}
         out = {}
-        for e, c in self.terms.items():
-            n = e[i]
-            for t in range(n + 1):
-                coeff = exactnum._smul(levels, k, Fraction(math.comb(n, t)),
-                                       exactnum._mul(levels, k, c, powers[n - t]))
-                e2 = list(e)
-                e2[i] = t
-                e2 = tuple(e2)
-                if e2 in out:
-                    out[e2] = exactnum._add(levels, k, out[e2], coeff)
-                else:
-                    out[e2] = coeff
-        return SparsePoly(self.field, self.vars, out)
+        for e, c in coeffs.items():
+            for u in below[e]:
+                s, w = list(e), c
+                for i, j in zip(shifts, u):
+                    s[i] -= j
+                    w = exactnum._smul(levels, k, math.comb(e[i], j), w)
+                acc = out.setdefault(tuple(s), [zero] * dim)
+                for b, x in enumerate(prods[u]):
+                    acc[b] = add(acc[b], mul(w, x))
+        for s, v in out.items():
+            if k == 0:
+                v = [Fraction(c * scale.numerator, scale.denominator * den) for c in v]
+            for lv in levels[k:]:       # back to an element of storey K
+                v = [tuple(v[j:j + lv.degree]) for j in range(0, len(v), lv.degree)]
+            out[s] = v[0]
+        return SparsePoly(field, self.vars, out)
+
+    def _with_exp(self, i, fn):
+        """This polynomial with each exponent x of variable i made fn(x)."""
+        return SparsePoly(self.field, self.vars, {
+            e[:i] + (fn(e[i]),) + e[i + 1:]: c for e, c in self.terms.items()})
 
     def divide_var_exponents(self, var, m: int):
         i = self._vi(var)
-        if m == 1:
-            return self
-        out = {}
-        for e, c in self.terms.items():
+        for e in self.terms:
             if e[i] % m:
                 raise NonExactDivision(
                     "exponent %d of %s is not divisible by %d" % (e[i], self.vars[i], m))
-            e2 = list(e)
-            e2[i] = e[i] // m
-            out[tuple(e2)] = c
-        return SparsePoly(self.field, self.vars, out)
+        return self._with_exp(i, lambda x: x // m)
 
     def shift_down(self, var, m: int):
         """Divide by var^m (exactly)."""
         i = self._vi(var)
         if m == 0:
             return self
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] < m:
-                raise NonExactDivision("cannot divide by %s^%d" % (self.vars[i], m))
-            e2 = list(e)
-            e2[i] = e[i] - m
-            out[tuple(e2)] = c
-        return SparsePoly(self.field, self.vars, out)
+        if any(e[i] < m for e in self.terms):
+            raise NonExactDivision("cannot divide by %s^%d" % (self.vars[i], m))
+        return self._with_exp(i, lambda x: x - m)
 
     def derivative(self, var):
         i = self._vi(var)
-        levels, k = self.field.levels, self.field.depth
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = list(e)
-            e2[i] = e[i] - 1
-            out[tuple(e2)] = exactnum._smul(levels, k, Fraction(e[i]), c)
-        return SparsePoly(self.field, self.vars, out)
+        smul, = self._ring(exactnum._smul)
+        return SparsePoly(self.field, self.vars, {
+            e[:i] + (e[i] - 1,) + e[i + 1:]: smul(Fraction(e[i]), c)
+            for e, c in self.terms.items() if e[i]})
 
     def with_vars(self, names):
         names = tuple(names)
@@ -284,20 +255,11 @@ class SparsePoly:
 
     def permute_vars(self, order):
         """Reorder variables; order[i] = index in the old tuple."""
-        names = tuple(self.vars[i] for i in order)
-        out = {tuple(e[i] for i in order): c for e, c in self.terms.items()}
-        return SparsePoly(self.field, names, out)
+        return SparsePoly(self.field, (self.vars[i] for i in order), {
+            tuple(e[i] for i in order): c for e, c in self.terms.items()})
 
     def map_coeffs(self, fn, new_field):
         return SparsePoly(new_field, self.vars, {e: fn(c) for e, c in self.terms.items()})
-
-    def lift_to(self, new_field: ExtField):
-        old_depth = self.field.depth
-        if new_field.levels[:old_depth] != self.field.levels:
-            raise InternalInconsistency("target tower does not extend the current one")
-        return self.map_coeffs(
-            lambda c: exactnum.lift(new_field.levels, old_depth, new_field.depth, c),
-            new_field)
 
     # -- printing -----------------------------------------------------------
 
@@ -328,15 +290,41 @@ class SparsePoly:
         return "SparsePoly(%s)" % (self,)
 
 
+def _taylor_shift(terms: dict, i: int, r: Fraction) -> dict:
+    """terms over Q with variable i replaced by itself plus r = p/q: in each
+    column, a scale times the primitive integer list A of degree n, the list
+    of A_t q^(n - t) is shifted by p in n(n + 1)/2 multiply-adds, and its
+    entry at t divided by q^(n - t) (von zur Gathen and Gerhard 1997)."""
+    p, q = r.numerator, r.denominator
+    cols, out = {}, {}
+    for e, c in terms.items():
+        cols.setdefault(e[:i] + (0,) + e[i + 1:], {})[e[i]] = c
+    for e, col in cols.items():
+        n = max(col)
+        a, scale = _zclear([col.get(t, 0) for t in range(n + 1)])
+        a = [c * q ** (n - t) for t, c in enumerate(a)]
+        for s in range(n):
+            acc = a[n]
+            for t in range(n - 1, s - 1, -1):
+                acc = a[t] = a[t] + p * acc
+        for t, c in enumerate(a):
+            if c:
+                out[e[:i] + (t,) + e[i + 1:]] = Fraction(
+                    c * scale.numerator, scale.denominator * q ** (n - t))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
 
 def parse_poly(text: str, variables) -> SparsePoly:
     """Recursive-descent parser for +, -, *, ^ over integers, rational
-    literals n/m, and the given variables.  Errors carry the offset."""
+    literals n/m, and the given variables.  Errors carry the offset.  The
+    grammar is evaluated on term dicts (exponent tuple -> nonzero int or
+    Fraction); one SparsePoly over Q is built at the end."""
     variables = tuple(variables)
-    field = ExtField()
+    unit = (0,) * len(variables)
     pos = 0
     n = len(text)
 
@@ -348,12 +336,6 @@ def parse_poly(text: str, variables) -> SparsePoly:
     def peek():
         skip()
         return text[pos] if pos < n else ""
-
-    def expect(ch):
-        nonlocal pos
-        if peek() != ch:
-            raise PolySyntaxError("expected %r at position %d" % (ch, pos))
-        pos += 1
 
     def natural(exponent=False) -> int:
         nonlocal pos
@@ -376,17 +358,19 @@ def parse_poly(text: str, variables) -> SparsePoly:
     # bases other than a variable.  Below _COEFF_BITS nothing is scanned.
     size, mult, var_end = 0, 1, -1      # var_end: where a variable ended
 
-    def base() -> SparsePoly:
+    def base() -> dict:
         nonlocal pos, size, var_end
         ch = peek()
         if ch == "(":
             pos += 1
             e = expr()
-            expect(")")
+            if peek() != ")":
+                raise PolySyntaxError("expected ')' at position %d" % (pos,))
+            pos += 1
             return e
         if ch.isdigit():
-            num = natural()
-            size += num.bit_length()
+            c = natural()
+            size += c.bit_length()
             skip()
             if pos < n and text[pos] == "/":
                 pos += 1
@@ -394,8 +378,8 @@ def parse_poly(text: str, variables) -> SparsePoly:
                 if den == 0:
                     raise PolySyntaxError("zero denominator at position %d" % (pos,))
                 size += den.bit_length()
-                return SparsePoly.const(field, variables, Fraction(num, den))
-            return SparsePoly.const(field, variables, Fraction(num))
+                c = Fraction(c, den)
+            return {unit: c} if c else {}
         if ch.isalpha() or ch == "_":
             start = pos
             while pos < n and (text[pos].isalnum() or text[pos] == "_"):
@@ -406,21 +390,21 @@ def parse_poly(text: str, variables) -> SparsePoly:
                     "unknown variable %r at position %d (expected one of %s)"
                     % (name, start, ", ".join(variables)))
             var_end = pos
-            return SparsePoly.variable(field, variables, name)
+            return {tuple(int(v == name) for v in variables): 1}
         raise PolySyntaxError("unexpected %r at position %d" % (ch or "end of input", pos))
 
     def too_long(at: int):
         return PolySyntaxError("coefficient of more than %d digits after %r "
                                "at position %d" % (MAX_COEFF_DIGITS, text[at], at))
 
-    def printable(p: SparsePoly, at: int, exps) -> SparsePoly:
+    def printable(p: dict, at: int, exps) -> dict:
         for e in exps:
-            c = p.terms.get(e, 0)
+            c = p.get(e, 0)
             if max(abs(c.numerator), c.denominator) >= _COEFF_LIMIT:
                 raise too_long(at)
         return p
 
-    def factor() -> SparsePoly:
+    def factor() -> dict:
         nonlocal pos, mult
         b = base()
         end = pos
@@ -432,29 +416,29 @@ def parse_poly(text: str, variables) -> SparsePoly:
             if var_end != end:
                 mult *= e or 1
             if size * mult < _COEFF_BITS:
-                return b ** e
+                return _dpow(b, e, {unit: 1})
             # b's coefficient at its largest exponent tuple, to the power e,
             # is one of b^e: a huge power is refused before it is expanded
-            c = b.terms[max(b.terms)] if b.terms else Fraction(0)
+            c = b[max(b)] if b else 0
             if ((max(abs(c.numerator), c.denominator).bit_length() - 1) * e
                     >= _COEFF_BITS or _power_bits(b, e) >= _COEFF_BITS):
                 raise too_long(at)
-            b = b ** e
-            return printable(b, at, b.terms)
+            b = _dpow(b, e, {unit: 1})
+            return printable(b, at, b)
         return b
 
-    def term() -> SparsePoly:
+    def term() -> dict:
         nonlocal pos
         f = factor()
         while peek() == "*":
             at = pos
             pos += 1
-            f = f * factor()
+            f = _dmul(f, factor())
             if size * mult >= _COEFF_BITS:
-                printable(f, at, f.terms)
+                printable(f, at, f)
         return f
 
-    def expr() -> SparsePoly:
+    def expr() -> dict:
         nonlocal pos, size
         sign = 1
         if peek() in ("+", "-"):
@@ -462,37 +446,69 @@ def parse_poly(text: str, variables) -> SparsePoly:
             pos += 1
         t = term()
         if sign < 0:
-            t = -t
+            t = {e: -c for e, c in t.items()}
         while peek() in ("+", "-"):
             at, op = pos, text[pos]
             pos += 1
             size += 1
             t2 = term()
-            t = t - t2 if op == "-" else t + t2
+            t = _dadd(t, t2, operator.sub if op == "-" else operator.add)
             if size * mult >= _COEFF_BITS:
-                printable(t, at, t2.terms)    # only these may have grown
+                printable(t, at, t2)    # only these may have grown
         return t
 
     result = expr()
     skip()
     if pos != n:
         raise PolySyntaxError("unexpected %r at position %d" % (text[pos], pos))
-    return result
+    return SparsePoly(ExtField(), variables, {
+        e: c if type(c) is Fraction else Fraction(c) for e, c in result.items()})
 
 
-def _power_bits(b: SparsePoly, e: int) -> int:
+def _dadd(a: dict, b: dict, add=operator.add, zero=0) -> dict:
+    """The sum of term dicts (exponent tuple -> coefficient), or with
+    add = operator.sub their difference; a coefficient 0 is dropped."""
+    out = dict(a)
+    for e, c in b.items():
+        c = add(out.pop(e, zero), c)
+        if c:
+            out[e] = c
+    return out
+
+
+def _dmul(a: dict, b: dict, add=operator.add, mul=operator.mul) -> dict:
+    """The product of term dicts; a coefficient 0 is dropped."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e, c = tuple(map(operator.add, e1, e2)), mul(c1, c2)
+            out[e] = add(out[e], c) if e in out else c
+    return {e: c for e, c in out.items() if c}
+
+
+def _dpow(b: dict, e: int, one: dict, *ring) -> dict:
+    """b^e for a term dict b by repeated squaring; one is the term dict of
+    1 and ring the coefficient sum and product (_dmul)."""
+    if e == 0:
+        return one
+    h = _dpow(b, e >> 1, one, *ring)
+    return _dmul(_dmul(h, h, *ring), b, *ring) if e & 1 else _dmul(h, h, *ring)
+
+
+def _power_bits(b: dict, e: int) -> int:
     """A k such that b^e has a coefficient above 2^k in absolute value, for
-    b with integer coefficients; -1, no claim, for any other b.  At each
-    point s of {1, -1}^n the coefficients of b^e sum in absolute value to
-    at least |b(s)|^e, and b^e has at most N = prod over the variables of
-    (e deg_v b + 1) of them, so one is at least v^e / N, v = max |b(s)|."""
-    if not b.terms or any(c.denominator != 1 for c in b.terms.values()):
+    a term dict b with integer coefficients; -1, no claim, for any other b.
+    At each point s of {1, -1}^n the coefficients of b^e sum in absolute
+    value to at least |b(s)|^e, and b^e has at most N = prod over the
+    variables of (e deg_v b + 1) of them, so one is at least v^e / N,
+    v = max |b(s)|."""
+    if not b or any(c.denominator != 1 for c in b.values()):
         return -1
-    n = len(b.vars)
+    n = len(next(iter(b)))
     v = max(abs(sum(c.numerator * math.prod(s ** k for s, k in zip(pt, ex))
-                    for ex, c in b.terms.items()))
+                    for ex, c in b.items()))
             for pt in itertools.product((1, -1), repeat=n))
-    N = math.prod(e * b.degree_in(i) + 1 for i in range(n))
+    N = math.prod(e * max(ex[i] for ex in b) + 1 for i in range(n))
     return (v.bit_length() - 1) * e - N.bit_length()
 
 
@@ -636,7 +652,7 @@ def squarefree_part(f: SparsePoly):
     levels, k = field.levels, field.depth
     coeffs = f.coeff_list()
     if len(coeffs) <= 1:
-        return SparsePoly.const(field, (var,), 1), []
+        return SparsePoly.from_univariate(field, var, [field.one()]), []
     if k == 0:
         u, _ = _zclear(coeffs)
         gcd, sub, deriv, monic = exactnum._zgcd, _zsub, exactnum._zderiv, exactnum._qmonic
@@ -677,7 +693,7 @@ def resultant(f: SparsePoly, g: SparsePoly, var) -> SparsePoly:
                          % f.field.describe())
     vi = f._vi(var)
     if f.is_zero() or g.is_zero():
-        return SparsePoly.zero(f.field, f.vars)
+        return SparsePoly(f.field, f.vars, {})
     a, b = f.degree_in(vi), g.degree_in(vi)
     if a == 0 or b == 0:
         return f ** b * g ** a

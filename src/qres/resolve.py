@@ -442,7 +442,7 @@ class _Engine:
             s1 = strict1[lab]
             if s1 is None:
                 continue
-            moved = s1.lift_to(field3).translate("y", y0)
+            moved = s1.lift_shift(field3, (field3.zero(), y0))
             raw[lab] = FactorState(0, 0, moved)
         child = self.build(SMOOTH, field3, raw, True, False,
                            node.depth + 1, "face")

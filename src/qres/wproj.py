@@ -255,10 +255,7 @@ def localize(F: SparsePoly, w: Weights, P: ProjPoint):
                 germ.field.levels, germ.field.depth, germ.constant_term()):
             raise PointNotOnCurve("%s does not lie on the curve" % (P,))
         return germ, ambient
-    germ = slice_.lift_to(fld)
-    for var, c in (("x", a), ("y", b)):
-        if not _is_zero(fld.levels, fld.depth, c):
-            germ = germ.translate(var, c)
+    germ = slice_.lift_shift(fld, (a, b))
     if germ.is_constant() or not _is_zero(
             fld.levels, fld.depth, germ.constant_term()):
         raise PointNotOnCurve("%s does not lie on the curve" % (P,))

@@ -10,6 +10,7 @@ from conftest import spy
 from qres.errors import (BadType, DivisionByZero, ExtensionOverflow,
                          InternalInconsistency, NotInvertible, NotSquarefree)
 from qres import exactnum
+from qres.poly import SparsePoly
 from qres.exactnum import (ExtField, Rat, SplitEvent, _add, _inv, _is_zero,
                            _mul, _neg, _pdeg, _pgcd_monic, _pmul, _psub,
                            _ptrim, _smul, _sub, _zero, adjoin_radical,
@@ -492,6 +493,43 @@ def test_projecting_into_a_linear_factor_above_q_is_a_ring_map(data):
         assert project(t, k) in (f2.from_rat(1), f2.from_rat(-1))
         signs.add(project(t, k) == f2.from_rat(1))
     assert signs == {True, False}
+
+
+def ref_power(L, k, a, m):
+    out = lift(L, 0, k, Rat(1))
+    for _ in range(m):
+        out = ref_mul(L, k, out, a)
+    return out
+
+
+@given(st.data())
+def test_lift_shift_is_the_binomial_expansion(data):
+    """A polynomial over a lower storey, moved into a tower of TOWERS with
+    x, y or both shifted by elements a, b of the tower, is
+    sum c (x + a)^i (y + b)^j expanded by binomials and ref_mul."""
+    F, t = build_tower(data.draw(st.sampled_from(TOWERS)))
+    L, k = F.levels, F.depth
+    low = data.draw(st.integers(0, k))         # the coefficients' storey
+    size = ExtField(L[:low]).degree
+    f = SparsePoly(ExtField(L[:low]), ("x", "y"), {
+        e: element(L, low, flat) for e, flat in data.draw(st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            st.lists(coefficients, min_size=size, max_size=size),
+            max_size=4)).items()})
+    a, b = (element(L, k, data.draw(st.lists(
+        coefficients, min_size=F.degree, max_size=F.degree)))
+            if shift else F.zero() for shift in data.draw(st.sampled_from(
+                ((True, False), (False, True), (True, True)))))
+    want = {}
+    for (i, j), c in f.terms.items():
+        c = lift(L, low, k, c)
+        for s in range(i + 1):
+            for r in range(j + 1):
+                term = ref_mul(L, k, ref_mul(L, k, c, ref_power(L, k, a, i - s)),
+                               ref_power(L, k, b, j - r))
+                term = _smul(L, k, Rat(math.comb(i, s) * math.comb(j, r)), term)
+                want[s, r] = _add(L, k, want.get((s, r), F.zero()), term)
+    assert f.lift_shift(F, (a, b)) == SparsePoly(F, ("x", "y"), want)
 
 
 def test_the_storey_over_q_divides_no_polynomial_over_q(monkeypatch, curve):

@@ -42,6 +42,16 @@ def test_ladder_germ_at_n_16():
     assert rep.r_classical == 1
 
 
+def test_ladder_germ_at_n_100():
+    """The face root of (x+y)^100 - y^101 has multiplicity 100, so moving
+    it to the origin is an integer Taylor shift of a column of degree 100:
+    delta = 99 * 100 / 2 = 4950, mu = 2 delta, one branch."""
+    rep = full_report(germ("(x+y)^100 - y^101"), SMOOTH)
+    assert rep.delta_classical == rep.delta_w == 4950
+    assert rep.mu_classical == rep.mu_w == 9900
+    assert rep.r_classical == rep.r_w == 1
+
+
 def test_milnor_identities_hold():
     cases = [("y^2 - x^3", SMOOTH), ("x^2 - y^4", X211),
              ("x", QuotType(5, 1, 2)), ("x*y + (y^2 - x^3)^2", X723),

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -90,12 +92,12 @@ def test_parser_refuses_exactly_the_unprintable_coefficients(tree):
 def test_parser_refuses_a_huge_power_before_expanding_it(monkeypatch):
     """(x+1)^20000 has coefficients of about 6000 digits, though its leading
     one is 1: the values of x + 1 at x = 1 and -1 refuse it unexpanded."""
-    power = SparsePoly.__pow__
+    power = poly._dpow
 
-    def no_huge_power(self, n):
-        assert n != 20000, "the power was expanded"
-        return power(self, n)
-    monkeypatch.setattr(SparsePoly, "__pow__", no_huge_power)
+    def no_huge_power(b, e, one, *ring):
+        assert e != 20000, "the power was expanded"
+        return power(b, e, one, *ring)
+    monkeypatch.setattr(poly, "_dpow", no_huge_power)
     with pytest.raises(PolySyntaxError, match="after '\\^' at position 5$"):
         parse_poly("(x+1)^20000 - y", ("x", "y"))
 
@@ -125,8 +127,29 @@ def test_weighted_order_is_support_minimum(f, p, q):
 @given(small_polys, st.fractions(min_value=-3, max_value=3,
                                  max_denominator=4))
 def test_translate_round_trip(f, a):
-    moved = f.translate("x", QQ.from_rat(a))
-    assert moved.translate("x", QQ.from_rat(-a)) == f
+    moved = f.lift_shift(QQ, (a,))
+    assert moved.lift_shift(QQ, (-a,)) == f
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                       st.fractions(min_value=-9, max_value=9,
+                                    max_denominator=6).filter(bool),
+                       max_size=6),
+       st.fractions(min_value=-5, max_value=5, max_denominator=12),
+       st.fractions(min_value=-5, max_value=5, max_denominator=12))
+def test_the_integer_taylor_shift_matches_fractions(terms, a, b):
+    """Over Q, f(x + a, y + b) by the integer Taylor shift of each column
+    equals sum c (x + a)^i (y + b)^j expanded in Fractions."""
+    want = {}
+    for (i, j), c in terms.items():
+        for s in range(i + 1):
+            for r in range(j + 1):
+                want[s, r] = want.get((s, r), 0) + (
+                    c * math.comb(i, s) * a ** (i - s)
+                    * math.comb(j, r) * b ** (j - r))
+    f = SparsePoly(QQ, ("x", "y"), terms)
+    assert f.lift_shift(QQ, (a, b)) == SparsePoly(QQ, ("x", "y"), want)
+    assert f.lift_shift(QQ, (a,)).lift_shift(QQ, (0, b)) == f.lift_shift(QQ, (a, b))
 
 
 def test_newton_polygon_faces_cover_support():
@@ -194,7 +217,7 @@ def test_squarefree_part_reconstructs_multiplicities():
 def test_squarefree_part_over_a_tower():
     field, s = adjoin_root(QQ, (Rat(-2), Rat(0)), "s")
     lin = SparsePoly.from_univariate(field, "y", [s, field.one()])
-    f = lin ** 2 * parse_poly("y - 1", ("y",)).lift_to(field)
+    f = lin ** 2 * parse_poly("y - 1", ("y",)).lift_shift(field)
     radical, factors = squarefree_part(f)
     assert [m for _, m in factors] == [1, 2]
     assert factors[1][0] == lin
@@ -412,7 +435,7 @@ def test_resultant_through_a_row_swap(f, g):
 
 def test_resultant_rejects_tower_coefficients():
     field, _ = adjoin_root(QQ, (Rat(-2), Rat(0)), "s")
-    f, g = germ("y^2 - x").lift_to(field), germ("y - x^2").lift_to(field)
+    f, g = germ("y^2 - x").lift_shift(field), germ("y - x^2").lift_shift(field)
     with pytest.raises(ValueError):
         resultant(f, g, "y")
 
@@ -422,7 +445,7 @@ def test_contents_and_squarefreeness_reject_tower_coefficients(monkeypatch):
     and so is_squarefree_two_vars, refuse a tower before any tower Euclid
     runs."""
     field, _ = adjoin_root(QQ, (Rat(-2), Rat(0)), "s")
-    f = germ("(x - 1)*(y^2 - x)").lift_to(field)
+    f = germ("(x - 1)*(y^2 - x)").lift_shift(field)
     euclid = spy(monkeypatch, exactnum, "_pgcd_monic")
     for check in (lambda: content_in(f, "x"),
                   lambda: squarefree_discriminant(f),
@@ -554,7 +577,7 @@ pieces = st.lists(st.one_of(rationals, big), min_size=2, max_size=4).filter(
 @given(st.lists(st.tuples(pieces, st.integers(1, 3)), min_size=1, max_size=3),
        scales)
 def test_yun_over_q_matches_a_fraction_yun(parts, scale):
-    f = SparsePoly.const(QQ, ("y",), scale)
+    f = SparsePoly(QQ, ("y",), {(0,): scale})
     for piece, e in parts:
         f = f * SparsePoly.from_univariate(QQ, "y", piece) ** e
     radical, factors = squarefree_part(f)

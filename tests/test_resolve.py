@@ -198,8 +198,8 @@ def test_a_split_after_the_blowup_began_forks_the_node(overrides, nodes):
     delta = 3 + 3: E6 at t = 2; at t = -2 a cusp along y = x (delta 1)
     meeting the line y = -x with intersection number 2."""
     field, _ = adjoin_root(ExtField(()), (-4, 0), "t")
-    x, y = (SparsePoly.variable(field, ("x", "y"), v) for v in "xy")
-    half_t = SparsePoly.const(field, ("x", "y"), (Rat(0), Rat(1, 2)))
+    x, y = (germ(v).lift_shift(field) for v in "xy")
+    half_t = SparsePoly(field, ("x", "y"), {(0, 0): (Rat(0), Rat(1, 2))})
     f = (y - x) ** 2 * (y - half_t * x) + x ** 4
     tree = resolve_germ(f, SMOOTH,
                         config=EngineConfig(weight_overrides=overrides))
