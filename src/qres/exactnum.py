@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
@@ -306,8 +307,9 @@ def _pgcd_monic(levels, k, f, g):
 
 # ---------------------------------------------------------------------------
 # integer polynomials (int lists, low to high, trimmed) and their images
-# over GF(p): the gcd over Q, Yun over Q, poly's Bareiss elimination and
-# the irreducibility certificate of the singular-locus search
+# over GF(p): the gcd over Q, Yun over Q, the one fraction-free elimination
+# (resultants and the storey-over-Q inverse) and the irreducibility
+# certificate of the singular-locus search
 
 
 _P = 2 ** 61 - 1
@@ -545,6 +547,39 @@ def _zdiv(num, den):
     return quo
 
 
+def _zquo(num, den):
+    """The quotient of ints num / den, or None unless den divides num."""
+    q, r = divmod(num, den)
+    return None if r else q
+
+
+def _bareiss(rows, one=1, mul=operator.mul, sub=operator.sub, div=_zquo) -> int:
+    """Fraction-free forward elimination (Bareiss 1968) of the first n - 1
+    columns of n rows, in place, over the entries' ring: ints, or integer
+    lists with one = [1], _zmul, _zsub and _zdiv.  Each division by the
+    previous pivot is exact (div gives None otherwise): from column i on,
+    row i ends as minors of order i + 1, left of it uncleared, and the last
+    row's entry in column n - 1 as the determinant times the row-swap sign.
+    Returns that sign, or 0 when a column has no pivot."""
+    sign, prev, n = 1, one, len(rows)
+    for k in range(n - 1):
+        if not rows[k][k]:
+            swap = next((r for r in range(k + 1, n) if rows[r][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot_row, piv = rows[k], rows[k][k]
+        for row in rows[k + 1:]:
+            lead = row[k]
+            row[k + 1:] = [div(sub(mul(piv, x), mul(lead, y)), prev)
+                           for x, y in zip(row[k + 1:], pivot_row[k + 1:])]
+            if None in row:
+                raise InternalInconsistency("non-exact division in Bareiss elimination")
+        prev = piv
+    return sign
+
+
 # ---------------------------------------------------------------------------
 # inversion and splitting
 
@@ -686,11 +721,12 @@ def _inv_over_q(levels, a):
     list M = levels[0].zminpoly, or the SplitEvent of a zero divisor.
 
     With a = A / d, the integer columns C_j = L^j (A t^j mod m), L = lc(M),
-    follow C_{j+1} = L t C_j - c M, c the top coordinate of C_j.  The system
-    sum_j y_j C_j = e_0 is solved by fraction-free Gauss-Jordan elimination
-    (Bareiss 1968): every division by the previous pivot is exact, and at the
-    end each row holds det * y_i.  The inverse's coordinates are then
-    y_j d L^j.  A column with no pivot makes a a zero divisor: the split's
+    follow C_{j+1} = L t C_j - c M, c the top coordinate of C_j.  _bareiss
+    eliminates sum_j y_j C_j = e_0 forward to rows U | c with last pivot D,
+    the determinant up to sign; back substitution x_i = (D c_i - sum_{j>i}
+    U_ij x_j) / U_ii = D y_i divides exactly by Cramer's rule (Nakos, Turner
+    and Williams 1997).  The inverse's coordinates are x_j d L^j / D.  A
+    zero D, or a column with no pivot, makes a a zero divisor: the split's
     factors are the monic gcd g of A and M (_zgcd) and the cofactor M / g."""
     M = levels[0].zminpoly
     n, lead = len(M) - 1, M[-1]
@@ -700,26 +736,16 @@ def _inv_over_q(levels, a):
         col = cols[-1]
         cols.append([lead * x - col[-1] * m for x, m in zip([0] + col[:-1], M)])
     rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(n)]
-    prev = 1
-    for j in range(n):
-        p = next((i for i in range(j, n) if rows[i][j]), None)
-        if p is None:
-            H, _, cof = _zgcd(_zclear(_ptrim(levels, 0, a))[0], M)
-            raise SplitEvent(levels, 0, _qmonic(H)[:-1], _qmonic(cof)[:-1])
-        rows[j], rows[p] = rows[p], rows[j]
-        pivot_row = rows[j]
-        piv = pivot_row[j]
-        for i, row in enumerate(rows):
-            if i == j:
-                continue
-            f = row[j]
-            qr = [divmod(piv * x - f * y, prev)
-                  for x, y in zip(row[j + 1:], pivot_row[j + 1:])]
-            if any(r for _, r in qr):
-                raise InternalInconsistency("non-exact division in Bareiss elimination")
-            row[j + 1:] = [q for q, _ in qr]
-        prev = piv
-    return tuple(Fraction(rows[i][n] * d * lead ** i, prev) for i in range(n))
+    det = _bareiss(rows) and rows[-1][-2]
+    if not det:
+        H, _, cof = _zgcd(_zclear(_ptrim(levels, 0, a))[0], M)
+        raise SplitEvent(levels, 0, _qmonic(H)[:-1], _qmonic(cof)[:-1])
+    x = [0] * n
+    for i, row in reversed(list(enumerate(rows))):
+        x[i] = _zquo(det * row[n] - sum(map(operator.mul, row[i + 1:n], x[i + 1:])), row[i])
+        if x[i] is None:
+            raise InternalInconsistency("non-exact division in back substitution")
+    return tuple(Fraction(x[i] * d * lead ** i, det) for i in range(n))
 
 
 def is_zero_validated(field: "ExtField", rep) -> bool:

@@ -713,9 +713,10 @@ def first_subresultant(f: SparsePoly, g: SparsePoly, var) -> SparsePoly:
 
 def _subresultant(f, g, vi, a, b, j):
     """S_j (j = 0 or 1) of f and g, of degrees a and b >= j in variable vi.
-    _bareiss on the b - j shifted rows of f's integer columns and a - j of
-    g's (_zcolumns) leaves S_j's coefficients in the last row (Sylvester's
-    identity), up to the sign and scale applied at the end."""
+    exactnum._bareiss over integer lists, on the b - j shifted rows of f's
+    integer columns and a - j of g's (_zcolumns), leaves S_j's coefficients
+    in the last row (Sylvester's identity), up to the sign and scale
+    applied at the end."""
     (fc, cf), (gc, cg) = _zcolumns(f, vi), _zcolumns(g, vi)
     width = a + b - j
     matrix = []
@@ -725,38 +726,10 @@ def _subresultant(f, g, vi, a, b, j):
             for t in range(d + 1):
                 row[i + t] = coeffs[d - t]
             matrix.append(row)
-    scale = cf ** (b - j) * cg ** (a - j) * _bareiss(matrix)
+    scale = cf ** (b - j) * cg ** (a - j) * exactnum._bareiss(matrix, [1], _zmul, _zsub, _zdiv)
     return SparsePoly(f.field, f.vars, {
         (deg, o) if vi == 0 else (o, deg): scale * c for deg in range(j + 1)
         for o, c in enumerate(matrix[-1][width - 1 - deg])})
-
-
-def _bareiss(matrix) -> int:
-    """Fraction-free elimination of the first n - 1 columns of n rows of
-    integer coefficient lists, in place, dividing exactly by the previous
-    pivot.  Returns the row-swap sign, or 0 when a column has no pivot."""
-    sign, prev = 1, [1]
-    n, width = len(matrix), len(matrix[0])
-    for kpiv in range(n - 1):
-        if not matrix[kpiv][kpiv]:
-            swap = next((r for r in range(kpiv + 1, n) if matrix[r][kpiv]), None)
-            if swap is None:
-                return 0
-            matrix[kpiv], matrix[swap] = matrix[swap], matrix[kpiv]
-            sign = -sign
-        pivot_row = matrix[kpiv]
-        piv = pivot_row[kpiv]
-        for i in range(kpiv + 1, n):
-            row = matrix[i]
-            lead = row[kpiv]
-            for jc in range(kpiv + 1, width):
-                q = _zdiv(_zsub(_zmul(piv, row[jc]), _zmul(lead, pivot_row[jc])), prev)
-                if q is None:
-                    raise InternalInconsistency("non-exact division in Bareiss elimination")
-                row[jc] = q
-            row[kpiv] = []
-        prev = piv
-    return sign
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -384,6 +385,10 @@ RATIONAL_STOREYS = [
      ((Rat(1), Rat(1), Rat(0)), (Rat(1, 3), Rat(0), Rat(1)))),
     ((Rat(-2), Rat(0)), ()),                                    # t^2 - 2
     ((Rat(-1), Rat(0)), ((Rat(-1), Rat(1)), (Rat(1), Rat(1)))),  # t^2 - 1
+    ((Rat(2), Rat(2, 3)) + (Rat(0),) * 6, ()),                  # t^8 + 2t/3 + 2
+    ((Rat(1, 6), Rat(-1, 3), Rat(1, 2), Rat(-1), Rat(1, 3), Rat(0)),
+     ((Rat(1, 3), Rat(0), Rat(1), Rat(0), Rat(0), Rat(0)),      # (t^2 + 1/3)
+      (Rat(1, 2), Rat(-1), Rat(0), Rat(0), Rat(1), Rat(0)))),   # (t^4 - t + 1/2)
 ]
 
 
@@ -402,6 +407,22 @@ def test_the_storey_over_q_multiplies_and_inverts_like_the_reference(data):
     assert outcome(_inv, L, 1, a) == want       # split tails included
     if want[0] == "unit":
         assert ref_mul(L, 1, a, want[1]) == F.one()
+
+
+def test_the_back_substitution_checks_its_divisions(monkeypatch):
+    """For t^2 = 2 and a = t + 3 forward elimination leaves U with rows
+    (3, 2) and (7) and right-hand side (1, -1): raising its first entry
+    by 1 makes x_0 = (7 * 2 - 2 * (-1)) / 3 inexact."""
+    F, t = adjoin_root(QQ, (Rat(-2), Rat(0)), "t")
+    bareiss = exactnum._bareiss
+
+    def corrupted(rows):
+        sign = bareiss(rows)
+        rows[0][-1] += 1
+        return sign
+    monkeypatch.setattr(exactnum, "_bareiss", corrupted)
+    with pytest.raises(InternalInconsistency, match="back substitution"):
+        _inv(F.levels, 1, (Rat(3), Rat(1)))
 
 
 @given(st.data())
@@ -653,6 +674,47 @@ def test_split_towers_start_with_empty_memos_above_the_split():
     for f2, _ in ev.targets():
         assert f2.levels[0] is L[0]                 # below the split: kept
         assert all(not lv.units for lv in f2.levels[1:])
+
+
+# ---------------------------------------------------------------------------
+# the one fraction-free elimination on the int ring, against the
+# determinant as a sum over permutations
+
+
+def leibniz_det(rows):
+    n = len(rows)
+    det = Rat(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[j] > perm[i] for i in range(n) for j in range(i))
+        det += (-1) ** inversions * math.prod(Rat(r[p]) for r, p in zip(rows, perm))
+    return det
+
+
+@given(st.data())
+def test_bareiss_gives_the_determinant_up_to_the_swap_sign(data):
+    n = data.draw(st.integers(1, 5))
+    rows = data.draw(st.lists(st.lists(st.just(0) | st.integers(-3, 3), min_size=n,
+                                       max_size=n), min_size=n, max_size=n))
+    zero_column = data.draw(st.none() | st.integers(0, n - 1))
+    for row in rows if zero_column is not None else ():
+        row[zero_column] = 0
+    if data.draw(st.booleans()):            # a swap before the first step
+        rows[0][0] = 0
+    det = leibniz_det(rows)
+    sign = exactnum._bareiss(rows)
+    assert sign in (-1, 0, 1)
+    if sign:
+        assert sign * rows[-1][-1] == det
+    else:
+        assert det == 0                     # only a singular matrix
+
+
+def test_bareiss_checks_its_divisions():
+    """With sub off by one, the second step's division by the first pivot
+    2 is inexact: (5 * 5 - 1 * 1 + 1) / 2."""
+    rows = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
+    with pytest.raises(InternalInconsistency, match="Bareiss"):
+        exactnum._bareiss(rows, sub=lambda a, b: a - b + 1)
 
 
 # ---------------------------------------------------------------------------
