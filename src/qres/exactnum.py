@@ -553,15 +553,16 @@ def _zquo(num, den):
     return None if r else q
 
 
-def _bareiss(rows, one=1, mul=operator.mul, sub=operator.sub, div=_zquo) -> int:
+def _bareiss(rows) -> int:
     """Fraction-free forward elimination (Bareiss 1968) of the first n - 1
-    columns of n rows, in place, over the entries' ring: ints, or integer
-    lists with one = [1], _zmul, _zsub and _zdiv.  Each division by the
-    previous pivot is exact (div gives None otherwise): from column i on,
-    row i ends as minors of order i + 1, left of it uncleared, and the last
-    row's entry in column n - 1 as the determinant times the row-swap sign.
-    Returns that sign, or 0 when a column has no pivot."""
-    sign, prev, n = 1, one, len(rows)
+    columns of n rows of ints, in place.  Each division by the previous
+    pivot is exact (_zquo gives None otherwise): from column i on, row i
+    ends as minors of order i + 1, left of it uncleared, and the last row's
+    entry in column n - 1 as the determinant times the row-swap sign.
+    Returns that sign, or 0 when a column has no pivot.  Its callers are
+    the storey-over-Q inverse and poly's resultants, whose polynomial
+    entries come packed into ints (poly._subresultant)."""
+    sign, prev, n = 1, 1, len(rows)
     for k in range(n - 1):
         if not rows[k][k]:
             swap = next((r for r in range(k + 1, n) if rows[r][k]), None)
@@ -572,7 +573,7 @@ def _bareiss(rows, one=1, mul=operator.mul, sub=operator.sub, div=_zquo) -> int:
         pivot_row, piv = rows[k], rows[k][k]
         for row in rows[k + 1:]:
             lead = row[k]
-            row[k + 1:] = [div(sub(mul(piv, x), mul(lead, y)), prev)
+            row[k + 1:] = [_zquo(piv * x - lead * y, prev)
                            for x, y in zip(row[k + 1:], pivot_row[k + 1:])]
             if None in row:
                 raise InternalInconsistency("non-exact division in Bareiss elimination")

@@ -32,7 +32,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .exactnum import (ExtField, _qmonic, _zclear, _zderiv, _zdiv, _zgcd,
-                       _zmul, _zsub)
+                       _zsub)
 
 MAX_EXPONENT = 2 ** 31
 MAX_DIGITS = 1000       # digits of an integer literal that is not an exponent
@@ -713,23 +713,110 @@ def first_subresultant(f: SparsePoly, g: SparsePoly, var) -> SparsePoly:
 
 def _subresultant(f, g, vi, a, b, j):
     """S_j (j = 0 or 1) of f and g, of degrees a and b >= j in variable vi.
-    exactnum._bareiss over integer lists, on the b - j shifted rows of f's
-    integer columns and a - j of g's (_zcolumns), leaves S_j's coefficients
-    in the last row (Sylvester's identity), up to the sign and scale
-    applied at the end."""
+    exactnum._bareiss on the b - j shifted rows of f's integer columns and
+    a - j of g's (_zcolumns) leaves S_j's coefficients in the last row
+    (Sylvester's identity), up to the sign and scale applied at the end.
+
+    Each entry, a polynomial in the other variable x, is packed into an
+    int.  With m and beta from _grading, row r times x^s_r and column c
+    times x^t_c make every entry a polynomial in X = x^m, which is packed
+    at X = 2^B (_zpack; a column of f or g is packed once, and X^q is a
+    shift).  2^(B - 1) exceeds the Hadamard bound of every minor (each
+    row's norm is at least 1), and evaluation at 2^B is a ring map, so the
+    divisions stay exact, an entry is 0 exactly when its polynomial is, and
+    the last row unpacks (_zunpack) to the minors times x^lift, lift the
+    sum of s_r and of t_c over their columns, which is divided out."""
     (fc, cf), (gc, cg) = _zcolumns(f, vi), _zcolumns(g, vi)
+    m, beta, alphas = _grading(fc, gc)
     width = a + b - j
-    matrix = []
-    for shifts, coeffs, d in ((b - j, fc, a), (a - j, gc, b)):
+    t = [-beta * c % m for c in range(width)]
+    norms = [sum(sum(map(abs, col)) ** 2 for col in cols) for cols in (fc, gc)]
+    bits = (norms[0] ** (b - j) * norms[1] ** (a - j)).bit_length() // 2 + 2
+    w = -(-bits // 8)           # bytes per digit: B = 8 w
+    rows, lift = [], 0
+    for shifts, cols, d, alpha in ((b - j, fc, a, alphas[0]), (a - j, gc, b, alphas[1])):
+        # x^(s_r + t_c) times column k is X^q times x^((beta k - alpha) mod m)
+        # times it; an input with no rows (S_1 with b = 1) is not in the bound
+        packed = [_zpack(_zgraded(col, (beta * k - alpha) % m, m), w)
+                  for k, col in enumerate(cols)] if shifts else []
         for i in range(shifts):
-            row = [[] for _ in range(width)]
-            for t in range(d + 1):
-                row[i + t] = coeffs[d - t]
-            matrix.append(row)
-    scale = cf ** (b - j) * cg ** (a - j) * exactnum._bareiss(matrix, [1], _zmul, _zsub, _zdiv)
+            s = (beta * (d + i) - alpha) % m
+            lift += s
+            row = [0] * width
+            for k, p in enumerate(packed):
+                row[i + d - k] = p << 8 * w * ((s + t[i + d - k]) // m)
+            rows.append(row)
+    sign = exactnum._bareiss(rows)
+    if not sign:
+        return SparsePoly(f.field, f.vars, {})
+    lift += sum(t[:len(rows) - 1])
+    scale = cf ** (b - j) * cg ** (a - j) * sign
     return SparsePoly(f.field, f.vars, {
         (deg, o) if vi == 0 else (o, deg): scale * c for deg in range(j + 1)
-        for o, c in enumerate(matrix[-1][width - 1 - deg])})
+        for o, c in zip(itertools.count(-lift - t[width - 1 - deg], m),
+                        _zunpack(rows[-1][width - 1 - deg], w))})
+
+
+def _grading(*inputs):
+    """(m, beta, alphas): the largest m, and a beta, such that o + beta k is
+    alphas[i] mod m on every term x^o v^k of inputs[i], each given as its
+    integer columns in v (_zcolumns).  The lattice of the exponent
+    differences within each input has the Hermite basis (m1, 0), (c, d):
+    m divides m1, and c + beta d = 0 mod m needs gcd(d, m) to divide c.
+    Where m1 = 0 (a lattice of rank <= 1) every m with that divisibility
+    works; max(d, 1) (D + 1) + 1 is taken, D the largest exponent of x:
+    above D and prime to d."""
+    terms = [[(o, k) for k, col in enumerate(cols) for o, x in enumerate(col) if x]
+             for cols in inputs]
+    c = d = m = 0
+    for (o0, k0), *rest in terms:
+        for o, k in rest:
+            x, y = o - o0, k - k0
+            while y:                # Euclid on the v-exponents, carrying x
+                q = d // y
+                (c, d), (x, y) = (x, y), (c - q * x, d - q * y)
+            m = math.gcd(m, x)
+    if d < 0:
+        c, d = -c, -d
+    m = m or max(d, 1) * max(len(col) for cols in inputs for col in cols) + 1
+    while c % (r := math.gcd(d, m)):
+        m //= r // math.gcd(r, c)
+    r = math.gcd(d, m)
+    beta = -(c // r) * pow(d // r, -1, m // r) % m
+    return m, beta, [(o + beta * k) % m for (o, k), *_ in terms]
+
+
+def _zgraded(col, r, m):
+    """The integer list in X = x^m of x^r times the list col in x, where
+    m divides e + r for each exponent e of a nonzero entry."""
+    out = [0] * ((len(col) - 1 + r) // m + 1) if col else []
+    for e, x in enumerate(col):
+        if x:
+            out[(e + r) // m] = x
+    return out
+
+
+def _zpack(v, w):
+    """The value at 2^B, B = 8 w, of an integer list v (low to high) whose
+    entries lie in [-2^(B - 1), 2^(B - 1)): each entry plus 2^(B - 1) is
+    one B-bit digit, and that offset is subtracted once."""
+    half = 1 << (8 * w - 1)
+    return (int.from_bytes(b"".join((x + half).to_bytes(w, "little") for x in v), "little")
+            - int.from_bytes((bytes(w - 1) + b"\x80") * len(v), "little"))
+
+
+def _zunpack(n, w):
+    """The trimmed integer list v with _zpack(v, w) = n, its entries in
+    [-2^(B - 1), 2^(B - 1)), B = 8 w: n plus 2^(B - 1) in each of enough
+    digits is cut into B-bit digits (int.to_bytes), each less the offset."""
+    digits = abs(n).bit_length() // (8 * w) + 2
+    raw = (n + int.from_bytes((bytes(w - 1) + b"\x80") * digits, "little")).to_bytes(
+        digits * w, "little")
+    half = 1 << (8 * w - 1)
+    v = [int.from_bytes(raw[i:i + w], "little") - half for i in range(0, len(raw), w)]
+    while v and not v[-1]:
+        v.pop()
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -828,11 +915,17 @@ _PROBE_POINTS = (1, -1, 2)     # not 0: a singular germ is unlucky there
 def probe_images(f: SparsePoly, vi: int):
     """For each t0 in _PROBE_POINTS: f's integer columns in variable vi
     (_zcolumns) at the other variable t0, mod P = 2^61 - 1, as a
-    coefficient list in vi; [] where its leading coefficient vanishes."""
-    cols, _ = _zcolumns(f, vi)
+    coefficient list in vi; [] where its leading coefficient vanishes.
+    Each column is evaluated by Horner's rule mod P, so every product stays
+    below P^2 in size."""
+    cols, P = _zcolumns(f, vi)[0], exactnum._P
     for t0 in _PROBE_POINTS:
-        image = [sum(c * t0 ** j for j, c in enumerate(col)) % exactnum._P
-                 for col in cols]
+        image = []
+        for col in cols:
+            acc = 0
+            for c in reversed(col):
+                acc = (acc * t0 + c) % P
+            image.append(acc)
         yield image if image[-1] else []
 
 

@@ -709,12 +709,15 @@ def test_bareiss_gives_the_determinant_up_to_the_swap_sign(data):
         assert det == 0                     # only a singular matrix
 
 
-def test_bareiss_checks_its_divisions():
-    """With sub off by one, the second step's division by the first pivot
-    2 is inexact: (5 * 5 - 1 * 1 + 1) / 2."""
+def test_bareiss_checks_its_divisions(monkeypatch):
+    """With each numerator raised by 1, the first step's division by 1
+    leaves 5 on the diagonal, and the second step's division by the first
+    pivot 2 is inexact: (5 * 5 - 1 * 1 + 1) / 2."""
+    quo = exactnum._zquo
+    monkeypatch.setattr(exactnum, "_zquo", lambda num, den: quo(num + 1, den))
     rows = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
     with pytest.raises(InternalInconsistency, match="Bareiss"):
-        exactnum._bareiss(rows, sub=lambda a, b: a - b + 1)
+        exactnum._bareiss(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -669,6 +670,22 @@ def test_probe_decides_squarefree_inputs_alone(monkeypatch):
     assert exact == []
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_probe_images_are_the_columns_summed_at_each_point_mod_p(seed):
+    """Horner's rule mod P gives the naive sum of c t0^j mod P, on random
+    columns of up to 800 entries, some zero and some beyond P."""
+    rng = random.Random(seed)
+    cols = [[rng.choice((0, rng.randint(-2 ** 200, 2 ** 200), P61 * rng.randint(1, 9)))
+             for _ in range(rng.randint(0, 800))] for _ in range(rng.randint(1, 3))]
+    cols[-1].append(rng.randint(1, 2 ** 70))
+    f = SparsePoly(QQ, ("x", "y"), {(o, k): Rat(c) for k, col in enumerate(cols)
+                                     for o, c in enumerate(col) if c})
+    zcols = poly._zcolumns(f, 1)[0]
+    for t0, image in zip(poly._PROBE_POINTS, poly.probe_images(f, 1)):
+        naive = [sum(c * t0 ** j for j, c in enumerate(col)) % P61 for col in zcols]
+        assert image == (naive if naive[-1] else [])
+
+
 def subresultant_1_at(fc, gc):
     """(A, B) of S_1 = A y + B by definition: determinants of the first
     m + n - 3 columns of the subresultant matrix of fc and gc (coefficient
@@ -739,3 +756,105 @@ def test_first_subresultant_is_the_gcd_where_it_is_linear():
                                    "y").is_zero()
     with pytest.raises(ValueError):
         poly.first_subresultant(f.derivative("y"), f, "y")
+
+
+# ---------------------------------------------------------------------------
+# resultants on packed integers: graded supports against the determinants
+# by definition
+
+
+def assert_resultant(f, g):
+    """resultant agrees with sylvester_det at more points x0 than its
+    degree in x."""
+    res = resultant(f, g, "y")
+    assert res.degree_in("y") <= 0
+    for x0 in range(f.degree_in("x") * g.degree_in("y")
+                    + g.degree_in("x") * f.degree_in("y") + 1):
+        assert value_at(res, x0) == sylvester_det(y_coeffs_at(f, x0),
+                                                  y_coeffs_at(g, x0))
+
+
+def assert_grading(f, g, m):
+    """_grading finds a multiple of m, or where every m works (a lattice of
+    rank <= 1) one above every exponent of x, and its beta and alphas hold
+    on every term."""
+    M, beta, alphas = poly._grading(poly._zcolumns(f, 1)[0], poly._zcolumns(g, 1)[0])
+    assert M % m == 0 or M > max(f.degree_in("x"), g.degree_in("x"))
+    for h, alpha in zip((f, g), alphas):
+        assert all((e + beta * k - alpha) % M == 0 for e, k in h.terms)
+
+
+small = st.integers(-4, 4).filter(bool)
+
+
+@st.composite
+def graded(draw, m, beta, dy):
+    """A polynomial of degree dy in y whose terms x^e y^k have
+    e = alpha - beta k mod m, with up to two terms per column."""
+    alpha = draw(st.integers(0, m - 1))
+    return SparsePoly(QQ, ("x", "y"), {
+        ((alpha - beta * k) % m + m * i, k): Rat(draw(small))
+        for k in range(dy + 1)
+        for i in draw(st.sets(st.integers(0, 1), min_size=int(k == dy)))})
+
+
+@st.composite
+def quasi_homogeneous(draw, wx, wy, dy):
+    """Terms x^e y^k on one line wx e + wy k = N, with k = dy among them:
+    with the same weights for both inputs, a lattice of rank <= 1."""
+    N = wy * dy + wx * draw(st.integers(0, 4))
+    ks = [k for k in range(dy) if (N - wy * k) % wx == 0]
+    ks = draw(st.sets(st.sampled_from(ks))) if ks else set()
+    return SparsePoly(QQ, ("x", "y"), {
+        ((N - wy * k) // wx, k): Rat(draw(small)) for k in ks | {dy}})
+
+
+@st.composite
+def graded_pairs(draw, degrees):
+    """(f, g, m): f and g of y-degrees drawn from degrees, graded with the
+    same m and beta, and with probability 1/3 times a common graded factor
+    (a zero resultant); or, drawn as m = 0, quasi-homogeneous with the same
+    weights, each column a single monomial (then m = 1 is returned)."""
+    a, b = draw(degrees)
+    m = draw(st.integers(0, 6))
+    if m == 0:
+        wx, wy = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        return (draw(quasi_homogeneous(wx, wy, a)), draw(quasi_homogeneous(wx, wy, b)), 1)
+    beta = draw(st.integers(0, m - 1))
+    f, g = draw(graded(m, beta, a)), draw(graded(m, beta, b))
+    if draw(st.integers(0, 2)) == 0:
+        h = draw(graded(m, beta, 1))
+        f, g = f * h, g * h
+    return f, g, m
+
+
+@given(graded_pairs(st.tuples(st.integers(1, 3), st.integers(1, 3))))
+def test_resultant_on_graded_supports_is_the_determinant_by_definition(fgm):
+    f, g, m = fgm
+    assert_grading(f, g, m)
+    assert_resultant(f, g)
+
+
+@given(graded_pairs(st.integers(2, 4).flatmap(
+    lambda a: st.tuples(st.just(a), st.integers(1, a - 1)))))
+def test_first_subresultant_on_graded_supports_is_the_determinant_by_definition(fgm):
+    f, g, m = fgm
+    assert_grading(f, g, m)
+    assert_first_subresultant(f, g)
+
+
+@pytest.mark.parametrize("w", [1, 2, 7])
+def test_pack_and_unpack_round_trip(w):
+    top = 2 ** (8 * w - 1) - 1
+    for v in ([], [0, 0], [top], [-top], [top, -top, 0, top], [-top, 0, 0],
+              [0, 1, -top, top, 0, 0, 0]):
+        trimmed = list(v)
+        while trimmed and not trimmed[-1]:
+            trimmed.pop()
+        assert poly._zunpack(poly._zpack(v, w), w) == trimmed
+
+
+def test_first_subresultant_of_a_linear_g_has_no_row_of_f():
+    """With deg g = 1 the matrix of S_1 holds only rows of g, so B, bounded
+    by them, need not fit f's coefficients, which no entry holds."""
+    assert_first_subresultant(germ("y^3 + 2^80*x*y - 3^50"), germ("y + x"))
