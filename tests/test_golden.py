@@ -72,7 +72,9 @@ CASES = (
        ("resolve-split-json", ["resolve", SPLIT_GERM, "--json", "-"]),
        # a node whose labels keep axis factors
        ("resolve-axis-json",
-        ["resolve", "x*y*(y^2 - x^3)", "--json", "-"])]
+        ["resolve", "x*y*(y^2 - x^3)", "--json", "-"]),
+       # a smooth curve: the human form of gallery-10
+       ("curve-smooth", ["curve", "x0^15 + x1^10 + x2^6", "--w", "2,3,5"])]
     + [("gallery-%02d" % i, ["curve", text, "--w", w, "--json"])
        for i, (text, w, _) in enumerate(GALLERY)]
 )
