@@ -17,12 +17,12 @@ object carries a field pointer: the functions below take the tower's levels
 and depth explicitly.
 
 The storey over Q (k = 1) computes on integers under that representation:
-its product, its inversion and the reduction of a projection clear
-denominators once, work on int lists against the storey's primitive
-integer minimal polynomial (Level.zminpoly), and build one Fraction per
-coordinate at the end (_zrem).  A higher storey multiplies as polynomials
-over the storey below, and every reduction by its monic minimal
-polynomial, in a product or a projection into a factor, is _preduce.
+its product and its inversion clear denominators once, work on int lists
+against the storey's primitive integer minimal polynomial (Level.zminpoly),
+and build one Fraction per coordinate at the end (_zrem).  A higher storey
+multiplies as polynomials over the storey below, and every reduction by a
+monic minimal polynomial in a product above Q, or in a projection into a
+factor at any storey, is _preduce.
 """
 
 from __future__ import annotations
@@ -643,23 +643,18 @@ def _make_factor(old_levels, k, tail):
 
 
 def _project(old_levels, k, new, rep, level):
-    """Project a level-`level` representation into the factor tower.
+    """Project a level-`level` representation, level > k, into the factor
+    tower.
 
-    Levels strictly below k are untouched.  At level k+1 the coefficient
-    vector is reduced modulo the factor's minimal polynomial: on ints
-    (_zrem) when that storey is over Q, by _preduce above it.  A degree-1
-    factor is the same reduction, whose one coordinate is the value at the
-    root, so the storey collapses.  Above that, coefficients are projected
+    At level k+1 the coefficient vector is reduced modulo the factor's
+    minimal polynomial by _preduce, over Q as above it.  A degree-1 factor
+    is the same reduction, whose one coordinate is the value at the root,
+    so the storey collapses.  Above that, coefficients are projected
     recursively; the positional shape only changes at level k+1 when the
     level collapses.
     """
-    if level <= k:
-        return rep
     if level > k + 1:
         return tuple(_project(old_levels, k, new, c, level - 1) for c in rep)
-    if k == 0:
-        num, den = _zden(rep)
-        return _zrem(num, new.zminpoly, den)
     r = _preduce(old_levels, k, rep, new.minpoly)
     return r if new.degree > 1 else r[0]
 

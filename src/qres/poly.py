@@ -776,8 +776,6 @@ def _grading(*inputs):
                 q = d // y
                 (c, d), (x, y) = (x, y), (c - q * x, d - q * y)
             m = math.gcd(m, x)
-    if d < 0:
-        c, d = -c, -d
     m = m or max(d, 1) * max(len(col) for cols in inputs for col in cols) + 1
     while c % (r := math.gcd(d, m)):
         m //= r // math.gcd(r, c)

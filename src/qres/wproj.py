@@ -72,12 +72,6 @@ class Weights:
     def total(self) -> int:
         return self.w0 + self.w1 + self.w2
 
-    @property
-    def is_normalized(self) -> bool:
-        return (math.gcd(self.w0, self.w1) == 1
-                and math.gcd(self.w0, self.w2) == 1
-                and math.gcd(self.w1, self.w2) == 1)
-
     def __getitem__(self, i):
         return (self.w0, self.w1, self.w2)[i]
 
@@ -266,22 +260,14 @@ def localize(F: SparsePoly, w: Weights, P: ProjPoint):
 # singular locus: cluster search with split handling
 
 
-class _Drop(Exception):
-    """Abandon the current candidate cluster (spurious at every conjugate)."""
-
-
 def _with_splits(field, u0, slices, step):
-    """[step(field, u0, slices)], where a SplitEvent of field's tower
-    restarts the step in every tower of its targets(), with u0 and the
-    slices' coefficients projected there.
-
-    _Drop discards the cluster; that is only reached once the data is
-    uniform across the cluster, because inverting a zero divisor on the way
-    splits first."""
+    """The points step(field, u0, slices) lists, where a SplitEvent of
+    field's tower restarts the step in every tower of its targets(), with
+    u0 and the slices' coefficients projected there, and concatenates their
+    lists.  A step lists no point only once the data is uniform across its
+    cluster, because inverting a zero divisor on the way splits first."""
     try:
-        return [step(field, u0, slices)]
-    except _Drop:
-        return []
+        return step(field, u0, slices)
     except SplitEvent as ev:
         if ev.levels != field.levels:
             raise
@@ -352,15 +338,17 @@ def _affine_stratum(F0: SparsePoly, elimination, w0: int, tag: str):
     The squarefree candidate polynomial s(t) in t = x^w0 gives the field
     Q(t, u) = Q[x]/S, S = s(x^w0), u^w0 = t, which cannot split
     (_cluster_field).  The system (F0, F0_x, F0_y), read off F0's integer
-    columns in y, is sliced at x = u once, by reduction mod s, and both
-    root paths read these slices.  Where certified_irreducible proves S
-    irreducible, _subresultant_root finds the counted root v.  Otherwise, where it does not decide, or for
-    deg_y F0 < 2, the squarefree part of the gcd of the slices gives v.
-    That gcd runs under _with_splits: a reducible level of Q(t, u) restarts
-    it in the factor towers that SplitEvent.targets() names, with the
-    slices projected there, and the cluster is listed as those packets.
-    Hence the guard: over a reducible tower S_1 can give one v, and one
-    cluster where the gcd lists several.  Returns a list of (field, u, v)."""
+    columns in y, is sliced at x = u once, by reduction mod s.  The cluster
+    is then one step on these slices, run by _with_splits.  Where
+    deg_y F0 >= 2 and certified_irreducible proves S irreducible (decided
+    once, outside the step), the step asks _subresultant_root first;
+    otherwise, or where S_1 cannot give v, the squarefree part of the gcd of
+    the slices gives v.  Only that gcd can split: Q(t, u) is a field where S
+    is certified.  A reducible level of Q(t, u) restarts the step in the
+    factor towers that SplitEvent.targets() names, with the slices projected
+    there, and the cluster is listed as those packets.  Hence the guard:
+    over a reducible tower S_1 can give one v, and one cluster where the
+    gcd lists several.  Returns a list of (field, u, v)."""
     if F0.degree_in("x") == 0 or F0.degree_in("y") == 0:
         return []
     q, body, disc = elimination
@@ -389,10 +377,17 @@ def _affine_stratum(F0: SparsePoly, elimination, w0: int, tag: str):
     system = (cols, [_zderiv(c) for c in cols],
               [[j * c for c in col] for j, col in enumerate(cols)][1:])
     slices = [[at_u(c) for c in sy] for sy in system]
+    S = [0] * ((len(s) - 1) * w0 + 1)
+    S[::w0] = s
+    certified = F0.degree_in("y") >= 2 and certified_irreducible(S)
 
-    def roots_over(field, u0, slices):
-        # the gcd of the system's nonzero slices, and a counted root of its
-        # squarefree part
+    def step(field, u0, slices):
+        # S_1 where it can give v; else the gcd of the system's nonzero
+        # slices, and a counted root of its squarefree part
+        if certified:
+            points = _subresultant_root(F0, slices, at_u, field, u0)
+            if points is not None:
+                return points
         g = None
         for sl in slices:
             sl = SparsePoly.from_univariate(field, "y", sl)
@@ -400,7 +395,7 @@ def _affine_stratum(F0: SparsePoly, elimination, w0: int, tag: str):
                 continue
             g = sl if g is None else poly_gcd(g, sl)
             if g.degree_in("y") == 0:
-                raise _Drop()
+                return []
         if g is None:
             raise InternalInconsistency(
                 "every defining equation vanished along a chart line of a "
@@ -408,30 +403,22 @@ def _affine_stratum(F0: SparsePoly, elimination, w0: int, tag: str):
         rad, _ = squarefree_part(g)
         # Yun's radical is monic
         f2, v0 = adjoin_root(field, rad.coeff_list("y")[:-1], "v" + tag)
-        return f2, lift(f2.levels, field.depth, f2.depth, u0), v0
+        return [(f2, lift(f2.levels, field.depth, f2.depth, u0), v0)]
 
-    S = [0] * ((len(s) - 1) * w0 + 1)
-    S[::w0] = s
-    if F0.degree_in("y") >= 2 and certified_irreducible(S):
-        try:
-            v0 = _subresultant_root(F0, slices, at_u, field)
-        except _Drop:
-            return []
-        if v0 is not None:
-            return [(field, u0, v0)]
-    return _with_splits(field, u0, slices, roots_over)
+    return _with_splits(field, u0, slices, step)
 
 
-def _subresultant_root(F0, slices, at_u, field):
-    """The counted root v over the field Q[x]/S of _affine_stratum, or None.
+def _subresultant_root(F0, slices, at_u, field, u0):
+    """The point (field, u0, v) of the cluster at x = u0 over the field
+    Q[x]/S of _affine_stratum, as a list: [] where the cluster is spurious,
+    None where S_1 cannot give v.
 
     slices are those of (F0, F0_x, F0_y) at x = u, and at_u slices an
     integer column in x the same way, here those of S_1 in y.  The
     candidates make F0(u, y) and F0_y(u, y) share a root, so where
     lc_y F0(u) and A(u) are nonzero their gcd is S_1(u) = A(u) y + B(u)
     and v = -B(u)/A(u); lc_y F0(u) is read off the slice first, so S_1 is
-    only computed where it can serve.  F0_x(u, v) = 0 keeps the point,
-    else _Drop."""
+    only computed where it can serve.  F0_x(u, v) = 0 keeps the point."""
     lv, k = field.levels, field.depth
     if _is_zero(lv, k, slices[0][-1]):
         return None
@@ -442,8 +429,8 @@ def _subresultant_root(F0, slices, at_u, field):
     minus_v = _mul(lv, k, at_u(s1[0]), _inv(lv, k, a))
     # F0_x(u, v) is the remainder of F0_x(u, y) mod y - v
     if not is_zero_validated(field, _preduce(lv, k, slices[1], (minus_v,))[0]):
-        raise _Drop()
-    return _neg(lv, k, minus_v)
+        return []
+    return [(field, u0, _neg(lv, k, minus_v))]
 
 
 def _axis_stratum(F0: SparsePoly, axis_divides: bool, w_chart: int, tag: str):

@@ -843,6 +843,17 @@ def test_first_subresultant_on_graded_supports_is_the_determinant_by_definition(
     assert_first_subresultant(f, g)
 
 
+def test_a_grading_that_one_cross_term_breaks():
+    """f = 1 + x y^2 + x^2 and f_y = 2 x y: the lattice of f's exponent
+    differences has the basis (2, 0), (1, 2), and 1 + 2 beta is odd, so the
+    stride m = 2 of x drops to 1."""
+    f = germ("1 + x*y^2 + x^2")
+    g = f.derivative("y")
+    assert poly._grading(poly._zcolumns(f, 1)[0], poly._zcolumns(g, 1)[0])[0] == 1
+    assert_resultant(f, g)
+    assert_first_subresultant(f, g)
+
+
 @pytest.mark.parametrize("w", [1, 2, 7])
 def test_pack_and_unpack_round_trip(w):
     top = 2 ** (8 * w - 1) - 1

@@ -30,8 +30,6 @@ def kinds(rep: GenusReport):
 
 def test_weights_validation():
     assert w("2,3,5").wbar == 30 and w("2,3,5").total == 10
-    assert w("(1, 1, 1)").is_normalized
-    assert not Weights(1, 2, 2).is_normalized
     with pytest.raises(BadType):
         Weights(0, 1, 1)
     with pytest.raises(BadType):
@@ -428,11 +426,10 @@ def test_the_first_subresultant_drops_a_tangency_off_the_singular_locus(
     root = wproj._subresultant_root
 
     def recording(*args):
-        try:
-            return root(*args)
-        except wproj._Drop:
+        points = root(*args)
+        if points == []:
             drops.append(args[3].describe())
-            raise
+        return points
     monkeypatch.setattr(wproj, "_subresultant_root", recording)
     rc = main(["curve", "x2^3 - x2^2*x0 + (x1 - x0)*(x2 - x0)*x0"
                " + (x1 - x0)^2*x0", "--w", "1,1,1", "--json"])
