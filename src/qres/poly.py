@@ -32,7 +32,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .exactnum import (ExtField, _qmonic, _zclear, _zderiv, _zdiv, _zgcd,
-                       _zsub)
+                       _zmul, _zsub)
 
 MAX_EXPONENT = 2 ** 31
 MAX_DIGITS = 1000       # digits of an integer literal that is not an exponent
@@ -887,11 +887,11 @@ def squarefree_discriminant(f: SparsePoly):
 
     Splits f = q(y) * c(x) * p(x, y), where q and c are the contents of f in
     x and in y.  f is squarefree iff q and c are and Res_y(p, p_y) != 0.
-    Returns None when f is not squarefree, else (q, body, disc) in f's
-    ring: the horizontal components q, the rest body = c * p, and
-    disc = c * Res_y(p, p_y) (just c when p is a constant), which has the
-    radical of Res_y(body, body_y).  Coefficients in a tower raise
-    ValueError."""
+    Returns None when f is not squarefree, else (q, body, disc): the
+    horizontal components q and the rest body = c * p in f's ring, and
+    disc, the primitive integer list in x of c * Res_y(p, p_y) (of just c
+    when p is a constant), which has the radical of Res_y(body, body_y).
+    Coefficients in a tower raise ValueError."""
     if f.is_zero():
         raise ZeroPolynomial("squarefreeness of the zero polynomial is undefined")
     x, y = f.vars
@@ -899,12 +899,13 @@ def squarefree_discriminant(f: SparsePoly):
     c, p = _primitive_part(body, y)
     if not (_univariate_squarefree(q, y) and _univariate_squarefree(c, x)):
         return None
+    disc = _zcolumns(c, 1)[0][0]
     if p.degree_in(y) == 0:
-        return q, body, c
+        return q, body, disc
     res = resultant(p, p.derivative(y), y)
     if res.is_zero():
         return None
-    return q, body, c * res
+    return q, body, _zmul(disc, _zcolumns(res, 1)[0][0])
 
 
 _PROBE_POINTS = (1, -1, 2)     # not 0: a singular germ is unlucky there

@@ -8,11 +8,12 @@ the discriminant resultant, so the search adds only the resultant with the
 x-derivative.  The cyclic symmetry of the chart collapses the candidate
 roots to one polynomial per orbit, and candidate clusters only become tower
 extensions after that cross-resultant filter (so smooth high-degree curves
-never build a tower at all).  Each surviving cluster carries its conjugacy
-multiplicity, and the local delta of the whole cluster comes out of one
-resolution over the cluster's field.  Split handling and the adjunction of
-chart radicals are exactnum's (SplitEvent.targets, adjoin_radical), shared
-with the resolution engine.
+never build a tower at all); one gcd of the eliminations, one radical and
+one collapse make each cluster, in _cluster_field.  Each surviving cluster
+carries its conjugacy multiplicity, and the local delta of the whole
+cluster comes out of one resolution over the cluster's field.  Split
+handling and the adjunction of chart radicals are exactnum's
+(SplitEvent.targets, adjoin_radical), shared with the resolution engine.
 
 The search runs over Q on primitive integer lists and slices the chart
 system at an affine cluster's x = u once.  Its y-coordinate comes from the
@@ -280,46 +281,39 @@ def _with_splits(field, u0, slices, step):
         return out
 
 
-def _radical_collapsed(v, w: int):
-    """The radical of the integer list v with its factor x^k stripped, in
-    x^w -> x: the cofactor of gcd(v, v'), primitive.
+def _cluster_field(v, w: int, t_name: str, u_name: str):
+    """The cluster of the candidate integer list v in x: (s, field, u), or
+    None when s is constant.  s is the radical of v with its factor x^k
+    stripped (the cofactor of gcd(v, v'), primitive) in x^w -> t, and
+    field is Q(t, u) with s(t) = 0 and u^w = t.  Only t counts points.
 
-    The root set is stable under scaling by w-th roots of unity, which is
-    exactly what makes the collapse exact."""
+    The root set of v is stable under scaling by w-th roots of unity, which
+    is exactly what makes the collapse exact.  Neither adjunction can split.
+    s is over Q, so adjoining its root inverts nothing in a tower.
+    s(0) != 0 makes t a unit of Q(t), so the gcd of u^w - t with w u^(w-1)
+    that adjoin_radical's squarefreeness check computes inverts only units,
+    and u^w - t is squarefree over every factor of Q(t)."""
     v = v[next(i for i, c in enumerate(v) if c):]
-    if len(v) > 1:
-        _, v, _ = _zgcd(v, _zderiv(v))
-    if w == 1 or len(v) == 1:
-        return v
-    if any(c for i, c in enumerate(v) if i % w):
+    if len(v) == 1:
+        return None
+    _, s, _ = _zgcd(v, _zderiv(v))
+    if any(c for i, c in enumerate(s) if i % w):
         raise InternalInconsistency(
             "orbit collapse failed: the exponents of %s are not all "
-            "multiples of %d" % (v, w))
-    return v[::w]
-
-
-def _cluster_field(s, w: int, t_name: str, u_name: str):
-    """Q(t, u) with s(t) = 0 and u^w = t, for a squarefree primitive integer
-    list s with s(0) != 0; returns (field, u).  Only t counts points.
-
-    Neither adjunction can split.  s is over Q, so adjoining its root
-    inverts nothing in a tower.  s(0) != 0 makes t a unit of Q(t), so the
-    gcd of u^w - t with w u^(w-1) that adjoin_radical's squarefreeness check
-    computes inverts only units, and u^w - t is squarefree over every factor
-    of Q(t)."""
+            "multiples of %d" % (s, w))
+    s = s[::w]
     field, t = adjoin_root(_QQ, _qmonic(s)[:-1], t_name)
-    return adjoin_radical(field, t, w, u_name)
+    return (s,) + adjoin_radical(field, t, w, u_name)
 
 
-def _x_candidates(r: SparsePoly, w0: int):
-    """Collapsed radical of a resultant in x, as a primitive integer list, or
-    None when it certifies that no candidate lies off the axis."""
+def _x_column(r: SparsePoly):
+    """A resultant of the search, free of y, as a primitive integer list
+    in x."""
     if r.is_zero():
         raise InternalInconsistency(
             "a resultant of the singular-locus search vanished "
             "identically on a reduced curve")
-    s = _radical_collapsed(_zcolumns(r, 1)[0][0], w0)
-    return s if len(s) > 1 else None
+    return _zcolumns(r, 1)[0][0]
 
 
 def _affine_stratum(F0: SparsePoly, elimination, w0: int, tag: str):
@@ -328,12 +322,13 @@ def _affine_stratum(F0: SparsePoly, elimination, w0: int, tag: str):
     `elimination` is the squarefreeness certificate (q, body, disc) of F0
     that _check_reduced returns: F0 = q(y) * body, where the horizontal
     components q(y) = 0 are smooth and pairwise disjoint away from the
-    axes, so only their crossings with the body enter; disc has the
-    radical of Res_y(body, body_y).  Candidate x-coordinates of the body
-    are the common roots of disc and Res_y(body, body_x), the only
-    resultant computed here besides the crossing; a trivial candidate set
-    certifies the stratum empty.  Every polynomial over Q on the way is a
-    primitive integer list.
+    axes, so only their crossings with the body enter; disc, an integer
+    list in x, has the radical of Res_y(body, body_y).  Candidate
+    x-coordinates of the body are the common roots of disc and
+    Res_y(body, body_x), which is not computed where disc has one term.
+    The one gcd of the two, times the crossing Res_y(body, q), goes to
+    _cluster_field; a constant radical certifies the stratum empty.  Every
+    polynomial over Q on the way is a primitive integer list.
 
     The squarefree candidate polynomial s(t) in t = x^w0 gives the field
     Q(t, u) = Q[x]/S, S = s(x^w0), u^w0 = t, which cannot split
@@ -352,19 +347,16 @@ def _affine_stratum(F0: SparsePoly, elimination, w0: int, tag: str):
     if F0.degree_in("x") == 0 or F0.degree_in("y") == 0:
         return []
     q, body, disc = elimination
-    s = [1]
-    if body.degree_in("y") > 0:
-        d = _x_candidates(disc, w0)
-        t = d and _x_candidates(
-            resultant(body, body.derivative("x"), "y"), w0)
-        if t:
-            s = _zgcd(t, d)[0]
+    v = [1]
+    if body.degree_in("y") > 0 and any(disc[:-1]):
+        v = _zgcd(disc, _x_column(
+            resultant(body, body.derivative("x"), "y")))[0]
     if q.degree_in("y") > 0 and not body.is_constant():
-        s = _zmul(s, _x_candidates(resultant(body, q, "y"), w0) or [1])
-    s = _radical_collapsed(s, 1)
-    if len(s) == 1:
+        v = _zmul(v, _x_column(resultant(body, q, "y")))
+    cluster = _cluster_field(v, w0, "t" + tag, "u" + tag)
+    if cluster is None:
         return []
-    field, u0 = _cluster_field(s, w0, "t" + tag, "u" + tag)
+    s, field, u0 = cluster
 
     def at_u(c):
         # c(x) over Q at x = u: c mod s, or for w0 > 1 the tuple of the
@@ -437,10 +429,11 @@ def _axis_stratum(F0: SparsePoly, axis_divides: bool, w_chart: int, tag: str):
     """Singular clusters on the chart line x = 0 away from the chart origin.
 
     When the line is a component of the curve, every crossing with the rest
-    of it counts; otherwise the sliced derivative system decides.  The gcd
-    runs over Q on integer lists, and the candidate field Q(t, v),
-    v^w_chart = t, cannot split (_cluster_field), so this stratum needs no
-    split handling.  Returns a list of (field, v) with at most one entry."""
+    of it counts; otherwise the sliced derivative system decides.  The one
+    gcd runs over Q on integer lists, and _cluster_field makes its cluster:
+    the candidate field Q(t, v), v^w_chart = t, which cannot split, so this
+    stratum needs no split handling.  Returns a list of (field, v) with at
+    most one entry."""
     # F0(0, y), F0_x(0, y), F0_y(0, y): F0's columns 0 and 1 in x and the
     # derivative of column 0; where x divides F0, only (F0 / x)(0, y) is left
     cols = _zcolumns(F0, 0)[0] + [[], []]
@@ -450,10 +443,8 @@ def _axis_stratum(F0: SparsePoly, axis_divides: bool, w_chart: int, tag: str):
             "a repeated axis factor survived the reducedness check"
             if axis_divides else
             "the sliced system of a reduced curve vanished identically")
-    s = _radical_collapsed(g, w_chart)
-    if len(s) == 1:
-        return []
-    return [_cluster_field(s, w_chart, "t" + tag, "v" + tag)]
+    cluster = _cluster_field(g, w_chart, "t" + tag, "v" + tag)
+    return [cluster[1:]] if cluster else []
 
 
 def _check_reduced(F: SparsePoly, w: Weights):

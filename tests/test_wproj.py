@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import curve, spy
 from qres import exactnum, poly, wproj
 from qres.cli import main
-from qres.errors import (BadType, NonDivisibleExponent, NotQuasiHomogeneous,
-                         NotReduced, PointNotOnCurve, QresError)
+from qres.errors import (BadType, InternalInconsistency, NonDivisibleExponent,
+                         NotQuasiHomogeneous, NotReduced, PointNotOnCurve,
+                         QresError)
 from qres.exactnum import ExtField, Rat, SplitEvent
 from qres.poly import SparsePoly
 from qres.quotsing import SMOOTH
@@ -258,6 +259,22 @@ def test_arrangements_of_rational_curves_split_the_search(monkeypatch):
         k, F = _arrangement(random.Random(seed))
         assert genus(F, w("1,1,1")).genus == 1 - k
     assert in_search[0] >= 1
+
+
+def test_the_cluster_field_strips_x_takes_the_radical_and_collapses():
+    """_cluster_field drops x^k, keeps one copy of each factor and reads
+    x^w as t; a constant radical is no cluster, and a list whose root set
+    is not stable under the w-th roots of unity cannot be collapsed."""
+    v = exactnum._zmul(exactnum._zmul([0, 0, 1], [4, 0, 0, -4, 0, 0, 1]),
+                       [1, 0, 0, 1])       # x^2 (x^3 - 2)^2 (x^3 + 1)
+    s, field, _ = wproj._cluster_field(v, 3, "ta", "ua")
+    assert s in ([-2, -1, 1], [2, 1, -1])
+    assert field.describe() == "Q(ta:deg 2, ua:deg 3*)"
+    s, field, _ = wproj._cluster_field(v, 1, "ta", "ua")
+    assert s in ([-2, 0, 0, -1, 0, 0, 1], [2, 0, 0, 1, 0, 0, -1])
+    assert wproj._cluster_field([0, 0, 0, 0, 5], 3, "ta", "ua") is None
+    with pytest.raises(InternalInconsistency):
+        wproj._cluster_field([-1, -1, 0, 1], 3, "ta", "ua")
 
 
 def test_singular_locus_lists_vertices_on_the_curve():
