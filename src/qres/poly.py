@@ -31,8 +31,8 @@ from .errors import (
     UnknownVariable,
     ZeroPolynomial,
 )
-from .exactnum import (ExtField, _qmonic, _zclear, _zderiv, _zdiv, _zgcd,
-                       _zmul, _zsub)
+from .exactnum import (ExtField, _zclear, _zderiv, _zdiv, _zgcd, _zmul,
+                       _zsub)
 
 MAX_EXPONENT = 2 ** 31
 MAX_DIGITS = 1000       # digits of an integer literal that is not an exponent
@@ -839,13 +839,20 @@ def _zcolumns(f: SparsePoly, vi: int):
     return cols, scale
 
 
-def content_in(f: SparsePoly, var) -> SparsePoly:
-    """Monic gcd of the coefficients of f over Q seen as a polynomial in var,
-    from _zgcd on its integer columns; the result is univariate in the
-    other variable.  Coefficients in a tower raise ValueError."""
+def content_in(f: SparsePoly, var):
+    """(D, p) with f = D * p, f over Q seen as a polynomial in var, from one
+    read of its integer columns (_zcolumns): D, the content, is their
+    primitive gcd (_zgcd_all) as an integer list in the other variable,
+    [1] when it is constant, and p, the primitive part, is in f's ring.
+    Coefficients in a tower raise ValueError."""
     vi = f._vi(var)
-    g = _zgcd_all(_zcolumns(f, vi)[0])
-    return SparsePoly.from_univariate(f.field, f.vars[1 - vi], _qmonic(g or [1]))
+    cols, scale = _zcolumns(f, vi)
+    D = _zgcd_all(cols)
+    if len(D) < 2:
+        return [1], f
+    return D, SparsePoly(f.field, f.vars, {
+        (j, o) if vi == 0 else (o, j): scale * c
+        for j, col in enumerate(cols) for o, c in enumerate(_zdiv(col, D))})
 
 
 def _zgcd_all(lists):
@@ -859,53 +866,32 @@ def _zgcd_all(lists):
     return g
 
 
-def _primitive_part(f: SparsePoly, var):
-    """Split f = content * primitive part, seen as a polynomial in var; the
-    content comes back in f's ring (it involves only the other variable)."""
-    vi = f._vi(var)
-    d = content_in(f, var).coeff_list()
-    lifted = SparsePoly(f.field, f.vars, {
-        (0, i) if vi == 0 else (i, 0): c for i, c in enumerate(d)})
-    if len(d) == 1:
-        return lifted, f
-    D = _zclear(d)[0]
-    cols, scale = _zcolumns(f, vi)
-    scale *= D[-1]
-    return lifted, SparsePoly(f.field, f.vars, {
-        (j, o) if vi == 0 else (o, j): scale * c
-        for j, col in enumerate(cols) for o, c in enumerate(_zdiv(col, D))})
-
-
-def _univariate_squarefree(u: SparsePoly, var) -> bool:
-    """gcd(u, u') is constant, for a nonzero u that involves only var."""
-    (col,), _ = _zcolumns(u, 1 - u._vi(var))
-    return len(col) < 2 or len(_zgcd(col, _zderiv(col))[0]) == 1
-
-
 def squarefree_discriminant(f: SparsePoly):
     """The exact squarefreeness test for two-variable polynomials over Q.
 
-    Splits f = q(y) * c(x) * p(x, y), where q and c are the contents of f in
-    x and in y.  f is squarefree iff q and c are and Res_y(p, p_y) != 0.
-    Returns None when f is not squarefree, else (q, body, disc): the
-    horizontal components q and the rest body = c * p in f's ring, and
-    disc, the primitive integer list in x of c * Res_y(p, p_y) (of just c
-    when p is a constant), which has the radical of Res_y(body, body_y).
-    Coefficients in a tower raise ValueError."""
+    Splits f = Q(y) * C(x) * p(x, y) by content_in, where Q and C are the
+    contents, integer lists, of f in x and of f / Q in y.  f is squarefree
+    iff gcd(Q, Q') and gcd(C, C') are constant (_zgcd) and
+    Res_y(p, p_y) != 0.  Returns None when f is not squarefree, else
+    (q, body, disc): the horizontal components q, the polynomial of Q, and
+    the rest body = f / q = C * p in f's ring, and disc, the integer list
+    in x of C * Res_y(p, p_y) (just C when p is a constant), which has the
+    radical of Res_y(body, body_y).  Coefficients in a tower raise
+    ValueError."""
     if f.is_zero():
         raise ZeroPolynomial("squarefreeness of the zero polynomial is undefined")
     x, y = f.vars
-    q, body = _primitive_part(f, x)
-    c, p = _primitive_part(body, y)
-    if not (_univariate_squarefree(q, y) and _univariate_squarefree(c, x)):
+    Q, body = content_in(f, x)
+    C, p = content_in(body, y)
+    if any(len(_zgcd(D, _zderiv(D))[0]) > 1 for D in (Q, C)):
         return None
-    disc = _zcolumns(c, 1)[0][0]
+    q = SparsePoly(f.field, f.vars, {(0, i): Fraction(c) for i, c in enumerate(Q)})
     if p.degree_in(y) == 0:
-        return q, body, disc
+        return q, body, C
     res = resultant(p, p.derivative(y), y)
     if res.is_zero():
         return None
-    return q, body, _zmul(disc, _zcolumns(res, 1)[0][0])
+    return q, body, _zmul(C, _zcolumns(res, 1)[0][0])
 
 
 _PROBE_POINTS = (1, -1, 2)     # not 0: a singular germ is unlucky there

@@ -469,10 +469,11 @@ def test_projecting_into_a_quadratic_factor_above_q_is_a_ring_map(data):
             for _ in range(2))
     targets = info.value.targets()
     assert len(targets) == 2
+    ab = ref_mul(L, 3, a, b)
     for f2, project in targets:
         L2, k2 = f2.levels, f2.depth
         assert k2 == 3 and L2[1].degree == 2
-        assert project(ref_mul(L, 3, a, b), 3) == ref_mul(
+        assert project(ab, 3) == ref_mul(
             L2, 3, project(a, 3), project(b, 3))
         assert project(_add(L, 3, a, b), 3) == _add(
             L2, 3, project(a, 3), project(b, 3))
@@ -766,6 +767,40 @@ def test_an_unlucky_first_prime_is_dropped(monkeypatch):
     g, used = primes_used(monkeypatch, u, v)
     assert g == [Rat(0), Rat(1)] == ref_gcd(u, v)
     assert used == exactnum._PRIMES[:2]
+
+
+def zgcd_image_degrees(monkeypatch, A, B):
+    """_zgcd(A, B) and the degree of each image over GF(p) it computed."""
+    degrees, gcd_mod = [], exactnum._gcd_mod
+
+    def recording(a, b, p):
+        g = gcd_mod(a, b, p)
+        degrees.append(len(g) - 1)
+        return g
+    monkeypatch.setattr(exactnum, "_gcd_mod", recording)
+    return exactnum._zgcd(A, B), degrees
+
+
+def test_an_image_of_lower_degree_restarts_the_remaindering(monkeypatch):
+    # x - 1 - P is x - 1 mod P, so the first image is all of A
+    P = next(exactnum._primes())
+    A = exactnum._zmul([2, 1], [-1, 1])
+    B = exactnum._zmul([2, 1], [-1 - P, 1])
+    (H, _, _), degrees = zgcd_image_degrees(monkeypatch, A, B)
+    assert degrees == [2, 1]
+    assert H in ([2, 1], [-2, -1])
+
+
+def test_an_image_of_higher_degree_than_the_last_is_dropped(monkeypatch):
+    # H = x + P + 1 is x + 1 mod P, which does not lift to H; mod p2 the
+    # cofactor x - 1 - p2 of B is x - 1, and that image is dropped
+    P, p2, _ = itertools.islice(exactnum._primes(), 3)
+    H = [P + 1, 1]
+    A = exactnum._zmul(H, [-1, 1])
+    B = exactnum._zmul(H, [-1 - p2, 1])
+    gcd, degrees = zgcd_image_degrees(monkeypatch, A, B)
+    assert degrees == [1, 2, 1]
+    assert gcd == (H, [-1, 1], [-1 - p2, 1])
 
 
 def test_a_gcd_with_large_coefficients_needs_two_primes(monkeypatch):

@@ -237,6 +237,17 @@ def test_one_upstairs_resolution_per_report(monkeypatch):
     assert calls.count(1) == 1
 
 
+def test_a_negative_blowup_term_is_reported_and_delta_is_unchanged():
+    """The (1, 5) blow-up first gives the cusp a negative term; the sum,
+    delta, does not depend on the Q-resolution chosen."""
+    rep = full_report(germ("y^2 - x^3"), SMOOTH,
+                      config=EngineConfig(weight_overrides=((1, 5),)))
+    assert ([(nid, c) for nid, c in rep.per_node_contributions]
+            == [(0, Rat(-3, 5)), (2, Rat(8, 5))])
+    assert rep.delta_w == rep.delta_classical == 1
+    assert rep.warnings == ("node 0 contributed the negative amount -3/5",)
+
+
 def test_full_report_takes_the_mode_from_config():
     f = germ("x*y + (x^2 - y^3)^2")
     cfg = EngineConfig(mode="strong", weight_overrides=((1, 5),))

@@ -260,7 +260,9 @@ def test_poly_gcd_univariate_monic():
 
 def test_content_in():
     f = germ("(y^2 + 1)*x^2 + (y^2 + 1)*y")
-    assert content_in(f, "x") == parse_poly("y^2 + 1", ("y",))
+    D, p = content_in(f, "x")
+    assert D in ([1, 0, 1], [-1, 0, -1])
+    assert SparsePoly(QQ, f.vars, {(0, i): Rat(c) for i, c in enumerate(D)}) * p == f
 
 
 @pytest.mark.parametrize("text,expect", [
@@ -309,7 +311,7 @@ def test_squarefree_discriminant_splits_the_contents(text):
     f = germ(text)
     q, body, disc = squarefree_discriminant(f)
     assert q.degree_in("x") <= 0 and q * body == f
-    assert content_in(body, "x").is_constant()
+    assert len(content_in(body, "x")[0]) == 1
     if body.degree_in("y") > 0:
         # same candidates as the discriminant resultant of the whole body
         full = resultant(body, body.derivative("y"), "y")

@@ -287,6 +287,13 @@ def test_input_validation():
         resolve_germ(germ("x + y"), QuotType(3, 1, 2))
 
 
+def test_the_engine_finds_a_repeated_axis_factor_at_the_root():
+    """Without the reducedness precheck, the engine itself refuses x^2 (y + x)."""
+    with pytest.raises(NotReduced, match="repeated axis factor"):
+        resolve_germ(germ("x^2*y + x^3"), SMOOTH,
+                     config=EngineConfig(check_reduced=False))
+
+
 def test_semi_invariance_check():
     ok, res = semi_invariance_check(germ("x*y + x^6"), X723)
     assert ok and res == 5
