@@ -2,9 +2,11 @@
 
 Everything downstream computes over a field that starts as Q and grows by
 adjoining roots of monic squarefree polynomials.  The minimal polynomials are
-*not* assumed irreducible: arithmetic proceeds as if they were, and the moment
-an inversion meets a zero divisor the tower splits (classic dynamic
-evaluation).  The split is surfaced as a SplitEvent; its targets() are the
+*not* assumed irreducible, unless a Level is flagged as a field: arithmetic
+proceeds as if they were, and the moment an inversion meets a zero divisor
+the tower splits (classic dynamic evaluation).  Over a tower whose every
+Level is flagged, nonzero means unit, and is_zero_validated inverts
+nothing.  The split is surfaced as a SplitEvent; its targets() are the
 factor towers, with projection maps, that a computation retries in.  That
 policy and the adjunction of chart radicals (adjoin_radical) live here, so
 the resolution engine and the singular-locus search share them.  Every
@@ -70,12 +72,17 @@ class Level:
     minpoly holds the tail (c_0, ..., c_{n-1}) of t^n + c_{n-1} t^{n-1} + ... + c_0,
     coefficients being elements one level down.  counts_points marks whether the
     conjugates of this generator represent distinct downstream points (face root
-    parameters do; covering-chart radicals do not).  units is _inv's memo.
+    parameters do; covering-chart radicals do not).  is_field marks a minimal
+    polynomial proven irreducible over the storeys below, so that the storey
+    is a field where they are; it is set where the Level is made, from a
+    certificate (wproj._cluster_field), and never afterwards.  is_field and
+    units, _inv's memo, are kept on the object, outside equality.
     """
 
     name: str
     minpoly: tuple
     counts_points: bool = True
+    is_field: bool = _field(default=False, compare=False, repr=False)
     units: dict = _field(default_factory=dict, compare=False, hash=False, repr=False)
 
     @property
@@ -105,6 +112,11 @@ class ExtField:
         for lv in self.levels:
             n *= lv.degree
         return n
+
+    @property
+    def is_field(self) -> bool:
+        """Every storey is flagged as a field (Q, with none, is one)."""
+        return all(lv.is_field for lv in self.levels)
 
     @property
     def cluster_size(self) -> int:
@@ -747,13 +759,16 @@ def _inv_over_q(levels, a):
 def is_zero_validated(field: "ExtField", rep) -> bool:
     """Decide rep == 0, certifying invertibility of nonzero answers.
 
-    Structural zero is sound (reduction is eager and canonical); a nonzero
-    answer is backed by _inv, which succeeds (from its memo when the element
-    was certified before) or raises a SplitEvent for the caller to handle.
+    Structural zero is sound (reduction is eager and canonical).  Over a
+    tower whose every Level is flagged as a field, nonzero means unit and
+    nothing is inverted; elsewhere a nonzero answer is backed by _inv, which
+    succeeds (from its memo when the element was certified before) or
+    raises a SplitEvent for the caller to handle.
     """
     if _is_zero(field.levels, field.depth, rep):
         return True
-    _inv(field.levels, field.depth, rep)
+    if not field.is_field:
+        _inv(field.levels, field.depth, rep)
     return False
 
 
@@ -772,12 +787,15 @@ def ext_bound():
     return v if v > 0 else None
 
 
-def adjoin_root(field: ExtField, tail, name: str, counts_points: bool = True):
+def adjoin_root(field: ExtField, tail, name: str, counts_points: bool = True,
+                is_field: bool = False):
     """Adjoin a root of the monic polynomial t^n + tail (squarefree required).
 
     Returns (new_field, root_rep).  A degree-1 polynomial adjoins nothing:
     the same field comes back with the root it already contains.  A tower
-    whose degree would exceed ext_bound() raises ExtensionOverflow.
+    whose degree would exceed ext_bound() raises ExtensionOverflow.  The
+    new Level carries is_field, which only a caller that has proven
+    t^n + tail irreducible over `field` may set.
     """
     levels = field.levels
     k = field.depth
@@ -800,21 +818,23 @@ def adjoin_root(field: ExtField, tail, name: str, counts_points: bool = True):
         raise ExtensionOverflow(
             "tower degree %d exceeds the bound %d" % (field.degree * n, bound)
         )
-    new_field = ExtField(levels + (Level(name, tail, counts_points),))
+    new_field = ExtField(levels + (Level(name, tail, counts_points, is_field),))
     z = _zero(levels, k)
     root = (z, one) + (z,) * (n - 2)
     return new_field, root
 
 
-def adjoin_radical(field: ExtField, t, w: int, name: str):
+def adjoin_radical(field: ExtField, t, w: int, name: str,
+                   is_field: bool = False):
     """Adjoin a w-th root u of the element t, u^w = t, as a level that does
-    not count points; returns (new_field, u).  For w = 1 nothing is adjoined
-    and t itself comes back.  u^w - t must be squarefree, which holds when
-    t is a unit."""
+    not count points, flagged as adjoin_root flags it; returns
+    (new_field, u).  For w = 1 nothing is adjoined and t itself comes back.
+    u^w - t must be squarefree, which holds when t is a unit."""
     if w == 1:
         return field, t
     tail = [_neg(field.levels, field.depth, t)] + [field.zero()] * (w - 1)
-    return adjoin_root(field, tail, name, counts_points=False)
+    return adjoin_root(field, tail, name, counts_points=False,
+                       is_field=is_field)
 
 
 # ---------------------------------------------------------------------------

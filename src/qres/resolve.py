@@ -415,7 +415,9 @@ class _Engine:
             if mult == 1:
                 total = 0
                 for lab in sorted(q_parts):
-                    g = poly_gcd(fact, q_parts[lab])
+                    # one label's part is q_product, which fact divides
+                    g = (fact if len(q_parts) == 1
+                         else poly_gcd(fact, q_parts[lab]))
                     db = g.degree_in("y")
                     if db > 0:
                         node.leaf_records.append(LeafRecord(

@@ -285,7 +285,10 @@ def _cluster_field(v, w: int, t_name: str, u_name: str):
     """The cluster of the candidate integer list v in x: (s, field, u), or
     None when s is constant.  s is the radical of v with its factor x^k
     stripped (the cofactor of gcd(v, v'), primitive) in x^w -> t, and
-    field is Q(t, u) with s(t) = 0 and u^w = t.  Only t counts points.
+    field is Q(t, u) = Q[x]/S, S = s(x^w), with s(t) = 0 and u^w = t.
+    Only t counts points.  Where certified_irreducible proves S irreducible
+    (once per cluster), both Levels are flagged as fields: then s is
+    irreducible and u^w - t is irreducible over Q(t).
 
     The root set of v is stable under scaling by w-th roots of unity, which
     is exactly what makes the collapse exact.  Neither adjunction can split.
@@ -296,14 +299,14 @@ def _cluster_field(v, w: int, t_name: str, u_name: str):
     v = v[next(i for i, c in enumerate(v) if c):]
     if len(v) == 1:
         return None
-    _, s, _ = _zgcd(v, _zderiv(v))
-    if any(c for i, c in enumerate(s) if i % w):
+    _, S, _ = _zgcd(v, _zderiv(v))
+    if any(c for i, c in enumerate(S) if i % w):
         raise InternalInconsistency(
             "orbit collapse failed: the exponents of %s are not all "
-            "multiples of %d" % (s, w))
-    s = s[::w]
-    field, t = adjoin_root(_QQ, _qmonic(s)[:-1], t_name)
-    return (s,) + adjoin_radical(field, t, w, u_name)
+            "multiples of %d" % (S, w))
+    s, is_field = S[::w], certified_irreducible(S)
+    field, t = adjoin_root(_QQ, _qmonic(s)[:-1], t_name, is_field=is_field)
+    return (s,) + adjoin_radical(field, t, w, u_name, is_field=is_field)
 
 
 def _x_column(r: SparsePoly):
@@ -335,13 +338,14 @@ def _affine_stratum(F0: SparsePoly, elimination, w0: int, tag: str):
     (_cluster_field).  The system (F0, F0_x, F0_y), read off F0's integer
     columns in y, is sliced at x = u once, by reduction mod s.  The cluster
     is then one step on these slices, run by _with_splits.  Where
-    deg_y F0 >= 2 and certified_irreducible proves S irreducible (decided
-    once, outside the step), the step asks _subresultant_root first;
-    otherwise, or where S_1 cannot give v, the squarefree part of the gcd of
-    the slices gives v.  Only that gcd can split: Q(t, u) is a field where S
-    is certified.  A reducible level of Q(t, u) restarts the step in the
-    factor towers that SplitEvent.targets() names, with the slices projected
-    there, and the cluster is listed as those packets.  Hence the guard:
+    deg_y F0 >= 2 and _cluster_field has flagged Q(t, u) as a field (S is
+    certified irreducible; decided once, outside the step), the step asks
+    _subresultant_root first; otherwise, or where S_1 cannot give v, the
+    squarefree part of the gcd of the slices gives v.  Only that gcd can
+    split: a flagged Q(t, u) is a field.  A reducible level of Q(t, u)
+    restarts the step in the factor towers that SplitEvent.targets() names,
+    with the slices projected there, and the cluster is listed as those
+    packets.  Hence the guard:
     over a reducible tower S_1 can give one v, and one cluster where the
     gcd lists several.  Returns a list of (field, u, v)."""
     if F0.degree_in("x") == 0 or F0.degree_in("y") == 0:
@@ -369,9 +373,7 @@ def _affine_stratum(F0: SparsePoly, elimination, w0: int, tag: str):
     system = (cols, [_zderiv(c) for c in cols],
               [[j * c for c in col] for j, col in enumerate(cols)][1:])
     slices = [[at_u(c) for c in sy] for sy in system]
-    S = [0] * ((len(s) - 1) * w0 + 1)
-    S[::w0] = s
-    certified = F0.degree_in("y") >= 2 and certified_irreducible(S)
+    certified = F0.degree_in("y") >= 2 and field.is_field
 
     def step(field, u0, slices):
         # S_1 where it can give v; else the gcd of the system's nonzero

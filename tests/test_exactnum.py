@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from conftest import spy
 from qres.errors import (BadType, DivisionByZero, ExtensionOverflow,
                          InternalInconsistency, NotInvertible, NotSquarefree)
-from qres import exactnum
+from qres import exactnum, wproj
 from qres.poly import SparsePoly
 from qres.exactnum import (ExtField, Rat, SplitEvent, _add, _inv, _is_zero,
                            _mul, _neg, _pdeg, _pgcd_monic, _pmul, _psub,
@@ -900,3 +900,50 @@ def test_the_certificate_refuses_products(G, H):
 def test_the_certificate_refuses_a_square_under_a_radical(p, q):
     """s(x^2) for s(t) = t - c^2, c = p/q: q^2 x^2 - p^2 = (qx - p)(qx + p)."""
     assert not exactnum.certified_irreducible([-p * p, 0, q * q])
+
+
+# cluster fields flagged by the certificate
+
+# irreducible candidate polynomials s(t) of the singular-locus search, each
+# with the w for which S = s(x^w) is irreducible over Q
+CLUSTER_FACTORS = [
+    ([-2, 1], (1, 2, 3, 4)),        # x^w - 2 (Eisenstein)
+    ([1, 1], (1, 2, 4)),            # x^3 + 1 has the root -1
+    ([-4, 1], (1, 3)),              # x^2 - 4 and x^4 - 4 = (x^2 - 2)(x^2 + 2)
+    ([4, 1], (1, 2, 3)),            # x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2)
+    ([-2, 0, 1], (1, 2, 3, 4)),     # x^2w - 2 (Eisenstein)
+    ([1, 1, 1], (1, 3)),            # Phi_3 and Phi_9; x^4 + x^2 + 1 factors
+    ([1, 0, 1], (1, 2, 4)),         # Phi_4, Phi_8 and Phi_16; x^6 + 1 factors
+]
+
+
+@given(st.data())
+def test_a_cluster_field_is_flagged_only_where_it_is_a_field(data):
+    """v = x^k times powers of S_i = s_i(x^w) for distinct s_i of
+    CLUSTER_FACTORS: S is irreducible only for one s_i with a listed w, and
+    only then may _cluster_field flag Q(t, u).  On a flagged field no drawn
+    element is a zero divisor, and is_zero_validated answers as it does,
+    by inverting, on the same tower unflagged."""
+    w = data.draw(st.integers(1, 4))
+    picks = data.draw(st.lists(st.sampled_from(CLUSTER_FACTORS), min_size=1,
+                               max_size=2, unique_by=lambda f: tuple(f[0])))
+    v = [0] * data.draw(st.integers(0, 2)) + [1]
+    for s, _ in picks:
+        S = [0] * ((len(s) - 1) * w + 1)
+        S[::w] = s
+        for _ in range(data.draw(st.integers(1, 2))):
+            v = exactnum._zmul(v, S)
+    _, field, _ = wproj._cluster_field(v, w, "t", "u")
+    L, k = field.levels, field.depth
+    if not (len(picks) == 1 and w in picks[0][1]):
+        assert not any(lv.is_field for lv in L)
+    if not field.is_field:
+        return
+    plain = ExtField(tuple(exactnum.Level(lv.name, lv.minpoly,
+                                          lv.counts_points) for lv in L))
+    assert plain == field and not any(lv.is_field for lv in plain.levels)
+    a = element(L, k, data.draw(st.lists(coefficients, min_size=field.degree,
+                                         max_size=field.degree)))
+    zero = _is_zero(L, k, a)
+    assert outcome(ref_inv, L, k, a)[0] == ("zero" if zero else "unit")
+    assert is_zero_validated(field, a) == is_zero_validated(plain, a) == zero

@@ -11,7 +11,8 @@ from qres.errors import (BadType, ExtensionOverflow, NotReduced,
                          NotSemiInvariant, ResolutionDepthExceeded, UnitGerm)
 from qres.exactnum import (ExtField, Rat, SplitEvent, adjoin_radical,
                            adjoin_root, is_zero_validated)
-from qres.invariants import delta_breakdown, delta_w, full_report
+from qres.invariants import (delta_breakdown, delta_w, full_report,
+                             noether_intersection)
 from qres.poly import SparsePoly
 from qres.quotsing import SMOOTH, QuotType
 from qres.resolve import (EngineConfig, resolve_germ, resolve_labels,
@@ -148,6 +149,20 @@ def test_split_germ_certifies_each_unit_once(monkeypatch):
     assert len(certified) > 10
     assert not any(is_zero_validated(f, c) for f, c in certified)
     assert len(euclids) == ran
+
+
+def test_a_face_step_with_one_label_runs_no_gcd(monkeypatch):
+    """With one label the Yun factor divides that label's part of the
+    exceptional restriction, so its simple roots are counted as branches
+    with no gcd; with two labels a gcd still shares them out."""
+    gcds = spy(monkeypatch, resolve, "poly_gcd")
+    tree = resolve_germ(germ("y^2 - x^2"), SMOOTH)
+    assert gcds == []
+    assert [(rec.kind, rec.branches) for _, rec in tree.leaves()] == [
+        ("face", 2)]
+    assert noether_intersection(germ("y^2 - x^2"), germ("y - 2*x"),
+                                SMOOTH) == 2
+    assert gcds
 
 
 def test_a_level_that_counts_no_points_splits_in_place(monkeypatch):

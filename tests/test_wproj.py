@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import curve, spy
-from qres import exactnum, poly, wproj
+from qres import exactnum, poly, resolve, wproj
 from qres.cli import main
 from qres.errors import (BadType, InternalInconsistency, NonDivisibleExponent,
                          NotQuasiHomogeneous, NotReduced, PointNotOnCurve,
@@ -408,6 +408,44 @@ def test_the_subresultant_root_agrees_with_the_tower_gcd(case, coeffs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wproj, "certified_irreducible", lambda S: False)
         assert located(F, Weights(*ws)) == fast
+
+
+def test_a_certified_cluster_field_makes_no_unit_certificate(monkeypatch):
+    """The one affine cluster of golden gallery-11 is certified, so its
+    field is flagged: genus proves no coefficient a unit by inverting it
+    over a tower whose every Level is flagged.  With the certificate
+    refused, nothing is flagged, the inversions come back, and the search
+    finds the same points."""
+    F = curve("(x0^2 + x1^2 - x2^2)*(x0^2 + x1^2 - 2*x2^2)")
+    inside, seen, inverted = [], [], []
+    validated, inv = exactnum.is_zero_validated, exactnum._inv
+
+    def validating(field, rep):
+        seen.append(field)
+        inside.append(field.is_field)
+        try:
+            return validated(field, rep)
+        finally:
+            inside.pop()
+
+    def inverting(levels, k, a):
+        if inside:
+            inverted.append(inside[-1])
+        return inv(levels, k, a)
+    monkeypatch.setattr(resolve, "is_zero_validated", validating)
+    monkeypatch.setattr(wproj, "is_zero_validated", validating)
+    monkeypatch.setattr(exactnum, "_inv", inverting)
+    flagged = located(F, Weights(1, 1, 1))
+    assert genus(F, Weights(1, 1, 1)).genus == -1
+    assert any(f.depth and f.is_field for f in seen)
+    assert True not in inverted
+    seen.clear()
+    inverted.clear()
+    monkeypatch.setattr(wproj, "certified_irreducible", lambda S: False)
+    assert located(F, Weights(1, 1, 1)) == flagged
+    assert genus(F, Weights(1, 1, 1)).genus == -1
+    assert seen and not any(lv.is_field for f in seen for lv in f.levels)
+    assert inverted
 
 
 def test_a_vanishing_leading_coefficient_skips_the_first_subresultant(
