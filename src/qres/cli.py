@@ -204,9 +204,19 @@ def run_check(args) -> int:
 # wiring
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads "-x^2+y^3" or "-1,0,1" as a value, not an option: qres has no
+    short option but -h.  Subparsers are made of this class too."""
+
+    def _parse_optional(self, arg):
+        if arg.startswith("-") and not arg.startswith("--") and arg != "-h":
+            return None
+        return super()._parse_optional(arg)
+
+
 @functools.cache        # built on the first main() call, then reused
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="qres",
         description="Exact invariants of curve germs on cyclic quotient "
                     "surface points, and genus of curves in weighted "

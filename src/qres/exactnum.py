@@ -10,7 +10,8 @@ nothing.  The split is surfaced as a SplitEvent; its targets() are the
 factor towers, with projection maps, that a computation retries in.  That
 policy and the adjunction of chart radicals (adjoin_radical) live here, so
 the resolution engine and the singular-locus search share them.  Every
-inversion goes through _inv, which memoizes it on the storey's Level object.
+inversion goes through _inv, and every split comes from it: the polynomial
+divisions above Q are by monic divisors and invert nothing.
 
 Element representation is positional and closed under hashing: a level-0
 element is a Fraction, a level-k element is a tuple of level-(k-1) elements
@@ -75,15 +76,14 @@ class Level:
     parameters do; covering-chart radicals do not).  is_field marks a minimal
     polynomial proven irreducible over the storeys below, so that the storey
     is a field where they are; it is set where the Level is made, from a
-    certificate (wproj._cluster_field), and never afterwards.  is_field and
-    units, _inv's memo, are kept on the object, outside equality.
+    certificate (wproj._cluster_field), and never afterwards; it is kept
+    on the object, outside equality.
     """
 
     name: str
     minpoly: tuple
     counts_points: bool = True
     is_field: bool = _field(default=False, compare=False, repr=False)
-    units: dict = _field(default_factory=dict, compare=False, hash=False, repr=False)
 
     @property
     def degree(self) -> int:
@@ -264,21 +264,18 @@ def _pderiv(levels, k, v):
 
 
 def _pdivmod(levels, k, num, den):
-    """Polynomial division; the divisor's leading coefficient is inverted,
-    which can raise SplitEvent in a reducible tower."""
+    """Polynomial division by a monic den: nothing is inverted, so it
+    cannot split a tower (every split comes from _inv)."""
     dd = _pdeg(levels, k, den)
-    if dd < 0:
-        raise DivisionByZero("polynomial division by zero")
-    lead_inv = _inv(levels, k, den[dd])
     r = _ptrim(levels, k, num)
     q = [_zero(levels, k)] * max(len(r) - dd, 1)
     while True:
         dr = _pdeg(levels, k, r)
         if dr < dd:
             break
-        c = _mul(levels, k, r[dr], lead_inv)
-        q[dr - dd] = c
-        for t in range(dd + 1):
+        c = q[dr - dd] = r[dr]
+        del r[dr:]
+        for t in range(dd):
             r[dr - dd + t] = _sub(levels, k, r[dr - dd + t], _mul(levels, k, c, den[t]))
     return _ptrim(levels, k, q), _ptrim(levels, k, r)
 
@@ -302,19 +299,20 @@ def _pgcd_monic(levels, k, f, g):
     """Monic gcd; returns [] for gcd of two zero polynomials.
 
     Over Q (k = 0) it is _zgcd of the primitive integer parts of f and g
-    (Gauss's lemma), made monic; over a tower it is Euclid."""
-    a = _ptrim(levels, k, f)
-    b = _ptrim(levels, k, g)
+    (Gauss's lemma), made monic.  Over a tower it is the plain Euclid, each
+    remainder made monic once as the next divisor: the same remainders and
+    the same leads inverted, once each, and the last divisor is the gcd."""
+    a, b = _ptrim(levels, k, f), _ptrim(levels, k, g)
     if k == 0:
         if not a:
             a, b = b, a
         return _qmonic(_zgcd(_zclear(a)[0], _zclear(b)[0])[0]) if a else []
-    while _pdeg(levels, k, b) >= 0:
-        _, r = _pdivmod(levels, k, a, b)
-        a, b = b, r
-    if _pdeg(levels, k, a) < 0:
-        return []
-    return _pmonic(levels, k, a)
+    if not b:
+        return _pmonic(levels, k, a) if a else []
+    m = _pmonic(levels, k, b)
+    while r := _pdivmod(levels, k, a, m)[1]:
+        a, b, m = b, r, _pmonic(levels, k, r)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -675,11 +673,7 @@ def _inv(levels, k, a):
     """Inverse of the level-k element a; a zero divisor raises SplitEvent.
 
     An element of a lower storey is inverted there and lifted (the Euclid's
-    first division would invert the same constant, so a split is the same).
-    Other inverses are memoized in the Level object levels[k - 1].units; the
-    memo cannot go stale, as only adjoin_root and _make_factor make a Level,
-    on top of the levels it is stored with, a split makes fresh Levels from
-    the split storey up, and only successful inversions are recorded."""
+    first division would invert the same constant, so a split is the same)."""
     if k == 0:
         if a == 0:
             raise DivisionByZero("division by zero in Q")
@@ -688,40 +682,37 @@ def _inv(levels, k, a):
         raise DivisionByZero("division by zero in %s" % ExtField(tuple(levels[:k])).describe())
     if all(_is_zero(levels, k - 1, c) for c in a[1:]):
         return lift(levels, k - 1, k, _inv(levels, k - 1, a[0]))
-    units = levels[k - 1].units
-    inv = units.get(a)
-    if inv is None:
-        inv = units[a] = _inv_euclid(levels, k, a)
-    return inv
+    return _inv_euclid(levels, k, a)
 
 
 def _inv_euclid(levels, k, a):
     """The inversion behind _inv, for a nonzero level-k element a: over Q
     (k = 1) a fraction-free linear solve (_inv_over_q), above it the
-    extended Euclid over the storey below."""
+    extended Euclid over the storey below, each divisor made monic as in
+    _pgcd_monic together with its Bezout coefficient.  The last divisor is
+    1, its coefficient the inverse, or the monic factor of a split."""
     if k == 1:
         return _inv_over_q(levels, a)
     lv = levels[k - 1]
     one = lift(levels, 0, k - 1, Fraction(1))
     modulus = list(lv.minpoly) + [one]
-    # extended Euclid for gcd(modulus, a) with a Bezout coefficient for a
-    r0, s0 = modulus, []
-    r1, s1 = _ptrim(levels, k - 1, list(a)), [one]
-    while _pdeg(levels, k - 1, r1) >= 0:
-        q, r = _pdivmod(levels, k - 1, r0, r1)
-        s = _psub(levels, k - 1, s0, _pmul(levels, k - 1, q, s1))
-        r0, s0 = r1, s1
-        r1, s1 = r, s
-    if _pdeg(levels, k - 1, r0) == 0:
+    # remainders r = s a modulo the minimal polynomial
+    r0, s0, r1, s1 = modulus, [], _ptrim(levels, k - 1, list(a)), [one]
+    while True:
+        c = _inv(levels, k - 1, r1[-1])
+        m, ms = _pscale(levels, k - 1, c, r1), _pscale(levels, k - 1, c, s1)
+        q, r = _pdivmod(levels, k - 1, r0, m)
+        if not r:
+            break
+        r0, s0, r1, s1 = r1, s1, r, _psub(levels, k - 1, s0, _pmul(levels, k - 1, q, ms))
+    if len(m) == 1:
         # a Bezout coefficient of a modulo the degree-n minimal polynomial
         # has degree below n, so _preduce only pads it to n coordinates
-        c = _inv(levels, k - 1, r0[0])
-        return _preduce(levels, k - 1, _pscale(levels, k - 1, c, s0), lv.minpoly)
-    # proper factor found: compute the cofactor and surface the split
-    g = _pmonic(levels, k - 1, r0)
-    h = _pdiv_exact(levels, k - 1, modulus, g)
-    # the event carries the whole tower so upper levels can be projected
-    raise SplitEvent(levels, k - 1, g[:-1], h[:-1])
+        return _preduce(levels, k - 1, ms, lv.minpoly)
+    # proper factor found: the event carries the whole tower so upper
+    # levels can be projected
+    h = _pdiv_exact(levels, k - 1, modulus, m)
+    raise SplitEvent(levels, k - 1, m[:-1], h[:-1])
 
 
 def _inv_over_q(levels, a):
@@ -762,8 +753,7 @@ def is_zero_validated(field: "ExtField", rep) -> bool:
     Structural zero is sound (reduction is eager and canonical).  Over a
     tower whose every Level is flagged as a field, nonzero means unit and
     nothing is inverted; elsewhere a nonzero answer is backed by _inv, which
-    succeeds (from its memo when the element was certified before) or
-    raises a SplitEvent for the caller to handle.
+    succeeds or raises a SplitEvent for the caller to handle.
     """
     if _is_zero(field.levels, field.depth, rep):
         return True
@@ -841,17 +831,11 @@ def adjoin_radical(field: ExtField, t, w: int, name: str,
 # printing
 
 
-def format_rat(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return "%d/%d" % (c.numerator, c.denominator)
-
-
 def format_rep(field: ExtField, rep, _k=None) -> str:
     levels = field.levels
     k = field.depth if _k is None else _k
     if k == 0:
-        return format_rat(rep)
+        return str(rep)
     name = levels[k - 1].name
     parts = []
     for i, c in enumerate(rep):

@@ -190,7 +190,8 @@ class SparsePoly:
         below = {e: list(itertools.product(*(range(e[i] + 1) for i in shifts)))
                  for e in self.terms}
         prods = {u: [functools.reduce(mul_top, [powers[i][j] for i, j in zip(shifts, u) if j]
-                                      or [one])] for us in below.values() for u in us}
+                                      or [one])]
+                 for u in dict.fromkeys(u for us in below.values() for u in us)}
         for _ in range(K - k):
             prods = {u: [c for x in v for c in x] for u, v in prods.items()}
         coeffs, (add, mul), zero = self.terms, self._ring(), self.field.zero()

@@ -15,7 +15,8 @@ structure along the exceptional curve is absorbed by one uncounted radical
 adjunction.  Minimal polynomials are only required squarefree; if a later
 inversion catches a reducible one, the engine either discards the irrelevant
 factor (uncounted levels) or forks the node into one branch per factor
-(counted levels).
+(counted levels).  Coefficients are certified as zero or units where they
+are new to the tower: at the root, face children and split children.
 """
 
 from __future__ import annotations
@@ -257,10 +258,13 @@ class _Engine:
                 if st.poly.is_zero():
                     raise InternalInconsistency(
                         "label %s degenerated to the zero germ" % (lab,))
-                if node.field.depth > 0:
-                    # certify every coefficient as zero or unit (so the
-                    # structural test below is sound); anything else raises
-                    # a SplitEvent handled by build()
+                if node.field.depth > 0 and node.origin not in ("chart1", "chart2"):
+                    # certify every new coefficient as zero or unit (so the
+                    # structural test below is sound; else a SplitEvent for
+                    # build()).  A chart child's are its parent's, copied by
+                    # blowup_transform, certified by the parent's ingest in
+                    # the same field before it built any child, and a later
+                    # split projects them by a ring map: units stay units.
                     for e in sorted(st.poly.terms):
                         is_zero_validated(node.field, st.poly.terms[e])
                 ax, ay, g = axis_split(st.poly)

@@ -92,6 +92,22 @@ def test_curve_manual_points(capsys):
     assert "genus: 0" in out
 
 
+def test_a_leading_minus_is_a_value_not_an_option(capsys):
+    """argparse takes "-x^2+y^3" for an unknown option unless it has a
+    space; qres has no short option but -h, so a leading minus starts a
+    value, in the poly positional and in option values alike."""
+    outs = [run(capsys, "germ", poly, "--json")
+            for poly in ("-x^2+y^3", "-x^2 + y^3")]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    assert json.loads(outs[0][1])["invariants"]["delta"] == "1"
+    rc, out, _ = run(capsys, "curve", "x0^2+x1^2-x2^2", "--w", "1,1,1",
+                     "--points", "-1,0,1", "--json")
+    assert rc == 0 and json.loads(out)["genus"] == "0"
+    with pytest.raises(SystemExit):
+        main(["germ", "-h"])
+    assert capsys.readouterr().out.startswith("usage: qres germ")
+
+
 def test_curve_points_are_rescaled_to_chart_coordinate_one(capsys):
     # [2:2:2] is [1:1:1] on P(1,1,1): lam = 1/2
     rc, out, _ = run(capsys, "curve", "x0*x1 - x2^2", "--w", "1,1,1",

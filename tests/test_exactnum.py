@@ -223,7 +223,7 @@ def test_format_rep():
 
 
 # ---------------------------------------------------------------------------
-# _inv's shortcuts (lower storey, memo) and the integer storey over Q
+# _inv's lower-storey shortcut and the integer storey over Q
 # against a plain Fraction product and extended Euclid
 
 
@@ -369,7 +369,7 @@ def test_inverse_shortcuts_agree_with_plain_euclid(data):
         a = ref_mul(L, k, a, _sub(L, k, t, F.from_rat(root)))
     want = outcome(ref_inv, L, k, a)
     assert outcome(_inv, L, k, a) == want
-    assert outcome(_inv, L, k, a) == want       # again, from the memo
+    assert outcome(_inv, L, k, a) == want       # again: nothing is kept
     if want[0] == "unit":
         assert _mul(L, k, a, want[1]) == F.one()
 
@@ -556,6 +556,23 @@ def test_lift_shift_is_the_binomial_expansion(data):
     assert f.lift_shift(F, (a, b)) == SparsePoly(F, ("x", "y"), want)
 
 
+def test_lift_shift_makes_each_product_of_root_powers_once(monkeypatch):
+    """x^2 y^2 + x^2 y + x y^2 + x y shifted by (s, s + 1) over Q(s): the
+    powers s^2 and (s + 1)^2 take one product each, and the products
+    s^i (s + 1)^j for i, j in {1, 2} one each, though several terms need
+    them: 6 products at the top storey (11 when each term made its own)."""
+    F, s = sqrt2_field()
+    f = SparsePoly(QQ, ("x", "y"), {(2, 2): Rat(1), (2, 1): Rat(1),
+                                    (1, 2): Rat(1), (1, 1): Rat(1)})
+    roots = (s, _add(F.levels, 1, s, F.one()))
+    products = spy(monkeypatch, exactnum, "_mul")
+    moved = f.lift_shift(F, roots)
+    assert [k for _, k, _, _ in products].count(1) == 6
+    monkeypatch.undo()
+    assert moved == f.lift_shift(F, (roots[0], F.zero())).lift_shift(
+        F, (F.zero(), roots[1]))
+
+
 def test_the_storey_over_q_divides_no_polynomial_over_q(monkeypatch, curve):
     """The product, the inversion and the projection into a factor tower
     reduce a storey over Q on ints, and so does the slicing of a certified
@@ -605,18 +622,6 @@ def count_euclid(monkeypatch):
     return runs
 
 
-def test_a_repeated_inverse_runs_no_euclid(monkeypatch):
-    F, _ = build_tower("irreducible")
-    L, k = F.levels, F.depth
-    a = element(L, k, [Rat(1), Rat(2), Rat(0), Rat(-1)])
-    runs = count_euclid(monkeypatch)
-    first = _inv(L, k, a)
-    assert runs.count(2) == 1
-    done = len(runs)
-    assert _inv(L, k, a) == first and is_zero_validated(F, a) is False
-    assert len(runs) == done
-
-
 def test_a_lifted_element_is_inverted_at_its_own_storey(monkeypatch):
     F, _ = build_tower("reducible-middle")
     L = F.levels
@@ -625,28 +630,25 @@ def test_a_lifted_element_is_inverted_at_its_own_storey(monkeypatch):
     got = _inv(L, 3, lift(L, 1, 3, s_plus_1))
     assert got == lift(L, 1, 3, (Rat(-1), Rat(1)))          # sqrt2 - 1
     assert runs == [1]
-    assert s_plus_1 in L[0].units
-    assert lift(L, 1, 2, s_plus_1) not in L[1].units
-    assert lift(L, 1, 3, s_plus_1) not in L[2].units
     assert _inv(L, 0, Rat(3)) == Rat(1, 3) and runs == [1]  # a unit of Q
 
 
 def test_memo_is_per_level_object_and_ignored_by_equality(monkeypatch):
+    """Equal towers built apart compare and hash equal, and invert an
+    element alike, each by its own Euclid."""
     F, G = build_tower("irreducible")[0], build_tower("irreducible")[0]
     L, k = F.levels, F.depth
     a = element(L, k, [Rat(0), Rat(1), Rat(1), Rat(0)])
     runs = count_euclid(monkeypatch)
-    _inv(L, k, a)
-    assert F.levels[-1].units and not G.levels[-1].units
     assert F == G and hash(F) == hash(G) and repr(F) == repr(G)
     assert F.levels[-1] == G.levels[-1]
     assert hash(F.levels[-1]) == hash(G.levels[-1])
-    # an equal tower built afresh does its own work
     assert _inv(G.levels, k, a) == _inv(L, k, a)
     assert runs.count(2) == 2
 
 
 def test_a_failed_inversion_is_not_memoized(monkeypatch):
+    """A zero divisor raises the same split each time it is inverted."""
     F, _ = build_tower("reducible-top")
     L, k = F.levels, F.depth
     t_minus_1 = element(L, k, [Rat(-1), Rat(0), Rat(1), Rat(0)])
@@ -656,12 +658,12 @@ def test_a_failed_inversion_is_not_memoized(monkeypatch):
         with pytest.raises(SplitEvent) as info:
             _inv(L, k, t_minus_1)
         events.append((info.value.k, info.value.g_tail, info.value.h_tail))
-        assert t_minus_1 not in L[-1].units
     assert events[0] == events[1] and events[0][0] == 1
     assert runs.count(2) == 2
 
 
 def test_split_towers_start_with_empty_memos_above_the_split():
+    """A split keeps the Level objects below the split storey."""
     F, _ = build_tower("reducible-middle")
     L, k = F.levels, F.depth
     s = lift(L, 1, 3, (Rat(0), Rat(1)))
@@ -669,14 +671,130 @@ def test_split_towers_start_with_empty_memos_above_the_split():
     t_minus_1 = lift(L, 2, 3, ((Rat(-1), Rat(0)), (Rat(1), Rat(0))))
     for unit in (_add(L, k, s, F.one()), _add(L, k, u, s)):
         _inv(L, k, unit)
-    assert all(lv.units for lv in L)
     with pytest.raises(SplitEvent) as info:
         _inv(L, k, t_minus_1)
     ev = info.value
     assert ev.k == 1
     for f2, _ in ev.targets():
         assert f2.levels[0] is L[0]                 # below the split: kept
-        assert all(not lv.units for lv in f2.levels[1:])
+
+
+# ---------------------------------------------------------------------------
+# the Euclid with monic divisors against the plain Euclid, whose division
+# inverts each divisor's lead, and whose gcd inverts the last one again
+
+
+def plain_gcd(L, k, f, g):
+    """The monic gcd over a tower (k >= 1) by the plain Euclid of ref_divmod,
+    whose divisions invert the divisor's lead, made monic at the end."""
+    a, b = _ptrim(L, k, f), _ptrim(L, k, g)
+    while _pdeg(L, k, b) >= 0:
+        a, b = b, ref_divmod(L, k, a, b)[1]
+    if not a:
+        return []
+    lead = ref_inv(L, k, a[-1])
+    return [ref_mul(L, k, lead, x) for x in a]
+
+
+def draw_element(data, L, k, t):
+    """A level-k element, times t - 1 or t + 1 (a zero divisor where t's
+    storey is reducible) a third of the time each."""
+    a = element(L, k, data.draw(st.lists(coefficients, min_size=ExtField(L[:k]).degree,
+                                         max_size=ExtField(L[:k]).degree)))
+    root = data.draw(st.sampled_from((None, 1, -1)))
+    if root is not None and k == len(L):
+        a = ref_mul(L, k, a, _sub(L, k, t, lift(L, 0, k, Rat(root))))
+    return a
+
+
+@given(st.data())
+def test_the_monic_euclid_agrees_with_the_plain_euclid(data):
+    """Over every tower of TOWERS: the gcd of two polynomials with a drawn
+    common factor, and the inverse at the top storey, are those of the
+    plain Euclid (plain_gcd, ref_inv), and a zero divisor met on the way
+    raises the same SplitEvent."""
+    F, t = build_tower(data.draw(st.sampled_from(TOWERS)))
+    L, k = F.levels, F.depth
+    common, f, g = ([draw_element(data, L, k, t)
+                     for _ in range(data.draw(st.integers(low, 3)))]
+                    for low in (1, 0, 0))
+    f, g = _pmul(L, k, common, f), _pmul(L, k, common, g)
+    assert outcome(lambda L, k, _: _pgcd_monic(L, k, f, g), L, k, None) == \
+        outcome(lambda L, k, _: plain_gcd(L, k, f, g), L, k, None)
+    a = draw_element(data, L, k, t)
+    if _is_zero(L, k, a):
+        return
+    assert outcome(exactnum._inv_euclid, L, k, a) == outcome(ref_inv, L, k, a)
+
+
+def test_the_remainders_stay_the_plain_euclids_over_a_reducible_storey():
+    """Over t^2 = 1, U^2 = t + 3: g = l1 x^2 + x + l3 with l1 = 1/(t - U)
+    and l3 = 1 + U, and f = x g + x.  The plain Euclid's remainders are x
+    and l3, whose leads are units, so the gcd is 1.  Monic remainders
+    would end in l3 / l1 = -3 + (t - 1) U, and inverting it meets the zero
+    divisor t - 1 one storey down: a split the plain Euclid never makes."""
+    F, t = build_tower("reducible-base")
+    L, k = F.levels, F.depth
+    U = (F.zero()[0], lift(L, 0, 1, Rat(1)))
+    l1 = _inv(L, k, _sub(L, k, t, U))
+    l3 = _add(L, k, F.one(), U)
+    g = [l3, F.one(), l1]
+    f = _psub(L, k, _pmul(L, k, [F.zero(), F.one()], g),
+              [F.zero(), _neg(L, k, F.one())])
+    assert _pgcd_monic(L, k, f, g) == plain_gcd(L, k, f, g) == [F.one()]
+    with pytest.raises(SplitEvent) as info:
+        _inv(L, k, _mul(L, k, l3, _inv(L, k, l1)))
+    assert info.value.k == 0
+
+
+def test_a_euclid_inverts_each_lead_once_and_a_division_nothing(monkeypatch):
+    """_pdivmod calls no _inv; one _pgcd_monic or _inv_euclid passes each
+    element to _inv once, the lead of its last divisor included (the plain
+    Euclid inverted it again), whether it ends in a gcd, an inverse or a
+    split."""
+    calls, stack = [], []
+
+    def spied(name):
+        fn = getattr(exactnum, name)
+
+        def wrapper(L, k, *args):
+            if name == "_inv":
+                calls.append((tuple(stack), k, args[0]))
+            stack.append(name)
+            try:
+                return fn(L, k, *args)
+            finally:
+                stack.pop()
+        monkeypatch.setattr(exactnum, name, wrapper)
+    spied("_inv")
+    spied("_pdivmod")
+
+    def direct_calls(fn, *args):
+        """fn(*args), or its split; checks the _inv calls that fn and its
+        divisions made, not those made inside an _inv."""
+        calls.clear()
+        try:
+            out = fn(*args)
+        except SplitEvent as ev:
+            out = ev.k, ev.g_tail, ev.h_tail
+        direct = [(k, a) for outer, k, a in calls if "_inv" not in outer]
+        assert direct and len(set(direct)) == len(direct)
+        assert all("_pdivmod" not in outer for outer, _, _ in calls)
+        return out
+    F, t = build_tower("irreducible")                   # s^2 = 2, t^2 = s
+    L, k = F.levels, F.depth
+    s = lift(L, 1, 2, (Rat(0), Rat(1)))
+    x_minus_t = [_neg(L, k, t), F.one()]
+    f = _pmul(L, k, x_minus_t, [s, F.one()])                # (x - t)(x + s)
+    g = _pmul(L, k, x_minus_t, [F.one(), F.one()])          # (x - t)(x + 1)
+    assert direct_calls(_pgcd_monic, L, k, f, g) == x_minus_t
+    a = _add(L, k, t, s)
+    assert _mul(L, k, a, direct_calls(exactnum._inv_euclid, L, k, a)) == F.one()
+    T, r = build_tower("reducible-top")                     # r^2 = 1 over Q(s)
+    one = lift(T.levels, 0, 1, Rat(1))
+    assert direct_calls(exactnum._inv_euclid, T.levels, 2,
+                        _sub(T.levels, 2, r, T.one())) == (1, (_neg(T.levels, 1, one),),
+                                                           (one,))
 
 
 # ---------------------------------------------------------------------------

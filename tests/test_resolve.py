@@ -6,11 +6,11 @@ import jsonschema
 import pytest
 
 from conftest import germ, spy
-from qres import exactnum, poly, resolve
+from qres import poly, resolve
 from qres.errors import (BadType, ExtensionOverflow, NotReduced,
                          NotSemiInvariant, ResolutionDepthExceeded, UnitGerm)
 from qres.exactnum import (ExtField, Rat, SplitEvent, adjoin_radical,
-                           adjoin_root, is_zero_validated)
+                           adjoin_root)
 from qres.invariants import (delta_breakdown, delta_w, full_report,
                              noether_intersection)
 from qres.poly import SparsePoly
@@ -118,21 +118,32 @@ def test_engine_forks_a_cluster_whose_face_polynomial_splits(mode,
 
 def test_split_germ_certifies_each_unit_once(monkeypatch):
     """The germ-split golden's germ: the engine splits level 0 once and
-    builds the tree of tests/golden/resolve-split-json.out, both as before
-    inverses were memoized.  Certifying again every strict transform the
-    engine certified over a tower runs no extended Euclid."""
-    splits, euclids = [], []
-    init, euclid = SplitEvent.__init__, exactnum._inv_euclid
+    builds the tree of tests/golden/resolve-split-json.out.  A coefficient
+    is certified only where it is new to the tower: no chart node calls
+    is_zero_validated, and no (field, coefficient) pair is certified twice
+    unless the coefficient is rational, like the 1 that several terms of
+    one node carry."""
+    splits, certified, origins = [], [], []
+    init, ingest = SplitEvent.__init__, resolve._Engine.ingest
+    validated = resolve.is_zero_validated
 
     def counting_init(self, *args, **kwargs):
         splits.append(args[1])
         init(self, *args, **kwargs)
 
-    def counting_euclid(levels, k, a):
-        euclids.append(k)
-        return euclid(levels, k, a)
+    def tracking_ingest(self, node):
+        origins.append(node.origin)
+        try:
+            return ingest(self, node)
+        finally:
+            origins.pop()
+
+    def recording(field, rep):
+        certified.append((origins[-1], field, rep))
+        return validated(field, rep)
     monkeypatch.setattr(SplitEvent, "__init__", counting_init)
-    monkeypatch.setattr(exactnum, "_inv_euclid", counting_euclid)
+    monkeypatch.setattr(resolve._Engine, "ingest", tracking_ingest)
+    monkeypatch.setattr(resolve, "is_zero_validated", recording)
     tree = resolve_germ(germ("(y^4 - 4*x^4)^2 + x^7*(y^2 - 2*x^2) + x^10"),
                         SMOOTH)
     assert splits == [0]
@@ -140,15 +151,17 @@ def test_split_germ_certifies_each_unit_once(monkeypatch):
                           "resolve-split-json.out")
     with open(golden) as fh:
         assert tree_to_dict(tree) == json.load(fh)
-    ran = len(euclids)
-    certified = [(n.field, c) for n in tree.iter_nodes()
-                 if n.field.depth
-                 and all(ch.origin != "split" for ch in n.children)
-                 for st in n.labels.values() if st.poly is not None
-                 for c in st.poly.terms.values()]
     assert len(certified) > 10
-    assert not any(is_zero_validated(f, c) for f, c in certified)
-    assert len(euclids) == ran
+    assert {o for o, _, _ in certified} <= {"root", "face", "split"}
+    pairs = [(f, c) for _, f, c in certified if not rational(f, c)]
+    assert len(set(pairs)) == len(pairs) > 10
+
+
+def rational(field, rep):
+    q = rep
+    for _ in range(field.depth):
+        q = q[0]
+    return rep == field.from_rat(q)
 
 
 def test_a_face_step_with_one_label_runs_no_gcd(monkeypatch):
