@@ -22,10 +22,10 @@ and depth explicitly.
 The storey over Q (k = 1) computes on integers under that representation:
 its product and its inversion clear denominators once, work on int lists
 against the storey's primitive integer minimal polynomial (Level.zminpoly),
-and build one Fraction per coordinate at the end (_zrem).  A higher storey
-multiplies as polynomials over the storey below, and every reduction by a
-monic minimal polynomial in a product above Q, or in a projection into a
-factor at any storey, is _preduce.
+and build one Fraction per coordinate at the end (_zrem), and so does the
+projection into a factor of it.  A higher storey multiplies as polynomials
+over the storey below; every division by a monic polynomial above Q, in a
+product, a projection or a Euclid, is _pdivmod.
 """
 
 from __future__ import annotations
@@ -191,13 +191,13 @@ def _mul(levels, k, a, b):
     """The product of level-k elements.  At k = 1 each factor's denominators
     are cleared once and the product is convolved and reduced on ints
     (_zrem); above, it is the product of polynomials over the storey below,
-    reduced by _preduce."""
+    reduced by _pdivmod."""
     if k == 0:
         return a * b
     if k == 1:
         (A, da), (B, db) = _zden(a), _zden(b)
         return _zrem(_zmul(A, B), levels[0].zminpoly, da * db)
-    return _preduce(levels, k - 1, _pmul(levels, k - 1, a, b), levels[k - 1].minpoly)
+    return _pdivmod(levels, k - 1, _pmul(levels, k - 1, a, b), levels[k - 1].minpoly)[1]
 
 
 def _smul(levels, k, c, a):
@@ -245,47 +245,32 @@ def _pmul(levels, k, u, v):
     return out
 
 
-def _preduce(levels, k, v, tail):
-    """The len(tail) coordinates of v mod t^n + tail, for a list v of
-    level-k elements.  The modulus is monic, so nothing is inverted and the
-    reduction cannot split."""
-    n = len(tail)
-    r = list(v) + [_zero(levels, k)] * (n - len(v))
-    for m in range(len(r) - 1, n - 1, -1):
-        c = r[m]
-        if not _is_zero(levels, k, c):
-            for t in range(n):
-                r[m - n + t] = _sub(levels, k, r[m - n + t], _mul(levels, k, c, tail[t]))
-    return tuple(r[:n])
-
-
 def _pderiv(levels, k, v):
     return [_smul(levels, k, Fraction(i), v[i]) for i in range(1, len(v))]
 
 
-def _pdivmod(levels, k, num, den):
-    """Polynomial division by a monic den: nothing is inverted, so it
-    cannot split a tower (every split comes from _inv)."""
-    dd = _pdeg(levels, k, den)
-    r = _ptrim(levels, k, num)
-    q = [_zero(levels, k)] * max(len(r) - dd, 1)
-    while True:
-        dr = _pdeg(levels, k, r)
-        if dr < dd:
-            break
-        c = q[dr - dd] = r[dr]
-        del r[dr:]
-        for t in range(dd):
-            r[dr - dd + t] = _sub(levels, k, r[dr - dd + t], _mul(levels, k, c, den[t]))
-    return _ptrim(levels, k, q), _ptrim(levels, k, r)
+def _pdivmod(levels, k, v, tail):
+    """(q, r) with v = q (t^n + tail) + r, for a list v of level-k elements
+    and n = len(tail): the quotient q as a list, and r as the tuple of its
+    n coordinates.  The divisor is monic, so nothing is inverted and the
+    division cannot split a tower (every split comes from _inv)."""
+    n = len(tail)
+    r = list(v) + [_zero(levels, k)] * (n - len(v))
+    for m in range(len(r) - 1, n - 1, -1):
+        # r[m] is final here, the quotient's coefficient of t^(m - n)
+        c = r[m]
+        if not _is_zero(levels, k, c):
+            for t in range(n):
+                r[m - n + t] = _sub(levels, k, r[m - n + t], _mul(levels, k, c, tail[t]))
+    return r[n:], tuple(r[:n])
 
 
 def _pdiv_exact(levels, k, num, den):
-    """The quotient num / den; InternalInconsistency unless den divides num."""
-    q, r = _pdivmod(levels, k, num, den)
+    """num / den for a monic den that divides it, else InternalInconsistency."""
+    q, r = _pdivmod(levels, k, num, den[:-1])
     if _pdeg(levels, k, r) >= 0:
         raise InternalInconsistency("polynomial division was not exact")
-    return q
+    return _ptrim(levels, k, q)
 
 
 def _pmonic(levels, k, v):
@@ -301,18 +286,21 @@ def _pgcd_monic(levels, k, f, g):
     Over Q (k = 0) it is _zgcd of the primitive integer parts of f and g
     (Gauss's lemma), made monic.  Over a tower it is the plain Euclid, each
     remainder made monic once as the next divisor: the same remainders and
-    the same leads inverted, once each, and the last divisor is the gcd."""
+    the same leads inverted, once each, and the last divisor is the gcd.
+    A nonzero constant remainder ends it with 1 once is_zero_validated
+    certifies it a unit, which over a tower of fields inverts nothing."""
     a, b = _ptrim(levels, k, f), _ptrim(levels, k, g)
-    if k == 0:
-        if not a:
-            a, b = b, a
-        return _qmonic(_zgcd(_zclear(a)[0], _zclear(b)[0])[0]) if a else []
     if not b:
-        return _pmonic(levels, k, a) if a else []
-    m = _pmonic(levels, k, b)
-    while r := _pdivmod(levels, k, a, m)[1]:
-        a, b, m = b, r, _pmonic(levels, k, r)
-    return m
+        a, b = b, a
+    if k == 0 or not b:
+        return _qmonic(_zgcd(_zclear(b)[0], _zclear(a)[0])[0]) if b else []
+    while len(b) > 1:
+        m = _pmonic(levels, k, b)
+        a, b = b, _ptrim(levels, k, _pdivmod(levels, k, a, m[:-1])[1])
+        if not b:
+            return m
+    is_zero_validated(ExtField(levels[:k]), b[0])
+    return [lift(levels, 0, k, Fraction(1))]
 
 
 # ---------------------------------------------------------------------------
@@ -657,15 +645,18 @@ def _project(old_levels, k, new, rep, level):
     tower.
 
     At level k+1 the coefficient vector is reduced modulo the factor's
-    minimal polynomial by _preduce, over Q as above it.  A degree-1 factor
-    is the same reduction, whose one coordinate is the value at the root,
-    so the storey collapses.  Above that, coefficients are projected
-    recursively; the positional shape only changes at level k+1 when the
-    level collapses.
+    minimal polynomial, by _zrem over Q (k = 0) and by _pdivmod above.  A
+    degree-1 factor is the same reduction, whose one coordinate is the
+    value at the root, so the storey collapses.  Above that, coefficients
+    are projected recursively; the positional shape only changes at level
+    k+1 when the level collapses.
     """
     if level > k + 1:
         return tuple(_project(old_levels, k, new, c, level - 1) for c in rep)
-    r = _preduce(old_levels, k, rep, new.minpoly)
+    if k == 0:
+        A, d = _zden(rep)
+        return _zrem(A, new.zminpoly, d)
+    r = _pdivmod(old_levels, k, rep, new.minpoly)[1]
     return r if new.degree > 1 else r[0]
 
 
@@ -701,14 +692,14 @@ def _inv_euclid(levels, k, a):
     while True:
         c = _inv(levels, k - 1, r1[-1])
         m, ms = _pscale(levels, k - 1, c, r1), _pscale(levels, k - 1, c, s1)
-        q, r = _pdivmod(levels, k - 1, r0, m)
-        if not r:
+        q, r = _pdivmod(levels, k - 1, r0, m[:-1])
+        if not (r := _ptrim(levels, k - 1, r)):
             break
         r0, s0, r1, s1 = r1, s1, r, _psub(levels, k - 1, s0, _pmul(levels, k - 1, q, ms))
     if len(m) == 1:
         # a Bezout coefficient of a modulo the degree-n minimal polynomial
-        # has degree below n, so _preduce only pads it to n coordinates
-        return _preduce(levels, k - 1, ms, lv.minpoly)
+        # has degree below n, so _pdivmod only pads it to n coordinates
+        return _pdivmod(levels, k - 1, ms, lv.minpoly)[1]
     # proper factor found: the event carries the whole tower so upper
     # levels can be projected
     h = _pdiv_exact(levels, k - 1, modulus, m)
@@ -777,15 +768,21 @@ def ext_bound():
     return v if v > 0 else None
 
 
+def _check_bound(degree: int):
+    """ExtensionOverflow where a tower of this degree exceeds ext_bound()."""
+    if (bound := ext_bound()) is not None and degree > bound:
+        raise ExtensionOverflow("tower degree %d exceeds the bound %d" % (degree, bound))
+
+
 def adjoin_root(field: ExtField, tail, name: str, counts_points: bool = True,
                 is_field: bool = False):
     """Adjoin a root of the monic polynomial t^n + tail (squarefree required).
 
     Returns (new_field, root_rep).  A degree-1 polynomial adjoins nothing:
     the same field comes back with the root it already contains.  A tower
-    whose degree would exceed ext_bound() raises ExtensionOverflow.  The
-    new Level carries is_field, which only a caller that has proven
-    t^n + tail irreducible over `field` may set.
+    whose degree would exceed ext_bound() raises ExtensionOverflow, before
+    squarefreeness is checked.  The new Level carries is_field, which only
+    a caller that has proven t^n + tail irreducible over `field` may set.
     """
     levels = field.levels
     k = field.depth
@@ -795,6 +792,7 @@ def adjoin_root(field: ExtField, tail, name: str, counts_points: bool = True,
         raise ValueError("minimal polynomial must have degree >= 1")
     if n == 1:
         return field, _neg(levels, k, tail[0])
+    _check_bound(field.degree * n)
     one = field.one()
     poly = list(tail) + [one]
     g = _pgcd_monic(levels, k, poly, _pderiv(levels, k, poly))
@@ -802,11 +800,6 @@ def adjoin_root(field: ExtField, tail, name: str, counts_points: bool = True,
         raise NotSquarefree(
             "cannot adjoin a root of a non-squarefree polynomial (gcd degree %d)"
             % _pdeg(levels, k, g)
-        )
-    bound = ext_bound()
-    if bound is not None and field.degree * n > bound:
-        raise ExtensionOverflow(
-            "tower degree %d exceeds the bound %d" % (field.degree * n, bound)
         )
     new_field = ExtField(levels + (Level(name, tail, counts_points, is_field),))
     z = _zero(levels, k)
@@ -822,6 +815,7 @@ def adjoin_radical(field: ExtField, t, w: int, name: str,
     u^w - t must be squarefree, which holds when t is a unit."""
     if w == 1:
         return field, t
+    _check_bound(field.degree * w)
     tail = [_neg(field.levels, field.depth, t)] + [field.zero()] * (w - 1)
     return adjoin_root(field, tail, name, counts_points=False,
                        is_field=is_field)

@@ -37,6 +37,7 @@ from .exactnum import (ExtField, _zclear, _zderiv, _zdiv, _zgcd, _zmul,
 MAX_EXPONENT = 2 ** 31
 MAX_DIGITS = 1000       # digits of an integer literal that is not an exponent
 MAX_COEFF_DIGITS = 4300     # of a coefficient: Python's int -> str limit
+MAX_NESTING = 100       # parentheses, each level four frames of the parser
 _COEFF_LIMIT = 10 ** MAX_COEFF_DIGITS
 _COEFF_BITS = _COEFF_LIMIT.bit_length()     # of every integer >= the limit
 
@@ -342,7 +343,7 @@ def parse_poly(text: str, variables) -> SparsePoly:
         nonlocal pos
         skip()
         start = pos
-        while pos < n and text[pos].isdigit():
+        while pos < n and text[pos].isdecimal():
             pos += 1
         if start == pos:
             raise PolySyntaxError("expected a number at position %d" % (start,))
@@ -358,18 +359,22 @@ def parse_poly(text: str, variables) -> SparsePoly:
     # and 1 per binary + or -, mult multiplies the exponents (0 as 1) of
     # bases other than a variable.  Below _COEFF_BITS nothing is scanned.
     size, mult, var_end = 0, 1, -1      # var_end: where a variable ended
+    depth = 0                           # of the parentheses open at pos
 
     def base() -> dict:
-        nonlocal pos, size, var_end
+        nonlocal pos, size, var_end, depth
         ch = peek()
         if ch == "(":
-            pos += 1
+            if depth == MAX_NESTING:
+                raise PolySyntaxError("parentheses nested deeper than %d at "
+                                      "position %d" % (MAX_NESTING, pos))
+            pos, depth = pos + 1, depth + 1
             e = expr()
             if peek() != ")":
                 raise PolySyntaxError("expected ')' at position %d" % (pos,))
-            pos += 1
+            pos, depth = pos + 1, depth - 1
             return e
-        if ch.isdigit():
+        if ch.isdecimal():
             c = natural()
             size += c.bit_length()
             skip()

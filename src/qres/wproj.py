@@ -31,7 +31,7 @@ from .errors import (BadType, InternalInconsistency, NonDivisibleExponent,
                      NonExactDivision, NotQuasiHomogeneous, NotReduced,
                      PointNotOnCurve, ZeroPolynomial)
 from .exactnum import (ExtField, Rat, SplitEvent, _add, _inv, _is_zero, _mul,
-                       _neg, _preduce, _qmonic, _sub, _zderiv, _zgcd, _zmul,
+                       _neg, _pdivmod, _qmonic, _sub, _zderiv, _zgcd, _zmul,
                        _zrem, adjoin_radical, adjoin_root,
                        certified_irreducible, format_rep, is_zero_validated,
                        lift)
@@ -422,7 +422,7 @@ def _subresultant_root(F0, slices, at_u, field, u0):
         return None
     minus_v = _mul(lv, k, at_u(s1[0]), _inv(lv, k, a))
     # F0_x(u, v) is the remainder of F0_x(u, y) mod y - v
-    if not is_zero_validated(field, _preduce(lv, k, slices[1], (minus_v,))[0]):
+    if not is_zero_validated(field, _pdivmod(lv, k, slices[1], (minus_v,))[1][0]):
         return []
     return [(field, u0, _neg(lv, k, minus_v))]
 

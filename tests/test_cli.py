@@ -225,6 +225,25 @@ def test_long_numerals_exit_2_and_coefficients_are_not_exponents(capsys):
         assert err.startswith("error: ") and msg in err
 
 
+def test_superscripts_deep_parentheses_and_huge_radicals_exit_cleanly(
+        capsys, monkeypatch):
+    """Each exits with its documented code and one error line: a
+    superscript is not a number, parentheses nest at most 100 deep, and
+    an override whose radical exceeds the tower bound is refused before
+    anything of its degree is built."""
+    monkeypatch.delenv("QRES_EXT_BOUND", raising=False)
+    deep = "(" * 300 + "x" + ")" * 300 + " - y^2"
+    for argv, code, err_line in (
+            (("germ", "x^2 - y^\u00b3"), 2,
+             "error: expected a number at position 8"),
+            (("germ", deep), 2,
+             "error: parentheses nested deeper than 100 at position 100"),
+            (("germ", "(x+y)^2 - y^3", "--weights", "(12,4294967297)"), 3,
+             "error: tower degree 4294967285 exceeds the bound 16")):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out, err) == (code, "", err_line + "\n"), argv
+
+
 def test_coefficients_that_could_not_be_printed_exit_2(capsys):
     """Python prints no integer of more than 4300 digits; the parser
     refuses such a coefficient after the operator that makes it."""

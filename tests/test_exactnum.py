@@ -173,6 +173,21 @@ def test_extension_bound(monkeypatch):
     adjoin_root(QQ, (Rat(-5), Rat(0), Rat(0)), "c")
 
 
+def test_the_bound_is_checked_before_the_squarefree_gcd(monkeypatch):
+    """A degree above the bound is refused before the w-term tail of a
+    radical is built or a gcd runs, even on a non-squarefree t^w."""
+    F, s = sqrt2_field()
+
+    def refused(*args):
+        raise AssertionError("the squarefree gcd ran over the bound")
+    monkeypatch.setattr(exactnum, "_pgcd_monic", refused)
+    w = 10 ** 5
+    with pytest.raises(ExtensionOverflow, match="tower degree 200000 "):
+        adjoin_radical(F, s, w, "u")
+    with pytest.raises(ExtensionOverflow, match="tower degree 100000 "):
+        adjoin_root(QQ, (Rat(0),) * w, "t")
+
+
 def test_ext_bound_parsing(monkeypatch):
     monkeypatch.delenv("QRES_EXT_BOUND", raising=False)
     assert exactnum.ext_bound() == 16
@@ -795,6 +810,44 @@ def test_a_euclid_inverts_each_lead_once_and_a_division_nothing(monkeypatch):
     assert direct_calls(exactnum._inv_euclid, T.levels, 2,
                         _sub(T.levels, 2, r, T.one())) == (1, (_neg(T.levels, 1, one),),
                                                            (one,))
+
+
+@given(st.data())
+def test_the_monic_division_agrees_with_the_plain_division(data):
+    """_pdivmod by t^n + tail, over any storey of every tower of TOWERS,
+    reducible ones included, and of a dividend with trailing zeros, gives
+    the quotient of ref_divmod and its remainder in n coordinates."""
+    F, t = build_tower(data.draw(st.sampled_from(TOWERS)))
+    L = F.levels
+    k = data.draw(st.integers(0, F.depth))
+
+    def drawn(low, high):
+        return [draw_element(data, L, k, t)
+                for _ in range(data.draw(st.integers(low, high)))]
+    tail = drawn(0, 3)
+    v = drawn(0, 6) + [_zero(L, k)] * data.draw(st.integers(0, 2))
+    q, r = exactnum._pdivmod(L, k, v, tail)
+    want_q, want_r = ref_divmod(L, k, v, tail + [lift(L, 0, k, Rat(1))])
+    assert _ptrim(L, k, q) == want_q
+    assert len(r) == len(tail) and _ptrim(L, k, r) == want_r
+
+
+@pytest.mark.parametrize("flagged", [True, False])
+def test_a_constant_last_remainder_is_certified_not_inverted(monkeypatch,
+                                                             flagged):
+    """gcd(x^2 + t, x + s) over t^2 = s, s^2 = 2: the last remainder is the
+    constant 2 + t.  Over the tower flagged as fields it is a unit without
+    an inversion; unflagged, _inv certifies it once, as _pmonic did."""
+    F, s = adjoin_root(QQ, (Rat(-2), Rat(0)), "s", is_field=flagged)
+    F, t = adjoin_root(F, (_neg(F.levels, 1, s), F.zero()), "t",
+                       is_field=flagged)
+    L, k = F.levels, F.depth
+    s = lift(L, 1, 2, s)
+    inverted = spy(monkeypatch, exactnum, "_inv")
+    assert _pgcd_monic(L, k, [t, F.zero(), F.one()], [s, F.one()]) == [F.one()]
+    two_plus_t = _add(L, k, F.from_rat(2), t)
+    top = [(levels, a) for levels, j, a in inverted if j == k]
+    assert top == [(L, F.one())] + [(L, two_plus_t)] * (not flagged)
 
 
 # ---------------------------------------------------------------------------

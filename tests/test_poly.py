@@ -22,6 +22,7 @@ def test_parse_basic():
     g = germ("2*x*y^3 + 1/2")
     assert g.terms == {(1, 3): Rat(2), (0, 0): Rat(1, 2)}
     assert germ("-(x - y)^2").terms == germ("-x^2 + 2*x*y - y^2").terms
+    assert germ("x^\u0662 - \u0663*y^3") == germ("x^2 - 3*y^3")  # decimal digits
 
 
 @pytest.mark.parametrize("bad,exc", [
@@ -31,10 +32,22 @@ def test_parse_basic():
     ("(x", PolySyntaxError),
     ("x ** 2", PolySyntaxError),
     ("", PolySyntaxError),
+    ("x^2 - y^\u00b3", PolySyntaxError),          # superscript digits are
+    ("x^2 - \u00b2*y", PolySyntaxError),          # no numbers
+    ("x\u00b2 - y^3", UnknownVariable),
 ])
 def test_parse_errors(bad, exc):
     with pytest.raises(exc):
         parse_poly(bad, ("x", "y"))
+
+
+def test_parentheses_nest_to_a_bound():
+    """MAX_NESTING levels parse; one more is refused at its '('."""
+    depth = poly.MAX_NESTING
+    assert germ("(" * depth + "x" + ")" * depth + " - y^2") == germ("x - y^2")
+    with pytest.raises(PolySyntaxError, match="deeper than %d at position %d"
+                       % (depth, depth)):
+        germ("(" * (depth + 1) + "x" + ")" * (depth + 1) + " - y^2")
 
 
 def test_str_parse_round_trip():
