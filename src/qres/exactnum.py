@@ -8,7 +8,8 @@ the tower splits (classic dynamic evaluation).  Over a tower whose every
 Level is flagged, nonzero means unit, and is_zero_validated inverts
 nothing.  The split is surfaced as a SplitEvent; its targets() are the
 factor towers, with projection maps, that a computation retries in.  That
-policy and the adjunction of chart radicals (adjoin_radical) live here, so
+policy and the adjunction of chart radicals (adjoin_radical, certified by
+is_zero_validated on the radicand, a unit at each caller) live here, so
 the resolution engine and the singular-locus search share them.  Every
 inversion goes through _inv, and every split comes from it: the polynomial
 divisions above Q are by monic divisors and invert nothing.
@@ -774,9 +775,23 @@ def _check_bound(degree: int):
         raise ExtensionOverflow("tower degree %d exceeds the bound %d" % (degree, bound))
 
 
-def adjoin_root(field: ExtField, tail, name: str, counts_points: bool = True,
-                is_field: bool = False):
-    """Adjoin a root of the monic polynomial t^n + tail (squarefree required).
+def _storey(field: ExtField, tail, name: str, counts_points: bool,
+            is_field: bool, gcd_degree: int):
+    """(field(r), r) for a root r of t^n + tail, n >= 2; NotSquarefree
+    where its gcd with the derivative has degree gcd_degree > 0."""
+    if gcd_degree > 0:
+        raise NotSquarefree(
+            "cannot adjoin a root of a non-squarefree polynomial (gcd degree %d)"
+            % gcd_degree)
+    z = _zero(field.levels, field.depth)
+    root = (z, field.one()) + (z,) * (len(tail) - 2)
+    level = Level(name, tuple(tail), counts_points, is_field)
+    return ExtField(field.levels + (level,)), root
+
+
+def adjoin_root(field: ExtField, tail, name: str, is_field: bool = False):
+    """Adjoin a root of the monic polynomial t^n + tail (squarefree required)
+    as a level that counts points.
 
     Returns (new_field, root_rep).  A degree-1 polynomial adjoins nothing:
     the same field comes back with the root it already contains.  A tower
@@ -793,18 +808,9 @@ def adjoin_root(field: ExtField, tail, name: str, counts_points: bool = True,
     if n == 1:
         return field, _neg(levels, k, tail[0])
     _check_bound(field.degree * n)
-    one = field.one()
-    poly = list(tail) + [one]
+    poly = list(tail) + [field.one()]
     g = _pgcd_monic(levels, k, poly, _pderiv(levels, k, poly))
-    if _pdeg(levels, k, g) > 0:
-        raise NotSquarefree(
-            "cannot adjoin a root of a non-squarefree polynomial (gcd degree %d)"
-            % _pdeg(levels, k, g)
-        )
-    new_field = ExtField(levels + (Level(name, tail, counts_points, is_field),))
-    z = _zero(levels, k)
-    root = (z, one) + (z,) * (n - 2)
-    return new_field, root
+    return _storey(field, tail, name, True, is_field, _pdeg(levels, k, g))
 
 
 def adjoin_radical(field: ExtField, t, w: int, name: str,
@@ -812,13 +818,17 @@ def adjoin_radical(field: ExtField, t, w: int, name: str,
     """Adjoin a w-th root u of the element t, u^w = t, as a level that does
     not count points, flagged as adjoin_root flags it; returns
     (new_field, u).  For w = 1 nothing is adjoined and t itself comes back.
-    u^w - t must be squarefree, which holds when t is a unit."""
+    u^w - t is squarefree exactly when t is a unit, so is_zero_validated(t)
+    certifies it: a zero divisor t splits the tower, and t = 0 raises
+    NotSquarefree.  Both callers' radicands are units: a cluster's s has
+    s(0) != 0 (wproj._cluster_field strips x^k), and a face factor divides
+    a polynomial whose constant term ingest certified (face_child)."""
     if w == 1:
         return field, t
     _check_bound(field.degree * w)
-    tail = [_neg(field.levels, field.depth, t)] + [field.zero()] * (w - 1)
-    return adjoin_root(field, tail, name, counts_points=False,
-                       is_field=is_field)
+    gcd_degree = w - 1 if is_zero_validated(field, t) else 0
+    tail = (_neg(field.levels, field.depth, t),) + (field.zero(),) * (w - 1)
+    return _storey(field, tail, name, False, is_field, gcd_degree)
 
 
 # ---------------------------------------------------------------------------

@@ -220,27 +220,14 @@ class SparsePoly:
             out[s] = v[0]
         return SparsePoly(field, self.vars, out)
 
-    def _with_exp(self, i, fn):
-        """This polynomial with each exponent x of variable i made fn(x)."""
-        return SparsePoly(self.field, self.vars, {
-            e[:i] + (fn(e[i]),) + e[i + 1:]: c for e, c in self.terms.items()})
-
     def divide_var_exponents(self, var, m: int):
         i = self._vi(var)
         for e in self.terms:
             if e[i] % m:
                 raise NonExactDivision(
                     "exponent %d of %s is not divisible by %d" % (e[i], self.vars[i], m))
-        return self._with_exp(i, lambda x: x // m)
-
-    def shift_down(self, var, m: int):
-        """Divide by var^m (exactly)."""
-        i = self._vi(var)
-        if m == 0:
-            return self
-        if any(e[i] < m for e in self.terms):
-            raise NonExactDivision("cannot divide by %s^%d" % (self.vars[i], m))
-        return self._with_exp(i, lambda x: x - m)
+        return SparsePoly(self.field, self.vars, {
+            e[:i] + (e[i] // m,) + e[i + 1:]: c for e, c in self.terms.items()})
 
     def derivative(self, var):
         i = self._vi(var)

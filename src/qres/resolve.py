@@ -186,11 +186,12 @@ def semi_invariance_check(f: SparsePoly, t: QuotType):
 
 def axis_split(f: SparsePoly):
     """f = x^ax * y^ay * g with g coprime to both axes; returns (ax, ay, g)."""
-    xs = [e[0] for e in f.terms]
-    ys = [e[1] for e in f.terms]
-    ax, ay = min(xs), min(ys)
-    g = f.shift_down(f.vars[0], ax).shift_down(f.vars[1], ay)
-    return ax, ay, g
+    ax = min(i for i, _ in f.terms)
+    ay = min(j for _, j in f.terms)
+    if not (ax or ay):
+        return 0, 0, f
+    return ax, ay, SparsePoly(f.field, f.vars, {
+        (i - ax, j - ay): c for (i, j), c in f.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +438,11 @@ class _Engine:
 
     def face_child(self, node, bc, strict1, fact, idx):
         coeffs = fact.coeff_list("y")
-        # Yun factors are monic, so coeffs[:-1] is the minimal polynomial tail
+        # Yun factors are monic, so coeffs[:-1] is the minimal polynomial tail;
+        # fact divides q_product, whose constant term ingest certified a unit,
+        # so t0 is a unit: the radicand that adjoin_radical certifies
         field2, t0 = adjoin_root(node.field, coeffs[:-1],
-                                 "a%d_%d" % (node.id, idx),
-                                 counts_points=True)
+                                 "a%d_%d" % (node.id, idx))
         field3, y0 = adjoin_radical(field2, t0, bc.chart1.d,
                                     "r%d_%d" % (node.id, idx))
         raw = {}

@@ -293,9 +293,9 @@ def _cluster_field(v, w: int, t_name: str, u_name: str):
     The root set of v is stable under scaling by w-th roots of unity, which
     is exactly what makes the collapse exact.  Neither adjunction can split.
     s is over Q, so adjoining its root inverts nothing in a tower.
-    s(0) != 0 makes t a unit of Q(t), so the gcd of u^w - t with w u^(w-1)
-    that adjoin_radical's squarefreeness check computes inverts only units,
-    and u^w - t is squarefree over every factor of Q(t)."""
+    s(0) != 0, as x^k is stripped, makes the radicand t a unit of Q(t),
+    which is adjoin_radical's certificate: u^w - t is squarefree over
+    every factor of Q(t)."""
     v = v[next(i for i, c in enumerate(v) if c):]
     if len(v) == 1:
         return None
@@ -449,7 +449,7 @@ def _axis_stratum(F0: SparsePoly, axis_divides: bool, w_chart: int, tag: str):
     return [cluster[1:]] if cluster else []
 
 
-def _check_reduced(F: SparsePoly, w: Weights):
+def _check_reduced(F: SparsePoly):
     """Raise NotReduced unless the curve is reduced; else return the chart
     slice F0 = F(1, x, y) and its certificate from squarefree_discriminant.
 
@@ -475,7 +475,7 @@ def singular_locus(F: SparsePoly, w: Weights):
     ExtensionOverflow rather than dropping points."""
     w, F = normalize_weights(w, F)
     wdegree(F, w)
-    F0, elimination = _check_reduced(F, w)
+    F0, elimination = _check_reduced(F)
     points = []
 
     def add(P, kind):
@@ -592,7 +592,7 @@ def genus(F: SparsePoly, w: Weights, points=None) -> GenusReport:
                 "the curve contains a coordinate axis, so it is reducible "
                 "and the genus value is virtual")
     else:
-        _check_reduced(F, w)
+        _check_reduced(F)
         moved = [_power_point(_to_chart_one(P, given), divisors)
                  for P in points]
         if len({_orbit_key(P, w) for P in moved}) != len(moved):

@@ -129,7 +129,8 @@ def test_split_event_projects_upper_levels():
 def test_split_targets_follow_the_level_kind(counts_points):
     # t^3 = 1 splits as (t - 1)(t^2 + t + 1); inverting either factor
     # finds it first, so the smaller tail comes as g once and as h once
-    F, t = adjoin_root(QQ, (Rat(-1), Rat(0), Rat(0)), "t", counts_points)
+    F, t = (adjoin_root(QQ, (Rat(-1), Rat(0), Rat(0)), "t") if counts_points
+            else adjoin_radical(QQ, Rat(1), 3, "t"))
     L, k = F.levels, F.depth
     t_minus_1 = _sub(L, k, t, F.one())
     quadratic = _add(L, k, _mul(L, k, t, t), _add(L, k, t, F.one()))
@@ -159,7 +160,7 @@ def test_adjoin_radical():
 
 
 def test_cluster_size_skips_uncounted_levels():
-    F, _ = adjoin_root(QQ, (Rat(-2), Rat(0)), "s", counts_points=False)
+    F, _ = adjoin_radical(QQ, Rat(2), 2, "s")
     F2, _ = adjoin_root(F, (F.from_rat(-3), F.zero(), F.zero()), "r")
     assert F.cluster_size == 1
     assert F2.degree == 6 and F2.cluster_size == 3
@@ -830,6 +831,44 @@ def test_the_monic_division_agrees_with_the_plain_division(data):
     want_q, want_r = ref_divmod(L, k, v, tail + [lift(L, 0, k, Rat(1))])
     assert _ptrim(L, k, q) == want_q
     assert len(r) == len(tail) and _ptrim(L, k, r) == want_r
+
+
+@given(st.data())
+def test_a_radical_is_certified_by_its_radicand(data):
+    """adjoin_radical(t, w), w in {2, 3}, at the top of every tower of
+    TOWERS: a unit t gives a storey that counts no points, whose generator
+    u has u^w = t; a zero divisor raises the SplitEvent of inverting t
+    (ref_inv), and zero raises NotSquarefree (gcd u^(w-1)).  Neither
+    adjoin_root nor a gcd runs."""
+    F, t = build_tower(data.draw(st.sampled_from(TOWERS)))
+    L, k = F.levels, F.depth
+    a = draw_element(data, L, k, t) if data.draw(st.integers(0, 4)) else F.zero()
+    w = data.draw(st.sampled_from((2, 3)))
+    want = outcome(ref_inv, L, k, a)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("adjoin_radical ran adjoin_root or a gcd")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("QRES_EXT_BOUND", "0")        # degrees up to 36 here
+        mp.setattr(exactnum, "_pgcd_monic", refused)
+        mp.setattr(exactnum, "adjoin_root", refused)
+        try:
+            F2, u = adjoin_radical(F, a, w, "u")
+        except SplitEvent as ev:
+            assert ev.levels == L
+            assert ("split", ev.k, ev.g_tail, ev.h_tail) == want
+            return
+        except NotSquarefree as err:
+            assert "(gcd degree %d)" % (w - 1) in str(err)
+            assert want == ("zero",)
+            return
+    assert want[0] == "unit"
+    assert F2.levels[:-1] == L and not F2.levels[-1].counts_points
+    assert F2.degree == w * F.degree and F2.cluster_size == F.cluster_size
+    power = u
+    for _ in range(w - 1):
+        power = _mul(F2.levels, k + 1, power, u)
+    assert power == lift(F2.levels, k, k + 1, a)
 
 
 @pytest.mark.parametrize("flagged", [True, False])

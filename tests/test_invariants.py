@@ -1,4 +1,5 @@
 import json
+import random
 from dataclasses import replace
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from conftest import germ, spy
 from qres import invariants, resolve
+from qres.checks import normalized_types, random_semi_invariant
 from qres.errors import CommonComponent, NotMultiple
 from qres.exactnum import Rat
 from qres.invariants import (delta_additivity_check, delta_classical,
@@ -261,3 +263,47 @@ def test_full_report_takes_the_mode_from_config():
     assert rep.breakdown.correction_sum == 0
     plain = full_report(f, X723, config=EngineConfig(weight_overrides=((1, 5),)))
     assert plain.mode == "plain" and plain.breakdown.correction_sum != 0
+
+
+def substitute(f, X, Y):
+    """f(X, Y) for germs X and Y."""
+    out = germ("0")
+    for (i, j), c in f.terms.items():
+        out = out + (X ** i * Y ** j).scale(c)
+    return out
+
+
+def coordinate_changes(f, t, rng):
+    """Three changes of coordinates of X(d;a,b) that commute with its
+    action, each as (germ, type): the shear x -> x + c y^k with k >= 1 and
+    a = k b (mod d), a diagonal scaling, and the swap to X(d;b,a)."""
+    x, y = germ("x"), germ("y")
+    k = rng.choice([k for k in range(1, 2 * t.d + 1) if (k * t.b - t.a) % t.d == 0])
+    c = rng.choice((-2, -1, 1, 2))
+    lam, mu = rng.choice((-3, -2, 2, 3)), rng.choice((-3, -2, 2, 3))
+    return [(substitute(f, x + c * y ** k, y), t),
+            (substitute(f, lam * x, mu * y), t),
+            (f.permute_vars((1, 0)), QuotType(t.d, t.b, t.a))]
+
+
+def invariants_of(f, t):
+    rep = full_report(f, t)
+    return (rep.delta_w, rep.mu_w, rep.r_w, rep.delta_classical,
+            rep.mu_classical, rep.r_classical)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_invariants_do_not_depend_on_the_coordinates(seed):
+    """The germ half of the metamorphic oracle: delta_w, mu_w, r_w, delta,
+    mu and r are intrinsic, so a change of coordinates that commutes with
+    the action of X(d;a,b) leaves every one of them as it was.  Each
+    change moves the germ, so none is compared with itself."""
+    rng = random.Random(seed)
+    types = normalized_types(5)
+    for _ in range(50):
+        t = types[rng.randrange(len(types))]
+        f = random_semi_invariant(rng, t)
+        want = invariants_of(f, t)
+        for g, u in coordinate_changes(f, t, rng):
+            assert (g, u) != (f, t)
+            assert invariants_of(g, u) == want, (str(f), str(t), str(g), str(u))

@@ -5,6 +5,10 @@ src/qres/*.py must be read somewhere in src/qres: as a Name, as an
 Attribute, or in an import.  So must a public name defined by `def` or
 `class` at module level; an import in qres/__init__.py, which exports it,
 is a read.  Tests do not count as readers.
+
+Nor is a parameter kept that its function never reads: every parameter of
+a `def` or `lambda` in src/qres/*.py other than `self` and `cls` must be
+read in the function's body.
 """
 
 import ast
@@ -13,6 +17,7 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted(ROOT.glob("src/qres/*.py"))
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
 def unread_definitions(sources: dict):
@@ -39,6 +44,32 @@ def unread_definitions(sources: dict):
                     out.append((name, node.lineno, node.name))
             elif node in tree.body:
                 out.append((name, node.lineno, node.name))
+    return sorted(out)
+
+
+def unread_parameters(sources: dict):
+    """[(file, line, function, parameter)] of the parameters of every
+    function in sources (file name -> text) that its body never reads, as
+    a Name or the target of an augmented assignment; self and cls are
+    exempt."""
+    out = []
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, FUNCTIONS):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                p for p in (a.vararg, a.kwarg) if p is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = set()
+            for sub in (n for b in body for n in ast.walk(b)):
+                if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+                    read.add(sub.id)
+                elif isinstance(sub, ast.AugAssign) and isinstance(sub.target, ast.Name):
+                    read.add(sub.target.id)
+            out += [(name, node.lineno, getattr(node, "name", "<lambda>"), p.arg)
+                    for p in params
+                    if p.arg not in read and p.arg not in ("self", "cls")]
     return sorted(out)
 
 
@@ -81,3 +112,20 @@ def test_the_walk_sees_an_unread_public_definition():
     init = "from .a import exported\n"
     assert unread_public_definitions({"a.py": a, "__init__.py": init}) == [
         ("a.py", 5, "orphan"), ("a.py", 7, "Orphan")]
+
+
+def test_every_parameter_is_read():
+    sources = {p.name: p.read_text() for p in SOURCES}
+    assert unread_parameters(sources) == []
+
+
+def test_the_walk_sees_an_unread_parameter():
+    a = ("def f(x, y, *args, z=1, **kw):\n    return x + z\n"
+         "class C:\n    def m(self, n):\n        n += 1\n"
+         "    @classmethod\n    def c(cls, *, flag):\n        pass\n"
+         "def g(a):\n    def h(b):\n        return a + b\n"
+         "    return h(a), (lambda u, v: u)(a, a)\n")
+    assert unread_parameters({"a.py": a}) == [
+        ("a.py", 1, "f", "args"), ("a.py", 1, "f", "kw"),
+        ("a.py", 1, "f", "y"), ("a.py", 7, "c", "flag"),
+        ("a.py", 12, "<lambda>", "v")]

@@ -187,9 +187,9 @@ def test_genus_checks_reducedness_once(monkeypatch):
     calls = []
     orig = wproj._check_reduced
 
-    def counting(F, weights):
+    def counting(F):
         calls.append(F)
-        return orig(F, weights)
+        return orig(F)
 
     monkeypatch.setattr(wproj, "_check_reduced", counting)
     assert genus(curve("x1^2*x2 - x0^3"), w("1,1,1")).genus == 0
@@ -338,19 +338,20 @@ CONIC_TIMES_CUBIC = ("(x0^2 + 2*x1^2 - 3*x2^2 + x0*x1)"
 def test_the_search_runs_no_gcd_over_a_tower(monkeypatch):
     """The six crossings of a conic and a cubic form one cluster whose
     minimal polynomial is irreducible: the first subresultant gives its
-    y-coordinate, and no gcd or polynomial division runs over the tower."""
+    y-coordinate, and no gcd runs over the tower, neither wproj's poly_gcd
+    nor the tower Euclid (exactnum._pgcd_monic at k > 0) of any caller."""
     over_tower, inside = [], [False]
-    gcd, divmod_ = wproj.poly_gcd, exactnum._pdivmod
+    gcd, euclid = wproj.poly_gcd, exactnum._pgcd_monic
 
     def counting_gcd(f, g):
         if inside[0] and f.field.depth:
             over_tower.append("poly_gcd")
         return gcd(f, g)
 
-    def counting_divmod(levels, k, num, den):
+    def counting_euclid(levels, k, f, g):
         if inside[0] and k:
-            over_tower.append("_pdivmod")
-        return divmod_(levels, k, num, den)
+            over_tower.append("_pgcd_monic")
+        return euclid(levels, k, f, g)
     stratum = wproj._affine_stratum
 
     def marked(*args):
@@ -360,7 +361,7 @@ def test_the_search_runs_no_gcd_over_a_tower(monkeypatch):
         finally:
             inside[0] = False
     monkeypatch.setattr(wproj, "poly_gcd", counting_gcd)
-    monkeypatch.setattr(exactnum, "_pdivmod", counting_divmod)
+    monkeypatch.setattr(exactnum, "_pgcd_monic", counting_euclid)
     monkeypatch.setattr(wproj, "_affine_stratum", marked)
     roots = spy(monkeypatch, wproj, "_subresultant_root")
     rep = genus(curve(CONIC_TIMES_CUBIC), w("1,1,1"))
