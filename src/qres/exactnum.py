@@ -3,16 +3,16 @@
 Everything downstream computes over a field that starts as Q and grows by
 adjoining roots of monic squarefree polynomials.  The minimal polynomials are
 *not* assumed irreducible, unless a Level is flagged as a field: arithmetic
-proceeds as if they were, and the moment an inversion meets a zero divisor
-the tower splits (classic dynamic evaluation).  Over a tower whose every
-Level is flagged, nonzero means unit, and is_zero_validated inverts
-nothing.  The split is surfaced as a SplitEvent; its targets() are the
-factor towers, with projection maps, that a computation retries in.  That
-policy and the adjunction of chart radicals (adjoin_radical, certified by
-is_zero_validated on the radicand, a unit at each caller) live here, so
-the resolution engine and the singular-locus search share them.  Every
-inversion goes through _inv, and every split comes from it: the polynomial
-divisions above Q are by monic divisors and invert nothing.
+proceeds as if they were, and a zero divisor splits the tower the moment it
+is met (classic dynamic evaluation).  A unit is certified by its gcd with
+its storey's minimal polynomial (_certify), not by an inverse; an inverse
+(_inv) is taken only where a caller divides.  Over a tower of flagged
+Levels, nonzero means unit.  The split is surfaced as a SplitEvent; its
+targets() are the factor towers, with projection maps, that a computation
+retries in.  That policy and the adjunction of chart radicals
+(adjoin_radical, certified by is_zero_validated on the radicand, a unit at
+each caller) live here, so the resolution engine and the singular-locus
+search share them.  Divisions by monic polynomials invert nothing.
 
 Element representation is positional and closed under hashing: a level-0
 element is a Fraction, a level-k element is a tuple of level-(k-1) elements
@@ -253,8 +253,7 @@ def _pderiv(levels, k, v):
 def _pdivmod(levels, k, v, tail):
     """(q, r) with v = q (t^n + tail) + r, for a list v of level-k elements
     and n = len(tail): the quotient q as a list, and r as the tuple of its
-    n coordinates.  The divisor is monic, so nothing is inverted and the
-    division cannot split a tower (every split comes from _inv)."""
+    n coordinates.  The divisor is monic: nothing is inverted, no split."""
     n = len(tail)
     r = list(v) + [_zero(levels, k)] * (n - len(v))
     for m in range(len(r) - 1, n - 1, -1):
@@ -288,8 +287,8 @@ def _pgcd_monic(levels, k, f, g):
     (Gauss's lemma), made monic.  Over a tower it is the plain Euclid, each
     remainder made monic once as the next divisor: the same remainders and
     the same leads inverted, once each, and the last divisor is the gcd.
-    A nonzero constant remainder ends it with 1 once is_zero_validated
-    certifies it a unit, which over a tower of fields inverts nothing."""
+    A nonzero constant remainder ends it with 1 once _certify proves it a
+    unit, by a gcd with the minimal polynomial, not an inverse."""
     a, b = _ptrim(levels, k, f), _ptrim(levels, k, g)
     if not b:
         a, b = b, a
@@ -300,7 +299,7 @@ def _pgcd_monic(levels, k, f, g):
         a, b = b, _ptrim(levels, k, _pdivmod(levels, k, a, m[:-1])[1])
         if not b:
             return m
-    is_zero_validated(ExtField(levels[:k]), b[0])
+    _certify(levels, k, b[0])
     return [lift(levels, 0, k, Fraction(1))]
 
 
@@ -717,8 +716,8 @@ def _inv_over_q(levels, a):
     the determinant up to sign; back substitution x_i = (D c_i - sum_{j>i}
     U_ij x_j) / U_ii = D y_i divides exactly by Cramer's rule (Nakos, Turner
     and Williams 1997).  The inverse's coordinates are x_j d L^j / D.  A
-    zero D, or a column with no pivot, makes a a zero divisor: the split's
-    factors are the monic gcd g of A and M (_zgcd) and the cofactor M / g."""
+    zero D, or a column with no pivot, makes a a zero divisor, which
+    _certify splits: an inverse is taken only where a caller divides."""
     M = levels[0].zminpoly
     n, lead = len(M) - 1, M[-1]
     A, d = _zden(a)
@@ -729,8 +728,8 @@ def _inv_over_q(levels, a):
     rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(n)]
     det = _bareiss(rows) and rows[-1][-2]
     if not det:
-        H, _, cof = _zgcd(_zclear(_ptrim(levels, 0, a))[0], M)
-        raise SplitEvent(levels, 0, _qmonic(H)[:-1], _qmonic(cof)[:-1])
+        _certify(levels, 1, a)
+        raise InternalInconsistency("a zero determinant for a unit")
     x = [0] * n
     for i, row in reversed(list(enumerate(rows))):
         x[i] = _zquo(det * row[n] - sum(map(operator.mul, row[i + 1:n], x[i + 1:])), row[i])
@@ -739,18 +738,34 @@ def _inv_over_q(levels, a):
     return tuple(Fraction(x[i] * d * lead ** i, det) for i in range(n))
 
 
+def _certify(levels, k, a):
+    """Certify the nonzero level-k element a a unit: its monic gcd g with
+    the storey's minimal polynomial m is 1, else SplitEvent(levels, k - 1,
+    g, m / g).  Over Q by _zgcd on ints, above by _pgcd_monic(m, a), which
+    inverts leads one storey down.  A tower of flagged Levels needs none."""
+    if all(lv.is_field for lv in levels[:k]):
+        return
+    if k == 1:
+        g, h, _ = _zgcd(levels[0].zminpoly, _zclear(_ptrim(levels, 0, a))[0])
+        if len(g) > 1:
+            raise SplitEvent(levels, 0, _qmonic(g)[:-1], _qmonic(h)[:-1])
+        return
+    m = list(levels[k - 1].minpoly) + [lift(levels, 0, k - 1, Fraction(1))]
+    g = _pgcd_monic(levels, k - 1, m, a)
+    if len(g) > 1:
+        raise SplitEvent(levels, k - 1, g[:-1], _pdiv_exact(levels, k - 1, m, g)[:-1])
+
+
 def is_zero_validated(field: "ExtField", rep) -> bool:
     """Decide rep == 0, certifying invertibility of nonzero answers.
 
-    Structural zero is sound (reduction is eager and canonical).  Over a
-    tower whose every Level is flagged as a field, nonzero means unit and
-    nothing is inverted; elsewhere a nonzero answer is backed by _inv, which
-    succeeds or raises a SplitEvent for the caller to handle.
+    Structural zero is sound (reduction is eager and canonical).  A nonzero
+    answer is a unit, certified by _certify with a gcd, not an inverse, or
+    raises a SplitEvent for the caller to handle.
     """
     if _is_zero(field.levels, field.depth, rep):
         return True
-    if not field.is_field:
-        _inv(field.levels, field.depth, rep)
+    _certify(field.levels, field.depth, rep)
     return False
 
 

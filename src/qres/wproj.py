@@ -266,7 +266,7 @@ def _with_splits(field, u0, slices, step):
     field's tower restarts the step in every tower of its targets(), with
     u0 and the slices' coefficients projected there, and concatenates their
     lists.  A step lists no point only once the data is uniform across its
-    cluster, because inverting a zero divisor on the way splits first."""
+    cluster, because a zero divisor met on the way splits first."""
     try:
         return step(field, u0, slices)
     except SplitEvent as ev:

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
+import math
 import shutil
 import subprocess
 import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from qres import cli
 from qres.cli import main
@@ -353,3 +357,100 @@ def test_console_script_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "delta_w   = 1" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# random command lines: every run ends in a documented exit code
+
+
+def signed_sum(draw, monomials):
+    """The monomials with small nonzero coefficients.  A negative one after
+    the first is written "- c*m", "+ (-c)*m" or "+ -c*m"; the sign grammar
+    of docs/FORMATS.md refuses the last (exit 2)."""
+    terms = []
+    for m in monomials:
+        c = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        if not terms:
+            terms.append("%d*%s" % (c, m))
+        elif c > 0:
+            terms.append(" + %d*%s" % (c, m))
+        else:
+            terms.append(draw(st.sampled_from(
+                [" - %d*%s" % (-c, m)] * 2 + [" + (%d)*%s" % (c, m), " + %d*%s" % (c, m)])))
+    return "".join(terms)
+
+
+def monomial(names, exps):
+    return "*".join("%s^%d" % (v, e) for v, e in zip(names, exps) if e) or "1"
+
+
+def coprime_enough(picks):
+    """The exponent vectors less their common part beyond a first power, so
+    that a sum of them has no repeated monomial factor; one weight class
+    (or one weighted degree) stays one."""
+    common = [max(min(e) - 1, 0) for e in zip(*picks)]
+    return [tuple(x - c for x, c in zip(e, common)) for e in picks]
+
+
+@st.composite
+def germ_argv(draw):
+    """qres germ on X(d;a,b), d <= 5, normalized or not: 2-4 monomials of
+    one weight class with exponents up to 8, the sum sometimes squared
+    plus a monomial, sometimes --mode strong or a --weights pair."""
+    d = draw(st.integers(1, 5))
+    units = [u for u in range(d) if math.gcd(u, d) == 1]
+    a, b = (draw(st.sampled_from(units) if draw(st.integers(0, 2)) else st.integers(0, d - 1))
+            for _ in range(2))
+    exps = [(i, j) for i in range(9) for j in range(9) if i + j]
+    cls = (a * draw(st.integers(0, 8)) + b * draw(st.integers(0, 8))) % d
+    same = [e for e in exps if (a * e[0] + b * e[1]) % d == cls]
+    picks = draw(st.lists(st.sampled_from(same), min_size=2, max_size=4, unique=True)
+                 if len(same) > 1 else st.just(same))
+    poly = signed_sum(draw, [monomial("xy", e) for e in coprime_enough(picks)])
+    if draw(st.booleans()):
+        poly = "(%s)^2 + %s" % (poly, monomial("xy", draw(st.sampled_from(exps))))
+    argv = ["germ", poly, "--type", "X(%d;%d,%d)" % (d, a, b)]
+    option = draw(st.sampled_from([(), ("--mode", "strong"), ("--weights",)]))
+    if option == ("--weights",):
+        option += ("(%d,%d)" % (draw(st.integers(1, 4)), draw(st.integers(1, 4))),)
+    return argv + list(option)
+
+
+@st.composite
+def curve_argv(draw):
+    """qres curve on P(w), weights up to 4 with common factors allowed:
+    1-5 monomials of one weighted degree up to 12, sometimes a product of
+    two such sums, sometimes with --points."""
+    w = [draw(st.integers(1, 4)) for _ in range(3)]
+
+    def form():
+        deg = draw(st.integers(1, 12))
+        mons = [(i, j, k) for i in range(13) for j in range(13) for k in range(13)
+                if w[0] * i + w[1] * j + w[2] * k == deg]
+        if not mons:
+            return None
+        picks = draw(st.lists(st.sampled_from(mons), min_size=1, max_size=5, unique=True))
+        return signed_sum(draw, [monomial(("x0", "x1", "x2"), e)
+                                 for e in coprime_enough(picks)])
+    parts = [p for p in (form(), form() if draw(st.booleans()) else None) if p]
+    poly = "*".join("(%s)" % p for p in parts) if len(parts) > 1 else (parts or ["x0"])[0]
+    argv = ["curve", poly, "--w", "%d,%d,%d" % tuple(w)]
+    if not draw(st.integers(0, 3)):
+        point = [draw(st.integers(-2, 2)) for _ in range(3)]
+        argv += ["--points", "%d,%d,%d" % tuple(point)]
+    return argv
+
+
+@settings(max_examples=60)
+@seed(20261020)
+@given(st.one_of(germ_argv(), curve_argv()))
+def test_random_command_lines_end_in_a_documented_exit_code(argv):
+    """Every run ends in 0, 2 or 3 with no traceback, and a nonzero exit
+    writes exactly one "error:" line to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2, 3), argv
+    if rc:
+        assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())

@@ -839,18 +839,24 @@ def test_a_radical_is_certified_by_its_radicand(data):
     TOWERS: a unit t gives a storey that counts no points, whose generator
     u has u^w = t; a zero divisor raises the SplitEvent of inverting t
     (ref_inv), and zero raises NotSquarefree (gcd u^(w-1)).  Neither
-    adjoin_root nor a gcd runs."""
+    adjoin_root nor a gcd over t's storey, where the squarefreeness of
+    u^w - t would be decided, runs; t's own certificate takes its gcds
+    one storey down."""
     F, t = build_tower(data.draw(st.sampled_from(TOWERS)))
     L, k = F.levels, F.depth
     a = draw_element(data, L, k, t) if data.draw(st.integers(0, 4)) else F.zero()
     w = data.draw(st.sampled_from((2, 3)))
     want = outcome(ref_inv, L, k, a)
+    euclid = exactnum._pgcd_monic
 
     def refused(*args, **kwargs):
         raise AssertionError("adjoin_radical ran adjoin_root or a gcd")
+
+    def below_the_radicand(levels, j, f, g):
+        return refused() if j == k else euclid(levels, j, f, g)
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("QRES_EXT_BOUND", "0")        # degrees up to 36 here
-        mp.setattr(exactnum, "_pgcd_monic", refused)
+        mp.setattr(exactnum, "_pgcd_monic", below_the_radicand)
         mp.setattr(exactnum, "adjoin_root", refused)
         try:
             F2, u = adjoin_radical(F, a, w, "u")
@@ -875,18 +881,55 @@ def test_a_radical_is_certified_by_its_radicand(data):
 def test_a_constant_last_remainder_is_certified_not_inverted(monkeypatch,
                                                              flagged):
     """gcd(x^2 + t, x + s) over t^2 = s, s^2 = 2: the last remainder is the
-    constant 2 + t.  Over the tower flagged as fields it is a unit without
-    an inversion; unflagged, _inv certifies it once, as _pmonic did."""
+    constant 2 + t.  The top storey inverts only the lead 1 of x + s.  Over
+    the tower flagged as fields 2 + t is a unit with no certificate;
+    unflagged, one gcd with t^2 - s one storey down certifies it."""
     F, s = adjoin_root(QQ, (Rat(-2), Rat(0)), "s", is_field=flagged)
     F, t = adjoin_root(F, (_neg(F.levels, 1, s), F.zero()), "t",
                        is_field=flagged)
     L, k = F.levels, F.depth
+    minpoly = [_neg(L, 1, s), _zero(L, 1), lift(L, 0, 1, Rat(1))]
     s = lift(L, 1, 2, s)
     inverted = spy(monkeypatch, exactnum, "_inv")
+    gcds = spy(monkeypatch, exactnum, "_pgcd_monic")
     assert _pgcd_monic(L, k, [t, F.zero(), F.one()], [s, F.one()]) == [F.one()]
     two_plus_t = _add(L, k, F.from_rat(2), t)
-    top = [(levels, a) for levels, j, a in inverted if j == k]
-    assert top == [(L, F.one())] + [(L, two_plus_t)] * (not flagged)
+    assert [(levels, a) for levels, j, a in inverted if j == k] == [(L, F.one())]
+    below = [(levels, list(f), g) for levels, j, f, g in gcds if j == k - 1]
+    assert below == [(L, minpoly, two_plus_t)] * (not flagged)
+
+
+@given(st.data())
+def test_a_unit_is_certified_by_a_gcd_not_an_inverse(data):
+    """Over storey k of every tower of TOWERS, is_zero_validated answers
+    as ref_inv does: True on zero, False on a unit, and on a zero divisor
+    the SplitEvent of inverting it, with the same storey and tails and the
+    tower's full levels.  It inverts nothing at storey k, and over Q
+    (k = 1) it runs no elimination (_bareiss)."""
+    F, t = build_tower(data.draw(st.sampled_from(TOWERS)))
+    k = data.draw(st.integers(1, F.depth))
+    L = F.levels[:k]
+    low = data.draw(st.integers(0, k))          # storey the element lies in
+    size = ExtField(L[:low]).degree
+    a = lift(L, low, k, element(L, low, data.draw(
+        st.lists(coefficients, min_size=size, max_size=size))))
+    root = data.draw(st.sampled_from((None, 1, -1)))
+    if root is not None:        # t, or storey k's generator, minus a root
+        z = _zero(L, k - 1)
+        gen = t if k == F.depth else (z, lift(L, 0, k - 1, Rat(1))) + (z,) * (L[k - 1].degree - 2)
+        a = ref_mul(L, k, a, _sub(L, k, gen, lift(L, 0, k, Rat(root))))
+    want = outcome(ref_inv, L, k, a)
+    with pytest.MonkeyPatch.context() as mp:
+        inverted = spy(mp, exactnum, "_inv")
+        eliminated = spy(mp, exactnum, "_bareiss")
+        try:
+            got = ("zero",) if is_zero_validated(ExtField(L), a) else ("unit",)
+        except SplitEvent as ev:
+            assert ev.levels == L
+            got = "split", ev.k, ev.g_tail, ev.h_tail
+    assert got == (want if want[0] == "split" else want[:1])
+    assert [j for _, j, _ in inverted if j == k] == []
+    assert k > 1 or eliminated == []
 
 
 # ---------------------------------------------------------------------------

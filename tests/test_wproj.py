@@ -1,5 +1,7 @@
+import collections
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -413,13 +415,14 @@ def test_the_subresultant_root_agrees_with_the_tower_gcd(case, coeffs):
 
 def test_a_certified_cluster_field_makes_no_unit_certificate(monkeypatch):
     """The one affine cluster of golden gallery-11 is certified, so its
-    field is flagged: genus proves no coefficient a unit by inverting it
-    over a tower whose every Level is flagged.  With the certificate
-    refused, nothing is flagged, the inversions come back, and the search
-    finds the same points."""
+    field is flagged: genus proves no coefficient a unit by a gcd with a
+    minimal polynomial (_zgcd over Q, _pgcd_monic above) over a tower whose
+    every Level is flagged.  With the certificate refused, nothing is
+    flagged, the certificate gcds come back, and the search finds the same
+    points."""
     F = curve("(x0^2 + x1^2 - x2^2)*(x0^2 + x1^2 - 2*x2^2)")
-    inside, seen, inverted = [], [], []
-    validated, inv = exactnum.is_zero_validated, exactnum._inv
+    inside, seen, gcds = [], [], []
+    validated = exactnum.is_zero_validated
 
     def validating(field, rep):
         seen.append(field)
@@ -429,24 +432,29 @@ def test_a_certified_cluster_field_makes_no_unit_certificate(monkeypatch):
         finally:
             inside.pop()
 
-    def inverting(levels, k, a):
-        if inside:
-            inverted.append(inside[-1])
-        return inv(levels, k, a)
+    def counted(name):
+        fn = getattr(exactnum, name)
+
+        def gcd(*args):
+            if inside:
+                gcds.append(inside[-1])
+            return fn(*args)
+        monkeypatch.setattr(exactnum, name, gcd)
     monkeypatch.setattr(resolve, "is_zero_validated", validating)
     monkeypatch.setattr(wproj, "is_zero_validated", validating)
-    monkeypatch.setattr(exactnum, "_inv", inverting)
+    counted("_zgcd")
+    counted("_pgcd_monic")
     flagged = located(F, Weights(1, 1, 1))
     assert genus(F, Weights(1, 1, 1)).genus == -1
     assert any(f.depth and f.is_field for f in seen)
-    assert True not in inverted
+    assert True not in gcds
     seen.clear()
-    inverted.clear()
+    gcds.clear()
     monkeypatch.setattr(wproj, "certified_irreducible", lambda S: False)
     assert located(F, Weights(1, 1, 1)) == flagged
     assert genus(F, Weights(1, 1, 1)).genus == -1
     assert seen and not any(lv.is_field for f in seen for lv in f.levels)
-    assert inverted
+    assert gcds
 
 
 def test_a_vanishing_leading_coefficient_skips_the_first_subresultant(
@@ -493,3 +501,86 @@ def test_the_first_subresultant_drops_a_tangency_off_the_singular_locus(
     assert rc == 0 and doc["genus"] == "1"
     assert [p["point"] for p in doc["points"]] == ["[0 : 1 : 0]"]
     assert drops == ["Q"]
+
+
+# the curve half of the metamorphic oracle: an automorphism of P(w) changes
+# neither the genus nor the values at the singular points
+
+PLANE_CURVES = [
+    "x1^2*x2 - x0^3",                                   # cuspidal cubic
+    "x1^2*x2 - x0^2*(x0 + x2)",                         # nodal cubic
+    "x0^2*x1^2 + x1^2*x2^2 + x2^2*x0^2 - 2*x0*x1*x2*(x0 + x1 + x2)",
+    "(x0^2 + x1^2 - x2^2)*(x0^2 + 2*x1^2 - x2^2)",      # tangent conics
+    "x0*x1*x2*(x0 + x1 + x2)",
+    "(x0^2 - x1*x2)*(x0 + x1 - 2*x2)*(x1 - x2)",
+]
+# curves on P(2,3,5) and P(2,3,7), each with the image of x2 under the
+# automorphism x2 -> x2 + c x0 x1, resp. x2 + c x0^2 x1
+WEIGHTED_CURVES = [
+    ((2, 3, 5), "(x0^3 - x1^2)*(x2^2 - x0^5 + x0^2*x1^2)", "x2 + (%d)*x0*x1"),
+    ((2, 3, 5), "x1*(x2^2 - x0^5 + x0^2*x1^2)", "x2 + (%d)*x0*x1"),
+    ((2, 3, 5), "(x0^3 - x1^2)*(x0^3 - 2*x1^2)*(x2^2 - x0^5)", "x2 + (%d)*x0*x1"),
+    ((2, 3, 7), "x0*x1*x2 + (x0^3 - x1^2)^2", "x2 + (%d)*x0^2*x1"),
+    ((2, 3, 7), "x2^2 - x0*(x0^3 - x1^2)^2", "x2 + (%d)*x0^2*x1"),
+]
+
+
+def in_other_coordinates(text, images):
+    """The curve text with each x_i replaced by (images[i])."""
+    return re.sub(r"x([012])", lambda m: "(%s)" % images[int(m.group(1))], text)
+
+
+def point_values(text, weights):
+    """The genus, and the multiset of (delta_w / cluster, ambient) over the
+    points with nonzero delta_w, each cluster expanded into its points."""
+    rep = genus(curve(text), Weights(*weights))
+    values = collections.Counter()
+    for sp, dw in rep.points:
+        if dw:
+            values[dw / sp.multiplicity, str(sp.ambient)] += sp.multiplicity
+    return rep.genus, values
+
+
+def invertible_matrix(rng):
+    while True:
+        m = [[rng.choice([-1, 0, 1, 2]) for _ in range(3)] for _ in range(3)]
+        if (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])):
+            return m
+
+
+def coordinate_changes(seed):
+    """(weights, curve, images of x0, x1, x2): each curve of PLANE_CURVES
+    under two random invertible integer matrices, and each of
+    WEIGHTED_CURVES under its automorphism with a random c."""
+    rng = random.Random(seed)
+    for text in PLANE_CURVES:
+        for _ in range(2):
+            yield (1, 1, 1), text, [" + ".join("(%d)*x%d" % (c, j) for j, c in enumerate(row))
+                                    for row in invertible_matrix(rng)]
+    for weights, text, image in WEIGHTED_CURVES:
+        yield weights, text, ["x0", "x1", image % rng.choice([-2, -1, 1, 2])]
+
+
+# In these coordinates the triple point [1:3:0] and the node [1:3:2] share
+# x1/x0 = 3, and the search lists them as one cluster of 2 with delta_w 4
+# over Q(v), v^2 = 2v, which is not a field: per point that reads 2 and 2,
+# where the original coordinates give 3 and 1.
+PACKED_TRIPLE_POINT = (2, 11)
+
+
+@pytest.mark.parametrize("seed, case", [
+    pytest.param(seed, case, marks=[pytest.mark.xfail(
+        strict=True, reason="a reducible cluster's points are listed as one "
+        "packet, whose delta_w per point is an average")]
+        if (seed, case) == PACKED_TRIPLE_POINT else [])
+    for seed in (1, 2) for case in range(len(PLANE_CURVES) * 2 + len(WEIGHTED_CURVES))])
+def test_the_genus_and_point_values_do_not_depend_on_the_coordinates(seed, case):
+    """A curve in other coordinates (coordinate_changes) has the genus and
+    the point values (point_values) it had.  Points move between the
+    vertices, the axes and the affine chart, and between rational points
+    and conjugate clusters, so the strata are checked against each other."""
+    weights, text, images = list(coordinate_changes(seed))[case]
+    moved = in_other_coordinates(text, images)
+    assert point_values(moved, weights) == point_values(text, weights), moved
