@@ -20,13 +20,18 @@ whose length equals the degree of the k-th minimal polynomial.  No element
 object carries a field pointer: the functions below take the tower's levels
 and depth explicitly.
 
-The storey over Q (k = 1) computes on integers under that representation:
-its product and its inversion clear denominators once, work on int lists
-against the storey's primitive integer minimal polynomial (Level.zminpoly),
-and build one Fraction per coordinate at the end (_zrem), and so does the
-projection into a factor of it.  A higher storey multiplies as polynomials
-over the storey below; every division by a monic polynomial above Q, in a
-product, a projection or a Euclid, is _pdivmod.
+The storey over Q (k = 1) is the base case of tower arithmetic: _is_zero,
+_add, _sub and _neg read its element as one flat tuple of Fractions, and
+their recursion through a higher storey stops there.  It computes on
+integers under that representation: its product and its inversion clear
+denominators once, work on int lists against the storey's primitive
+integer minimal polynomial (Level.zminpoly), reduce by _zreduce and build
+one Fraction per coordinate at the end (_zrem), and so does the projection
+into a factor of it.  poly's SparsePoly.lift_shift reaches it on ints as
+well: the powers of its roots and their products are _zmul and _zreduce,
+with no _mul.  A higher storey multiplies as polynomials over the storey
+below; every division by a monic polynomial above Q, in a product, a
+projection or a Euclid, is _pdivmod.
 """
 
 from __future__ import annotations
@@ -165,24 +170,32 @@ def lift(levels, k_from, k_to, rep):
 
 
 def _is_zero(levels, k, a) -> bool:
+    if k == 1:
+        return not any(a)
     if k == 0:
         return a == 0
     return all(_is_zero(levels, k - 1, c) for c in a)
 
 
 def _add(levels, k, a, b):
+    if k == 1:
+        return tuple(map(operator.add, a, b))
     if k == 0:
         return a + b
     return tuple(_add(levels, k - 1, x, y) for x, y in zip(a, b))
 
 
 def _neg(levels, k, a):
+    if k == 1:
+        return tuple(map(operator.neg, a))
     if k == 0:
         return -a
     return tuple(_neg(levels, k - 1, x) for x in a)
 
 
 def _sub(levels, k, a, b):
+    if k == 1:
+        return tuple(map(operator.sub, a, b))
     if k == 0:
         return a - b
     return tuple(_sub(levels, k - 1, x, y) for x, y in zip(a, b))
@@ -468,30 +481,38 @@ def _zclear(v):
     return [x // cont for x in num], Fraction(cont, den)
 
 
-def _zrem(C, M, den=1):
-    """The element (C / den) mod M of the storey Q[t]/M, for an integer
-    list C and a trimmed integer list M of degree n >= 1: the tuple of its
-    n coordinates as Fractions, or the one Fraction for n = 1.  Where lc(M)
-    is not 1, C is scaled by lc(M)^e first, e = deg C - deg M + 1, so that
-    every step of the long division divides exactly (pseudo-division); one
-    Fraction is built per coordinate at the end."""
+def _zreduce(C, M):
+    """(R, s) with C = R / s modulo M, for an integer list C and a trimmed
+    integer list M of degree n >= 1: R is the list of n integer
+    coordinates and s > 0 an int.  Where lc(M) is not 1, C is scaled by
+    s = lc(M)^e first, e = deg C - deg M + 1, so that every step of the
+    long division divides exactly (pseudo-division); else s = 1."""
     n, lead = len(M) - 1, M[-1]
     R = list(C)
     while R and not R[-1]:
         R.pop()
-    e = len(R) - n
+    e, scale = len(R) - n, 1
     if e > 0 and lead != 1:
         scale = lead ** e
         R = [c * scale for c in R]
-        den *= scale
     for i in range(len(R) - 1, n - 1, -1):
         c = R[i] // lead
         if c:
             for t in range(n):
                 R[i - n + t] -= c * M[t]
     del R[n:]
-    r = tuple(Fraction(c, den) for c in R) + (Fraction(0),) * (n - len(R))
-    return r if n > 1 else r[0]
+    return R + [0] * (n - len(R)), scale
+
+
+def _zrem(C, M, den=1):
+    """The element (C / den) mod M of the storey Q[t]/M, for an integer
+    list C and a trimmed integer list M of degree n >= 1: the tuple of its
+    n coordinates as Fractions, or the one Fraction for n = 1, reduced on
+    ints by _zreduce and one Fraction built per coordinate at the end."""
+    R, scale = _zreduce(C, M)
+    den *= scale
+    r = tuple(Fraction(c, den) for c in R)
+    return r if len(r) > 1 else r[0]
 
 
 def _qmonic(V):

@@ -176,8 +176,14 @@ class SparsePoly:
         """This polynomial in field, a tower over its own, with variable i
         replaced by itself plus roots[i] in field where that is nonzero.
         Into Q: _taylor_shift.  Else the products of root powers are made
-        once, as coordinates at the coefficients' storey k (over Q cleared
-        to ints), and each coefficient times binomials multiplies them."""
+        once, and each coefficient times binomials multiplies them.  Into
+        a storey over Q they are made on ints: a root is R / d with its
+        denominators cleared once (_zden), and a product is _zmul reduced
+        by _zreduce, then divided with its denominator by their gcd, so no
+        exactnum._mul runs; the coefficients, cleared once too, are
+        convolved with them on ints, and one Fraction is built per output
+        coordinate.  Higher up they are tower products at the coefficients'
+        storey k, over Q (k = 0) cleared to ints for the same sums."""
         levels, k, K = field.levels, self.field.depth, field.depth
         if levels[:k] != self.field.levels:
             raise InternalInconsistency("target tower does not extend the current one")
@@ -185,34 +191,64 @@ class SparsePoly:
         if K == 0:
             return SparsePoly(field, self.vars, functools.reduce(
                 lambda t, i: _taylor_shift(t, i, roots[i]), shifts, self.terms))
-        mul_top, one = functools.partial(exactnum._mul, levels, K), field.one()
-        powers = {i: [one, *itertools.accumulate([roots[i]] * self.degree_in(i), mul_top)]
+        if K == 1:      # an element as (P, d): P / d, gcd(P, d) = 1
+            M = levels[0].zminpoly
+
+            def mul_top(a, b):
+                P, s = exactnum._zreduce(_zmul(a[0], b[0]), M)
+                d = a[1] * b[1] * s
+                g = math.gcd(d, *P)
+                return [c // g for c in P], d // g
+            one = ([1] + [0] * (len(M) - 2), 1)
+            top = {i: exactnum._zden(roots[i]) for i in shifts}
+        else:
+            mul_top, one, top = functools.partial(exactnum._mul, levels, K), field.one(), roots
+        powers = {i: [one, *itertools.accumulate([top[i]] * self.degree_in(i), mul_top)]
                   for i in shifts}
         below = {e: list(itertools.product(*(range(e[i] + 1) for i in shifts)))
                  for e in self.terms}
-        prods = {u: [functools.reduce(mul_top, [powers[i][j] for i, j in zip(shifts, u) if j]
-                                      or [one])]
+        prods = {u: functools.reduce(mul_top, [powers[i][j] for i, j in zip(shifts, u) if j]
+                                     or [one])
                  for u in dict.fromkeys(u for us in below.values() for u in us)}
-        for _ in range(K - k):
-            prods = {u: [c for x in v for c in x] for u, v in prods.items()}
-        coeffs, (add, mul), zero = self.terms, self._ring(), self.field.zero()
-        dim = field.degree // self.field.degree
-        if k == 0:      # on ints: coefficients scale * num, coordinates flat / den
-            num, scale = _zclear(list(coeffs.values()))
-            coeffs, add, mul, zero = dict(zip(coeffs, num)), operator.add, operator.mul, 0
-            flat, den = exactnum._zden([c for v in prods.values() for c in v])
-            prods = {u: flat[j * dim:(j + 1) * dim] for j, u in enumerate(prods)}
+        coeffs = self.terms
+        if K == 1:      # on ints: coordinates over Q, P / den
+            den = math.lcm(*(d for _, d in prods.values()))
+            prods = {u: [c * (den // d) for c in P] for u, (P, d) in prods.items()}
+        else:           # coordinates at storey k
+            prods = {u: [v] for u, v in prods.items()}
+            for _ in range(K - k):
+                prods = {u: [c for x in v for c in x] for u, v in prods.items()}
+            if k == 0:  # on ints, over den
+                flat, den = exactnum._zden([c for v in prods.values() for c in v])
+                dim = field.degree
+                prods = {u: flat[j * dim:(j + 1) * dim] for j, u in enumerate(prods)}
+        if K == 1 or k == 0:    # on ints: coefficients scale * C
+            size = self.field.degree
+            num, scale = _zclear([c for v in coeffs.values() for c in (v if k else (v,))])
+            coeffs = {e: num[j * size:(j + 1) * size] for j, e in enumerate(coeffs)}
+            add, mul, smul, zero = operator.add, operator.mul, operator.mul, 0
+        else:
+            coeffs = {e: [c] for e, c in coeffs.items()}
+            add, mul, smul = self._ring(exactnum._add, exactnum._mul, exactnum._smul)
+            zero = self.field.zero()
         out = {}
-        for e, c in coeffs.items():
+        for e, C in coeffs.items():
             for u in below[e]:
-                s, w = list(e), c
+                s, w = list(e), 1
                 for i, j in zip(shifts, u):
                     s[i] -= j
-                    w = exactnum._smul(levels, k, math.comb(e[i], j), w)
-                acc = out.setdefault(tuple(s), [zero] * dim)
-                for b, x in enumerate(prods[u]):
-                    acc[b] = add(acc[b], mul(w, x))
+                    w *= math.comb(e[i], j)
+                P = prods[u]
+                acc = out.setdefault(tuple(s), [zero] * (len(C) + len(P) - 1))
+                for a, c in enumerate(C):
+                    c = smul(w, c)
+                    for b, x in enumerate(P):
+                        acc[a + b] = add(acc[a + b], mul(c, x))
         for s, v in out.items():
+            if K == 1:
+                out[s] = exactnum._zrem([c * scale.numerator for c in v], M,
+                                        scale.denominator * den)
+                continue
             if k == 0:
                 v = [Fraction(c * scale.numerator, scale.denominator * den) for c in v]
             for lv in levels[k:]:       # back to an element of storey K

@@ -441,9 +441,17 @@ def curve_argv(draw):
     return argv
 
 
+@st.composite
+def resolve_argv(draw):
+    """qres resolve on a draw of germ_argv, its tree written to stdout by
+    --json - or --dot -."""
+    argv = draw(germ_argv())
+    return ["resolve"] + argv[1:] + [draw(st.sampled_from(["--json", "--dot"])), "-"]
+
+
 @settings(max_examples=60)
 @seed(20261020)
-@given(st.one_of(germ_argv(), curve_argv()))
+@given(st.one_of(germ_argv(), curve_argv(), resolve_argv()))
 def test_random_command_lines_end_in_a_documented_exit_code(argv):
     """Every run ends in 0, 2 or 3 with no traceback, and a nonzero exit
     writes exactly one "error:" line to stderr."""

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from conftest import spy
 from qres.errors import (BadType, DivisionByZero, ExtensionOverflow,
                          InternalInconsistency, NotInvertible, NotSquarefree)
-from qres import exactnum, wproj
+from qres import exactnum, poly, wproj
 from qres.poly import SparsePoly
 from qres.exactnum import (ExtField, Rat, SplitEvent, _add, _inv, _is_zero,
                            _mul, _neg, _pdeg, _pgcd_monic, _pmul, _psub,
@@ -542,10 +542,14 @@ def ref_power(L, k, a, m):
 
 @given(st.data())
 def test_lift_shift_is_the_binomial_expansion(data):
-    """A polynomial over a lower storey, moved into a tower of TOWERS with
-    x, y or both shifted by elements a, b of the tower, is
-    sum c (x + a)^i (y + b)^j expanded by binomials and ref_mul."""
-    F, t = build_tower(data.draw(st.sampled_from(TOWERS)))
+    """A polynomial over a lower storey, moved into a tower of TOWERS or a
+    storey over Q of RATIONAL_STOREYS (non-monic integer minimal
+    polynomials, reducible ones among them) with x, y or both shifted by
+    elements a, b of the target, is sum c (x + a)^i (y + b)^j expanded by
+    binomials and ref_mul."""
+    target = data.draw(st.sampled_from(TOWERS + tuple(RATIONAL_STOREYS)))
+    F = (build_tower(target)[0] if target in TOWERS
+         else adjoin_root(QQ, target[0], "t")[0])
     L, k = F.levels, F.depth
     low = data.draw(st.integers(0, k))         # the coefficients' storey
     size = ExtField(L[:low]).degree
@@ -573,20 +577,26 @@ def test_lift_shift_is_the_binomial_expansion(data):
 
 
 def test_lift_shift_makes_each_product_of_root_powers_once(monkeypatch):
-    """x^2 y^2 + x^2 y + x y^2 + x y shifted by (s, s + 1) over Q(s): the
-    powers s^2 and (s + 1)^2 take one product each, and the products
-    s^i (s + 1)^j for i, j in {1, 2} one each, though several terms need
-    them: 6 products at the top storey (11 when each term made its own)."""
+    """x^2 y^2 + x^2 y + x y^2 + x y shifted by two roots: the powers
+    r^2 and r'^2 take one product each, and the products r^i r'^j for i, j
+    in {1, 2} one each, though several terms need them: 6 products (11
+    when each term made its own).  Into Q(s), by (s, s + 1), they are
+    integer products (poly._zmul) and no tower product runs; into Q(s, u),
+    u^2 = s, by (u, u + 1), they are tower products at the top storey."""
     F, s = sqrt2_field()
+    F2, u = adjoin_root(F, (_neg(F.levels, 1, s), F.zero()), "u")
     f = SparsePoly(QQ, ("x", "y"), {(2, 2): Rat(1), (2, 1): Rat(1),
                                     (1, 2): Rat(1), (1, 1): Rat(1)})
-    roots = (s, _add(F.levels, 1, s, F.one()))
-    products = spy(monkeypatch, exactnum, "_mul")
-    moved = f.lift_shift(F, roots)
-    assert [k for _, k, _, _ in products].count(1) == 6
+    roots = {G: (r, _add(G.levels, G.depth, r, G.one())) for G, r in ((F, s), (F2, u))}
+    products, tower = spy(monkeypatch, poly, "_zmul"), spy(monkeypatch, exactnum, "_mul")
+    moved = {F: f.lift_shift(F, roots[F])}
+    assert len(products) == 6 and tower == []
+    del products[:]
+    moved[F2] = f.lift_shift(F2, roots[F2])
+    assert [k for _, k, _, _ in tower].count(2) == 6 and products == []
     monkeypatch.undo()
-    assert moved == f.lift_shift(F, (roots[0], F.zero())).lift_shift(
-        F, (F.zero(), roots[1]))
+    for G, (a, b) in roots.items():
+        assert moved[G] == f.lift_shift(G, (a, G.zero())).lift_shift(G, (G.zero(), b))
 
 
 def test_the_storey_over_q_divides_no_polynomial_over_q(monkeypatch, curve):
