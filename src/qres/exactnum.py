@@ -14,24 +14,24 @@ retries in.  That policy and the adjunction of chart radicals
 each caller) live here, so the resolution engine and the singular-locus
 search share them.  Divisions by monic polynomials invert nothing.
 
-Element representation is positional and closed under hashing: a level-0
-element is a Fraction, a level-k element is a tuple of level-(k-1) elements
-whose length equals the degree of the k-th minimal polynomial.  No element
-object carries a field pointer: the functions below take the tower's levels
-and depth explicitly.
+Element representation is positional, canonical and closed under hashing:
+a level-0 element is a Fraction; a level-1 element, of a storey over Q of
+degree n, is a pair (P, d) for P / d, P a tuple of n ints and d > 0 an int
+with gcd(d, *P) = 1, zero being ((0,) * n, 1) (Cohen 1993, 4.2); a level-k
+element, k >= 2, is a tuple of level-(k-1) elements whose length equals the
+degree of the k-th minimal polynomial.  No element object carries a field
+pointer: the functions below take the tower's levels and depth explicitly,
+and each storey keeps its one zero (Level.zero).
 
-The storey over Q (k = 1) is the base case of tower arithmetic: _is_zero,
-_add, _sub and _neg read its element as one flat tuple of Fractions, and
-their recursion through a higher storey stops there.  It computes on
-integers under that representation: its product and its inversion clear
-denominators once, work on int lists against the storey's primitive
-integer minimal polynomial (Level.zminpoly), reduce by _zreduce and build
-one Fraction per coordinate at the end (_zrem), and so does the projection
-into a factor of it.  poly's SparsePoly.lift_shift reaches it on ints as
-well: the powers of its roots and their products are _zmul and _zreduce,
-with no _mul.  A higher storey multiplies as polynomials over the storey
-below; every division by a monic polynomial above Q, in a product, a
-projection or a Euclid, is _pdivmod.
+The storey over Q (k = 1) is the base case of tower arithmetic, on ints
+alone: a sum or a scalar multiple is one integer map and one gcd
+(_qpair), a product or an inverse works on the numerators against the
+storey's primitive integer minimal polynomial (Level.zminpoly) and reduces
+by _zreduce (_zrem), and so does the projection into a factor of it.
+Fractions are made only where a value leaves the storey for Q: a split's
+tails, a linear factor's value and format_rep's digits.  A higher storey multiplies as
+polynomials over the storey below; every division by a monic polynomial
+above Q, in a product, a projection or a Euclid, is _pdivmod.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .errors import (
 )
 
 Rat = Fraction
+_QZERO, _QONE = Fraction(0), Fraction(1)
 
 
 def mod_inverse(a: int, d: int) -> int:
@@ -101,6 +102,22 @@ class Level:
         list, its lead positive; kept on the object, outside equality."""
         return _zclear(list(self.minpoly) + [1])[0]
 
+    @cached_property
+    def zero(self):
+        """The zero of this storey, kept on the object, outside equality:
+        ((0,) * n, 1) over Q, else n zeros shaped as the tail's."""
+        c = self.minpoly[0]
+        if not isinstance(c, tuple):
+            return (0,) * self.degree, 1
+        return (_zero_shaped(c),) * self.degree
+
+
+def _zero_shaped(c):
+    """The zero of the storey of the tower element c, by c's shape."""
+    if type(c[1]) is int:
+        return (0,) * len(c[0]), 1
+    return (_zero_shaped(c[0]),) * len(c)
+
 
 @dataclass(frozen=True)
 class ExtField:
@@ -137,7 +154,7 @@ class ExtField:
         return _zero(self.levels, self.depth)
 
     def one(self):
-        return lift(self.levels, 0, self.depth, Fraction(1))
+        return lift(self.levels, 0, self.depth, _QONE)
 
     def from_rat(self, c):
         return lift(self.levels, 0, self.depth, Fraction(c))
@@ -156,68 +173,78 @@ class ExtField:
 
 
 def _zero(levels, k):
-    if k == 0:
-        return Fraction(0)
-    z = _zero(levels, k - 1)
-    return (z,) * levels[k - 1].degree
+    return levels[k - 1].zero if k else _QZERO
 
 
 def lift(levels, k_from, k_to, rep):
     """Embed a level-k_from element as a level-k_to element."""
     for k in range(k_from + 1, k_to + 1):
-        rep = (rep,) + (_zero(levels, k - 1),) * (levels[k - 1].degree - 1)
+        z = levels[k - 1].zero
+        rep = ((rep.numerator,) + z[0][1:], rep.denominator) if k == 1 else (rep,) + z[1:]
     return rep
+
+
+def _qpair(V, d):
+    """The element V / d of a storey over Q, for ints V and d != 0, in
+    canonical form (P, d): d > 0 and gcd(d, *P) = 1."""
+    V = tuple(V)
+    if d == 1:
+        return V, 1
+    g = math.gcd(d, *V) * (1 if d > 0 else -1)
+    return (V, d) if g == 1 else (tuple(c // g for c in V), d // g)
 
 
 def _is_zero(levels, k, a) -> bool:
     if k == 1:
-        return not any(a)
+        return not any(a[0])
     if k == 0:
         return a == 0
     return all(_is_zero(levels, k - 1, c) for c in a)
 
 
-def _add(levels, k, a, b):
+def _add(levels, k, a, b, op=operator.add):
+    """a + b, or with op = operator.sub a - b.  At k = 1 on the numerators
+    over one denominator, d e unless the two are equal."""
     if k == 1:
-        return tuple(map(operator.add, a, b))
+        (P, d), (Q, e) = a, b
+        if d == e:
+            return _qpair(map(op, P, Q), d)
+        return _qpair([op(x * e, y * d) for x, y in zip(P, Q)], d * e)
     if k == 0:
-        return a + b
-    return tuple(_add(levels, k - 1, x, y) for x, y in zip(a, b))
+        return op(a, b)
+    return tuple(_add(levels, k - 1, x, y, op) for x, y in zip(a, b))
 
 
 def _neg(levels, k, a):
     if k == 1:
-        return tuple(map(operator.neg, a))
+        return tuple(map(operator.neg, a[0])), a[1]
     if k == 0:
         return -a
     return tuple(_neg(levels, k - 1, x) for x in a)
 
 
 def _sub(levels, k, a, b):
-    if k == 1:
-        return tuple(map(operator.sub, a, b))
-    if k == 0:
-        return a - b
-    return tuple(_sub(levels, k - 1, x, y) for x, y in zip(a, b))
+    return _add(levels, k, a, b, operator.sub)
 
 
 def _mul(levels, k, a, b):
-    """The product of level-k elements.  At k = 1 each factor's denominators
-    are cleared once and the product is convolved and reduced on ints
-    (_zrem); above, it is the product of polynomials over the storey below,
-    reduced by _pdivmod."""
+    """The product of level-k elements.  At k = 1 the numerators are
+    convolved and reduced on ints (_zrem); above, it is the product of
+    polynomials over the storey below, reduced by _pdivmod."""
     if k == 0:
         return a * b
     if k == 1:
-        (A, da), (B, db) = _zden(a), _zden(b)
+        (A, da), (B, db) = a, b
         return _zrem(_zmul(A, B), levels[0].zminpoly, da * db)
     return _pdivmod(levels, k - 1, _pmul(levels, k - 1, a, b), levels[k - 1].minpoly)[1]
 
 
 def _smul(levels, k, c, a):
-    """Multiply by a rational scalar."""
+    """Multiply by a rational scalar (a Fraction or an int)."""
     if k == 0:
         return c * a
+    if k == 1:
+        return _qpair([x * c.numerator for x in a[0]], a[1] * c.denominator)
     return tuple(_smul(levels, k - 1, c, x) for x in a)
 
 
@@ -313,7 +340,7 @@ def _pgcd_monic(levels, k, f, g):
         if not b:
             return m
     _certify(levels, k, b[0])
-    return [lift(levels, 0, k, Fraction(1))]
+    return [lift(levels, 0, k, _QONE)]
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +500,14 @@ def _zden(v):
     return [x.numerator * (den // x.denominator) for x in v], den
 
 
+def _qjoin(elems):
+    """(V, d) for a list of elements (P, e) of a storey over Q: d > 0 is
+    the lcm of their denominators, and V their numerators over d, one
+    integer list."""
+    d = math.lcm(*(e for _, e in elems))
+    return [c * (d // e) for P, e in elems for c in P], d
+
+
 def _zclear(v):
     """(V, c) with v = c * V for a list v of rationals (or ints): V is a
     primitive integer list and c > 0 rational; ([], 0) for v = []."""
@@ -506,13 +541,11 @@ def _zreduce(C, M):
 
 def _zrem(C, M, den=1):
     """The element (C / den) mod M of the storey Q[t]/M, for an integer
-    list C and a trimmed integer list M of degree n >= 1: the tuple of its
-    n coordinates as Fractions, or the one Fraction for n = 1, reduced on
-    ints by _zreduce and one Fraction built per coordinate at the end."""
+    list C, an int den != 0 and a trimmed integer list M of degree n >= 1:
+    reduced on ints by _zreduce, the canonical pair (P, d) of _qpair, or
+    for n = 1 the value at the root, a Fraction."""
     R, scale = _zreduce(C, M)
-    den *= scale
-    r = tuple(Fraction(c, den) for c in R)
-    return r if len(r) > 1 else r[0]
+    return _qpair(R, den * scale) if len(R) > 1 else Fraction(R[0], den * scale)
 
 
 def _qmonic(V):
@@ -670,13 +703,14 @@ def _project(old_levels, k, new, rep, level):
     degree-1 factor is the same reduction, whose one coordinate is the
     value at the root, so the storey collapses.  Above that, coefficients
     are projected recursively; the positional shape only changes at level
-    k+1 when the level collapses.
+    k+1 when the level collapses, and at level 2 when that level is the
+    storey over Q: there the rationals become one pair (P, d).
     """
     if level > k + 1:
-        return tuple(_project(old_levels, k, new, c, level - 1) for c in rep)
+        out = tuple(_project(old_levels, k, new, c, level - 1) for c in rep)
+        return _qpair(*_zden(out)) if level == 2 and new.degree == 1 else out
     if k == 0:
-        A, d = _zden(rep)
-        return _zrem(A, new.zminpoly, d)
+        return _zrem(rep[0], new.zminpoly, rep[1])
     r = _pdivmod(old_levels, k, rep, new.minpoly)[1]
     return r if new.degree > 1 else r[0]
 
@@ -685,14 +719,18 @@ def _inv(levels, k, a):
     """Inverse of the level-k element a; a zero divisor raises SplitEvent.
 
     An element of a lower storey is inverted there and lifted (the Euclid's
-    first division would invert the same constant, so a split is the same)."""
+    first division would invert the same constant, so a split is the same);
+    over Q, c / d for a rational c = P_0 is d / c, already canonical."""
     if k == 0:
         if a == 0:
             raise DivisionByZero("division by zero in Q")
-        return Fraction(1) / a
+        return _QONE / a
     if _is_zero(levels, k, a):
         raise DivisionByZero("division by zero in %s" % ExtField(tuple(levels[:k])).describe())
-    if all(_is_zero(levels, k - 1, c) for c in a[1:]):
+    if k == 1 and not any(a[0][1:]):
+        c = a[0][0]
+        return (a[1] if c > 0 else -a[1],) + a[0][1:], abs(c)
+    if k > 1 and all(_is_zero(levels, k - 1, c) for c in a[1:]):
         return lift(levels, k - 1, k, _inv(levels, k - 1, a[0]))
     return _inv_euclid(levels, k, a)
 
@@ -706,7 +744,7 @@ def _inv_euclid(levels, k, a):
     if k == 1:
         return _inv_over_q(levels, a)
     lv = levels[k - 1]
-    one = lift(levels, 0, k - 1, Fraction(1))
+    one = lift(levels, 0, k - 1, _QONE)
     modulus = list(lv.minpoly) + [one]
     # remainders r = s a modulo the minimal polynomial
     r0, s0, r1, s1 = modulus, [], _ptrim(levels, k - 1, list(a)), [one]
@@ -731,7 +769,7 @@ def _inv_over_q(levels, a):
     """The inverse of a in the storey Q[t]/m, m = M / lc(M) for the integer
     list M = levels[0].zminpoly, or the SplitEvent of a zero divisor.
 
-    With a = A / d, the integer columns C_j = L^j (A t^j mod m), L = lc(M),
+    With a = (A, d), the integer columns C_j = L^j (A t^j mod m), L = lc(M),
     follow C_{j+1} = L t C_j - c M, c the top coordinate of C_j.  _bareiss
     eliminates sum_j y_j C_j = e_0 forward to rows U | c with last pivot D,
     the determinant up to sign; back substitution x_i = (D c_i - sum_{j>i}
@@ -741,8 +779,8 @@ def _inv_over_q(levels, a):
     _certify splits: an inverse is taken only where a caller divides."""
     M = levels[0].zminpoly
     n, lead = len(M) - 1, M[-1]
-    A, d = _zden(a)
-    cols = [A]
+    A, d = a
+    cols = [list(A)]
     for _ in range(n - 1):
         col = cols[-1]
         cols.append([lead * x - col[-1] * m for x, m in zip([0] + col[:-1], M)])
@@ -756,7 +794,7 @@ def _inv_over_q(levels, a):
         x[i] = _zquo(det * row[n] - sum(map(operator.mul, row[i + 1:n], x[i + 1:])), row[i])
         if x[i] is None:
             raise InternalInconsistency("non-exact division in back substitution")
-    return tuple(Fraction(x[i] * d * lead ** i, det) for i in range(n))
+    return _qpair([x[i] * d * lead ** i for i in range(n)], det)
 
 
 def _certify(levels, k, a):
@@ -767,11 +805,11 @@ def _certify(levels, k, a):
     if all(lv.is_field for lv in levels[:k]):
         return
     if k == 1:
-        g, h, _ = _zgcd(levels[0].zminpoly, _zclear(_ptrim(levels, 0, a))[0])
+        g, h, _ = _zgcd(levels[0].zminpoly, _zsub(a[0], ()))
         if len(g) > 1:
             raise SplitEvent(levels, 0, _qmonic(g)[:-1], _qmonic(h)[:-1])
         return
-    m = list(levels[k - 1].minpoly) + [lift(levels, 0, k - 1, Fraction(1))]
+    m = list(levels[k - 1].minpoly) + [lift(levels, 0, k - 1, _QONE)]
     g = _pgcd_monic(levels, k - 1, m, a)
     if len(g) > 1:
         raise SplitEvent(levels, k - 1, g[:-1], _pdiv_exact(levels, k - 1, m, g)[:-1])
@@ -819,9 +857,10 @@ def _storey(field: ExtField, tail, name: str, counts_points: bool,
         raise NotSquarefree(
             "cannot adjoin a root of a non-squarefree polynomial (gcd degree %d)"
             % gcd_degree)
-    z = _zero(field.levels, field.depth)
-    root = (z, field.one()) + (z,) * (len(tail) - 2)
     level = Level(name, tuple(tail), counts_points, is_field)
+    z = level.zero
+    root = (((0, 1) + z[0][2:], 1) if not field.depth
+            else (z[0], field.one()) + z[2:])
     return ExtField(field.levels + (level,)), root
 
 
@@ -878,6 +917,8 @@ def format_rep(field: ExtField, rep, _k=None) -> str:
         return str(rep)
     name = levels[k - 1].name
     parts = []
+    if k == 1:      # each coordinate printed as its Fraction
+        rep = [Fraction(c, rep[1]) for c in rep[0]]
     for i, c in enumerate(rep):
         if _is_zero(levels, k - 1, c):
             continue

@@ -6,11 +6,12 @@ an evaluation probe mod 2^61 - 1 in front of the exact certificate
 squarefree_discriminant), which reads a polynomial only as its primitive
 integer columns in one variable (_zcolumns) and refuses a tower.
 
-Coefficients are exactnum representations (nested tuples over Fraction); a
-polynomial never stores a structural zero coefficient.  Whether a nonzero
-representation is actually invertible is the caller's concern: the engine
-validates coefficients before reading supports, everything here is purely
-structural.
+Coefficients are exactnum representations (a Fraction over Q, a pair of an
+int tuple and one positive int denominator over a storey over Q, nested
+tuples of those above it); a polynomial never stores a structural zero
+coefficient.  Whether a nonzero representation is actually invertible is
+the caller's concern: the engine validates coefficients before reading
+supports, everything here is purely structural.
 """
 
 from __future__ import annotations
@@ -63,6 +64,14 @@ class SparsePoly:
             if not exactnum._is_zero(levels, k, coeff):
                 clean[tuple(exps)] = coeff
         self.terms = clean
+
+    @classmethod
+    def _copy(cls, field, variables, terms):
+        """A polynomial on terms that hold no zero coefficient, as the
+        terms of another polynomial do, kept without a zero test."""
+        out = cls.__new__(cls)
+        out.field, out.vars, out.terms = field, tuple(variables), terms
+        return out
 
     # -- constructors -------------------------------------------------------
 
@@ -156,8 +165,8 @@ class SparsePoly:
 
     def set_var_zero(self, var):
         i = self._vi(var)
-        return SparsePoly(self.field, self.vars,
-                          {e: c for e, c in self.terms.items() if e[i] == 0})
+        return SparsePoly._copy(self.field, self.vars,
+                                {e: c for e, c in self.terms.items() if e[i] == 0})
 
     def coeff_list(self, var=None):
         """Coefficients (low to high) of a polynomial that only involves `var`."""
@@ -176,14 +185,13 @@ class SparsePoly:
         """This polynomial in field, a tower over its own, with variable i
         replaced by itself plus roots[i] in field where that is nonzero.
         Into Q: _taylor_shift.  Else the products of root powers are made
-        once, and each coefficient times binomials multiplies them.  Into
-        a storey over Q they are made on ints: a root is R / d with its
-        denominators cleared once (_zden), and a product is _zmul reduced
-        by _zreduce, then divided with its denominator by their gcd, so no
-        exactnum._mul runs; the coefficients, cleared once too, are
-        convolved with them on ints, and one Fraction is built per output
-        coordinate.  Higher up they are tower products at the coefficients'
-        storey k, over Q (k = 0) cleared to ints for the same sums."""
+        once, as tower products at the top storey K, and each coefficient
+        times binomials multiplies them.  Where the coefficients lie over
+        Q (k = 0) or the target is a storey over Q (K = 1), the products
+        and the coefficients are cleared to ints over one denominator each
+        (exactnum._qjoin), their sums are made on ints, and each output
+        coordinate over Q is made canonical once (exactnum._zrem); higher
+        up they are tower sums and products at the coefficients' storey."""
         levels, k, K = field.levels, self.field.depth, field.depth
         if levels[:k] != self.field.levels:
             raise InternalInconsistency("target tower does not extend the current one")
@@ -191,41 +199,28 @@ class SparsePoly:
         if K == 0:
             return SparsePoly(field, self.vars, functools.reduce(
                 lambda t, i: _taylor_shift(t, i, roots[i]), shifts, self.terms))
-        if K == 1:      # an element as (P, d): P / d, gcd(P, d) = 1
-            M = levels[0].zminpoly
-
-            def mul_top(a, b):
-                P, s = exactnum._zreduce(_zmul(a[0], b[0]), M)
-                d = a[1] * b[1] * s
-                g = math.gcd(d, *P)
-                return [c // g for c in P], d // g
-            one = ([1] + [0] * (len(M) - 2), 1)
-            top = {i: exactnum._zden(roots[i]) for i in shifts}
-        else:
-            mul_top, one, top = functools.partial(exactnum._mul, levels, K), field.one(), roots
-        powers = {i: [one, *itertools.accumulate([top[i]] * self.degree_in(i), mul_top)]
+        mul_top, one = functools.partial(exactnum._mul, levels, K), field.one()
+        powers = {i: [one, *itertools.accumulate([roots[i]] * self.degree_in(i), mul_top)]
                   for i in shifts}
         below = {e: list(itertools.product(*(range(e[i] + 1) for i in shifts)))
                  for e in self.terms}
         prods = {u: functools.reduce(mul_top, [powers[i][j] for i, j in zip(shifts, u) if j]
                                      or [one])
                  for u in dict.fromkeys(u for us in below.values() for u in us)}
+        on_ints = k == 0 or K == 1
+        # coordinates at storey k, or for on_ints pairs (P, d) over Q
+        prods = {u: [v] for u, v in prods.items()}
+        for _ in range(K - max(k, 1)):
+            prods = {u: [c for x in v for c in x] for u, v in prods.items()}
         coeffs = self.terms
-        if K == 1:      # on ints: coordinates over Q, P / den
-            den = math.lcm(*(d for _, d in prods.values()))
-            prods = {u: [c * (den // d) for c in P] for u, (P, d) in prods.items()}
-        else:           # coordinates at storey k
-            prods = {u: [v] for u, v in prods.items()}
-            for _ in range(K - k):
-                prods = {u: [c for x in v for c in x] for u, v in prods.items()}
-            if k == 0:  # on ints, over den
-                flat, den = exactnum._zden([c for v in prods.values() for c in v])
-                dim = field.degree
-                prods = {u: flat[j * dim:(j + 1) * dim] for j, u in enumerate(prods)}
-        if K == 1 or k == 0:    # on ints: coefficients scale * C
-            size = self.field.degree
-            num, scale = _zclear([c for v in coeffs.values() for c in (v if k else (v,))])
-            coeffs = {e: num[j * size:(j + 1) * size] for j, e in enumerate(coeffs)}
+        if on_ints:     # prods P / den, coefficients cont * C / cden
+            flat, den = exactnum._qjoin([c for v in prods.values() for c in v])
+            dim = field.degree
+            prods = {u: flat[j * dim:(j + 1) * dim] for j, u in enumerate(prods)}
+            num, cden = (exactnum._qjoin if k else exactnum._zden)(list(coeffs.values()))
+            cont, size = math.gcd(*num), self.field.degree
+            coeffs = {e: [c // cont for c in num[j * size:(j + 1) * size]]
+                      for j, e in enumerate(coeffs)}
             add, mul, smul, zero = operator.add, operator.mul, operator.mul, 0
         else:
             coeffs = {e: [c] for e, c in coeffs.items()}
@@ -244,14 +239,13 @@ class SparsePoly:
                     c = smul(w, c)
                     for b, x in enumerate(P):
                         acc[a + b] = add(acc[a + b], mul(c, x))
+        n1 = levels[0].degree
         for s, v in out.items():
-            if K == 1:
-                out[s] = exactnum._zrem([c * scale.numerator for c in v], M,
-                                        scale.denominator * den)
-                continue
-            if k == 0:
-                v = [Fraction(c * scale.numerator, scale.denominator * den) for c in v]
-            for lv in levels[k:]:       # back to an element of storey K
+            if on_ints:     # pairs over Q; for K = 1 v is reduced mod M
+                v = [c * cont for c in v]
+                chunks = [v[j:j + n1] for j in range(0, len(v), n1)] if K > 1 else [v]
+                v = [exactnum._zrem(c, levels[0].zminpoly, cden * den) for c in chunks]
+            for lv in levels[max(k, 1):]:       # back to an element of storey K
                 v = [tuple(v[j:j + lv.degree]) for j in range(0, len(v), lv.degree)]
             out[s] = v[0]
         return SparsePoly(field, self.vars, out)
@@ -262,7 +256,7 @@ class SparsePoly:
             if e[i] % m:
                 raise NonExactDivision(
                     "exponent %d of %s is not divisible by %d" % (e[i], self.vars[i], m))
-        return SparsePoly(self.field, self.vars, {
+        return SparsePoly._copy(self.field, self.vars, {
             e[:i] + (e[i] // m,) + e[i + 1:]: c for e, c in self.terms.items()})
 
     def derivative(self, var):
@@ -276,11 +270,11 @@ class SparsePoly:
         names = tuple(names)
         if len(names) != len(self.vars):
             raise ValueError("variable count mismatch")
-        return SparsePoly(self.field, names, dict(self.terms))
+        return SparsePoly._copy(self.field, names, dict(self.terms))
 
     def permute_vars(self, order):
         """Reorder variables; order[i] = index in the old tuple."""
-        return SparsePoly(self.field, (self.vars[i] for i in order), {
+        return SparsePoly._copy(self.field, (self.vars[i] for i in order), {
             tuple(e[i] for i in order): c for e, c in self.terms.items()})
 
     def map_coeffs(self, fn, new_field):
@@ -515,13 +509,26 @@ def _dmul(a: dict, b: dict, add=operator.add, mul=operator.mul) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+def _dsquare(a: dict, add=operator.add, mul=operator.mul) -> dict:
+    """a^2 for a term dict a, each cross product made once and doubled; a
+    coefficient 0 is dropped.  Its terms come in _dmul(a, a)'s order."""
+    out, items = {}, list(a.items())
+    for i, (e1, c1) in enumerate(items):
+        for j, (e2, c2) in enumerate(items[i:]):
+            e, c = tuple(map(operator.add, e1, e2)), mul(c1, c2)
+            if j:
+                c = add(c, c)
+            out[e] = add(out[e], c) if e in out else c
+    return {e: c for e, c in out.items() if c}
+
+
 def _dpow(b: dict, e: int, one: dict, *ring) -> dict:
-    """b^e for a term dict b by repeated squaring; one is the term dict of
-    1 and ring the coefficient sum and product (_dmul)."""
-    if e == 0:
-        return one
-    h = _dpow(b, e >> 1, one, *ring)
-    return _dmul(_dmul(h, h, *ring), b, *ring) if e & 1 else _dmul(h, h, *ring)
+    """b^e for a term dict b by repeated squaring (_dsquare); one is the
+    term dict of 1 and ring the coefficient sum and product (_dmul)."""
+    if e <= 1:
+        return b if e else one
+    h = _dsquare(_dpow(b, e >> 1, one, *ring), *ring)
+    return _dmul(h, b, *ring) if e & 1 else h
 
 
 def _power_bits(b: dict, e: int) -> int:
@@ -644,8 +651,8 @@ def blowup_transform(f: SparsePoly, p: int, q: int, xdiv: int, ydiv: int):
         out2[i, w // ydiv] = c
     if len(out1) < len(f.terms) or len(out2) < len(f.terms):
         raise InternalInconsistency("blow-up transform of %s collided" % (f,))
-    return (nu, SparsePoly(f.field, f.vars, out1),
-            SparsePoly(f.field, f.vars, out2))
+    return (nu, SparsePoly._copy(f.field, f.vars, out1),
+            SparsePoly._copy(f.field, f.vars, out2))
 
 
 # ---------------------------------------------------------------------------

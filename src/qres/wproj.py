@@ -31,8 +31,8 @@ from .errors import (BadType, InternalInconsistency, NonDivisibleExponent,
                      NonExactDivision, NotQuasiHomogeneous, NotReduced,
                      PointNotOnCurve, ZeroPolynomial)
 from .exactnum import (ExtField, Rat, SplitEvent, _add, _inv, _is_zero, _mul,
-                       _neg, _pdivmod, _qmonic, _sub, _zderiv, _zgcd, _zmul,
-                       _zrem, adjoin_radical, adjoin_root,
+                       _neg, _pdivmod, _qmonic, _qpair, _sub, _zden, _zderiv,
+                       _zgcd, _zmul, _zrem, adjoin_radical, adjoin_root,
                        certified_irreducible, format_rep, is_zero_validated,
                        lift)
 from .poly import (SparsePoly, _zcolumns, _zgcd_all, first_subresultant,
@@ -364,9 +364,12 @@ def _affine_stratum(F0: SparsePoly, elimination, w0: int, tag: str):
 
     def at_u(c):
         # c(x) over Q at x = u: c mod s, or for w0 > 1 the tuple of the
-        # c_r mod s, c = sum_r x^r c_r(x^w0)
-        return _zrem(c, s) if w0 == 1 else tuple(_zrem(c[r::w0], s)
-                                                 for r in range(w0))
+        # c_r mod s, c = sum_r x^r c_r(x^w0), which for a linear s are
+        # rationals, the coordinates of one element over Q
+        if w0 == 1:
+            return _zrem(c, s)
+        parts = [_zrem(c[r::w0], s) for r in range(w0)]
+        return tuple(parts) if len(s) > 2 else _qpair(*_zden(parts))
 
     # (F0, F0_x, F0_y) by columns in y, each an integer list in x
     cols, _ = _zcolumns(F0, 1)

@@ -238,80 +238,197 @@ def test_format_rep():
     assert F.describe() == "Q(s:deg 2)"
 
 
+# elements (P, d) of s^2 = 2, of t^3 = 2 and of u^2 = 3 over Q(s), and the
+# bytes that format_rep printed when their coordinates were Fractions
+FORMATTED = [
+    ("s", ((1, 3), 2), "1/2 + 3/2*s"),
+    ("s", ((-3, 4), 2), "-3/2 + 2*s"),
+    ("s", ((0, -1), 1), "-1*s"),
+    ("s", ((5, 0), 1), "5"),
+    ("s", ((0, 0), 1), "0"),
+    ("s", ((-21, -1), 3), "-7 + -1/3*s"),
+    ("s", ((0, 1), 1), "s"),
+    ("s", ((-2, 0), 3), "-2/3"),
+    ("t", ((4, 0, -1), 4), "1 + -1/4*t^2"),
+    ("t", ((0, 5, 2), 2), "5/2*t + t^2"),
+    ("u", (((1, 0), 2), ((0, -1), 1)), "1/2 + -1*s*u"),
+    ("u", (((0, 0), 1), ((3, 1), 3)), "(1 + 1/3*s)*u"),
+    ("u", (((-2, 1), 1), ((0, 1), 1)), "(-2 + s) + s*u"),
+]
+
+
+@pytest.mark.parametrize("name, rep, text", FORMATTED)
+def test_format_rep_prints_each_coordinate_as_its_fraction(name, rep, text):
+    F, _ = sqrt2_field()
+    field = {"s": F, "t": adjoin_root(QQ, (Rat(-2), Rat(0), Rat(0)), "t")[0],
+             "u": adjoin_root(F, (F.from_rat(-3), F.zero()), "u")[0]}[name]
+    assert format_rep(field, rep) == text
+
+
 # ---------------------------------------------------------------------------
 # _inv's lower-storey shortcut and the integer storey over Q
 # against a plain Fraction product and extended Euclid
+#
+# The reference computes on the Fraction representation, where an element
+# of every storey, the storey over Q included, is the tuple of its
+# coordinates one storey down.  Kernel elements are converted to it and
+# back at the boundary (to_ref, from_ref), by code of their own.
 
 
-def ref_mul(L, k, a, b):
+def to_ref(L, k, a):
+    """The level-k element a as nested tuples over Fraction."""
+    if k == 0:
+        return a
+    if k == 1:
+        P, d = a
+        return tuple(Rat(c, d) for c in P)
+    return tuple(to_ref(L, k - 1, c) for c in a)
+
+
+def from_ref(L, k, a):
+    """The level-k element of the nested Fraction tuples a: at k = 1 its
+    coordinates over the lcm of their denominators, which is canonical."""
+    if k == 0:
+        return a
+    if k == 1:
+        d = math.lcm(*(Rat(c).denominator for c in a))
+        return tuple(Rat(c).numerator * (d // Rat(c).denominator) for c in a), d
+    return tuple(from_ref(L, k - 1, c) for c in a)
+
+
+def ref_levels(L):
+    """The levels of L with their tails in the Fraction representation."""
+    return tuple(exactnum.Level(lv.name, tuple(to_ref(L, j, c) for c in lv.minpoly),
+                                lv.counts_points) for j, lv in enumerate(L))
+
+
+def r_zero(R, k):
+    return Rat(0) if k == 0 else (r_zero(R, k - 1),) * R[k - 1].degree
+
+
+def r_one(R, k):
+    return Rat(1) if k == 0 else (r_one(R, k - 1),) + r_zero(R, k)[1:]
+
+
+def r_is_zero(k, a):
+    return a == 0 if k == 0 else all(r_is_zero(k - 1, c) for c in a)
+
+
+def r_add(k, a, b, sign=1):
+    if k == 0:
+        return a + sign * b
+    return tuple(r_add(k - 1, x, y, sign) for x, y in zip(a, b))
+
+
+def r_neg(k, a):
+    return -a if k == 0 else tuple(r_neg(k - 1, x) for x in a)
+
+
+def r_deg(k, v):
+    return max((i for i, c in enumerate(v) if not r_is_zero(k, c)), default=-1)
+
+
+def r_trim(k, v):
+    return list(v[:r_deg(k, v) + 1])
+
+
+def r_psub(R, k, u, v):
+    return [r_add(k, a, b, -1) for a, b in
+            itertools.zip_longest(u, v, fillvalue=r_zero(R, k))]
+
+
+def r_mul(R, k, a, b):
     """The product of level-k elements by Fraction arithmetic alone:
     convolve, then reduce by the monic minimal polynomial from the top."""
     if k == 0:
         return a * b
-    n, tail = L[k - 1].degree, L[k - 1].minpoly
-    conv = [_zero(L, k - 1)] * (2 * n - 1)
+    n, tail = R[k - 1].degree, R[k - 1].minpoly
+    conv = [r_zero(R, k - 1)] * (2 * n - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            conv[i + j] = _add(L, k - 1, conv[i + j], ref_mul(L, k - 1, x, y))
+            conv[i + j] = r_add(k - 1, conv[i + j], r_mul(R, k - 1, x, y))
     for m in range(2 * n - 2, n - 1, -1):
         for t in range(n):
-            conv[m - n + t] = _sub(L, k - 1, conv[m - n + t],
-                                   ref_mul(L, k - 1, conv[m], tail[t]))
+            conv[m - n + t] = r_add(k - 1, conv[m - n + t],
+                                    r_mul(R, k - 1, conv[m], tail[t]), -1)
     return tuple(conv[:n])
 
 
-def ref_pmul(L, k, u, v):
-    """The product of polynomials over level k, by ref_mul."""
-    du, dv = _pdeg(L, k, u), _pdeg(L, k, v)
-    out = [_zero(L, k)] * (du + dv + 1 if du >= 0 and dv >= 0 else 0)
+def r_pmul(R, k, u, v):
+    """The product of polynomials over level k, by r_mul."""
+    du, dv = r_deg(k, u), r_deg(k, v)
+    out = [r_zero(R, k)] * (du + dv + 1 if du >= 0 and dv >= 0 else 0)
     for i in range(du + 1):
         for j in range(dv + 1):
-            out[i + j] = _add(L, k, out[i + j], ref_mul(L, k, u[i], v[j]))
+            out[i + j] = r_add(k, out[i + j], r_mul(R, k, u[i], v[j]))
     return out
 
 
-def ref_inv(L, k, a):
+def r_inv(R, k, a):
     """The extended Euclid with no shortcut and no memo, recursing into
     itself for every inversion one storey down."""
     if k == 0:
         if a == 0:
             raise DivisionByZero("division by zero in Q")
-        return 1 / a
-    if _is_zero(L, k, a):
+        return 1 / Rat(a)
+    if r_is_zero(k, a):
         raise DivisionByZero("zero element")
-    n = L[k - 1].degree
-    one = lift(L, 0, k - 1, Rat(1))
-    modulus = list(L[k - 1].minpoly) + [one]
+    n = R[k - 1].degree
+    one = r_one(R, k - 1)
+    modulus = list(R[k - 1].minpoly) + [one]
     r0, s0 = modulus, []
-    r1, s1 = _ptrim(L, k - 1, list(a)), [one]
-    while _pdeg(L, k - 1, r1) >= 0:
-        q, r = ref_divmod(L, k - 1, r0, r1)
-        r0, s0, r1, s1 = r1, s1, r, _psub(L, k - 1, s0,
-                                          ref_pmul(L, k - 1, q, s1))
-    if _pdeg(L, k - 1, r0) == 0:
-        c = ref_inv(L, k - 1, r0[0])
-        inv = [ref_mul(L, k - 1, c, x) for x in s0]
+    r1, s1 = r_trim(k - 1, list(a)), [one]
+    while r_deg(k - 1, r1) >= 0:
+        q, r = r_divmod(R, k - 1, r0, r1)
+        r0, s0, r1, s1 = r1, s1, r, r_psub(R, k - 1, s0, r_pmul(R, k - 1, q, s1))
+    if r_deg(k - 1, r0) == 0:
+        c = r_inv(R, k - 1, r0[0])
+        inv = [r_mul(R, k - 1, c, x) for x in s0]
         assert len(inv) <= n
-        return tuple(inv + [_zero(L, k - 1)] * (n - len(inv)))
-    lead = ref_inv(L, k - 1, r0[-1])
-    g = [ref_mul(L, k - 1, lead, x) for x in r0]
-    h, rem = ref_divmod(L, k - 1, modulus, g)
-    assert _pdeg(L, k - 1, rem) < 0
-    raise SplitEvent(L, k - 1, g[:-1], h[:-1])
+        return tuple(inv + [r_zero(R, k - 1)] * (n - len(inv)))
+    lead = r_inv(R, k - 1, r0[-1])
+    g = [r_mul(R, k - 1, lead, x) for x in r0]
+    h, rem = r_divmod(R, k - 1, modulus, g)
+    assert r_deg(k - 1, rem) < 0
+    raise SplitEvent(R, k - 1, g[:-1], h[:-1])
+
+
+def r_divmod(R, k, num, den):
+    dd = r_deg(k, den)
+    lead_inv = r_inv(R, k, den[dd])
+    r = r_trim(k, num)
+    q = [r_zero(R, k)] * max(len(r) - dd, 1)
+    while r_deg(k, r) >= dd:
+        dr = r_deg(k, r)
+        c = q[dr - dd] = r_mul(R, k, r[dr], lead_inv)
+        for t in range(dd + 1):
+            r[dr - dd + t] = r_add(k, r[dr - dd + t], r_mul(R, k, c, den[t]), -1)
+    return r_trim(k, q), r_trim(k, r)
+
+
+def at_boundary(fn, L, k, *args, lists=False):
+    """fn on the Fraction representation of L, for level-k arguments (or
+    lists of them) given and returned as kernel elements; a SplitEvent
+    comes back with L and kernel tails."""
+    conv = (lambda f, v: [f(L, k, c) for c in v]) if lists else (lambda f, v: f(L, k, v))
+    try:
+        out = fn(ref_levels(L), k, *(conv(to_ref, a) for a in args))
+    except SplitEvent as ev:
+        raise SplitEvent(L, ev.k, [from_ref(L, ev.k, c) for c in ev.g_tail],
+                         [from_ref(L, ev.k, c) for c in ev.h_tail])
+    return tuple(conv(from_ref, v) for v in out) if lists else from_ref(L, k, out)
+
+
+def ref_mul(L, k, a, b):
+    return at_boundary(r_mul, L, k, a, b)
+
+
+def ref_inv(L, k, a):
+    return at_boundary(r_inv, L, k, a)
 
 
 def ref_divmod(L, k, num, den):
-    dd = _pdeg(L, k, den)
-    lead_inv = ref_inv(L, k, den[dd])
-    r = _ptrim(L, k, num)
-    q = [_zero(L, k)] * max(len(r) - dd, 1)
-    while _pdeg(L, k, r) >= dd:
-        dr = _pdeg(L, k, r)
-        c = q[dr - dd] = ref_mul(L, k, r[dr], lead_inv)
-        for t in range(dd + 1):
-            r[dr - dd + t] = _sub(L, k, r[dr - dd + t],
-                                  ref_mul(L, k, c, den[t]))
-    return _ptrim(L, k, q), _ptrim(L, k, r)
+    return at_boundary(r_divmod, L, k, num, den, lists=True)
 
 
 def outcome(inv, L, k, a):
@@ -364,12 +481,13 @@ coefficients = st.one_of(st.just(Rat(0)),
 
 def element(L, k, flat):
     """The level-k element with the given rational coordinates."""
-    if k == 0:
-        return flat[0]
-    n = L[k - 1].degree
-    size = len(flat) // n
-    return tuple(element(L, k - 1, flat[i * size:(i + 1) * size])
-                 for i in range(n))
+    def nested(k, flat):
+        if k == 0:
+            return flat[0]
+        n = L[k - 1].degree
+        size = len(flat) // n
+        return tuple(nested(k - 1, flat[i * size:(i + 1) * size]) for i in range(n))
+    return from_ref(L, k, nested(k, flat))
 
 
 @given(st.data())
@@ -413,16 +531,180 @@ def test_the_storey_over_q_multiplies_and_inverts_like_the_reference(data):
     tail, factors = data.draw(st.sampled_from(RATIONAL_STOREYS))
     F = adjoin_root(QQ, tail, "t")[0]
     L, n = F.levels, len(tail)
-    a, b = (tuple(data.draw(st.lists(coefficients, min_size=n, max_size=n)))
+    a, b = (element(L, 1, data.draw(st.lists(coefficients, min_size=n, max_size=n)))
             for _ in range(2))
     assert _mul(L, 1, a, b) == ref_mul(L, 1, a, b)
     factor = data.draw(st.sampled_from((None,) + factors))
     if factor is not None:
-        a = ref_mul(L, 1, a, factor)
+        a = ref_mul(L, 1, a, element(L, 1, factor))
     want = outcome(ref_inv, L, 1, a)
     assert outcome(_inv, L, 1, a) == want       # split tails included
     if want[0] == "unit":
         assert ref_mul(L, 1, a, want[1]) == F.one()
+
+
+def kernel_draw(data):
+    """(L, k, a, b, c, j, x) for a storey k of a tower of TOWERS or a
+    storey over Q of RATIONAL_STOREYS, L its levels up to k: a and b
+    level-k elements, a times a zero divisor (a factor of a reducible
+    storey over Q, or storey k's generator minus +-1) half of the time, c
+    a rational and x a level-j element, j < k."""
+    target = data.draw(st.sampled_from(TOWERS + tuple(RATIONAL_STOREYS)))
+    if target in TOWERS:
+        F = build_tower(target)[0]
+        k = data.draw(st.integers(1, F.depth))
+        L = F.levels[:k]
+        below = ExtField(L[:k - 1]).degree
+        factors = [element(L, k, [Rat(int(i == below)) - Rat(root) * (i == 0)
+                                  for i in range(ExtField(L).degree)])
+                   for root in (1, -1)]
+    else:
+        k, L = 1, adjoin_root(QQ, target[0], "t")[0].levels
+        factors = [element(L, 1, f) for f in target[1]]
+
+    def drawn(j):
+        size = ExtField(L[:j]).degree
+        return element(L, j, data.draw(st.lists(coefficients, min_size=size, max_size=size)))
+    a, b = drawn(k), drawn(k)
+    factor = data.draw(st.sampled_from([None] + factors))
+    if factor is not None:
+        a = ref_mul(L, k, a, factor)
+    j = data.draw(st.integers(0, k - 1))
+    return L, k, a, b, data.draw(coefficients), j, drawn(j)
+
+
+def r_project(R, j, tail, rep, level):
+    """The Fraction-form element rep of storey `level` where storey j + 1's
+    minimal polynomial becomes t^m + tail: coordinates reduced at storey
+    j + 1 by r_divmod, the storey dropped for m = 1."""
+    if level > j + 1:
+        return tuple(r_project(R, j, tail, c, level - 1) for c in rep)
+    r = r_divmod(R, j, list(rep), list(tail) + [r_one(R, j)])[1]
+    r += [r_zero(R, j)] * (len(tail) - len(r))
+    return tuple(r) if len(tail) > 1 else r[0]
+
+
+def kernel_outcomes(data):
+    """[(L, k, got, want)]: what each storey-k kernel returns on kernel_draw's
+    elements, and what the Fraction reference makes of the same: _add,
+    _sub, _neg, _mul, _smul, lift, _inv (or its split), _certify's unit or
+    split on a nonzero a, and for a split the projections of a and b into
+    both factor towers (_make_factor, whose projection is _project), and
+    of the tails of the storeys above the split."""
+    L, k, a, b, c, j, x = kernel_draw(data)
+    R = ref_levels(L)
+    A, B, X = to_ref(L, k, a), to_ref(L, k, b), to_ref(L, j, x)
+    for i in range(j + 1, k + 1):
+        X = (X,) + r_zero(R, i)[1:]
+    scaled = (lambda k, a: c * a if k == 0 else tuple(scaled(k - 1, y) for y in a))
+    out = [(L, k, _add(L, k, a, b), from_ref(L, k, r_add(k, A, B))),
+           (L, k, _sub(L, k, a, b), from_ref(L, k, r_add(k, A, B, -1))),
+           (L, k, _neg(L, k, a), from_ref(L, k, r_neg(k, A))),
+           (L, k, _mul(L, k, a, b), ref_mul(L, k, a, b)),
+           (L, k, _smul(L, k, c, a), from_ref(L, k, scaled(k, A))),
+           (L, k, lift(L, j, k, x), from_ref(L, k, X))]
+    want = outcome(ref_inv, L, k, a)
+    got = outcome(_inv, L, k, a)
+    out.append((L, k, got[1], want[1]) if want[0] == "unit" else (None, 0, got, want))
+    if want[0] != "zero":
+        try:
+            exactnum._certify(L, k, a)
+            got = ("unit",)
+        except SplitEvent as ev:
+            assert ev.levels == L
+            got = ("split", ev.k, ev.g_tail, ev.h_tail)
+        out.append((None, 0, got, want[:1] if want[0] == "unit" else want))
+    if want[0] == "split":
+        _, s, g, h = want
+        for tail in (g, h):
+            f2, project = exactnum._make_factor(L, s, tail)
+            T = [to_ref(L, s, y) for y in tail]
+            level = f2.depth - (k - len(L))
+            for y, Y in ((a, A), (b, B)):
+                out.append((f2.levels, level, project(y, k),
+                            from_ref(f2.levels, level, r_project(R, s, T, Y, k))))
+            for i in range(s + 1, len(L)):          # tails above the split
+                for y in L[i].minpoly:
+                    out.append((f2.levels, i - (len(tail) == 1), project(y, i),
+                                from_ref(f2.levels, i - (len(tail) == 1),
+                                         r_project(R, s, T, to_ref(L, i, y), i))))
+    return out
+
+
+@given(st.data())
+def test_the_kernels_agree_with_the_fraction_reference(data):
+    """Every storey of every tower of TOWERS, and every storey over Q of
+    RATIONAL_STOREYS, reducible and rational-tail ones included: each
+    kernel's element, split or unit is the Fraction reference's, converted
+    at the boundary."""
+    for _, _, got, want in kernel_outcomes(data):
+        assert got == want
+
+
+def canonical(L, k, a) -> bool:
+    """a is a level-k element in canonical form: a Fraction over Q; over a
+    storey over Q of degree n a pair (P, d) of n ints and an int d > 0
+    with gcd(d, *P) = 1, so zero is ((0,) * n, 1); above, a tuple of
+    canonical elements one storey down."""
+    if k == 0:
+        return type(a) is Rat
+    if k == 1:
+        P, d = a
+        return (type(P) is tuple and len(P) == L[0].degree and type(d) is int
+                and d > 0 and all(type(c) is int for c in P) and math.gcd(d, *P) == 1)
+    return (type(a) is tuple and len(a) == L[k - 1].degree
+            and all(canonical(L, k - 1, c) for c in a))
+
+
+@given(st.data())
+def test_every_kernel_returns_canonical_elements(data):
+    """The elements of kernel_outcomes, in their own towers, are
+    canonical, and so is each storey's zero; equality and hashing rely on
+    it."""
+    for L, k, got, _ in kernel_outcomes(data):
+        if L is not None:
+            assert canonical(L, k, got)
+            assert canonical(L, k, _zero(L, k)) and _is_zero(L, k, _zero(L, k))
+    assert canonical((), 0, _zero((), 0))
+
+
+def test_the_storey_over_q_builds_no_fraction(monkeypatch):
+    """Over (t + 1)(t^2 + 1/3), a storey over Q with a rational tail:
+    _mul, _add, _sub, _neg, _smul, lift, _is_zero, _certify on a unit,
+    _inv_over_q, _inv's shortcut for a rational element, and lift_shift
+    of polynomials over Q and over the storey into it build no Fraction,
+    in exactnum or in poly; Fractions are made where a value leaves the
+    storey, as the rational tails of a zero divisor's split.  _zden is
+    given only lists of rationals, never an element of the storey."""
+    F, _ = adjoin_root(QQ, (Rat(1, 3), Rat(1, 3), Rat(1)), "t")
+    L = F.levels
+    a = element(L, 1, [Rat(1), Rat(1, 2), Rat(0)])         # (t + 2) / 2
+    b = element(L, 1, [Rat(-7, 3), Rat(0), Rat(3, 4)])
+    f = SparsePoly(QQ, ("x", "y"), {(2, 1): Rat(1, 2), (0, 3): Rat(-3), (1, 0): Rat(5)})
+    g = SparsePoly(F, ("x", "y"), {(1, 1): a, (3, 0): b})
+    assert L[0].zminpoly                    # kept on the Level, made once
+    c = Rat(-3, 4)
+    made, fraction = [], Rat
+
+    def counting(*args):
+        made.append(args)
+        return fraction(*args)
+    monkeypatch.setattr(exactnum, "Fraction", counting)
+    monkeypatch.setattr(poly, "Fraction", counting)
+    cleared = spy(monkeypatch, exactnum, "_zden")
+    results = [_mul(L, 1, a, b), _add(L, 1, a, b), _sub(L, 1, a, b), _neg(L, 1, a),
+               _is_zero(L, 1, a), exactnum._certify(L, 1, a), exactnum._inv_over_q(L, a),
+               f.lift_shift(F, (a, b)), g.lift_shift(F, (F.zero(), b)),
+               _smul(L, 1, c, a), _inv(L, 1, lift(L, 0, 1, c))]
+    assert made == []
+    with pytest.raises(SplitEvent) as info:
+        exactnum._certify(L, 1, element(L, 1, [Rat(1), Rat(1), Rat(0)]))    # t + 1
+    assert all(type(c) is Rat for c in info.value.g_tail + info.value.h_tail)
+    assert cleared and all(not isinstance(c, tuple) for (v,) in cleared for c in v)
+    monkeypatch.undo()
+    assert results[0] == ref_mul(L, 1, a, b) and results[4] is False
+    assert results[6] == ref_inv(L, 1, a)
+    assert results[-1] == ref_inv(L, 1, F.from_rat(c)) == F.from_rat(1 / c)
 
 
 def test_the_back_substitution_checks_its_divisions(monkeypatch):
@@ -438,7 +720,7 @@ def test_the_back_substitution_checks_its_divisions(monkeypatch):
         return sign
     monkeypatch.setattr(exactnum, "_bareiss", corrupted)
     with pytest.raises(InternalInconsistency, match="back substitution"):
-        _inv(F.levels, 1, (Rat(3), Rat(1)))
+        _inv(F.levels, 1, ((3, 1), 1))
 
 
 @given(st.data())
@@ -448,8 +730,8 @@ def test_projecting_a_rational_storey_into_its_factors_is_a_ring_map(data):
     F, t = adjoin_root(QQ, tail, "t")
     L, n = F.levels, len(tail)
     with pytest.raises(SplitEvent) as info:
-        _inv(L, 1, data.draw(st.sampled_from(factors)))
-    a, b = (tuple(data.draw(st.lists(coefficients, min_size=n, max_size=n)))
+        _inv(L, 1, element(L, 1, data.draw(st.sampled_from(factors))))
+    a, b = (element(L, 1, data.draw(st.lists(coefficients, min_size=n, max_size=n)))
             for _ in range(2))
     for f2, project in info.value.targets():
         L2, k2 = f2.levels, f2.depth
@@ -580,20 +862,20 @@ def test_lift_shift_makes_each_product_of_root_powers_once(monkeypatch):
     """x^2 y^2 + x^2 y + x y^2 + x y shifted by two roots: the powers
     r^2 and r'^2 take one product each, and the products r^i r'^j for i, j
     in {1, 2} one each, though several terms need them: 6 products (11
-    when each term made its own).  Into Q(s), by (s, s + 1), they are
-    integer products (poly._zmul) and no tower product runs; into Q(s, u),
-    u^2 = s, by (u, u + 1), they are tower products at the top storey."""
+    when each term made its own).  They are tower products at the top
+    storey: into Q(s), by (s, s + 1), products of pairs (P, d) at storey 1,
+    and into Q(s, u), u^2 = s, by (u, u + 1), at storey 2."""
     F, s = sqrt2_field()
     F2, u = adjoin_root(F, (_neg(F.levels, 1, s), F.zero()), "u")
     f = SparsePoly(QQ, ("x", "y"), {(2, 2): Rat(1), (2, 1): Rat(1),
                                     (1, 2): Rat(1), (1, 1): Rat(1)})
     roots = {G: (r, _add(G.levels, G.depth, r, G.one())) for G, r in ((F, s), (F2, u))}
-    products, tower = spy(monkeypatch, poly, "_zmul"), spy(monkeypatch, exactnum, "_mul")
-    moved = {F: f.lift_shift(F, roots[F])}
-    assert len(products) == 6 and tower == []
-    del products[:]
-    moved[F2] = f.lift_shift(F2, roots[F2])
-    assert [k for _, k, _, _ in tower].count(2) == 6 and products == []
+    tower = spy(monkeypatch, exactnum, "_mul")
+    moved = {}
+    for G in (F, F2):
+        del tower[:]
+        moved[G] = f.lift_shift(G, roots[G])
+        assert [k for _, k, _, _ in tower].count(G.depth) == 6
     monkeypatch.undo()
     for G, (a, b) in roots.items():
         assert moved[G] == f.lift_shift(G, (a, G.zero())).lift_shift(G, (G.zero(), b))
@@ -652,9 +934,9 @@ def test_a_lifted_element_is_inverted_at_its_own_storey(monkeypatch):
     F, _ = build_tower("reducible-middle")
     L = F.levels
     runs = count_euclid(monkeypatch)
-    s_plus_1 = (Rat(1), Rat(1))
+    s_plus_1 = ((1, 1), 1)
     got = _inv(L, 3, lift(L, 1, 3, s_plus_1))
-    assert got == lift(L, 1, 3, (Rat(-1), Rat(1)))          # sqrt2 - 1
+    assert got == lift(L, 1, 3, ((-1, 1), 1))               # sqrt2 - 1
     assert runs == [1]
     assert _inv(L, 0, Rat(3)) == Rat(1, 3) and runs == [1]  # a unit of Q
 
@@ -692,9 +974,9 @@ def test_split_towers_start_with_empty_memos_above_the_split():
     """A split keeps the Level objects below the split storey."""
     F, _ = build_tower("reducible-middle")
     L, k = F.levels, F.depth
-    s = lift(L, 1, 3, (Rat(0), Rat(1)))
+    s = lift(L, 1, 3, ((0, 1), 1))
     u = element(L, k, [Rat(0)] * 4 + [Rat(1)] + [Rat(0)] * 3)
-    t_minus_1 = lift(L, 2, 3, ((Rat(-1), Rat(0)), (Rat(1), Rat(0))))
+    t_minus_1 = lift(L, 2, 3, (((-1, 0), 1), ((1, 0), 1)))
     for unit in (_add(L, k, s, F.one()), _add(L, k, u, s)):
         _inv(L, k, unit)
     with pytest.raises(SplitEvent) as info:
@@ -809,7 +1091,7 @@ def test_a_euclid_inverts_each_lead_once_and_a_division_nothing(monkeypatch):
         return out
     F, t = build_tower("irreducible")                   # s^2 = 2, t^2 = s
     L, k = F.levels, F.depth
-    s = lift(L, 1, 2, (Rat(0), Rat(1)))
+    s = lift(L, 1, 2, ((0, 1), 1))
     x_minus_t = [_neg(L, k, t), F.one()]
     f = _pmul(L, k, x_minus_t, [s, F.one()])                # (x - t)(x + s)
     g = _pmul(L, k, x_minus_t, [F.one(), F.one()])          # (x - t)(x + 1)
@@ -925,8 +1207,9 @@ def test_a_unit_is_certified_by_a_gcd_not_an_inverse(data):
         st.lists(coefficients, min_size=size, max_size=size))))
     root = data.draw(st.sampled_from((None, 1, -1)))
     if root is not None:        # t, or storey k's generator, minus a root
-        z = _zero(L, k - 1)
-        gen = t if k == F.depth else (z, lift(L, 0, k - 1, Rat(1))) + (z,) * (L[k - 1].degree - 2)
+        below = ExtField(L[:k - 1]).degree
+        gen = t if k == F.depth else element(L, k, [Rat(int(i == below))
+                                                    for i in range(ExtField(L).degree)])
         a = ref_mul(L, k, a, _sub(L, k, gen, lift(L, 0, k, Rat(root))))
     want = outcome(ref_inv, L, k, a)
     with pytest.MonkeyPatch.context() as mp:

@@ -158,10 +158,12 @@ def test_split_germ_certifies_each_unit_once(monkeypatch):
 
 
 def rational(field, rep):
+    """rep is the lift of its constant coordinate, a pair (P, d) over Q
+    with P_0 / d that coordinate."""
     q = rep
-    for _ in range(field.depth):
+    for _ in range(field.depth - 1):
         q = q[0]
-    return rep == field.from_rat(q)
+    return not field.depth or rep == field.from_rat(Rat(q[0][0], q[1]))
 
 
 def test_a_face_step_with_one_label_runs_no_gcd(monkeypatch):
@@ -194,7 +196,7 @@ def test_a_level_that_counts_no_points_splits_in_place(monkeypatch):
     field, _ = adjoin_radical(ExtField(()), Rat(4), 2, "u")
     f = SparsePoly(field, ("x", "y"), {(0, 2): field.one(),
                                        (3, 0): field.from_rat(Rat(-1)),
-                                       (2, 0): (Rat(-2), Rat(1))})
+                                       (2, 0): ((-2, 1), 1)})
     rep = full_report(f, SMOOTH)
     assert [ev.counts_points for ev in events] == [False]
     assert [(n.origin, n.field.describe())
@@ -227,7 +229,7 @@ def test_a_split_after_the_blowup_began_forks_the_node(overrides, nodes):
     meeting the line y = -x with intersection number 2."""
     field, _ = adjoin_root(ExtField(()), (-4, 0), "t")
     x, y = (germ(v).lift_shift(field) for v in "xy")
-    half_t = SparsePoly(field, ("x", "y"), {(0, 0): (Rat(0), Rat(1, 2))})
+    half_t = SparsePoly(field, ("x", "y"), {(0, 0): ((0, 1), 2)})
     f = (y - x) ** 2 * (y - half_t * x) + x ** 4
     tree = resolve_germ(f, SMOOTH,
                         config=EngineConfig(weight_overrides=overrides))
