@@ -27,11 +27,12 @@ The storey over Q (k = 1) is the base case of tower arithmetic, on ints
 alone: a sum or a scalar multiple is one integer map and one gcd
 (_qpair), a product or an inverse works on the numerators against the
 storey's primitive integer minimal polynomial (Level.zminpoly) and reduces
-by _zreduce (_zrem), and so does the projection into a factor of it.
-Fractions are made only where a value leaves the storey for Q: a split's
-tails, a linear factor's value and format_rep's digits.  A higher storey multiplies as
+by _zrem, and so does the projection into a factor of it.  Fractions are
+made only where a value leaves the storey for Q: a split's tails, a linear
+factor's value and format_rep's digits.  A higher storey multiplies as
 polynomials over the storey below; every division by a monic polynomial
-above Q, in a product, a projection or a Euclid, is _pdivmod.
+above Q, in a product, a projection or a Euclid, is _pdivmod; every gcd
+and inverse there is one monic Euclid with its Bezout coefficient, _peuclid.
 """
 
 from __future__ import annotations
@@ -320,26 +321,40 @@ def _pmonic(levels, k, v):
     return _pscale(levels, k, _inv(levels, k, v[-1]), v)
 
 
+def _peuclid(levels, k, a, b):
+    """The monic Euclid of a and b != [] over level k: (m, s) with s b = m
+    modulo a.  Each remainder is made monic once, as the next divisor, by
+    _inv of its lead.  m is the last divisor when a remainder reaches zero,
+    else the nonzero constant last remainder [c], c not inverted."""
+    s0, s1 = [], [lift(levels, 0, k, _QONE)]
+    while len(b) > 1:
+        c = _inv(levels, k, b[-1])
+        m, ms = _pscale(levels, k, c, b), _pscale(levels, k, c, s1)
+        q, r = _pdivmod(levels, k, a, m[:-1])
+        a, b = b, _ptrim(levels, k, r)
+        if not b:
+            return m, ms
+        s0, s1 = s1, _psub(levels, k, s0, _pmul(levels, k, q, ms))
+    return b, s1
+
+
 def _pgcd_monic(levels, k, f, g):
     """Monic gcd; returns [] for gcd of two zero polynomials.
 
     Over Q (k = 0) it is _zgcd of the primitive integer parts of f and g
-    (Gauss's lemma), made monic.  Over a tower it is the plain Euclid, each
-    remainder made monic once as the next divisor: the same remainders and
-    the same leads inverted, once each, and the last divisor is the gcd.
-    A nonzero constant remainder ends it with 1 once _certify proves it a
-    unit, by a gcd with the minimal polynomial, not an inverse."""
+    (Gauss's lemma), made monic.  Over a tower it is _peuclid's last
+    divisor; a nonzero constant last remainder ends it with 1 once
+    _certify proves it a unit, by a gcd with the minimal polynomial, not
+    an inverse."""
     a, b = _ptrim(levels, k, f), _ptrim(levels, k, g)
     if not b:
         a, b = b, a
     if k == 0 or not b:
         return _qmonic(_zgcd(_zclear(b)[0], _zclear(a)[0])[0]) if b else []
-    while len(b) > 1:
-        m = _pmonic(levels, k, b)
-        a, b = b, _ptrim(levels, k, _pdivmod(levels, k, a, m[:-1])[1])
-        if not b:
-            return m
-    _certify(levels, k, b[0])
+    m = _peuclid(levels, k, a, b)[0]
+    if len(m) > 1:
+        return m
+    _certify(levels, k, m[0])
     return [lift(levels, 0, k, _QONE)]
 
 
@@ -516,36 +531,27 @@ def _zclear(v):
     return [x // cont for x in num], Fraction(cont, den)
 
 
-def _zreduce(C, M):
-    """(R, s) with C = R / s modulo M, for an integer list C and a trimmed
-    integer list M of degree n >= 1: R is the list of n integer
-    coordinates and s > 0 an int.  Where lc(M) is not 1, C is scaled by
-    s = lc(M)^e first, e = deg C - deg M + 1, so that every step of the
-    long division divides exactly (pseudo-division); else s = 1."""
+def _zrem(C, M, den=1):
+    """The element (C / den) mod M of the storey Q[t]/M, for an integer
+    list C, an int den != 0 and a trimmed integer list M of degree n >= 1:
+    the canonical pair (P, d) of _qpair, or for n = 1 the value at the
+    root, a Fraction.  Where lc(M) is not 1, C and den are scaled by
+    lc(M)^e first, e = deg C - deg M + 1, so that every step of the long
+    division on ints divides exactly (pseudo-division)."""
     n, lead = len(M) - 1, M[-1]
     R = list(C)
     while R and not R[-1]:
         R.pop()
-    e, scale = len(R) - n, 1
-    if e > 0 and lead != 1:
+    if (e := len(R) - n) > 0 and lead != 1:
         scale = lead ** e
-        R = [c * scale for c in R]
+        R, den = [c * scale for c in R], den * scale
     for i in range(len(R) - 1, n - 1, -1):
         c = R[i] // lead
         if c:
             for t in range(n):
                 R[i - n + t] -= c * M[t]
-    del R[n:]
-    return R + [0] * (n - len(R)), scale
-
-
-def _zrem(C, M, den=1):
-    """The element (C / den) mod M of the storey Q[t]/M, for an integer
-    list C, an int den != 0 and a trimmed integer list M of degree n >= 1:
-    reduced on ints by _zreduce, the canonical pair (P, d) of _qpair, or
-    for n = 1 the value at the root, a Fraction."""
-    R, scale = _zreduce(C, M)
-    return _qpair(R, den * scale) if len(R) > 1 else Fraction(R[0], den * scale)
+    R = R[:n] + [0] * (n - len(R))
+    return _qpair(R, den) if n > 1 else Fraction(R[0], den)
 
 
 def _qmonic(V):
@@ -718,51 +724,33 @@ def _project(old_levels, k, new, rep, level):
 def _inv(levels, k, a):
     """Inverse of the level-k element a; a zero divisor raises SplitEvent.
 
-    An element of a lower storey is inverted there and lifted (the Euclid's
-    first division would invert the same constant, so a split is the same);
-    over Q, c / d for a rational c = P_0 is d / c, already canonical."""
+    Over Q, c / d for a rational c = P_0 is d / c, already canonical, and
+    _inv_over_q solves for any other element.  An element of a lower
+    storey is inverted there and lifted (the Euclid's first division would
+    invert the same constant, so a split is the same).  Else _peuclid(m, a)
+    for the minimal polynomial m: a proper last divisor g splits m into g
+    and m / g, and a last remainder c, inverted below, gives c^-1 s."""
     if k == 0:
         if a == 0:
             raise DivisionByZero("division by zero in Q")
         return _QONE / a
     if _is_zero(levels, k, a):
         raise DivisionByZero("division by zero in %s" % ExtField(tuple(levels[:k])).describe())
-    if k == 1 and not any(a[0][1:]):
+    if k == 1:
+        if any(a[0][1:]):
+            return _inv_over_q(levels, a)
         c = a[0][0]
         return (a[1] if c > 0 else -a[1],) + a[0][1:], abs(c)
-    if k > 1 and all(_is_zero(levels, k - 1, c) for c in a[1:]):
+    if all(_is_zero(levels, k - 1, c) for c in a[1:]):
         return lift(levels, k - 1, k, _inv(levels, k - 1, a[0]))
-    return _inv_euclid(levels, k, a)
-
-
-def _inv_euclid(levels, k, a):
-    """The inversion behind _inv, for a nonzero level-k element a: over Q
-    (k = 1) a fraction-free linear solve (_inv_over_q), above it the
-    extended Euclid over the storey below, each divisor made monic as in
-    _pgcd_monic together with its Bezout coefficient.  The last divisor is
-    1, its coefficient the inverse, or the monic factor of a split."""
-    if k == 1:
-        return _inv_over_q(levels, a)
-    lv = levels[k - 1]
-    one = lift(levels, 0, k - 1, _QONE)
-    modulus = list(lv.minpoly) + [one]
-    # remainders r = s a modulo the minimal polynomial
-    r0, s0, r1, s1 = modulus, [], _ptrim(levels, k - 1, list(a)), [one]
-    while True:
-        c = _inv(levels, k - 1, r1[-1])
-        m, ms = _pscale(levels, k - 1, c, r1), _pscale(levels, k - 1, c, s1)
-        q, r = _pdivmod(levels, k - 1, r0, m[:-1])
-        if not (r := _ptrim(levels, k - 1, r)):
-            break
-        r0, s0, r1, s1 = r1, s1, r, _psub(levels, k - 1, s0, _pmul(levels, k - 1, q, ms))
-    if len(m) == 1:
-        # a Bezout coefficient of a modulo the degree-n minimal polynomial
-        # has degree below n, so _pdivmod only pads it to n coordinates
-        return _pdivmod(levels, k - 1, ms, lv.minpoly)[1]
-    # proper factor found: the event carries the whole tower so upper
-    # levels can be projected
-    h = _pdiv_exact(levels, k - 1, modulus, m)
-    raise SplitEvent(levels, k - 1, m[:-1], h[:-1])
+    m = list(levels[k - 1].minpoly) + [lift(levels, 0, k - 1, _QONE)]
+    g, s = _peuclid(levels, k - 1, m, _ptrim(levels, k - 1, list(a)))
+    if len(g) > 1:
+        raise SplitEvent(levels, k - 1, g[:-1], _pdiv_exact(levels, k - 1, m, g)[:-1])
+    # a Bezout coefficient of a modulo the degree-n minimal polynomial has
+    # degree below n, so _pdivmod only pads it to n coordinates
+    s = _pscale(levels, k - 1, _inv(levels, k - 1, g[0]), s)
+    return _pdivmod(levels, k - 1, s, m[:-1])[1]
 
 
 def _inv_over_q(levels, a):
@@ -800,8 +788,8 @@ def _inv_over_q(levels, a):
 def _certify(levels, k, a):
     """Certify the nonzero level-k element a a unit: its monic gcd g with
     the storey's minimal polynomial m is 1, else SplitEvent(levels, k - 1,
-    g, m / g).  Over Q by _zgcd on ints, above by _pgcd_monic(m, a), which
-    inverts leads one storey down.  A tower of flagged Levels needs none."""
+    g, m / g).  Over Q by _zgcd on ints, above by _pgcd_monic(m, a), whose
+    _peuclid inverts leads one storey down.  Flagged Levels need none."""
     if all(lv.is_field for lv in levels[:k]):
         return
     if k == 1:

@@ -480,7 +480,10 @@ def parse_poly(text: str, variables) -> SparsePoly:
                 printable(t, at, t2)    # only these may have grown
         return t
 
-    result = expr()
+    try:
+        result = expr()
+    finally:        # expr -> term -> factor -> base -> expr: free the cycle
+        base = None
     skip()
     if pos != n:
         raise PolySyntaxError("unexpected %r at position %d" % (text[pos], pos))

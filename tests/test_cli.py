@@ -451,13 +451,20 @@ def resolve_argv(draw):
 
 @settings(max_examples=60)
 @seed(20261020)
-@given(st.one_of(germ_argv(), curve_argv(), resolve_argv()))
-def test_random_command_lines_end_in_a_documented_exit_code(argv):
+@given(st.one_of(germ_argv(), curve_argv(), resolve_argv()),
+       st.sampled_from((None, "1", "2")))
+def test_random_command_lines_end_in_a_documented_exit_code(argv, bound):
     """Every run ends in 0, 2 or 3 with no traceback, and a nonzero exit
-    writes exactly one "error:" line to stderr."""
+    writes exactly one "error:" line to stderr.  QRES_EXT_BOUND is unset,
+    1 or 2, so that some runs exceed the tower bound and exit 3."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(argv)
+    with pytest.MonkeyPatch.context() as mp:
+        if bound is None:
+            mp.delenv("QRES_EXT_BOUND", raising=False)
+        else:
+            mp.setenv("QRES_EXT_BOUND", bound)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
     assert rc in (0, 2, 3), argv
     if rc:
         assert err.getvalue().startswith("error: "), (argv, err.getvalue())

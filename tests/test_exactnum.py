@@ -919,14 +919,21 @@ def test_the_storey_over_q_divides_no_polynomial_over_q(monkeypatch, curve):
 
 
 def count_euclid(monkeypatch):
-    """Record the storey of every extended Euclid _inv runs."""
+    """Record the storey of every element that _inv inverts by elimination:
+    k for a _peuclid over storey k - 1 that _inv runs, 1 for _inv_over_q."""
     runs = []
-    euclid = exactnum._inv_euclid
+    euclid, over_q = exactnum._peuclid, exactnum._inv_over_q
 
-    def counting(L, k, a):
-        runs.append(k)
-        return euclid(L, k, a)
-    monkeypatch.setattr(exactnum, "_inv_euclid", counting)
+    def counting(L, k, a, b):
+        if sys._getframe(1).f_code.co_name == "_inv":
+            runs.append(k + 1)
+        return euclid(L, k, a, b)
+
+    def counting_over_q(L, a):
+        runs.append(1)
+        return over_q(L, a)
+    monkeypatch.setattr(exactnum, "_peuclid", counting)
+    monkeypatch.setattr(exactnum, "_inv_over_q", counting_over_q)
     return runs
 
 
@@ -1032,7 +1039,43 @@ def test_the_monic_euclid_agrees_with_the_plain_euclid(data):
     a = draw_element(data, L, k, t)
     if _is_zero(L, k, a):
         return
-    assert outcome(exactnum._inv_euclid, L, k, a) == outcome(ref_inv, L, k, a)
+    assert outcome(_inv, L, k, a) == outcome(ref_inv, L, k, a)
+
+
+@given(st.data())
+def test_the_euclid_carries_its_bezout_coefficient(data):
+    """_peuclid(a, b) over storey k of every tower of TOWERS, for a monic a
+    and b with a drawn common factor, gives (m, s) with s b = m modulo a,
+    whether m is its last divisor, monic and dividing a and b, or the
+    nonzero constant last remainder; a split it meets is one of a
+    reducible storey."""
+    name = data.draw(st.sampled_from(TOWERS))
+    F, t = build_tower(name)
+    L = F.levels
+    k = data.draw(st.integers(1, F.depth))
+    one = lift(L, 0, k, Rat(1))
+
+    def drawn(low):
+        return [draw_element(data, L, k, t)
+                for _ in range(data.draw(st.integers(low, 2)))]
+    common = drawn(0) + [one]
+    a = _pmul(L, k, common, drawn(0) + [one])
+    b = _ptrim(L, k, _pmul(L, k, common, drawn(1)))
+    if not b:
+        return
+    try:
+        m, s = exactnum._peuclid(L, k, a, b)
+    except SplitEvent as ev:
+        assert "reducible" in name and ev.levels == L
+        return
+
+    def divides(d, v):
+        return _pdeg(L, k, exactnum._pdivmod(L, k, v, d[:-1])[1]) < 0
+    assert divides(a, _psub(L, k, _pmul(L, k, s, b), m))
+    if len(m) > 1:
+        assert m[-1] == one and divides(m, a) and divides(m, b)
+    else:
+        assert not _is_zero(L, k, m[0])
 
 
 def test_the_remainders_stay_the_plain_euclids_over_a_reducible_storey():
@@ -1056,10 +1099,11 @@ def test_the_remainders_stay_the_plain_euclids_over_a_reducible_storey():
 
 
 def test_a_euclid_inverts_each_lead_once_and_a_division_nothing(monkeypatch):
-    """_pdivmod calls no _inv; one _pgcd_monic or _inv_euclid passes each
-    element to _inv once, the lead of its last divisor included (the plain
-    Euclid inverted it again), whether it ends in a gcd, an inverse or a
-    split."""
+    """_pdivmod calls no _inv; one _pgcd_monic or _inv passes each element
+    to _inv once, the lead of its last divisor included (the plain Euclid
+    inverted it again), whether it ends in a gcd, an inverse or a split.
+    The outer _pgcd_monic or _inv is called unspied, so the _inv calls
+    recorded outside any spied _inv are those made directly under it."""
     calls, stack = [], []
 
     def spied(name):
@@ -1097,10 +1141,10 @@ def test_a_euclid_inverts_each_lead_once_and_a_division_nothing(monkeypatch):
     g = _pmul(L, k, x_minus_t, [F.one(), F.one()])          # (x - t)(x + 1)
     assert direct_calls(_pgcd_monic, L, k, f, g) == x_minus_t
     a = _add(L, k, t, s)
-    assert _mul(L, k, a, direct_calls(exactnum._inv_euclid, L, k, a)) == F.one()
+    assert _mul(L, k, a, direct_calls(_inv, L, k, a)) == F.one()
     T, r = build_tower("reducible-top")                     # r^2 = 1 over Q(s)
     one = lift(T.levels, 0, 1, Rat(1))
-    assert direct_calls(exactnum._inv_euclid, T.levels, 2,
+    assert direct_calls(_inv, T.levels, 2,
                         _sub(T.levels, 2, r, T.one())) == (1, (_neg(T.levels, 1, one),),
                                                            (one,))
 

@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from conftest import germ, spy
 from qres import invariants, resolve
-from qres.checks import normalized_types, random_semi_invariant
+from qres.checks import (_random_unit_slice_germ, normalized_types,
+                         random_semi_invariant)
 from qres.errors import CommonComponent, NotMultiple
 from qres.exactnum import Rat
 from qres.invariants import (delta_additivity_check, delta_classical,
@@ -307,3 +308,78 @@ def test_invariants_do_not_depend_on_the_coordinates(seed):
         for g, u in coordinate_changes(f, t, rng):
             assert (g, u) != (f, t)
             assert invariants_of(g, u) == want, (str(f), str(t), str(g), str(u))
+
+
+# ---------------------------------------------------------------------------
+# Fulton's algorithm: an intersection number from the axioms alone, with no
+# blow-up, no tower and no resultant
+
+
+def fulton(F, G):
+    """I_0(F, G) for term dicts {(i, j): Fraction} with no common component
+    through the origin (Fulton, Algebraic Curves, 1969, 3.3).  With r <= s
+    the x-degrees of F(x, 0) and G(x, 0): F(x, 0) = 0 means F = y H and
+    I(F, G) = ord_x G(x, 0) + I(H, G); else G loses its x^s term to
+    lc G(x, 0) x^(s - r) F, which leaves I unchanged."""
+    total = 0
+    while not (F.get((0, 0)) or G.get((0, 0))):
+        f0, g0 = ({i: c for (i, j), c in P.items() if j == 0} for P in (F, G))
+        assert f0 or g0, "y is a common component"
+        if not g0 or f0 and max(f0) > max(g0):
+            F, G, f0, g0 = G, F, g0, f0
+        if not f0:
+            total += min(g0)
+            F = {(i, j - 1): c for (i, j), c in F.items()}
+            continue
+        r, s = max(f0), max(g0)
+        G = {e: c * f0[r] for e, c in G.items()}
+        for (i, j), c in F.items():
+            G[i + s - r, j] = G.get((i + s - r, j), 0) - g0[s] * c
+        G = {e: c for e, c in G.items() if c}
+        assert G, "a common component through the origin"
+    return total
+
+
+def partial(f, v):
+    """The derivative of a germ's term dict in x (v = 0) or y (v = 1)."""
+    return {(i - (v == 0), j - (v == 1)): c * (i, j)[v]
+            for (i, j), c in f.terms.items() if (i, j)[v]}
+
+
+def test_fulton_agrees_with_the_textbook_values():
+    """I_0 of two lines, of a cusp with its tangent line, and of a node and
+    a cusp, and mu of A_3 and E_6."""
+    assert fulton(germ("x").terms, germ("y").terms) == 1
+    assert fulton(germ("y^2 - x^3").terms, germ("y").terms) == 3
+    assert fulton(germ("y^2 - x^2 - x^3").terms, germ("y^2 - x^3").terms) == 4
+    for text, mu in (("y^2 - x^4", 3), ("y^3 - x^4", 6)):
+        f = germ(text)
+        assert fulton(partial(f, 0), partial(f, 1)) == mu
+
+
+def test_mu_is_fultons_intersection_of_the_partials():
+    """mu = I_0(f_x, f_y) (Milnor), computed without the engine, against
+    full_report's mu_classical = 2 delta - r + 1 read off the resolution,
+    on random reduced semi-invariant germs of X(d;a,b), d <= 5."""
+    rng = random.Random(20261021)
+    types = normalized_types(5)
+    for _ in range(200):
+        t = types[rng.randrange(len(types))]
+        f = random_semi_invariant(rng, t)
+        assert fulton(partial(f, 0), partial(f, 1)) == \
+            full_report(f, t).mu_classical, (str(f), str(t))
+
+
+def test_noether_intersection_is_fultons():
+    """noether_intersection at a smooth point, a sum over a shared
+    resolution, against Fulton's I_0 on pairs of germs f(0, y) = y^k with a
+    nonzero Res_y, so no common component."""
+    rng = random.Random(20261022)
+    done = 0
+    while done < 100:
+        f, g = (_random_unit_slice_germ(rng) for _ in range(2))
+        if resultant(f, g, "y").is_zero():
+            continue
+        done += 1
+        assert noether_intersection(f, g, SMOOTH) == fulton(f.terms, g.terms), \
+            (str(f), str(g))

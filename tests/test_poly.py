@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -23,6 +24,22 @@ def test_parse_basic():
     assert g.terms == {(1, 3): Rat(2), (0, 0): Rat(1, 2)}
     assert germ("-(x - y)^2").terms == germ("-x^2 + 2*x*y - y^2").terms
     assert germ("x^\u0662 - \u0663*y^3") == germ("x^2 - 3*y^3")  # decimal digits
+
+
+def test_a_parse_leaves_no_garbage_for_the_collector():
+    """The grammar's functions reach one another through their closures;
+    a parse that succeeds, or one refused on a syntax error, breaks that
+    cycle, so with the collector off it finds nothing afterwards."""
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            parse_poly("(x + 2*y)^3 - 3/4*x*y^2 + 5", ("x", "y"))
+            with pytest.raises(PolySyntaxError):
+                parse_poly("(x + y", ("x", "y"))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("bad,exc", [
