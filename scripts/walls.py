@@ -44,6 +44,10 @@ LINE_THREE_CONICS = ["-3*x0^2 + 3*x1^2 - x2^2 - x0*x1 + 3*x1*x2", "3*x0 - x1 + 2
                      "3*x0^2 + x1^2 - x2^2 + 2*x0*x1 + 3*x0*x2 + 2*x1*x2"]
 P325 = ["3*x2^12 + x0^10*x1^15 - 3*x0*x1^26*x2 - x0^14*x1^9",
         "-3*x0^2*x1^7*x2^2 - 2*x0^10 + x1^10*x2^2 + 3*x0^3*x1^8*x2"]
+# a weighted product whose two resultants spend most of their time in exact
+# division (ROADMAP item 8); each component takes a fraction of a second
+P471 = ["-2/3*x2^14 - 1*x1^1*x2^7 + 1*x0^2*x2^6 + 1/2*x1^2 + 3*x0^1*x2^10",
+        "-2/3*x2^15 - 2*x0^2*x2^7 - 3*x0^1*x2^11 - 1*x1^1*x2^8 + 3*x0^2*x1^1"]
 
 
 @dataclass
@@ -81,6 +85,10 @@ WALLS = [
          overflow="error: tower degree 54 exceeds the bound 16"),
     Wall("p325-product-bound-200", 240, False, w="3,2,5", components=P325,
          env={"QRES_EXT_BOUND": "200"}),
+    Wall("p471-product", 60, False, w="4,7,1", components=P471,
+         overflow="error: tower degree 24 exceeds the bound 16"),
+    Wall("p471-product-bound-64", 120, False, w="4,7,1", components=P471,
+         env={"QRES_EXT_BOUND": "64"}),
     Wall("ladder-800", 30, True, ladder=800),
     Wall("ladder-3000", 120, False, ladder=3000),
 ]

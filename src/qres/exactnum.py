@@ -9,10 +9,10 @@ its storey's minimal polynomial (_certify), not by an inverse; an inverse
 (_inv) is taken only where a caller divides.  Over a tower of flagged
 Levels, nonzero means unit.  The split is surfaced as a SplitEvent; its
 targets() are the factor towers, with projection maps, that a computation
-retries in.  That policy and the adjunction of chart radicals
-(adjoin_radical, certified by is_zero_validated on the radicand, a unit at
-each caller) live here, so the resolution engine and the singular-locus
-search share them.  Divisions by monic polynomials invert nothing.
+retries in.  That policy and the adjunctions live here, so the resolution
+engine and the singular-locus search share them; each adjoined polynomial
+is squarefree by its caller's construction (adjoin_root) and is not
+checked again.  Divisions by monic polynomials invert nothing.
 
 Element representation is positional, canonical and closed under hashing:
 a level-0 element is a Fraction; a level-1 element, of a storey over Q of
@@ -51,7 +51,6 @@ from .errors import (
     ExtensionOverflow,
     InternalInconsistency,
     NotInvertible,
-    NotSquarefree,
 )
 
 Rat = Fraction
@@ -838,13 +837,8 @@ def _check_bound(degree: int):
 
 
 def _storey(field: ExtField, tail, name: str, counts_points: bool,
-            is_field: bool, gcd_degree: int):
-    """(field(r), r) for a root r of t^n + tail, n >= 2; NotSquarefree
-    where its gcd with the derivative has degree gcd_degree > 0."""
-    if gcd_degree > 0:
-        raise NotSquarefree(
-            "cannot adjoin a root of a non-squarefree polynomial (gcd degree %d)"
-            % gcd_degree)
+            is_field: bool):
+    """(field(r), r) for a root r of t^n + tail, n >= 2."""
     level = Level(name, tuple(tail), counts_points, is_field)
     z = level.zero
     root = (((0, 1) + z[0][2:], 1) if not field.depth
@@ -853,27 +847,28 @@ def _storey(field: ExtField, tail, name: str, counts_points: bool,
 
 
 def adjoin_root(field: ExtField, tail, name: str, is_field: bool = False):
-    """Adjoin a root of the monic polynomial t^n + tail (squarefree required)
-    as a level that counts points.
-
-    Returns (new_field, root_rep).  A degree-1 polynomial adjoins nothing:
+    """Adjoin a root of the monic t^n + tail as a level that counts points;
+    returns (new_field, root_rep).  A degree-1 polynomial adjoins nothing:
     the same field comes back with the root it already contains.  A tower
-    whose degree would exceed ext_bound() raises ExtensionOverflow, before
-    squarefreeness is checked.  The new Level carries is_field, which only
-    a caller that has proven t^n + tail irreducible over `field` may set.
+    whose degree would exceed ext_bound() raises ExtensionOverflow.  Only
+    a caller that has proven t^n + tail irreducible may set is_field.
+
+    t^n + tail must be squarefree over every factor of `field`; each caller
+    makes it so, and nothing here checks it.  wproj._cluster_field's s is
+    the radical S of v, x^k stripped, in x^w -> t: a repeated root r of s
+    would be nonzero (s(0) != 0) and give S repeated roots at the w-th
+    roots of r.  resolve.face_child adjoins a Yun factor, and the search's
+    gcd step (wproj._affine_stratum) Yun's radical; over a reducible tower
+    a Yun that raised no split inverted only units, so its result is
+    squarefree over every factor of the tower.
     """
-    levels = field.levels
-    k = field.depth
-    tail = tuple(tail)
     n = len(tail)
     if n < 1:
         raise ValueError("minimal polynomial must have degree >= 1")
     if n == 1:
-        return field, _neg(levels, k, tail[0])
+        return field, _neg(field.levels, field.depth, tail[0])
     _check_bound(field.degree * n)
-    poly = list(tail) + [field.one()]
-    g = _pgcd_monic(levels, k, poly, _pderiv(levels, k, poly))
-    return _storey(field, tail, name, True, is_field, _pdeg(levels, k, g))
+    return _storey(field, tail, name, True, is_field)
 
 
 def adjoin_radical(field: ExtField, t, w: int, name: str,
@@ -881,17 +876,16 @@ def adjoin_radical(field: ExtField, t, w: int, name: str,
     """Adjoin a w-th root u of the element t, u^w = t, as a level that does
     not count points, flagged as adjoin_root flags it; returns
     (new_field, u).  For w = 1 nothing is adjoined and t itself comes back.
-    u^w - t is squarefree exactly when t is a unit, so is_zero_validated(t)
-    certifies it: a zero divisor t splits the tower, and t = 0 raises
-    NotSquarefree.  Both callers' radicands are units: a cluster's s has
-    s(0) != 0 (wproj._cluster_field strips x^k), and a face factor divides
-    a polynomial whose constant term ingest certified (face_child)."""
+    u^w - t is squarefree exactly when t is a unit, and both callers'
+    radicands are units, so nothing here checks it: a cluster's s has
+    s(0) != 0 (wproj._cluster_field strips x^k), and in resolve.face_child
+    t is a root of a factor of a polynomial whose constant term is a
+    product of units that ingest certified."""
     if w == 1:
         return field, t
     _check_bound(field.degree * w)
-    gcd_degree = w - 1 if is_zero_validated(field, t) else 0
     tail = (_neg(field.levels, field.depth, t),) + (field.zero(),) * (w - 1)
-    return _storey(field, tail, name, False, is_field, gcd_degree)
+    return _storey(field, tail, name, False, is_field)
 
 
 # ---------------------------------------------------------------------------

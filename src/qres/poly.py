@@ -187,11 +187,11 @@ class SparsePoly:
         Into Q: _taylor_shift.  Else the products of root powers are made
         once, as tower products at the top storey K, and each coefficient
         times binomials multiplies them.  Where the coefficients lie over
-        Q (k = 0) or the target is a storey over Q (K = 1), the products
-        and the coefficients are cleared to ints over one denominator each
-        (exactnum._qjoin), their sums are made on ints, and each output
-        coordinate over Q is made canonical once (exactnum._zrem); higher
-        up they are tower sums and products at the coefficients' storey."""
+        Q (k = 0), the products and the coefficients are cleared to ints
+        over one denominator each (exactnum._qjoin), their sums are made on
+        ints, and each output coordinate over Q, of degree below the
+        storey's, is made canonical once (exactnum._qpair); higher up they
+        are tower sums and products at the coefficients' storey."""
         levels, k, K = field.levels, self.field.depth, field.depth
         if levels[:k] != self.field.levels:
             raise InternalInconsistency("target tower does not extend the current one")
@@ -207,44 +207,38 @@ class SparsePoly:
         prods = {u: functools.reduce(mul_top, [powers[i][j] for i, j in zip(shifts, u) if j]
                                      or [one])
                  for u in dict.fromkeys(u for us in below.values() for u in us)}
-        on_ints = k == 0 or K == 1
-        # coordinates at storey k, or for on_ints pairs (P, d) over Q
+        # coordinates at storey k, or for k = 0 pairs (P, d) over Q
         prods = {u: [v] for u, v in prods.items()}
         for _ in range(K - max(k, 1)):
             prods = {u: [c for x in v for c in x] for u, v in prods.items()}
         coeffs = self.terms
-        if on_ints:     # prods P / den, coefficients cont * C / cden
+        if k == 0:      # prods P / den, coefficients cont * C / cden
             flat, den = exactnum._qjoin([c for v in prods.values() for c in v])
             dim = field.degree
             prods = {u: flat[j * dim:(j + 1) * dim] for j, u in enumerate(prods)}
-            num, cden = (exactnum._qjoin if k else exactnum._zden)(list(coeffs.values()))
-            cont, size = math.gcd(*num), self.field.degree
-            coeffs = {e: [c // cont for c in num[j * size:(j + 1) * size]]
-                      for j, e in enumerate(coeffs)}
+            num, cden = exactnum._zden(list(coeffs.values()))
+            cont = math.gcd(*num)
+            coeffs = {e: c // cont for e, c in zip(coeffs, num)}
             add, mul, smul, zero = operator.add, operator.mul, operator.mul, 0
         else:
-            coeffs = {e: [c] for e, c in coeffs.items()}
             add, mul, smul = self._ring(exactnum._add, exactnum._mul, exactnum._smul)
             zero = self.field.zero()
         out = {}
-        for e, C in coeffs.items():
+        for e, c in coeffs.items():
             for u in below[e]:
                 s, w = list(e), 1
                 for i, j in zip(shifts, u):
                     s[i] -= j
                     w *= math.comb(e[i], j)
-                P = prods[u]
-                acc = out.setdefault(tuple(s), [zero] * (len(C) + len(P) - 1))
-                for a, c in enumerate(C):
-                    c = smul(w, c)
-                    for b, x in enumerate(P):
-                        acc[a + b] = add(acc[a + b], mul(c, x))
+                cw, P = smul(w, c), prods[u]
+                acc = out.setdefault(tuple(s), [zero] * len(P))
+                for b, x in enumerate(P):
+                    acc[b] = add(acc[b], mul(cw, x))
         n1 = levels[0].degree
         for s, v in out.items():
-            if on_ints:     # pairs over Q; for K = 1 v is reduced mod M
-                v = [c * cont for c in v]
-                chunks = [v[j:j + n1] for j in range(0, len(v), n1)] if K > 1 else [v]
-                v = [exactnum._zrem(c, levels[0].zminpoly, cden * den) for c in chunks]
+            if k == 0:      # pairs over Q, each already reduced mod M
+                v = [exactnum._qpair([c * cont for c in v[j:j + n1]], cden * den)
+                     for j in range(0, len(v), n1)]
             for lv in levels[max(k, 1):]:       # back to an element of storey K
                 v = [tuple(v[j:j + lv.degree]) for j in range(0, len(v), lv.degree)]
             out[s] = v[0]

@@ -438,9 +438,9 @@ class _Engine:
 
     def face_child(self, node, bc, strict1, fact, idx):
         coeffs = fact.coeff_list("y")
-        # Yun factors are monic, so coeffs[:-1] is the minimal polynomial tail;
-        # fact divides q_product, whose constant term ingest certified a unit,
-        # so t0 is a unit: the radicand that adjoin_radical certifies
+        # Yun factors are monic and squarefree, so coeffs[:-1] is the minimal
+        # polynomial tail; fact divides q_product, whose constant term ingest
+        # certified a unit, so t0 is a unit, as adjoin_radical requires
         field2, t0 = adjoin_root(node.field, coeffs[:-1],
                                  "a%d_%d" % (node.id, idx))
         field3, y0 = adjoin_radical(field2, t0, bc.chart1.d,

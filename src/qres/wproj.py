@@ -292,10 +292,9 @@ def _cluster_field(v, w: int, t_name: str, u_name: str):
 
     The root set of v is stable under scaling by w-th roots of unity, which
     is exactly what makes the collapse exact.  Neither adjunction can split.
-    s is over Q, so adjoining its root inverts nothing in a tower.
-    s(0) != 0, as x^k is stripped, makes the radicand t a unit of Q(t),
-    which is adjoin_radical's certificate: u^w - t is squarefree over
-    every factor of Q(t)."""
+    S is squarefree and s(0) != 0, as x^k is stripped, so s is squarefree,
+    as adjoin_root requires, and t is a unit of Q(t): u^w - t is squarefree
+    over every factor of Q(t), as adjoin_radical requires."""
     v = v[next(i for i, c in enumerate(v) if c):]
     if len(v) == 1:
         return None

@@ -5,12 +5,13 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from conftest import spy
+from test_golden import CASES, run_cli
 from qres.errors import (BadType, DivisionByZero, ExtensionOverflow,
-                         InternalInconsistency, NotInvertible, NotSquarefree)
-from qres import exactnum, poly, wproj
+                         InternalInconsistency, NotInvertible)
+from qres import exactnum, poly, resolve, wproj
 from qres.poly import SparsePoly
 from qres.exactnum import (ExtField, Rat, SplitEvent, _add, _inv, _is_zero,
                            _mul, _neg, _pdeg, _pgcd_monic, _pmul, _psub,
@@ -175,8 +176,9 @@ def test_extension_bound(monkeypatch):
 
 
 def test_the_bound_is_checked_before_the_squarefree_gcd(monkeypatch):
-    """A degree above the bound is refused before the w-term tail of a
-    radical is built or a gcd runs, even on a non-squarefree t^w."""
+    """A degree above the bound is refused first, before the w-term tail
+    of a radical or any storey is built, and with no gcd; here on t^w,
+    which no caller adjoins."""
     F, s = sqrt2_field()
 
     def refused(*args):
@@ -207,11 +209,6 @@ def test_pdiv_exact():
     with pytest.raises(InternalInconsistency):
         exactnum._pdiv_exact((), 0, [Rat(1), Rat(0), Rat(1)],
                              [Rat(-1), Rat(1)])
-
-
-def test_adjoin_rejects_non_squarefree():
-    with pytest.raises(NotSquarefree):
-        adjoin_root(QQ, (Rat(0), Rat(0)), "t")
 
 
 def test_degree_one_adjunction_is_free():
@@ -1000,7 +997,7 @@ def test_split_towers_start_with_empty_memos_above_the_split():
 
 
 def plain_gcd(L, k, f, g):
-    """The monic gcd over a tower (k >= 1) by the plain Euclid of ref_divmod,
+    """The monic gcd over level k by the plain Euclid of ref_divmod,
     whose divisions invert the divisor's lead, made monic at the end."""
     a, b = _ptrim(L, k, f), _ptrim(L, k, g)
     while _pdeg(L, k, b) >= 0:
@@ -1169,48 +1166,130 @@ def test_the_monic_division_agrees_with_the_plain_division(data):
     assert len(r) == len(tail) and _ptrim(L, k, r) == want_r
 
 
+CERTIFICATES = ("_certify", "is_zero_validated", "_pgcd_monic")
+
+
+def refuse_certificates(mp, *names):
+    """Make each certificate and gcd of exactnum, and the names given,
+    raise AssertionError when called, at every storey."""
+    def refused(*args, **kwargs):
+        raise AssertionError("an adjunction ran a certificate or a gcd")
+    for name in CERTIFICATES + names:
+        mp.setattr(exactnum, name, refused)
+
+
 @given(st.data())
-def test_a_radical_is_certified_by_its_radicand(data):
+def test_a_radical_of_a_unit_runs_no_certificate(data):
     """adjoin_radical(t, w), w in {2, 3}, at the top of every tower of
-    TOWERS: a unit t gives a storey that counts no points, whose generator
-    u has u^w = t; a zero divisor raises the SplitEvent of inverting t
-    (ref_inv), and zero raises NotSquarefree (gcd u^(w-1)).  Neither
-    adjoin_root nor a gcd over t's storey, where the squarefreeness of
-    u^w - t would be decided, runs; t's own certificate takes its gcds
-    one storey down."""
+    TOWERS, for a t that ref_inv inverts: a storey that counts no points,
+    whose generator u has u^w = t.  Its callers' radicands are units by
+    construction, so neither adjoin_root nor a certificate or gcd
+    (CERTIFICATES) runs at any storey."""
     F, t = build_tower(data.draw(st.sampled_from(TOWERS)))
     L, k = F.levels, F.depth
-    a = draw_element(data, L, k, t) if data.draw(st.integers(0, 4)) else F.zero()
+    a = draw_element(data, L, k, t)
+    assume(outcome(ref_inv, L, k, a)[0] == "unit")
     w = data.draw(st.sampled_from((2, 3)))
-    want = outcome(ref_inv, L, k, a)
-    euclid = exactnum._pgcd_monic
-
-    def refused(*args, **kwargs):
-        raise AssertionError("adjoin_radical ran adjoin_root or a gcd")
-
-    def below_the_radicand(levels, j, f, g):
-        return refused() if j == k else euclid(levels, j, f, g)
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("QRES_EXT_BOUND", "0")        # degrees up to 36 here
-        mp.setattr(exactnum, "_pgcd_monic", below_the_radicand)
-        mp.setattr(exactnum, "adjoin_root", refused)
-        try:
-            F2, u = adjoin_radical(F, a, w, "u")
-        except SplitEvent as ev:
-            assert ev.levels == L
-            assert ("split", ev.k, ev.g_tail, ev.h_tail) == want
-            return
-        except NotSquarefree as err:
-            assert "(gcd degree %d)" % (w - 1) in str(err)
-            assert want == ("zero",)
-            return
-    assert want[0] == "unit"
+        refuse_certificates(mp, "adjoin_root")
+        F2, u = adjoin_radical(F, a, w, "u")
     assert F2.levels[:-1] == L and not F2.levels[-1].counts_points
     assert F2.degree == w * F.degree and F2.cluster_size == F.cluster_size
     power = u
     for _ in range(w - 1):
         power = _mul(F2.levels, k + 1, power, u)
     assert power == lift(F2.levels, k, k + 1, a)
+
+
+@pytest.mark.parametrize("name", TOWERS)
+def test_a_root_is_adjoined_with_no_gcd(monkeypatch, name):
+    """adjoin_root(r^3 - r - 1) at the top of every tower of TOWERS: a
+    storey that counts points, whose generator r is a root.  The
+    discriminant -23 is a unit everywhere, so the polynomial is squarefree
+    over every factor, as every caller's is by construction, and no
+    certificate or gcd (CERTIFICATES) runs at any storey."""
+    F = build_tower(name)[0]
+    L, k = F.levels, F.depth
+    monkeypatch.setenv("QRES_EXT_BOUND", "0")      # degrees up to 36 here
+    refuse_certificates(monkeypatch)
+    F2, r = adjoin_root(F, [F.from_rat(-1), F.from_rat(-1), F.zero()], "r")
+    monkeypatch.undo()
+    L2 = F2.levels
+    assert L2[:-1] == L and L2[-1].counts_points and F2.degree == 3 * F.degree
+    cube = _mul(L2, k + 1, _mul(L2, k + 1, r, r), r)
+    assert _sub(L2, k + 1, cube, r) == F2.one()
+
+
+# ---------------------------------------------------------------------------
+# the callers' side of the adjunctions' contract: every polynomial that the
+# engine and the singular-locus search adjoin is squarefree, and every
+# radicand a unit, over every factor tower
+
+
+def over_every_factor(check, L, k, elems):
+    """check(L, k, elems) for the level-k elements elems over L, and where
+    it raises a SplitEvent of L, again over each of its targets(), with
+    elems projected there."""
+    try:
+        check(L, k, elems)
+    except SplitEvent as ev:
+        assert ev.levels == tuple(L)
+        for f2, project in ev.targets():
+            over_every_factor(check, f2.levels, f2.depth,
+                              [project(c, k) for c in elems])
+
+
+def squarefree(L, k, f):
+    """The monic f over storey k has gcd 1 with f' by plain_gcd."""
+    df = [_smul(L, k, Rat(i), c) for i, c in enumerate(f)][1:]
+    assert plain_gcd(L, k, f, df) == [lift(L, 0, k, Rat(1))]
+
+
+def unit(L, k, elems):
+    """ref_inv inverts the one element of elems."""
+    ref_inv(L, k, elems[0])
+
+
+P235_PRODUCT = ("(-2*x2^2 - 5*x0*x1*x2 - 3*x0^2*x1^2 + 5*x0^5)*(4*x2^3"
+                " + 5*x1^5 + 2*x0*x1*x2^2 + 3*x0^2*x1^2*x2 - 4*x0^3*x1^3"
+                " - 5*x0^5*x2 - 4*x0^6*x1)")
+
+
+def test_every_adjoined_polynomial_is_squarefree_by_construction(monkeypatch):
+    """adjoin_root and adjoin_radical check nothing, so their callers'
+    constructions carry the contract: over every argv of the golden corpus
+    and the P(2,3,5) product (which adjoins a radical over Q(t)), every
+    polynomial that wproj and resolve adjoin is squarefree, and every
+    radicand a unit, over every factor tower (a SplitEvent is followed
+    into its targets), by the Fraction references plain_gcd and ref_inv.
+    Among them are adjunctions over towers of depth >= 1."""
+    calls = []
+
+    def recorded(kind, adjoin):
+        def wrapper(field, *args, **kwargs):
+            calls.append((kind, field, args))
+            return adjoin(field, *args, **kwargs)
+        return wrapper
+    for module in (wproj, resolve):
+        monkeypatch.setattr(module, "adjoin_root",
+                            recorded("root", exactnum.adjoin_root))
+        monkeypatch.setattr(module, "adjoin_radical",
+                            recorded("radical", exactnum.adjoin_radical))
+    for _, argv in CASES:
+        run_cli(argv)
+    assert run_cli(["curve", P235_PRODUCT, "--w", "2,3,5"])[0] == 0
+    monkeypatch.undo()
+    for kind, field, args in calls:
+        L, k = field.levels, field.depth
+        if kind == "root":
+            over_every_factor(squarefree, L, k, list(args[0]) + [field.one()])
+        else:
+            over_every_factor(unit, L, k, [args[0]])
+    assert any(kind == "root" and field.depth and len(args[0]) > 1
+               for kind, field, args in calls)
+    assert any(kind == "radical" and field.depth and args[1] > 1
+               for kind, field, args in calls)
 
 
 @pytest.mark.parametrize("flagged", [True, False])

@@ -9,6 +9,11 @@ is a read.  Tests do not count as readers.
 Nor is a parameter kept that its function never reads: every parameter of
 a `def` or `lambda` in src/qres/*.py other than `self` and `cls` must be
 read in the function's body.
+
+Nor an import that its module never reads: every name bound by `import` or
+`from ... import` in src/qres/*.py must be read in the same module as a
+Name, the base of an attribute included.  qres/__init__.py, whose imports
+are its exports, and `from __future__ import annotations` are exempt.
 """
 
 import ast
@@ -73,6 +78,26 @@ def unread_parameters(sources: dict):
     return sorted(out)
 
 
+def unread_imports(sources: dict):
+    """[(file, line, name)] of the names that an import binds in a module
+    of sources (file name -> text) and that the module never reads as a
+    Name; __init__.py and __future__ imports are exempt."""
+    out = []
+    for name, text in sources.items():
+        if name == "__init__.py":
+            continue
+        tree = ast.parse(text)
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                out += [(name, node.lineno, bound) for bound in
+                        (a.asname or a.name.split(".")[0] for a in node.names)
+                        if bound not in read]
+    return sorted(out)
+
+
 def unread_private_definitions(sources: dict):
     return [d for d in unread_definitions(sources) if d[2].startswith("_")]
 
@@ -129,3 +154,19 @@ def test_the_walk_sees_an_unread_parameter():
         ("a.py", 1, "f", "args"), ("a.py", 1, "f", "kw"),
         ("a.py", 1, "f", "y"), ("a.py", 7, "c", "flag"),
         ("a.py", 12, "<lambda>", "v")]
+
+
+def test_every_import_is_read():
+    sources = {p.name: p.read_text() for p in SOURCES}
+    assert unread_imports(sources) == []
+
+
+def test_the_walk_sees_an_unread_import():
+    a = ("from __future__ import annotations\n"
+         "import os.path\nimport math as m\nimport json\n"
+         "from .b import used, unused as alias, _private\n"
+         "def f():\n    return os.path.join(used(), m.pi)\n"
+         "_private = 1\n")
+    init = "from .a import f\nimport sys\n"
+    assert unread_imports({"a.py": a, "__init__.py": init}) == [
+        ("a.py", 4, "json"), ("a.py", 5, "_private"), ("a.py", 5, "alias")]
