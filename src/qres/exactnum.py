@@ -32,7 +32,8 @@ made only where a value leaves the storey for Q: a split's tails, a linear
 factor's value and format_rep's digits.  A higher storey multiplies as
 polynomials over the storey below; every division by a monic polynomial
 above Q, in a product, a projection or a Euclid, is _pdivmod; every gcd
-and inverse there is one monic Euclid with its Bezout coefficient, _peuclid.
+and inverse there is one monic Euclid, _peuclid, and a gcd (_pgcd) returns
+its cofactors, (g, a / g, b / g), as _zgcd does over Z.
 """
 
 from __future__ import annotations
@@ -337,24 +338,19 @@ def _peuclid(levels, k, a, b):
     return b, s1
 
 
-def _pgcd_monic(levels, k, f, g):
-    """Monic gcd; returns [] for gcd of two zero polynomials.
-
-    Over Q (k = 0) it is _zgcd of the primitive integer parts of f and g
-    (Gauss's lemma), made monic.  Over a tower it is _peuclid's last
-    divisor; a nonzero constant last remainder ends it with 1 once
+def _pgcd(levels, k, a, b):
+    """(g, a / g, b / g) for the monic gcd g of a and b, not both zero,
+    over a storey k >= 1, as _zgcd gives over Z.  g is _peuclid's last
+    divisor, and the cofactors come from _pdiv_exact, which inverts
+    nothing; a nonzero constant last remainder ends it with g = 1 once
     _certify proves it a unit, by a gcd with the minimal polynomial, not
     an inverse."""
-    a, b = _ptrim(levels, k, f), _ptrim(levels, k, g)
-    if not b:
-        a, b = b, a
-    if k == 0 or not b:
-        return _qmonic(_zgcd(_zclear(b)[0], _zclear(a)[0])[0]) if b else []
-    m = _peuclid(levels, k, a, b)[0]
-    if len(m) > 1:
-        return m
-    _certify(levels, k, m[0])
-    return [lift(levels, 0, k, _QONE)]
+    a, b = _ptrim(levels, k, a), _ptrim(levels, k, b)
+    g = _peuclid(levels, k, *((a, b) if b else (b, a)))[0]
+    if len(g) > 1:
+        return g, _pdiv_exact(levels, k, a, g), _pdiv_exact(levels, k, b, g)
+    _certify(levels, k, g[0])
+    return [lift(levels, 0, k, _QONE)], a, b
 
 
 # ---------------------------------------------------------------------------
@@ -787,8 +783,9 @@ def _inv_over_q(levels, a):
 def _certify(levels, k, a):
     """Certify the nonzero level-k element a a unit: its monic gcd g with
     the storey's minimal polynomial m is 1, else SplitEvent(levels, k - 1,
-    g, m / g).  Over Q by _zgcd on ints, above by _pgcd_monic(m, a), whose
-    _peuclid inverts leads one storey down.  Flagged Levels need none."""
+    g, m / g).  Over Q by _zgcd on ints, above by _pgcd(m, a); each gives
+    m / g as its cofactor, and _pgcd's _peuclid inverts leads one storey
+    down.  Flagged Levels need none."""
     if all(lv.is_field for lv in levels[:k]):
         return
     if k == 1:
@@ -797,9 +794,9 @@ def _certify(levels, k, a):
             raise SplitEvent(levels, 0, _qmonic(g)[:-1], _qmonic(h)[:-1])
         return
     m = list(levels[k - 1].minpoly) + [lift(levels, 0, k - 1, _QONE)]
-    g = _pgcd_monic(levels, k - 1, m, a)
+    g, h, _ = _pgcd(levels, k - 1, m, a)
     if len(g) > 1:
-        raise SplitEvent(levels, k - 1, g[:-1], _pdiv_exact(levels, k - 1, m, g)[:-1])
+        raise SplitEvent(levels, k - 1, g[:-1], h[:-1])
 
 
 def is_zero_validated(field: "ExtField", rep) -> bool:

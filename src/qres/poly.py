@@ -657,12 +657,19 @@ def blowup_transform(f: SparsePoly, p: int, q: int, xdiv: int, ydiv: int):
 
 
 def poly_gcd(f: SparsePoly, g: SparsePoly) -> SparsePoly:
-    """Monic gcd of univariate polynomials (may raise SplitEvent)."""
+    """Monic gcd of univariate polynomials: over Q that of their primitive
+    integer parts, above Q exactnum._pgcd's (may raise SplitEvent)."""
     if f.field != g.field:
         raise ValueError("gcd of polynomials over different fields")
     var = f.vars[0] if not f.is_zero() else g.vars[0]
     levels, k = f.field.levels, f.field.depth
-    out = exactnum._pgcd_monic(levels, k, f.coeff_list(), g.coeff_list())
+    a, b = f.coeff_list(), g.coeff_list()
+    if not b:
+        a, b = b, a
+    if k and b:
+        out = exactnum._pgcd(levels, k, a, b)[0]
+    else:
+        out = exactnum._qmonic(_zgcd(_zclear(b)[0], _zclear(a)[0])[0]) if b else []
     return SparsePoly.from_univariate(f.field, var, out)
 
 
@@ -672,9 +679,9 @@ def squarefree_part(f: SparsePoly):
     Returns (radical, factors) where radical is Yun's first quotient
     f / gcd(f, f'), the monic product of the distinct squarefree factors, and
     factors is a list of (factor, multiplicity) in increasing multiplicity.
-    Unit content is discarded.  Over Q, Yun runs on integer lists: each gcd
-    comes from exactnum._zgcd with the cofactors its certificate computed,
-    which are Yun's next w and y, and only what is returned is made monic.
+    Unit content is discarded.  Each gcd comes with its cofactors, Yun's
+    next w and y: over Q from exactnum._zgcd on integer lists, above Q from
+    exactnum._pgcd; only what is returned is made monic.
     """
     if f.is_zero():
         raise ZeroPolynomial("the zero polynomial has no squarefree part")
@@ -691,13 +698,8 @@ def squarefree_part(f: SparsePoly):
         gcd, sub, deriv, monic = exactnum._zgcd, _zsub, exactnum._zderiv, exactnum._qmonic
     else:
         u, monic = exactnum._pmonic(levels, k, coeffs), list
-        sub, deriv = (functools.partial(fn, levels, k)
-                      for fn in (exactnum._psub, exactnum._pderiv))
-
-        def gcd(a, b):
-            h = exactnum._pgcd_monic(levels, k, a, b)
-            return (h, exactnum._pdiv_exact(levels, k, a, h),
-                    exactnum._pdiv_exact(levels, k, b, h))
+        gcd, sub, deriv = (functools.partial(fn, levels, k) for fn in (
+            exactnum._pgcd, exactnum._psub, exactnum._pderiv))
     _, w, y = gcd(u, deriv(u))
     radical = SparsePoly.from_univariate(field, var, monic(w))
     factors = []

@@ -18,8 +18,8 @@ handling and the adjunction of chart radicals are exactnum's
 The search runs over Q on primitive integer lists and slices the chart
 system at an affine cluster's x = u once.  Its y-coordinate comes from the
 first subresultant, with no tower gcd, where the cluster's minimal
-polynomial is certified irreducible; elsewhere a tower gcd of the slices,
-which splits a cluster over a reducible tower, finds it.
+polynomial is certified irreducible; elsewhere a tower gcd of the slices
+finds it, in _gcd_points, which is the search's one split handler.
 """
 
 from __future__ import annotations
@@ -246,39 +246,50 @@ def localize(F: SparsePoly, w: Weights, P: ProjPoint):
                 "the germ at %s does not descend along the normalization "
                 "of X(%d;%d,%d); normalize the weights first"
                 % (P, w[i], w[j], w[k]))
-        if germ.is_constant() or not _is_zero(
-                germ.field.levels, germ.field.depth, germ.constant_term()):
-            raise PointNotOnCurve("%s does not lie on the curve" % (P,))
-        return germ, ambient
-    germ = slice_.lift_shift(fld, (a, b))
+    else:
+        germ, ambient = slice_.lift_shift(fld, (a, b)), SMOOTH
+    # at an origin point the germ stays over F's field, not P's
     if germ.is_constant() or not _is_zero(
-            fld.levels, fld.depth, germ.constant_term()):
+            germ.field.levels, germ.field.depth, germ.constant_term()):
         raise PointNotOnCurve("%s does not lie on the curve" % (P,))
-    return germ, SMOOTH
+    return germ, ambient
 
 
 # ---------------------------------------------------------------------------
 # singular locus: cluster search with split handling
 
 
-def _with_splits(field, u0, slices, step):
-    """The points step(field, u0, slices) lists, where a SplitEvent of
-    field's tower restarts the step in every tower of its targets(), with
-    u0 and the slices' coefficients projected there, and concatenates their
-    lists.  A step lists no point only once the data is uniform across its
-    cluster, because a zero divisor met on the way splits first."""
+def _gcd_points(field, u0, slices, tag: str):
+    """The points of the cluster at x = u0 over field, as a list: [] where
+    the gcd of the nonzero slices of (F0, F0_x, F0_y) in y is constant,
+    else one point at a root of its squarefree part.  A SplitEvent of
+    field's tower reruns it in every tower of its targets(), with u0 and
+    the slices projected there, and concatenates their lists, so [] comes
+    only once the data is uniform across the cluster."""
     try:
-        return step(field, u0, slices)
+        g = None
+        for sl in slices:
+            sl = SparsePoly.from_univariate(field, "y", sl)
+            if sl.is_zero():
+                continue
+            g = sl if g is None else poly_gcd(g, sl)
+            if g.degree_in("y") == 0:
+                return []
+        if g is None:
+            raise InternalInconsistency(
+                "every defining equation vanished along a chart line of a "
+                "reduced curve")
+        rad, _ = squarefree_part(g)
+        # Yun's radical is monic
+        f2, v0 = adjoin_root(field, rad.coeff_list("y")[:-1], "v" + tag)
+        return [(f2, lift(f2.levels, field.depth, f2.depth, u0), v0)]
     except SplitEvent as ev:
         if ev.levels != field.levels:
             raise
-        out = []
-        for f2, project in ev.targets():
-            out.extend(_with_splits(
-                f2, project(u0, field.depth),
-                [[project(c, field.depth) for c in sl] for sl in slices],
-                step))
-        return out
+        return [point for f2, project in ev.targets()
+                for point in _gcd_points(
+                    f2, project(u0, field.depth),
+                    [[project(c, field.depth) for c in sl] for sl in slices], tag)]
 
 
 def _cluster_field(v, w: int, t_name: str, u_name: str):
@@ -335,18 +346,16 @@ def _affine_stratum(F0: SparsePoly, elimination, w0: int, tag: str):
     The squarefree candidate polynomial s(t) in t = x^w0 gives the field
     Q(t, u) = Q[x]/S, S = s(x^w0), u^w0 = t, which cannot split
     (_cluster_field).  The system (F0, F0_x, F0_y), read off F0's integer
-    columns in y, is sliced at x = u once, by reduction mod s.  The cluster
-    is then one step on these slices, run by _with_splits.  Where
+    columns in y, is sliced at x = u once, by reduction mod s.  Where
     deg_y F0 >= 2 and _cluster_field has flagged Q(t, u) as a field (S is
-    certified irreducible; decided once, outside the step), the step asks
-    _subresultant_root first; otherwise, or where S_1 cannot give v, the
-    squarefree part of the gcd of the slices gives v.  Only that gcd can
-    split: a flagged Q(t, u) is a field.  A reducible level of Q(t, u)
-    restarts the step in the factor towers that SplitEvent.targets() names,
-    with the slices projected there, and the cluster is listed as those
-    packets.  Hence the guard:
-    over a reducible tower S_1 can give one v, and one cluster where the
-    gcd lists several.  Returns a list of (field, u, v)."""
+    certified irreducible), _subresultant_root gives v outside any split
+    handler: over a field _certify proves every nonzero element a unit, so
+    S_1 cannot split.  Otherwise, or where S_1 cannot give v, the gcd of
+    the slices does, in _gcd_points, its own split handler: a reducible
+    level of Q(t, u) reruns it in the factor towers that
+    SplitEvent.targets() names, and the cluster is listed as those packets.
+    Hence the guard: over a reducible tower S_1 can give one v, and one
+    cluster where the gcd lists several.  Returns a list of (field, u, v)."""
     if F0.degree_in("x") == 0 or F0.degree_in("y") == 0:
         return []
     q, body, disc = elimination
@@ -375,33 +384,11 @@ def _affine_stratum(F0: SparsePoly, elimination, w0: int, tag: str):
     system = (cols, [_zderiv(c) for c in cols],
               [[j * c for c in col] for j, col in enumerate(cols)][1:])
     slices = [[at_u(c) for c in sy] for sy in system]
-    certified = F0.degree_in("y") >= 2 and field.is_field
-
-    def step(field, u0, slices):
-        # S_1 where it can give v; else the gcd of the system's nonzero
-        # slices, and a counted root of its squarefree part
-        if certified:
-            points = _subresultant_root(F0, slices, at_u, field, u0)
-            if points is not None:
-                return points
-        g = None
-        for sl in slices:
-            sl = SparsePoly.from_univariate(field, "y", sl)
-            if sl.is_zero():
-                continue
-            g = sl if g is None else poly_gcd(g, sl)
-            if g.degree_in("y") == 0:
-                return []
-        if g is None:
-            raise InternalInconsistency(
-                "every defining equation vanished along a chart line of a "
-                "reduced curve")
-        rad, _ = squarefree_part(g)
-        # Yun's radical is monic
-        f2, v0 = adjoin_root(field, rad.coeff_list("y")[:-1], "v" + tag)
-        return [(f2, lift(f2.levels, field.depth, f2.depth, u0), v0)]
-
-    return _with_splits(field, u0, slices, step)
+    if F0.degree_in("y") >= 2 and field.is_field:
+        points = _subresultant_root(F0, slices, at_u, field, u0)
+        if points is not None:
+            return points
+    return _gcd_points(field, u0, slices, tag)
 
 
 def _subresultant_root(F0, slices, at_u, field, u0):
@@ -511,25 +498,20 @@ def singular_locus(F: SparsePoly, w: Weights):
 
 
 def _orbit_key(P: ProjPoint, w: Weights):
-    """The coordinates of P, up to mu_{w_i} on the chart i of a rational P.
-    On pairwise coprime weights the only element keeping a rational point
-    rational is -1 (w_i even), which sends x_j to (-1)^{w_j} x_j."""
-    if P.field.depth or w[P.chart] % 2:
+    """The coordinates of the rational point P, up to mu_{w_i} on its chart
+    i.  On pairwise coprime weights the only element keeping a rational
+    point rational is -1 (w_i even), which sends x_j to (-1)^{w_j} x_j."""
+    if w[P.chart] % 2:
         return P.coords
     return min(P.coords, tuple(-c if w[t] % 2 else c
                                for t, c in enumerate(P.coords)))
 
 
 def _power_point(P: ProjPoint, divisors) -> ProjPoint:
-    """[x_0^D_0 : x_1^D_1 : x_2^D_2]; the chart coordinate stays 1."""
-    fld = P.field
-    coords = []
-    for c, e in zip(P.coords, divisors):
-        acc = fld.one()
-        for _ in range(e):
-            acc = _mul(fld.levels, fld.depth, acc, c)
-        coords.append(acc)
-    return ProjPoint(fld, tuple(coords), P.chart)
+    """[x_0^D_0 : x_1^D_1 : x_2^D_2] of the rational point P; the chart
+    coordinate stays 1."""
+    return ProjPoint(P.field, tuple(c ** e for c, e in zip(P.coords, divisors)),
+                     P.chart)
 
 
 def _int_root(m: int, n: int):
@@ -545,9 +527,9 @@ def _int_root(m: int, n: int):
 def _to_chart_one(P: ProjPoint, w: Weights) -> ProjPoint:
     """The rational point P with its chart coordinate x_i made 1 by
     x_j -> lam^{w_j} x_j, lam^{w_i} = 1/x_i; BadType when no rational lam
-    exists.  Points over a tower come back as they are."""
+    exists."""
     c = P.coords[P.chart]
-    if P.field.depth or c in (0, 1):
+    if c in (0, 1):
         return P
     q, wi = 1 / Rat(c), w[P.chart]
     num = _int_root(abs(q.numerator), wi)
@@ -567,13 +549,14 @@ def genus(F: SparsePoly, w: Weights, points=None) -> GenusReport:
     search and the resolutions share one tower bound, QRES_EXT_BOUND, which
     exactnum.adjoin_root reads each time it adjoins a root.
 
-    With `points` (ProjPoints) the search is skipped and the curve is
-    localized at exactly those points, reported with kind "manual"; the
-    value is only the genus if they include every singular point and vertex
-    on the curve.  The points are read in the coordinates of the weights w
-    as given.  A rational point whose chart coordinate x_i is not 1 is
-    first rescaled to [lam^w_0 x_0 : lam^w_1 x_1 : lam^w_2 x_2] with
-    lam^{w_i} = 1/x_i, and raises BadType when no rational lam exists.
+    With `points` (ProjPoints over Q; one over a tower raises BadType) the
+    search is skipped and the curve is localized at exactly those points,
+    reported with kind "manual"; the value is only the genus if they
+    include every singular point and vertex on the curve.  The points are
+    read in the coordinates of the weights w as given.  A point whose
+    chart coordinate x_i is not 1 is first rescaled to
+    [lam^w_0 x_0 : lam^w_1 x_1 : lam^w_2 x_2] with lam^{w_i} = 1/x_i, and
+    raises BadType when no rational lam exists.
     When w is not normalized, each [x_0 : x_1 : x_2] then becomes
     [x_0^D_0 : x_1^D_1 : x_2^D_2] (D_i the exponent divisor of x_i in the
     normalization), and the report, like the rest of it, holds them in the
@@ -595,6 +578,8 @@ def genus(F: SparsePoly, w: Weights, points=None) -> GenusReport:
                 "and the genus value is virtual")
     else:
         _check_reduced(F)
+        if any(P.field.depth for P in points):
+            raise BadType("a point given to genus must have rational coordinates")
         moved = [_power_point(_to_chart_one(P, given), divisors)
                  for P in points]
         if len({_orbit_key(P, w) for P in moved}) != len(moved):

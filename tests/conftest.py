@@ -2,7 +2,7 @@ import pytest
 from hypothesis import settings
 
 from qres.exactnum import ExtField
-from qres.poly import parse_poly
+from qres.poly import SparsePoly, parse_poly, poly_gcd
 
 settings.register_profile("qres", database=None, max_examples=50,
                           deadline=None)
@@ -17,6 +17,13 @@ def germ(text):
 
 def curve(text):
     return parse_poly(text, ("x0", "x1", "x2"))
+
+
+def qgcd(u, v):
+    """poly_gcd over Q of the rational lists u and v (low to high), as a
+    list."""
+    f, g = (SparsePoly.from_univariate(QQ, "y", c) for c in (u, v))
+    return poly_gcd(f, g).coeff_list()
 
 
 def spy(monkeypatch, module, name):

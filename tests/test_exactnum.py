@@ -7,14 +7,14 @@ import sys
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import spy
+from conftest import qgcd, spy
 from test_golden import CASES, run_cli
 from qres.errors import (BadType, DivisionByZero, ExtensionOverflow,
                          InternalInconsistency, NotInvertible)
 from qres import exactnum, poly, resolve, wproj
 from qres.poly import SparsePoly
 from qres.exactnum import (ExtField, Rat, SplitEvent, _add, _inv, _is_zero,
-                           _mul, _neg, _pdeg, _pgcd_monic, _pmul, _psub,
+                           _mul, _neg, _pdeg, _pgcd, _pmul, _psub,
                            _ptrim, _smul, _sub, _zero, adjoin_radical,
                            adjoin_root, format_rep, is_zero_validated, lift,
                            mod_inverse)
@@ -183,7 +183,7 @@ def test_the_bound_is_checked_before_the_squarefree_gcd(monkeypatch):
 
     def refused(*args):
         raise AssertionError("the squarefree gcd ran over the bound")
-    monkeypatch.setattr(exactnum, "_pgcd_monic", refused)
+    monkeypatch.setattr(exactnum, "_pgcd", refused)
     w = 10 ** 5
     with pytest.raises(ExtensionOverflow, match="tower degree 200000 "):
         adjoin_radical(F, s, w, "u")
@@ -1008,6 +1008,14 @@ def plain_gcd(L, k, f, g):
     return [ref_mul(L, k, lead, x) for x in a]
 
 
+def tower_gcd(L, k, f, g):
+    """The gcd of _pgcd, whose contract leaves out two zero polynomials;
+    their gcd is the zero polynomial [], as plain_gcd gives."""
+    if _ptrim(L, k, f) or _ptrim(L, k, g):
+        return _pgcd(L, k, f, g)[0]
+    return []
+
+
 def draw_element(data, L, k, t):
     """A level-k element, times t - 1 or t + 1 (a zero divisor where t's
     storey is reducible) a third of the time each."""
@@ -1031,7 +1039,7 @@ def test_the_monic_euclid_agrees_with_the_plain_euclid(data):
                      for _ in range(data.draw(st.integers(low, 3)))]
                     for low in (1, 0, 0))
     f, g = _pmul(L, k, common, f), _pmul(L, k, common, g)
-    assert outcome(lambda L, k, _: _pgcd_monic(L, k, f, g), L, k, None) == \
+    assert outcome(lambda L, k, _: tower_gcd(L, k, f, g), L, k, None) == \
         outcome(lambda L, k, _: plain_gcd(L, k, f, g), L, k, None)
     a = draw_element(data, L, k, t)
     if _is_zero(L, k, a):
@@ -1075,6 +1083,37 @@ def test_the_euclid_carries_its_bezout_coefficient(data):
         assert not _is_zero(L, k, m[0])
 
 
+@given(st.data())
+def test_a_tower_gcd_returns_its_cofactors(data):
+    """_pgcd(L, k, a, b) over every storey k >= 1 of every tower of TOWERS,
+    for a and b with a drawn common factor, b zero a third of the time and
+    either with a trailing zero: g is monic, g p and g q are a and b
+    trimmed, and g, or the SplitEvent met on the way, is that of the plain
+    Euclid."""
+    F, t = build_tower(data.draw(st.sampled_from(TOWERS)))
+    L = F.levels
+    k = data.draw(st.integers(1, F.depth))
+    common, f, g = ([draw_element(data, L, k, t)
+                     for _ in range(data.draw(st.integers(low, 3)))]
+                    for low in (1, 0, 0))
+    a, b = _pmul(L, k, common, f), _pmul(L, k, common, g)
+    if data.draw(st.integers(0, 2)) == 0:
+        b = []
+    a, b = (v + [_zero(L, k)] * data.draw(st.integers(0, 1)) for v in (a, b))
+    assume(_ptrim(L, k, a) or _ptrim(L, k, b))
+    want = outcome(lambda L, k, _: plain_gcd(L, k, a, b), L, k, None)
+    try:
+        g, p, q = _pgcd(L, k, a, b)
+    except SplitEvent as ev:
+        assert ev.levels == L
+        assert want == ("split", ev.k, ev.g_tail, ev.h_tail)
+        return
+    assert want == ("unit", g)
+    assert g[-1] == lift(L, 0, k, Rat(1))
+    assert _ptrim(L, k, _pmul(L, k, g, p)) == _ptrim(L, k, a)
+    assert _ptrim(L, k, _pmul(L, k, g, q)) == _ptrim(L, k, b)
+
+
 def test_the_remainders_stay_the_plain_euclids_over_a_reducible_storey():
     """Over t^2 = 1, U^2 = t + 3: g = l1 x^2 + x + l3 with l1 = 1/(t - U)
     and l3 = 1 + U, and f = x g + x.  The plain Euclid's remainders are x
@@ -1089,17 +1128,17 @@ def test_the_remainders_stay_the_plain_euclids_over_a_reducible_storey():
     g = [l3, F.one(), l1]
     f = _psub(L, k, _pmul(L, k, [F.zero(), F.one()], g),
               [F.zero(), _neg(L, k, F.one())])
-    assert _pgcd_monic(L, k, f, g) == plain_gcd(L, k, f, g) == [F.one()]
+    assert _pgcd(L, k, f, g)[0] == plain_gcd(L, k, f, g) == [F.one()]
     with pytest.raises(SplitEvent) as info:
         _inv(L, k, _mul(L, k, l3, _inv(L, k, l1)))
     assert info.value.k == 0
 
 
 def test_a_euclid_inverts_each_lead_once_and_a_division_nothing(monkeypatch):
-    """_pdivmod calls no _inv; one _pgcd_monic or _inv passes each element
+    """_pdivmod calls no _inv; one _pgcd or _inv passes each element
     to _inv once, the lead of its last divisor included (the plain Euclid
     inverted it again), whether it ends in a gcd, an inverse or a split.
-    The outer _pgcd_monic or _inv is called unspied, so the _inv calls
+    The outer _pgcd or _inv is called unspied, so the _inv calls
     recorded outside any spied _inv are those made directly under it."""
     calls, stack = [], []
 
@@ -1136,7 +1175,7 @@ def test_a_euclid_inverts_each_lead_once_and_a_division_nothing(monkeypatch):
     x_minus_t = [_neg(L, k, t), F.one()]
     f = _pmul(L, k, x_minus_t, [s, F.one()])                # (x - t)(x + s)
     g = _pmul(L, k, x_minus_t, [F.one(), F.one()])          # (x - t)(x + 1)
-    assert direct_calls(_pgcd_monic, L, k, f, g) == x_minus_t
+    assert direct_calls(_pgcd, L, k, f, g)[0] == x_minus_t
     a = _add(L, k, t, s)
     assert _mul(L, k, a, direct_calls(_inv, L, k, a)) == F.one()
     T, r = build_tower("reducible-top")                     # r^2 = 1 over Q(s)
@@ -1166,7 +1205,7 @@ def test_the_monic_division_agrees_with_the_plain_division(data):
     assert len(r) == len(tail) and _ptrim(L, k, r) == want_r
 
 
-CERTIFICATES = ("_certify", "is_zero_validated", "_pgcd_monic")
+CERTIFICATES = ("_certify", "is_zero_validated", "_pgcd")
 
 
 def refuse_certificates(mp, *names):
@@ -1306,8 +1345,8 @@ def test_a_constant_last_remainder_is_certified_not_inverted(monkeypatch,
     minpoly = [_neg(L, 1, s), _zero(L, 1), lift(L, 0, 1, Rat(1))]
     s = lift(L, 1, 2, s)
     inverted = spy(monkeypatch, exactnum, "_inv")
-    gcds = spy(monkeypatch, exactnum, "_pgcd_monic")
-    assert _pgcd_monic(L, k, [t, F.zero(), F.one()], [s, F.one()]) == [F.one()]
+    gcds = spy(monkeypatch, exactnum, "_pgcd")
+    assert _pgcd(L, k, [t, F.zero(), F.one()], [s, F.one()])[0] == [F.one()]
     two_plus_t = _add(L, k, F.from_rat(2), t)
     assert [(levels, a) for levels, j, a in inverted if j == k] == [(L, F.one())]
     below = [(levels, list(f), g) for levels, j, f, g in gcds if j == k - 1]
@@ -1421,12 +1460,12 @@ lists = st.lists(gcd_coefficients, max_size=5)
 @given(lists, lists, lists)
 def test_modular_gcd_matches_fraction_euclid(u, v, h):
     a, b = _pmul((), 0, u, h), _pmul((), 0, v, h)
-    assert _pgcd_monic((), 0, a, b) == ref_gcd(a, b)
+    assert qgcd(a, b) == ref_gcd(a, b)
 
 
 def primes_used(monkeypatch, u, v):
     images = spy(monkeypatch, exactnum, "_gcd_mod")
-    return _pgcd_monic((), 0, u, v), [p for _, _, p in images]
+    return qgcd(u, v), [p for _, _, p in images]
 
 
 def test_an_unlucky_first_prime_is_dropped(monkeypatch):
@@ -1483,12 +1522,12 @@ def test_a_gcd_with_large_coefficients_needs_two_primes(monkeypatch):
 
 def test_gcd_signs_denominators_and_zeros():
     # -2*(x^2 - 1) and -3/2*(x - 1)
-    assert _pgcd_monic((), 0, [Rat(2), Rat(0), Rat(-2)],
-                       [Rat(3, 2), Rat(-3, 2)]) == [Rat(-1), Rat(1)]
-    assert _pgcd_monic((), 0, [Rat(1, 2), Rat(-3)], []) == [Rat(-1, 6), Rat(1)]
-    assert _pgcd_monic((), 0, [], [Rat(0), Rat(-5, 7)]) == [Rat(0), Rat(1)]
-    assert _pgcd_monic((), 0, [Rat(0)], []) == []
-    assert _pgcd_monic((), 0, [Rat(-4)], [Rat(0), Rat(1)]) == [Rat(1)]
+    assert qgcd([Rat(2), Rat(0), Rat(-2)],
+                [Rat(3, 2), Rat(-3, 2)]) == [Rat(-1), Rat(1)]
+    assert qgcd([Rat(1, 2), Rat(-3)], []) == [Rat(-1, 6), Rat(1)]
+    assert qgcd([], [Rat(0), Rat(-5, 7)]) == [Rat(0), Rat(1)]
+    assert qgcd([Rat(0)], []) == []
+    assert qgcd([Rat(-4)], [Rat(0), Rat(1)]) == [Rat(1)]
 
 
 def strong_probable_prime(n, a):

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import QQ, germ, spy
+from conftest import QQ, germ, qgcd, spy
 from qres.errors import (DegeneratePolygon, InternalInconsistency,
                          NonExactDivision, PolySyntaxError, UnknownVariable)
 from qres import exactnum, poly
@@ -480,7 +480,7 @@ def test_contents_and_squarefreeness_reject_tower_coefficients(monkeypatch):
     runs."""
     field, _ = adjoin_root(QQ, (Rat(-2), Rat(0)), "s")
     f = germ("(x - 1)*(y^2 - x)").lift_shift(field)
-    euclid = spy(monkeypatch, exactnum, "_pgcd_monic")
+    euclid = spy(monkeypatch, exactnum, "_pgcd")
     for check in (lambda: content_in(f, "x"),
                   lambda: squarefree_discriminant(f),
                   lambda: is_squarefree_two_vars(f)):
@@ -531,7 +531,7 @@ def test_coprimality_certificate_is_sound(u, v):
     U, V = exactnum._zclear(u)[0], exactnum._zclear(v)[0]
     if U[-1] % P61 and V[-1] % P61 and exactnum._coprime_images(U, V):
         assert euclid_gcd(u, v) == [Rat(1)]
-    assert exactnum._pgcd_monic((), 0, u, v) == euclid_gcd(u, v)
+    assert qgcd(u, v) == euclid_gcd(u, v)
 
 
 @given(scaled_univariate(), scaled_univariate(), scaled_univariate())
@@ -552,7 +552,7 @@ def test_certificate_falls_back_on_multiples_of_the_prime(monkeypatch):
 
     def primes_used(u, v):
         images.clear()
-        out = exactnum._pgcd_monic((), 0, u, v)
+        out = qgcd(u, v)
         return out, [p for _, _, p in images]
     # (y - 1)(y - 2) and P61*(y - 1)*y: the content P61 is divided out
     # (Gauss's lemma), so the first prime finds y - 1

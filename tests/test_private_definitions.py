@@ -10,6 +10,10 @@ Nor is a parameter kept that its function never reads: every parameter of
 a `def` or `lambda` in src/qres/*.py other than `self` and `cls` must be
 read in the function's body.
 
+Nor a module-level name that nothing reads: every name that an assignment
+at module level in src/qres/*.py binds must be read somewhere in src/qres,
+as a definition must.  qres/__init__.py and dunder names are exempt.
+
 Nor an import that its module never reads: every name bound by `import` or
 `from ... import` in src/qres/*.py must be read in the same module as a
 Name, the base of an attribute included.  qres/__init__.py, whose imports
@@ -25,13 +29,10 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
-def unread_definitions(sources: dict):
-    """[(file, line, name)] of the definitions in sources (file
-    name -> text) that no Name, Attribute or import there reads: private
-    ones anywhere, public ones at module level."""
-    trees = {name: ast.parse(text) for name, text in sources.items()}
+def names_read(trees):
+    """The names that a Name, an Attribute or an import in trees reads."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -39,6 +40,15 @@ def unread_definitions(sources: dict):
                 read.add(node.attr)
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 read |= {a.name.split(".")[-1] for a in node.names}
+    return read
+
+
+def unread_definitions(sources: dict):
+    """[(file, line, name)] of the definitions in sources (file
+    name -> text) that no Name, Attribute or import there reads: private
+    ones anywhere, public ones at module level."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = names_read(trees.values())
     out = []
     for name, tree in trees.items():
         for node in ast.walk(tree):
@@ -49,6 +59,27 @@ def unread_definitions(sources: dict):
                     out.append((name, node.lineno, node.name))
             elif node in tree.body:
                 out.append((name, node.lineno, node.name))
+    return sorted(out)
+
+
+def unread_module_names(sources: dict):
+    """[(file, line, name)] of the names that an assignment at module level
+    in sources (file name -> text) binds and that no Name, Attribute or
+    import there reads; __init__.py and dunder names are exempt."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = names_read(trees.values())
+    out = []
+    for name, tree in trees.items():
+        if name == "__init__.py":
+            continue
+        for node in tree.body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(name, node.lineno, n.id)
+                    for t in targets for n in ast.walk(t)
+                    if isinstance(n, ast.Name) and n.id not in read
+                    and not n.id.startswith("__")]
     return sorted(out)
 
 
@@ -137,6 +168,21 @@ def test_the_walk_sees_an_unread_public_definition():
     init = "from .a import exported\n"
     assert unread_public_definitions({"a.py": a, "__init__.py": init}) == [
         ("a.py", 5, "orphan"), ("a.py", 7, "Orphan")]
+
+
+def test_every_module_level_name_is_read():
+    sources = {p.name: p.read_text() for p in SOURCES}
+    assert unread_module_names(sources) == []
+
+
+def test_the_walk_sees_an_unread_module_level_name():
+    a = ("LIMIT = 10\n_unused, _pair = 2, 3\nORPHAN: int = 4\n"
+         "__all__ = ['f']\n"
+         "def f():\n    local = 5\n    return local + _pair\n")
+    b = "from a import LIMIT\nprint(LIMIT)\n"
+    init = "EXPORTED = 7\n"
+    assert unread_module_names({"a.py": a, "b.py": b, "__init__.py": init}) == [
+        ("a.py", 2, "_unused"), ("a.py", 3, "ORPHAN")]
 
 
 def test_every_parameter_is_read():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import curve, spy
+from test_golden import CASES, run_cli
 from qres import exactnum, poly, resolve, wproj
 from qres.cli import main
 from qres.errors import (BadType, InternalInconsistency, NonDivisibleExponent,
@@ -215,6 +216,16 @@ def test_manual_points():
               points=[ProjPoint(QQ, (Rat(1), Rat(1), Rat(1)), 0)])
 
 
+def test_a_manual_point_over_a_tower_is_refused():
+    """Manual points are read over Q: [1 : s : 0] over Q(s), s^2 = 2, lies
+    on the curve x1^2 = 2 x0^2 and still raises BadType."""
+    field, s = exactnum.adjoin_root(QQ, (Rat(-2), Rat(0)), "s")
+    P = ProjPoint(field, (field.one(), s, field.zero()), 0)
+    assert localize(curve("x1^2 - 2*x0^2"), w("1,1,1"), P)[0].field == field
+    with pytest.raises(BadType, match="rational coordinates"):
+        genus(curve("x1^2 - 2*x0^2"), w("1,1,1"), points=[P])
+
+
 def _arrangement(rng):
     """(k, F): k = 3 or 4 distinct lines and smooth conics on P(1,1,1)."""
     k = rng.choice([3, 4])
@@ -341,9 +352,9 @@ def test_the_search_runs_no_gcd_over_a_tower(monkeypatch):
     """The six crossings of a conic and a cubic form one cluster whose
     minimal polynomial is irreducible: the first subresultant gives its
     y-coordinate, and no gcd runs over the tower, neither wproj's poly_gcd
-    nor the tower Euclid (exactnum._pgcd_monic at k > 0) of any caller."""
+    nor the tower gcd (exactnum._pgcd) of any caller."""
     over_tower, inside = [], [False]
-    gcd, euclid = wproj.poly_gcd, exactnum._pgcd_monic
+    gcd, euclid = wproj.poly_gcd, exactnum._pgcd
 
     def counting_gcd(f, g):
         if inside[0] and f.field.depth:
@@ -352,7 +363,7 @@ def test_the_search_runs_no_gcd_over_a_tower(monkeypatch):
 
     def counting_euclid(levels, k, f, g):
         if inside[0] and k:
-            over_tower.append("_pgcd_monic")
+            over_tower.append("_pgcd")
         return euclid(levels, k, f, g)
     stratum = wproj._affine_stratum
 
@@ -363,13 +374,50 @@ def test_the_search_runs_no_gcd_over_a_tower(monkeypatch):
         finally:
             inside[0] = False
     monkeypatch.setattr(wproj, "poly_gcd", counting_gcd)
-    monkeypatch.setattr(exactnum, "_pgcd_monic", counting_euclid)
+    monkeypatch.setattr(exactnum, "_pgcd", counting_euclid)
     monkeypatch.setattr(wproj, "_affine_stratum", marked)
     roots = spy(monkeypatch, wproj, "_subresultant_root")
     rep = genus(curve(CONIC_TIMES_CUBIC), w("1,1,1"))
     assert rep.genus == 0
     assert kinds(rep) == [("affine", 6, "6")]
     assert len(roots) == 1 and over_tower == []
+
+
+def test_the_first_subresultant_needs_no_split_handler(monkeypatch):
+    """Over every argv of the golden corpus, _affine_stratum runs S_1,
+    outside any split handler, only over a field flagged at every Level,
+    where no SplitEvent can arise, and none does; the search's one split
+    handler is that of _gcd_points, and the three lines of
+    curve-lines-split enter it over an unflagged tower."""
+    s1_fields, s1_splits, reruns, stack, case = [], [], [], [], [None]
+    subresultant_root, gcd_points = wproj._subresultant_root, wproj._gcd_points
+
+    def s1(F0, slices, at_u, field, u0):
+        s1_fields.append(field)
+        try:
+            return subresultant_root(F0, slices, at_u, field, u0)
+        except SplitEvent:
+            s1_splits.append(case[0])
+            raise
+
+    def gcd(field, u0, slices, tag):
+        if stack:       # a rerun from the split handler of the call below
+            reruns.append((case[0], stack[-1]))
+        stack.append(field)
+        try:
+            return gcd_points(field, u0, slices, tag)
+        finally:
+            stack.pop()
+    monkeypatch.setattr(wproj, "_subresultant_root", s1)
+    monkeypatch.setattr(wproj, "_gcd_points", gcd)
+    for name, argv in CASES:
+        case[0] = name
+        run_cli(argv)
+    assert s1_fields and all(f.is_field for f in s1_fields)
+    assert s1_splits == []
+    assert reruns and all(f.depth and not f.is_field for _, f in reruns)
+    assert {name for name, _ in reruns} >= {"curve-lines-split",
+                                            "curve-lines-split-json"}
 
 
 def generic_curve(w, d, coeffs):
@@ -416,7 +464,7 @@ def test_the_subresultant_root_agrees_with_the_tower_gcd(case, coeffs):
 def test_a_certified_cluster_field_makes_no_unit_certificate(monkeypatch):
     """The one affine cluster of golden gallery-11 is certified, so its
     field is flagged: genus proves no coefficient a unit by a gcd with a
-    minimal polynomial (_zgcd over Q, _pgcd_monic above) over a tower whose
+    minimal polynomial (_zgcd over Q, _pgcd above) over a tower whose
     every Level is flagged.  With the certificate refused, nothing is
     flagged, the certificate gcds come back, and the search finds the same
     points."""
@@ -443,7 +491,7 @@ def test_a_certified_cluster_field_makes_no_unit_certificate(monkeypatch):
     monkeypatch.setattr(resolve, "is_zero_validated", validating)
     monkeypatch.setattr(wproj, "is_zero_validated", validating)
     counted("_zgcd")
-    counted("_pgcd_monic")
+    counted("_pgcd")
     flagged = located(F, Weights(1, 1, 1))
     assert genus(F, Weights(1, 1, 1)).genus == -1
     assert any(f.depth and f.is_field for f in seen)
