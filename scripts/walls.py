@@ -9,7 +9,9 @@ under its own timeout and environment.  One line per wall gives its wall
 time, its exit code and whether its answer matched; a summary line ends the
 report.  The expected answers come from:
 
-- closed forms: the germ (x+y)^n - y^(n+1) has delta n(n-1)/2;
+- closed forms: the germ (x+y)^n - y^(n+1) has delta n(n-1)/2, and the
+  curve x0^n + x1^3 + x2^(3n) on P(3,n,1), quasi-smooth and missing all
+  three vertices, has its virtual genus n - 1;
 - components: the genus of a product of k curves is the sum of the genera
   of its components minus (k - 1), each component run on its own first;
 - the documented exit code 3, with its one error line, for a wall whose
@@ -53,8 +55,9 @@ P471 = ["-2/3*x2^14 - 1*x1^1*x2^7 + 1*x0^2*x2^6 + 1/2*x1^2 + 3*x0^1*x2^10",
 @dataclass
 class Wall:
     """One command line and how to check it: the genus of a product of
-    `components` on P(w), the delta of the ladder of `ladder`, or exit 3
-    with the error line `overflow`."""
+    `components` on P(w), found from each component or, where it is set,
+    given in closed form as `genus`; the delta of the ladder of `ladder`;
+    or exit 3 with the error line `overflow`."""
 
     name: str
     timeout: float
@@ -62,6 +65,7 @@ class Wall:
     w: str = "1,1,1"
     components: list = field(default_factory=list)
     ladder: int = 0
+    genus: int | None = None
     overflow: str = ""
     env: dict = field(default_factory=dict)
 
@@ -90,6 +94,8 @@ WALLS = [
     Wall("p471-product-bound-64", 120, False, w="4,7,1", components=P471,
          env={"QRES_EXT_BOUND": "64"}),
     Wall("ladder-800", 30, True, ladder=800),
+    Wall("high-degree-41", 30, True, w="3,41,1",
+         components=["x0^41 + x1^3 + x2^123"], genus=40),
     Wall("ladder-3000", 120, False, ladder=3000),
 ]
 
@@ -117,6 +123,8 @@ def expected(wall):
     if wall.ladder:
         n = wall.ladder
         return (0, str(n * (n - 1) // 2)), ""
+    if wall.genus is not None:
+        return (0, str(wall.genus)), ""
     total = 1 - len(wall.components)
     for c in wall.components:
         status, rc, out, err, _ = run_qres(["curve", c, "--w", wall.w, "--json"],

@@ -12,9 +12,9 @@ from .errors import (BadType, CommonComponent, DegeneratePolygon,
                      DivisionByZero, ExtensionOverflow, InternalInconsistency,
                      NonDivisibleExponent, NonExactDivision, NotInvertible,
                      NotMultiple, NotQuasiHomogeneous, NotReduced,
-                     NotSemiInvariant, NotSquarefree, PointNotOnCurve,
-                     PolySyntaxError, QresError, ResolutionDepthExceeded,
-                     UnitGerm, UnknownVariable, ZeroPolynomial)
+                     NotSemiInvariant, PointNotOnCurve, PolySyntaxError,
+                     QresError, ResolutionDepthExceeded, UnitGerm,
+                     UnknownVariable, ZeroPolynomial)
 from .exactnum import ExtField, Rat, SplitEvent
 from .poly import (SparsePoly, newton_polygon, parse_poly, resultant,
                    squarefree_part, weighted_order)

@@ -17,10 +17,6 @@ class DivisionByZero(QresError):
     pass
 
 
-class NotSquarefree(QresError):
-    """A polynomial required to be squarefree has a repeated factor."""
-
-
 class ExtensionOverflow(QresError):
     """The extension tower degree exceeded the configured bound."""
 

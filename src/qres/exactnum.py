@@ -1,4 +1,4 @@
-"""Exact coefficient arithmetic: rationals and dynamic algebraic towers.
+"""Exact arithmetic in dynamic algebraic towers over Q, and nothing else.
 
 Everything downstream computes over a field that starts as Q and grows by
 adjoining roots of monic squarefree polynomials.  The minimal polynomials are
@@ -33,7 +33,7 @@ factor's value and format_rep's digits.  A higher storey multiplies as
 polynomials over the storey below; every division by a monic polynomial
 above Q, in a product, a projection or a Euclid, is _pdivmod; every gcd
 and inverse there is one monic Euclid, _peuclid, and a gcd (_pgcd) returns
-its cofactors, (g, a / g, b / g), as _zgcd does over Z.
+its cofactors, (g, a / g, b / g), as zpoly._zgcd does over Z.
 """
 
 from __future__ import annotations
@@ -51,27 +51,12 @@ from .errors import (
     DivisionByZero,
     ExtensionOverflow,
     InternalInconsistency,
-    NotInvertible,
 )
+from .zpoly import (_bareiss, _qmonic, _zclear, _zden, _zgcd, _zmul, _zquo,
+                    _zsub)
 
 Rat = Fraction
 _QZERO, _QONE = Fraction(0), Fraction(1)
-
-
-def mod_inverse(a: int, d: int) -> int:
-    """Inverse of a modulo d, in [1, d) for d > 1.  By convention d = 1 -> 0.
-
-    The d = 1 case keeps blow-up chart formulas uniform at smooth points,
-    where every congruence is vacuous.
-    """
-    if d < 1:
-        raise ValueError("modulus must be >= 1, got %r" % (d,))
-    if d == 1:
-        return 0
-    a %= d
-    if math.gcd(a, d) != 1:
-        raise NotInvertible("%d is not invertible modulo %d" % (a, d))
-    return pow(a, -1, d)
 
 
 @dataclass(frozen=True)
@@ -193,6 +178,37 @@ def _qpair(V, d):
         return V, 1
     g = math.gcd(d, *V) * (1 if d > 0 else -1)
     return (V, d) if g == 1 else (tuple(c // g for c in V), d // g)
+
+
+def _qjoin(elems):
+    """(V, d) for a list of elements (P, e) of a storey over Q: d > 0 is
+    the lcm of their denominators, and V their numerators over d, one
+    integer list."""
+    d = math.lcm(*(e for _, e in elems))
+    return [c * (d // e) for P, e in elems for c in P], d
+
+
+def _zrem(C, M, den=1):
+    """The element (C / den) mod M of the storey Q[t]/M, for an integer
+    list C, an int den != 0 and a trimmed integer list M of degree n >= 1:
+    the canonical pair (P, d) of _qpair, or for n = 1 the value at the
+    root, a Fraction.  Where lc(M) is not 1, C and den are scaled by
+    lc(M)^e first, e = deg C - deg M + 1, so that every step of the long
+    division on ints divides exactly (pseudo-division)."""
+    n, lead = len(M) - 1, M[-1]
+    R = list(C)
+    while R and not R[-1]:
+        R.pop()
+    if (e := len(R) - n) > 0 and lead != 1:
+        scale = lead ** e
+        R, den = [c * scale for c in R], den * scale
+    for i in range(len(R) - 1, n - 1, -1):
+        c = R[i] // lead
+        if c:
+            for t in range(n):
+                R[i - n + t] -= c * M[t]
+    R = R[:n] + [0] * (n - len(R))
+    return _qpair(R, den) if n > 1 else Fraction(R[0], den)
 
 
 def _is_zero(levels, k, a) -> bool:
@@ -354,287 +370,6 @@ def _pgcd(levels, k, a, b):
 
 
 # ---------------------------------------------------------------------------
-# integer polynomials (int lists, low to high, trimmed) and their images
-# over GF(p): the gcd over Q, Yun over Q, the one fraction-free elimination
-# (resultants and the storey-over-Q inverse) and the irreducibility
-# certificate of the singular-locus search
-
-
-_P = 2 ** 61 - 1
-_PRIMES = [_P]          # _P and the primes below it that a gcd has needed
-
-
-def _primes():
-    """_P, then the primes below it in decreasing order; each is found the
-    first time a gcd needs it and kept in _PRIMES."""
-    for i in itertools.count():
-        if i == len(_PRIMES):
-            _PRIMES.append(next(n for n in range(_PRIMES[-1] - 2, 0, -2) if _is_prime(n)))
-        yield _PRIMES[i]
-
-
-def _is_prime(n) -> bool:
-    """Miller-Rabin to the prime bases up to 37, deterministic for odd n
-    with 37 < n < 3.3 * 10^24."""
-    s = ((n - 1) & (1 - n)).bit_length() - 1       # n - 1 = d * 2^s, d odd
-    d = (n - 1) >> s
-    return all(pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s))
-               for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
-
-
-def _zgcd(A, B):
-    """(H, A / H, B / H) for the gcd H of integer polynomials A != [] and B,
-    primitive, up to sign, by Brown's modular gcd.
-
-    For each prime p of _primes() that divides neither leading coefficient,
-    the gcd over GF(p) is made monic and scaled by gamma = gcd(lc A, lc B).
-    Its degree is at least deg H: an image of larger degree than the last
-    is dropped, one of smaller degree restarts the Chinese remaindering.
-    After each prime, the symmetric lift made primitive is H as soon as it
-    divides A and B in Z[x] (it divides H and has an image's degree); the
-    quotients of that trial division are the cofactors."""
-    if not B:
-        H, c = _zclear(A)
-        return H, [c.numerator], []
-    if len(A) == 1 or len(B) == 1:
-        return [1], A, B
-    gamma = math.gcd(A[-1], B[-1])
-    img = None
-    for p in _primes():
-        if not (A[-1] % p and B[-1] % p):
-            continue
-        g = _gcd_mod(A, B, p)
-        if len(g) == 1:
-            return [1], A, B
-        if img is not None and len(g) > len(img):
-            continue
-        s = gamma * pow(g[-1], -1, p) % p
-        g = [c * s % p for c in g]
-        if img is None or len(g) < len(img):
-            img, m = g, p
-        else:
-            t = pow(m, -1, p)
-            img = [c + m * ((d - c) * t % p) for c, d in zip(img, g)]
-            m *= p
-        H = _zclear([c - m if 2 * c > m else c for c in img])[0]
-        qa = _zdiv(A, H)
-        if qa is not None and (qb := _zdiv(B, H)) is not None:
-            return H, qa, qb
-
-
-def _gcd_mod(a, b, p):
-    """A gcd of integer lists a and b over GF(p); b is [] or keeps its lead."""
-    a, b = [c % p for c in a], [c % p for c in b]
-    while b:
-        a, b = b, _prem_mod(a, b, p)
-    return a
-
-
-_DDF_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-
-def certified_irreducible(A) -> bool:
-    """True only if the integer polynomial A (degree >= 1) is irreducible
-    over Q (Musser 1978): for a p in _DDF_PRIMES dividing no lc(A) and
-    leaving A squarefree, a factor of degree d in Z[x] maps to distinct
-    irreducible factors mod p, so d is a sum of some of their degrees.  No
-    d in 1..deg A - 1 may be such a sum for every prime used."""
-    undecided = set(range(1, len(A) - 1))
-    for p in _DDF_PRIMES:
-        if not undecided:
-            break
-        a = _monic_mod(A, p)
-        if len(a) != len(A) or len(_gcd_mod(a, _monic_mod(_zderiv(a), p), p)) > 1:
-            continue
-        sums = {0}
-        for d in _ddf_degrees(a, p):
-            sums |= {s + d for s in sums}
-        undecided &= sums
-    return not undecided
-
-
-def _monic_mod(a, p):
-    """The monic image of an integer list over GF(p), trimmed."""
-    a = [c % p for c in a]
-    while a and not a[-1]:
-        a.pop()
-    inv = pow(a[-1], -1, p) if a else 0
-    return [c * inv % p for c in a]
-
-
-def _ddf_degrees(f, p):
-    """Degrees of the irreducible factors of a monic squarefree f over GF(p):
-    gcd(f, x^(p^d) - x) has degree sum(e N_e) over the e dividing d, N_e
-    factors having degree e; at most one has degree above deg f / 2."""
-    n = len(f) - 1
-    counts, h = {}, [0, 1]
-    for d in range(1, n // 2 + 1):
-        m, base, h = p, h, [1]                 # h = h^p mod f
-        while m:
-            if m & 1:
-                h = _prem_mod(_zmul(h, base), f, p)
-            base, m = _prem_mod(_zmul(base, base), f, p), m >> 1
-        g = _gcd_mod(f, _monic_mod(_zsub(h, [0, 1]), p), p)
-        below = sum(e * c for e, c in counts.items() if d % e == 0)
-        counts[d] = (len(g) - 1 - below) // d
-    out = [d for d, c in counts.items() for _ in range(c)]
-    return out + [n - sum(out)] * (sum(out) < n)
-
-
-def _coprime_images(a, b) -> bool:
-    """gcd(a, b) is constant over GF(_P); b is [] or keeps its degree."""
-    return len(_gcd_mod(a, b, _P)) == 1
-
-
-def _prem_mod(a, b, p):
-    """Remainder of a by b over GF(p), trimmed; b has a nonzero lead."""
-    a = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] * inv % p
-        if c:
-            off = i - db
-            for t in range(db):
-                a[off + t] = (a[off + t] - c * b[t]) % p
-    del a[db:]
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _zden(v):
-    """(V, d) with v = V / d for a list v of rationals (or ints): V is an
-    integer list and d > 0 the lcm of the denominators."""
-    den = math.lcm(*(x.denominator for x in v))
-    return [x.numerator * (den // x.denominator) for x in v], den
-
-
-def _qjoin(elems):
-    """(V, d) for a list of elements (P, e) of a storey over Q: d > 0 is
-    the lcm of their denominators, and V their numerators over d, one
-    integer list."""
-    d = math.lcm(*(e for _, e in elems))
-    return [c * (d // e) for P, e in elems for c in P], d
-
-
-def _zclear(v):
-    """(V, c) with v = c * V for a list v of rationals (or ints): V is a
-    primitive integer list and c > 0 rational; ([], 0) for v = []."""
-    num, den = _zden(v)
-    cont = math.gcd(*num)
-    return [x // cont for x in num], Fraction(cont, den)
-
-
-def _zrem(C, M, den=1):
-    """The element (C / den) mod M of the storey Q[t]/M, for an integer
-    list C, an int den != 0 and a trimmed integer list M of degree n >= 1:
-    the canonical pair (P, d) of _qpair, or for n = 1 the value at the
-    root, a Fraction.  Where lc(M) is not 1, C and den are scaled by
-    lc(M)^e first, e = deg C - deg M + 1, so that every step of the long
-    division on ints divides exactly (pseudo-division)."""
-    n, lead = len(M) - 1, M[-1]
-    R = list(C)
-    while R and not R[-1]:
-        R.pop()
-    if (e := len(R) - n) > 0 and lead != 1:
-        scale = lead ** e
-        R, den = [c * scale for c in R], den * scale
-    for i in range(len(R) - 1, n - 1, -1):
-        c = R[i] // lead
-        if c:
-            for t in range(n):
-                R[i - n + t] -= c * M[t]
-    R = R[:n] + [0] * (n - len(R))
-    return _qpair(R, den) if n > 1 else Fraction(R[0], den)
-
-
-def _qmonic(V):
-    """The monic rational list V / lc(V) of a nonzero integer list V."""
-    return [Fraction(c, V[-1]) for c in V]
-
-
-def _zderiv(v):
-    return [i * c for i, c in enumerate(v)][1:]
-
-
-def _zmul(u, v):
-    """Product of trimmed integer coefficient lists."""
-    if not u or not v:
-        return []
-    out = [0] * (len(u) + len(v) - 1)
-    for i, c in enumerate(u):
-        if c:
-            for j, d in enumerate(v):
-                out[i + j] += c * d
-    return out
-
-
-def _zsub(u, v):
-    """Difference of integer coefficient lists, trimmed."""
-    out = [c - d for c, d in itertools.zip_longest(u, v, fillvalue=0)]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _zdiv(num, den):
-    """The quotient of trimmed integer lists num / den, or None unless den
-    divides num in Z[t]."""
-    if not num:
-        return []
-    dd = len(den) - 1
-    lead = den[-1]
-    rem = list(num)
-    quo = [0] * max(len(rem) - dd, 0)
-    for i in range(len(quo) - 1, -1, -1):
-        c, r = divmod(rem[i + dd], lead)
-        if r:
-            return None
-        if c:
-            quo[i] = c
-            for t in range(dd):
-                rem[i + t] -= c * den[t]
-    if not quo or any(rem[:dd]):
-        return None
-    return quo
-
-
-def _zquo(num, den):
-    """The quotient of ints num / den, or None unless den divides num."""
-    q, r = divmod(num, den)
-    return None if r else q
-
-
-def _bareiss(rows) -> int:
-    """Fraction-free forward elimination (Bareiss 1968) of the first n - 1
-    columns of n rows of ints, in place.  Each division by the previous
-    pivot is exact (_zquo gives None otherwise): from column i on, row i
-    ends as minors of order i + 1, left of it uncleared, and the last row's
-    entry in column n - 1 as the determinant times the row-swap sign.
-    Returns that sign, or 0 when a column has no pivot.  Its callers are
-    the storey-over-Q inverse and poly's resultants, whose polynomial
-    entries come packed into ints (poly._subresultant)."""
-    sign, prev, n = 1, 1, len(rows)
-    for k in range(n - 1):
-        if not rows[k][k]:
-            swap = next((r for r in range(k + 1, n) if rows[r][k]), None)
-            if swap is None:
-                return 0
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        pivot_row, piv = rows[k], rows[k][k]
-        for row in rows[k + 1:]:
-            lead = row[k]
-            row[k + 1:] = [_zquo(piv * x - lead * y, prev)
-                           for x, y in zip(row[k + 1:], pivot_row[k + 1:])]
-            if None in row:
-                raise InternalInconsistency("non-exact division in Bareiss elimination")
-        prev = piv
-    return sign
-
-
-# ---------------------------------------------------------------------------
 # inversion and splitting
 
 
@@ -720,11 +455,9 @@ def _inv(levels, k, a):
     """Inverse of the level-k element a; a zero divisor raises SplitEvent.
 
     Over Q, c / d for a rational c = P_0 is d / c, already canonical, and
-    _inv_over_q solves for any other element.  An element of a lower
-    storey is inverted there and lifted (the Euclid's first division would
-    invert the same constant, so a split is the same).  Else _peuclid(m, a)
-    for the minimal polynomial m: a proper last divisor g splits m into g
-    and m / g, and a last remainder c, inverted below, gives c^-1 s."""
+    _inv_over_q solves for any other element.  Above, _peuclid(m, a) for
+    the minimal polynomial m: a proper last divisor g splits m into g and
+    m / g, and a last remainder c, inverted below, gives c^-1 s."""
     if k == 0:
         if a == 0:
             raise DivisionByZero("division by zero in Q")
@@ -736,8 +469,6 @@ def _inv(levels, k, a):
             return _inv_over_q(levels, a)
         c = a[0][0]
         return (a[1] if c > 0 else -a[1],) + a[0][1:], abs(c)
-    if all(_is_zero(levels, k - 1, c) for c in a[1:]):
-        return lift(levels, k - 1, k, _inv(levels, k - 1, a[0]))
     m = list(levels[k - 1].minpoly) + [lift(levels, 0, k - 1, _QONE)]
     g, s = _peuclid(levels, k - 1, m, _ptrim(levels, k - 1, list(a)))
     if len(g) > 1:

@@ -16,12 +16,13 @@ from dataclasses import dataclass, replace
 
 from .errors import (BadType, CommonComponent, InternalInconsistency,
                      NotMultiple)
-from .exactnum import Rat, _coprime_images
+from .exactnum import Rat
 from .poly import SparsePoly, probe_images, resultant, weighted_order
 from .quotsing import QuotType, SMOOTH
 from .resolve import (EngineConfig, LeafRecord, ResolutionNode,
                       ResolutionTree, axis_split, resolve_germ, resolve_labels,
                       semi_invariance_check)
+from .zpoly import _coprime_images
 
 __all__ = [
     "DeltaTerm", "DeltaBreakdown", "InvariantReport", "delta_breakdown",

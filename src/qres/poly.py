@@ -32,8 +32,9 @@ from .errors import (
     UnknownVariable,
     ZeroPolynomial,
 )
-from .exactnum import (ExtField, _zclear, _zderiv, _zdiv, _zgcd, _zmul,
-                       _zsub)
+from .zpoly import (_P, _bareiss, _coprime_images, _qmonic, _zclear, _zden,
+                    _zderiv, _zdiv, _zgcd, _zgcd_all, _zmul, _zpack, _zsub,
+                    _zunpack)
 
 MAX_EXPONENT = 2 ** 31
 MAX_DIGITS = 1000       # digits of an integer literal that is not an exponent
@@ -52,7 +53,7 @@ class SparsePoly:
 
     __slots__ = ("field", "vars", "terms")
 
-    def __init__(self, field: ExtField, variables, terms):
+    def __init__(self, field: exactnum.ExtField, variables, terms):
         self.field = field
         self.vars = tuple(variables)
         n = len(self.vars)
@@ -181,7 +182,7 @@ class SparsePoly:
             out[e[i]] = c
         return out
 
-    def lift_shift(self, field: ExtField, roots=()):
+    def lift_shift(self, field: exactnum.ExtField, roots=()):
         """This polynomial in field, a tower over its own, with variable i
         replaced by itself plus roots[i] in field where that is nonzero.
         Into Q: _taylor_shift.  Else the products of root powers are made
@@ -216,7 +217,7 @@ class SparsePoly:
             flat, den = exactnum._qjoin([c for v in prods.values() for c in v])
             dim = field.degree
             prods = {u: flat[j * dim:(j + 1) * dim] for j, u in enumerate(prods)}
-            num, cden = exactnum._zden(list(coeffs.values()))
+            num, cden = _zden(list(coeffs.values()))
             cont = math.gcd(*num)
             coeffs = {e: c // cont for e, c in zip(coeffs, num)}
             add, mul, smul, zero = operator.add, operator.mul, operator.mul, 0
@@ -481,7 +482,7 @@ def parse_poly(text: str, variables) -> SparsePoly:
     skip()
     if pos != n:
         raise PolySyntaxError("unexpected %r at position %d" % (text[pos], pos))
-    return SparsePoly(ExtField(), variables, {
+    return SparsePoly(exactnum.ExtField(), variables, {
         e: c if type(c) is Fraction else Fraction(c) for e, c in result.items()})
 
 
@@ -669,7 +670,7 @@ def poly_gcd(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     if k and b:
         out = exactnum._pgcd(levels, k, a, b)[0]
     else:
-        out = exactnum._qmonic(_zgcd(_zclear(b)[0], _zclear(a)[0])[0]) if b else []
+        out = _qmonic(_zgcd(_zclear(b)[0], _zclear(a)[0])[0]) if b else []
     return SparsePoly.from_univariate(f.field, var, out)
 
 
@@ -680,7 +681,7 @@ def squarefree_part(f: SparsePoly):
     f / gcd(f, f'), the monic product of the distinct squarefree factors, and
     factors is a list of (factor, multiplicity) in increasing multiplicity.
     Unit content is discarded.  Each gcd comes with its cofactors, Yun's
-    next w and y: over Q from exactnum._zgcd on integer lists, above Q from
+    next w and y: over Q from _zgcd on integer lists, above Q from
     exactnum._pgcd; only what is returned is made monic.
     """
     if f.is_zero():
@@ -695,7 +696,7 @@ def squarefree_part(f: SparsePoly):
         return SparsePoly.from_univariate(field, var, [field.one()]), []
     if k == 0:
         u, _ = _zclear(coeffs)
-        gcd, sub, deriv, monic = exactnum._zgcd, _zsub, exactnum._zderiv, exactnum._qmonic
+        gcd, sub, deriv, monic = _zgcd, _zsub, _zderiv, _qmonic
     else:
         u, monic = exactnum._pmonic(levels, k, coeffs), list
         gcd, sub, deriv = (functools.partial(fn, levels, k) for fn in (
@@ -748,7 +749,7 @@ def first_subresultant(f: SparsePoly, g: SparsePoly, var) -> SparsePoly:
 
 def _subresultant(f, g, vi, a, b, j):
     """S_j (j = 0 or 1) of f and g, of degrees a and b >= j in variable vi.
-    exactnum._bareiss on the b - j shifted rows of f's integer columns and
+    _bareiss on the b - j shifted rows of f's integer columns and
     a - j of g's (_zcolumns) leaves S_j's coefficients in the last row
     (Sylvester's identity), up to the sign and scale applied at the end.
 
@@ -781,7 +782,7 @@ def _subresultant(f, g, vi, a, b, j):
             for k, p in enumerate(packed):
                 row[i + d - k] = p << 8 * w * ((s + t[i + d - k]) // m)
             rows.append(row)
-    sign = exactnum._bareiss(rows)
+    sign = _bareiss(rows)
     if not sign:
         return SparsePoly(f.field, f.vars, {})
     lift += sum(t[:len(rows) - 1])
@@ -829,29 +830,6 @@ def _zgraded(col, r, m):
     return out
 
 
-def _zpack(v, w):
-    """The value at 2^B, B = 8 w, of an integer list v (low to high) whose
-    entries lie in [-2^(B - 1), 2^(B - 1)): each entry plus 2^(B - 1) is
-    one B-bit digit, and that offset is subtracted once."""
-    half = 1 << (8 * w - 1)
-    return (int.from_bytes(b"".join((x + half).to_bytes(w, "little") for x in v), "little")
-            - int.from_bytes((bytes(w - 1) + b"\x80") * len(v), "little"))
-
-
-def _zunpack(n, w):
-    """The trimmed integer list v with _zpack(v, w) = n, its entries in
-    [-2^(B - 1), 2^(B - 1)), B = 8 w: n plus 2^(B - 1) in each of enough
-    digits is cut into B-bit digits (int.to_bytes), each less the offset."""
-    digits = abs(n).bit_length() // (8 * w) + 2
-    raw = (n + int.from_bytes((bytes(w - 1) + b"\x80") * digits, "little")).to_bytes(
-        digits * w, "little")
-    half = 1 << (8 * w - 1)
-    v = [int.from_bytes(raw[i:i + w], "little") - half for i in range(0, len(raw), w)]
-    while v and not v[-1]:
-        v.pop()
-    return v
-
-
 # ---------------------------------------------------------------------------
 # reducedness over Q
 
@@ -888,17 +866,6 @@ def content_in(f: SparsePoly, var):
     return D, SparsePoly(f.field, f.vars, {
         (j, o) if vi == 0 else (o, j): scale * c
         for j, col in enumerate(cols) for o, c in enumerate(_zdiv(col, D))})
-
-
-def _zgcd_all(lists):
-    """The primitive gcd of the nonzero integer lists in lists, [] if there
-    are none; it stops at the first constant gcd."""
-    g = []
-    for v in filter(None, lists):
-        g = _zgcd(v, g)[0]
-        if len(g) == 1:
-            break
-    return g
 
 
 def squarefree_discriminant(f: SparsePoly):
@@ -938,7 +905,7 @@ def probe_images(f: SparsePoly, vi: int):
     coefficient list in vi; [] where its leading coefficient vanishes.
     Each column is evaluated by Horner's rule mod P, so every product stays
     below P^2 in size."""
-    cols, P = _zcolumns(f, vi)[0], exactnum._P
+    cols, P = _zcolumns(f, vi)[0], _P
     for t0 in _PROBE_POINTS:
         image = []
         for col in cols:
@@ -959,7 +926,7 @@ def is_squarefree_two_vars(f: SparsePoly) -> bool:
     gcd.  Every other outcome goes to the exact squarefree_discriminant.
     A nonconstant f with coefficients in a tower raises ValueError."""
     if not f.is_zero() and all(f.degree_in(vi) == 0 or any(
-            img and exactnum._coprime_images(img, _zderiv(img))
+            img and _coprime_images(img, _zderiv(img))
             for img in probe_images(f, vi)) for vi in (0, 1)):
         return True
     return squarefree_discriminant(f) is not None

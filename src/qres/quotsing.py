@@ -19,7 +19,8 @@ import re
 from dataclasses import dataclass
 
 from .errors import BadType, NonExactDivision
-from .exactnum import Rat, mod_inverse
+from .exactnum import Rat
+from .zpoly import mod_inverse
 
 
 @dataclass(frozen=True, order=True)

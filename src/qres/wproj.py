@@ -31,16 +31,15 @@ from .errors import (BadType, InternalInconsistency, NonDivisibleExponent,
                      NonExactDivision, NotQuasiHomogeneous, NotReduced,
                      PointNotOnCurve, ZeroPolynomial)
 from .exactnum import (ExtField, Rat, SplitEvent, _add, _inv, _is_zero, _mul,
-                       _neg, _pdivmod, _qmonic, _qpair, _sub, _zden, _zderiv,
-                       _zgcd, _zmul, _zrem, adjoin_radical, adjoin_root,
-                       certified_irreducible, format_rep, is_zero_validated,
-                       lift)
-from .poly import (SparsePoly, _zcolumns, _zgcd_all, first_subresultant,
-                   poly_gcd, resultant, squarefree_discriminant,
-                   squarefree_part)
+                       _neg, _pdivmod, _qpair, _sub, _zrem, adjoin_radical,
+                       adjoin_root, format_rep, is_zero_validated, lift)
+from .poly import (SparsePoly, _zcolumns, first_subresultant, poly_gcd,
+                   resultant, squarefree_discriminant, squarefree_part)
 from .quotsing import QuotType, SMOOTH, normalize_with_multipliers
 from .resolve import EngineConfig, resolve_germ
 from .invariants import delta_breakdown
+from .zpoly import (_qmonic, _zden, _zderiv, _zgcd, _zgcd_all, _zmul,
+                    certified_irreducible)
 
 __all__ = [
     "Weights", "ProjPoint", "SingularPoint", "GenusReport", "parse_weights",

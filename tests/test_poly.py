@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from conftest import QQ, germ, qgcd, spy
 from qres.errors import (DegeneratePolygon, InternalInconsistency,
                          NonExactDivision, PolySyntaxError, UnknownVariable)
-from qres import exactnum, poly
+from qres import exactnum, poly, zpoly
 from qres.exactnum import Rat, adjoin_root
 from qres.poly import (SparsePoly, blowup_transform, choose_face, content_in,
                        is_squarefree_two_vars, newton_polygon, parse_poly,
@@ -528,8 +528,8 @@ def test_coprimality_certificate_is_sound(u, v):
     u, v = trimmed(u), trimmed(v)
     if not u or not v:
         return
-    U, V = exactnum._zclear(u)[0], exactnum._zclear(v)[0]
-    if U[-1] % P61 and V[-1] % P61 and exactnum._coprime_images(U, V):
+    U, V = zpoly._zclear(u)[0], zpoly._zclear(v)[0]
+    if U[-1] % P61 and V[-1] % P61 and zpoly._coprime_images(U, V):
         assert euclid_gcd(u, v) == [Rat(1)]
     assert qgcd(u, v) == euclid_gcd(u, v)
 
@@ -545,8 +545,8 @@ def test_gcd_recovers_a_common_factor(u, v, h):
 
 
 def test_certificate_falls_back_on_multiples_of_the_prime(monkeypatch):
-    images = spy(monkeypatch, exactnum, "_gcd_mod")
-    primes = exactnum._primes()
+    images = spy(monkeypatch, zpoly, "_gcd_mod")
+    primes = zpoly._primes()
     assert next(primes) == P61
     P2, P3 = next(primes), next(primes)
 
@@ -622,7 +622,7 @@ def test_yun_over_q_matches_a_fraction_yun(parts, scale):
 
 def test_yun_step_with_a_zero_z(monkeypatch):
     # on (y - 1)^3 the last step has z = y - w' = 0 and gcd(w, 0) = w
-    gcds = spy(monkeypatch, exactnum, "_zgcd")
+    gcds = spy(monkeypatch, poly, "_zgcd")
     radical, factors = squarefree_part(parse_poly("(y - 1)^3", ("y",)))
     assert radical == parse_poly("y - 1", ("y",))
     assert factors == [(parse_poly("y - 1", ("y",)), 3)]
@@ -895,7 +895,7 @@ def test_pack_and_unpack_round_trip(w):
         trimmed = list(v)
         while trimmed and not trimmed[-1]:
             trimmed.pop()
-        assert poly._zunpack(poly._zpack(v, w), w) == trimmed
+        assert zpoly._zunpack(zpoly._zpack(v, w), w) == trimmed
 
 
 def test_first_subresultant_of_a_linear_g_has_no_row_of_f():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import curve, spy
 from test_golden import CASES, run_cli
-from qres import exactnum, poly, resolve, wproj
+from qres import exactnum, poly, resolve, wproj, zpoly
 from qres.cli import main
 from qres.errors import (BadType, InternalInconsistency, NonDivisibleExponent,
                          NotQuasiHomogeneous, NotReduced, PointNotOnCurve,
@@ -278,7 +278,7 @@ def test_the_cluster_field_strips_x_takes_the_radical_and_collapses():
     """_cluster_field drops x^k, keeps one copy of each factor and reads
     x^w as t; a constant radical is no cluster, and a list whose root set
     is not stable under the w-th roots of unity cannot be collapsed."""
-    v = exactnum._zmul(exactnum._zmul([0, 0, 1], [4, 0, 0, -4, 0, 0, 1]),
+    v = zpoly._zmul(zpoly._zmul([0, 0, 1], [4, 0, 0, -4, 0, 0, 1]),
                        [1, 0, 0, 1])       # x^2 (x^3 - 2)^2 (x^3 + 1)
     s, field, _ = wproj._cluster_field(v, 3, "ta", "ua")
     assert s in ([-2, -1, 1], [2, 1, -1])
