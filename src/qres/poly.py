@@ -32,6 +32,7 @@ from .errors import (
     UnknownVariable,
     ZeroPolynomial,
 )
+from .exactnum import ExtField
 from .zpoly import (_P, _bareiss, _coprime_images, _qmonic, _zclear, _zden,
                     _zderiv, _zdiv, _zgcd, _zgcd_all, _zmul, _zpack, _zsub,
                     _zunpack)
@@ -53,7 +54,7 @@ class SparsePoly:
 
     __slots__ = ("field", "vars", "terms")
 
-    def __init__(self, field: exactnum.ExtField, variables, terms):
+    def __init__(self, field: ExtField, variables, terms):
         self.field = field
         self.vars = tuple(variables)
         n = len(self.vars)
@@ -182,7 +183,7 @@ class SparsePoly:
             out[e[i]] = c
         return out
 
-    def lift_shift(self, field: exactnum.ExtField, roots=()):
+    def lift_shift(self, field: ExtField, roots=()):
         """This polynomial in field, a tower over its own, with variable i
         replaced by itself plus roots[i] in field where that is nonzero.
         Into Q: _taylor_shift.  Else the products of root powers are made
@@ -482,7 +483,7 @@ def parse_poly(text: str, variables) -> SparsePoly:
     skip()
     if pos != n:
         raise PolySyntaxError("unexpected %r at position %d" % (text[pos], pos))
-    return SparsePoly(exactnum.ExtField(), variables, {
+    return SparsePoly(ExtField(), variables, {
         e: c if type(c) is Fraction else Fraction(c) for e, c in result.items()})
 
 

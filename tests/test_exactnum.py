@@ -668,9 +668,9 @@ def test_every_kernel_returns_canonical_elements(data):
 def test_the_storey_over_q_builds_no_fraction(monkeypatch):
     """Over (t + 1)(t^2 + 1/3), a storey over Q with a rational tail:
     _mul, _add, _sub, _neg, _smul, lift, _is_zero, _certify on a unit,
-    _inv_over_q, _inv's shortcut for a rational element, and lift_shift
-    of polynomials over Q and over the storey into it build no Fraction,
-    in exactnum or in poly; Fractions are made where a value leaves the
+    _inv_over_q, _inv of a rational element, and lift_shift of
+    polynomials over Q and over the storey into it build no Fraction, in
+    exactnum, zpoly or poly; Fractions are made where a value leaves the
     storey, as the rational tails of a zero divisor's split.  _zden is
     given only lists of rationals, never an element of the storey."""
     F, _ = adjoin_root(QQ, (Rat(1, 3), Rat(1, 3), Rat(1)), "t")
@@ -687,6 +687,7 @@ def test_the_storey_over_q_builds_no_fraction(monkeypatch):
         made.append(args)
         return fraction(*args)
     monkeypatch.setattr(exactnum, "Fraction", counting)
+    monkeypatch.setattr(zpoly, "Fraction", counting)
     monkeypatch.setattr(poly, "Fraction", counting)
     cleared = spy(monkeypatch, poly, "_zden")
     results = [_mul(L, 1, a, b), _add(L, 1, a, b), _sub(L, 1, a, b), _neg(L, 1, a),
